@@ -12,6 +12,28 @@ _F64_SAFE = 1 << 52
 _I64_SAFE = 1 << 62
 
 
+def int64_mod(r, q):
+    """r mod q as an int64 array; r may be an object array or a Python int.
+
+    An int64 array r is reduced in place and returned.
+    """
+    if isinstance(r, np.ndarray) and r.dtype == np.int64:
+        r %= q
+        return r
+    return np.asarray(r % q, dtype=np.int64)
+
+
+def mul_mod(a, b, q):
+    """Elementwise a * b mod q for residues in [0, q), exact at every q.
+
+    int64 while (q - 1)^2 < 2^62; object (Python int) arithmetic above, where
+    the int64 product would wrap.
+    """
+    if (q - 1) * (q - 1) < _I64_SAFE:
+        return a * b % q
+    return int64_mod(np.asarray(a).astype(object) * np.asarray(b).astype(object), q)
+
+
 def zeros(desc, shape):
     return np.zeros(tuple(shape) + (desc.m,), dtype=np.int64)
 
@@ -33,7 +55,7 @@ def neg(desc, a):
 
 
 def scale_int(desc, a, c):
-    return (a * int(c % desc.q)) % desc.q
+    return mul_mod(a, int(c % desc.q), desc.q)
 
 
 def mul_x(desc, coeffs):
@@ -41,7 +63,7 @@ def mul_x(desc, coeffs):
     out = np.zeros_like(coeffs)
     out[..., 1:] = coeffs[..., :-1]
     top = coeffs[..., -1]
-    return (out + top[..., None] * desc.xm_red) % desc.q
+    return (out + mul_mod(top[..., None], desc.xm_red, desc.q)) % desc.q
 
 
 def reg_rep(desc, arr):
@@ -60,14 +82,15 @@ def elem_mul(desc, a, b):
     """Elementwise ring product with numpy broadcasting."""
     m, q = desc.m, desc.q
     if m == 1:
-        return (a * b) % q
+        return mul_mod(a, b, q)
     shape = np.broadcast_shapes(a.shape, b.shape)
     conv = np.zeros(shape[:-1] + (2 * m - 1,), dtype=np.int64)
     for i in range(m):
         for j in range(m):
-            conv[..., i + j] += a[..., i] * b[..., j]
+            conv[..., i + j] += mul_mod(a[..., i], b[..., j], q)
     conv %= q
-    return np.tensordot(conv, desc.red_table, axes=([-1], [0])) % q
+    bound = (2 * m - 1) * (q - 1) * (q - 1)
+    return int64_mod(_raw_tensordot(conv, desc.red_table, ([conv.ndim - 1], [0]), bound), q)
 
 
 def _raw_tensordot(a, b, axes, bound):
@@ -76,7 +99,7 @@ def _raw_tensordot(a, b, axes, bound):
         return r.astype(np.int64)
     if bound < _I64_SAFE:
         return np.tensordot(a, b, axes)
-    return np.tensordot(a.astype(object), b.astype(object), axes).astype(object)
+    return np.tensordot(a.astype(object), b.astype(object), axes)
 
 
 def tensordot(desc, a, b, axes):
@@ -93,28 +116,15 @@ def tensordot(desc, a, b, axes):
     if desc.m == 1:
         bound = k * (q - 1) * (q - 1)
         r = _raw_tensordot(a[..., 0], b[..., 0], (axa, axb), bound)
-        if r.dtype == object:
-            r = (r % q).astype(np.int64)
-        else:
-            r %= q
-        return r[..., None]
+        return int64_mod(r, q)[..., None]
     areg = reg_rep(desc, a)
     breg = reg_rep(desc, b)
     bound = k * desc.m * (q - 1) * (q - 1)
     r = _raw_tensordot(areg, breg, (axa + [areg.ndim - 1], axb + [breg.ndim - 2]), bound)
     n_a_free = a.ndim - 1 - len(axa)
     # result axes: [a-free..., s, b-free..., u] -> [a-free..., b-free..., s, u]
-    r = np.moveaxis(r, n_a_free, -2)
-    if r.dtype == object:
-        r = (r % q).astype(np.int64)
-    else:
-        r %= q
+    r = np.moveaxis(int64_mod(r, q), n_a_free, -2)
     return np.ascontiguousarray(r[..., :, 0])
-
-
-def matmul(desc, a, b):
-    """Matrix product over the ring; a is (..., r, k, m), b is (k, c, m)."""
-    return tensordot(desc, a, b, ([-1], [0]))
 
 
 def kron2(desc, a, b):
@@ -136,12 +146,6 @@ def moveaxis(arr, src, dst):
     src = [s % nd for s in (src if isinstance(src, (list, tuple)) else [src])]
     dst = [d % nd for d in (dst if isinstance(dst, (list, tuple)) else [dst])]
     return np.moveaxis(arr, src, dst)
-
-
-def const_array(desc, shape, elem):
-    out = np.empty(tuple(shape) + (desc.m,), dtype=np.int64)
-    out[...] = np.asarray(elem, dtype=np.int64)
-    return out % desc.q
 
 
 def one_scalar(desc):

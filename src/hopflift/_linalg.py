@@ -6,15 +6,32 @@ ranks and kernels.  For m == 1 the factorization is a left-looking panel
 elimination whose bulk updates run through BLAS at dtypes with proven-exact
 integer bounds; for m > 1 a dense vectorized elimination over the extension
 field is used (desk-scale inputs only).
+
+A tall input (more than _SKETCH_MARGIN rows beyond its column count) is
+factored through a sparse row sketch P.M with cols + _SKETCH_MARGIN rows: each
+input row is added into one sketch row with a nonzero F_p coefficient.  The
+sketch's kernel basis K is certified exactly by M.K = 0 on the input, which
+makes ker(P.M) = ker(M); the greedy pivot columns, the kernel basis in RREF
+and the canonical solution depend only on that kernel, so every output is the
+one the unsketched elimination gives.  A failed certificate re-sketches with
+the next seed, and finally factors M itself (P = I) with the same code.
+Solves map the right-hand side through P and keep the exact residual check
+M.x = b against the unsketched matrix.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _arrays as ra
 
 _BLOCK = 64
+# spare sketch rows beyond the column count: they make a sketch that loses
+# rank unlikely, and the exact certificate catches the rest
+_SKETCH_MARGIN = 64
+_SKETCH_SEEDS = (0x5EC7, 0x5EC8)
 
 
 def _exact_dot(a, b, q):
@@ -27,58 +44,179 @@ def _exact_dot(a, b, q):
     if bound < (1 << 52):
         r = np.dot(a.astype(np.float64), b.astype(np.float64))
         return r.astype(np.int64) % q
-    if bound < (1 << 62):
+    if bound < ra._I64_SAFE:
         return np.dot(a, b) % q
-    return (np.dot(a.astype(object), b.astype(object)) % q).astype(np.int64)
+    return ra.int64_mod(np.dot(a.astype(object), b.astype(object)), q)
+
+
+def _wide_dtype(bound):
+    """int64 when sums of products stay below _exact_dot's int64 bound, else object."""
+    return np.int64 if bound < ra._I64_SAFE else object
+
+
+def _sum_sorted(idx, terms, n_out, q):
+    """out[i] = sum of terms[j] over idx[j] == i, mod q, as int64; idx is sorted."""
+    out = np.zeros((n_out,) + terms.shape[1:], dtype=np.int64)
+    if idx.size:
+        starts = np.flatnonzero(np.concatenate(([True], idx[1:] != idx[:-1])))
+        out[idx[starts]] = ra.int64_mod(np.add.reduceat(terms, starts, axis=0), q)
+    return out
+
+
+def _scatter(index, coeff, vals, n_out, q, count):
+    """out[index[i]] += coeff[i] * vals[i] over F_q, exact; coeff are F_p
+    scalars and no index occurs more than count times."""
+    dt = _wide_dtype(count * (q - 1) * (q - 1))
+    terms = coeff.astype(dt).reshape((-1,) + (1,) * (vals.ndim - 1)) * vals.astype(dt)
+    order = np.argsort(index, kind="stable")
+    return _sum_sorted(index[order], terms[order], n_out, q)
+
+
+@dataclass(frozen=True)
+class CooMatrix:
+    """Sparse matrix over a field: the nonzero entries in row-major order."""
+
+    shape: tuple
+    rows: np.ndarray  # (nnz,)
+    cols: np.ndarray  # (nnz,)
+    vals: np.ndarray  # (nnz, m), reduced and nonzero
+
+    @classmethod
+    def from_dense(cls, marr):
+        rows, cols = np.nonzero(np.any(marr != 0, axis=-1))
+        return cls(marr.shape[:2], rows, cols, marr[rows, cols])
+
+    def toarray(self):
+        out = np.zeros(tuple(self.shape) + (self.vals.shape[-1],), dtype=np.int64)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def dot(self, desc, x):
+        """self @ x over the field, exact; x is (C, m) or (C, w, m)."""
+        q, m = desc.q, desc.m
+        per_row = int(np.bincount(self.rows).max()) if self.rows.size else 0
+        dt = _wide_dtype(per_row * m * (q - 1) * (q - 1))
+        xs = x.reshape(x.shape[0], -1, m)
+        lreg = ra.reg_rep(desc, self.vals).astype(dt)[:, None]  # (nnz, 1, m, m)
+        # column blocks keep the (nnz, w, m, m) product near 2^22 cells
+        step = max(1, (1 << 22) // max(1, self.rows.size * m * m))
+        out = np.empty((self.shape[0], xs.shape[1], m), dtype=np.int64)
+        for w0 in range(0, xs.shape[1], step):
+            g = xs[self.cols, w0 : w0 + step].astype(dt)[:, :, None, :]
+            out[:, w0 : w0 + step] = _sum_sorted(self.rows, (lreg * g).sum(-1), self.shape[0], q)
+        return out.reshape((self.shape[0],) + x.shape[1:])
+
+
+def _inv_lower(T, invs, p):
+    """Inverse over F_p of the lower triangular T whose diagonal has inverses invs
+    (the diagonal of T itself is not read)."""
+    n = len(invs)
+    out = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        row = np.zeros(n, dtype=np.int64)
+        row[i] = 1
+        if i:
+            row[:i] = (-_exact_dot(T[i, :i], out[:i, :i], p)) % p
+        out[i] = ra.mul_mod(int(invs[i]), row, p)
+    return out
+
+
+def _block_substitute(T, blocks, B, p):
+    """X with T X = B for a triangular T, given its diagonal blocks
+    (s0, s1, inverse of T[s0:s1, s0:s1]) in solving order.  Rows not yet
+    solved are zero in X, so the whole rows of T can be used."""
+    X = np.zeros_like(B)
+    for s0, s1, inv in blocks:
+        acc = (B[s0:s1] - _exact_dot(T[s0:s1], X, p)) % p
+        X[s0:s1] = _exact_dot(inv, acc, p)
+    return X
+
+
+def _make_sketch(nrows, k, q, seed):
+    """Row map of a sparse sketch P (k x nrows): row r goes to sketch row
+    bucket[r] with the nonzero F_p coefficient coeff[r].  The rows are dealt
+    round-robin in a seeded random order, so every sketch row gets at most
+    ceil(nrows / k) of them and none stays empty."""
+    rng = np.random.default_rng([seed, nrows, k])
+    bucket = np.empty(nrows, dtype=np.int64)
+    bucket[rng.permutation(nrows)] = np.arange(nrows) % k
+    return bucket, rng.integers(1, q, size=nrows)
 
 
 class FieldSolver:
-    """Echelon factorization of a matrix over a field descriptor (n == 1)."""
+    """Echelon factorization of a matrix over a field descriptor (n == 1).
 
-    def __init__(self, desc, marr: np.ndarray, rank_only: bool = False):
+    ``marr`` is a dense (R, C, m) array or a CooMatrix.  ``pivot_rows`` index
+    the factored matrix: the input, or the sketch when the input was sketched.
+    """
+
+    def __init__(self, desc, marr, rank_only: bool = False):
         if not desc.is_field:
             raise ValueError("FieldSolver needs a field descriptor")
         self.desc = desc
-        self.M = marr % desc.q
         self.nrows, self.ncols = marr.shape[0], marr.shape[1]
-        if desc.m == 1:
-            self._factor_prime(rank_only)
+        sparse = isinstance(marr, CooMatrix)
+        self._sketch = None
+        if self.nrows > self.ncols + _SKETCH_MARGIN:
+            self.M = marr if sparse else CooMatrix.from_dense(marr % desc.q)
+            for seed in _SKETCH_SEEDS:
+                self._sketch = _make_sketch(self.nrows, self.ncols + _SKETCH_MARGIN, desc.q, seed)
+                sk = self._apply_sketch(self.M.rows, self.M.vals, self.M.cols, self.ncols)
+                self._factor(sk.reshape(-1, self.ncols, desc.m))
+                if not np.any(self.M.dot(desc, self._kernel_matrix())):
+                    break
+            else:
+                self._sketch = None
+                self._factor(self.M.toarray())
         else:
-            self._factor_generic(rank_only)
+            self.M = marr.toarray() if sparse else marr % desc.q
+            self._factor(self.M)
+        if rank_only:
+            self._U = None
+
+    def _apply_sketch(self, rows, vals, cols=0, width=1):
+        """P applied to the entries vals at (rows, cols) of an R x width matrix."""
+        bucket, coeff = self._sketch
+        k = self.ncols + _SKETCH_MARGIN
+        index = bucket[rows] * width + cols
+        return _scatter(index, coeff[rows], vals, k * width, self.desc.q, -(-self.nrows // k))
+
+    def _factor(self, marr):
+        if self.desc.m == 1:
+            self._factor_prime(marr[..., 0])
+        else:
+            self._factor_generic(marr)
         self.rank = len(self.pivot_cols)
 
     # ------------------------------------------------------------------ m == 1
-    def _factor_prime(self, rank_only):
+    def _factor_prime(self, M0):
         p = self.desc.q
-        R, C = self.nrows, self.ncols
+        R, C = M0.shape
         maxr = min(R, C)
-        M0 = self.M[..., 0]
         Lam = np.zeros((R, maxr), dtype=np.int64)
+        Lpp = np.zeros((maxr, maxr), dtype=np.int64)  # Lam rows of the pivot rows
         U = np.zeros((maxr, C), dtype=np.int64)
         unused = np.ones(R, dtype=bool)
         pivot_rows: list[int] = []
         pivot_cols: list[int] = []
         invs: list[int] = []
+        # the pivots found in each panel form one block of the triangular factors
+        tblocks = []
+        # within a panel, reductions mod p are deferred when the bound
+        # _BLOCK * (p-1)^2 + p stays well inside int64
+        defer = p < (1 << 27)
         t = 0
         for c0 in range(0, C, _BLOCK):
             c1 = min(C, c0 + _BLOCK)
-            # U rows of earlier pivots on this panel (forward triangular solve),
+            # U rows of earlier pivots on this panel (blocked forward solve),
             # then one bulk update of the panel for all rows.
             if t:
-                Sp = M0[pivot_rows, c0:c1]
-                Urows = np.empty((t, c1 - c0), dtype=np.int64)
-                for s in range(t):
-                    acc = Sp[s]
-                    if s:
-                        acc = (acc - _exact_dot(Lam[pivot_rows[s], :s], Urows[:s], p)) % p
-                    Urows[s] = invs[s] * acc % p
+                Urows = _block_substitute(Lpp[:t, :t], tblocks, M0[pivot_rows, c0:c1], p)
                 U[:t, c0:c1] = Urows
                 Wp = (M0[:, c0:c1] - _exact_dot(Lam[:, :t], Urows, p)) % p
             else:
                 Wp = M0[:, c0:c1].copy()
-            # within the panel, reductions mod p are deferred when the bound
-            # _BLOCK * (p-1)^2 + p stays well inside int64
-            defer = p < (1 << 27)
+            t0 = t
             for j in range(c1 - c0):
                 col = Wp[:, j] % p
                 cand = np.flatnonzero((col != 0) & unused)
@@ -86,7 +224,7 @@ class FieldSolver:
                     continue
                 r = int(cand[0])
                 inv = pow(int(col[r]), p - 2, p)
-                urow = inv * (Wp[r] % p) % p
+                urow = ra.mul_mod(inv, Wp[r] % p, p)
                 lam = col
                 lam[~unused] = 0
                 lam[r] = 0
@@ -94,74 +232,46 @@ class FieldSolver:
                     if defer:
                         Wp -= np.outer(lam, urow)
                     else:
-                        Wp = (Wp - np.outer(lam, urow)) % p
+                        Wp = (Wp - ra.mul_mod(lam[:, None], urow[None, :], p)) % p
                 U[t, c0:c1] = urow
                 Lam[:, t] = lam
+                Lpp[t] = Lam[r]
                 unused[r] = False
                 pivot_rows.append(r)
                 pivot_cols.append(c0 + j)
                 invs.append(inv)
                 t += 1
+            if t > t0:
+                tblocks.append((t0, t, _inv_lower(Lpp[t0:t, t0:t], invs[t0:t], p)))
         self.pivot_rows = np.array(pivot_rows, dtype=np.int64)
         self.pivot_cols = np.array(pivot_cols, dtype=np.int64)
-        self._invs = np.array(invs, dtype=np.int64)
-        self._Lpp = Lam[self.pivot_rows][:, :t] if t else np.zeros((0, 0), dtype=np.int64)
-        self._U = None if rank_only else U[:t]
-        self._Upc = U[:t][:, self.pivot_cols] if t else np.zeros((0, 0), dtype=np.int64)
+        self._Lpp = Lpp[:t, :t]
+        self._U = U[:t]
+        self._Upc = U[:t][:, self.pivot_cols]
+        self._tblocks = tblocks
+        # Upc is unit upper triangular: reversing both axes makes it lower
+        self._ublocks = [
+            (s0, s1, _inv_lower(self._Upc[s0:s1, s0:s1][::-1, ::-1], [1] * (s1 - s0), p)[::-1, ::-1])
+            for s0, s1, _ in reversed(tblocks)
+        ]
 
-    def _solve_prime(self, rhs):
+    def _solve_prime(self, flat):
+        """Canonical x (C, w) for the factored rows: T beta = b on the pivot rows, Upc xp = beta."""
         p = self.desc.q
-        rank, C = self.rank, self.ncols
-        flat = rhs.reshape(rhs.shape[0], -1) % p
-        x = np.zeros((C, flat.shape[1]), dtype=np.int64)
-        if rank:
-            bp = flat[self.pivot_rows]
-            beta = np.empty_like(bp)
-            for s in range(rank):
-                acc = bp[s]
-                if s:
-                    acc = (acc - _exact_dot(self._Lpp[s, :s], beta[:s], p)) % p
-                beta[s] = self._invs[s] * acc % p
-            xp = np.zeros_like(beta)
-            for s in range(rank - 1, -1, -1):
-                acc = beta[s]
-                if s < rank - 1:
-                    acc = (acc - _exact_dot(self._Upc[s, s + 1 :], xp[s + 1 :], p)) % p
-                xp[s] = acc
-            x[self.pivot_cols] = xp
-        resid = (_exact_dot(self.M[..., 0], x, p) - flat) % p
-        if np.any(resid):
-            return None
-        return x.reshape((C,) + rhs.shape[1:])
-
-    def _kernel_prime(self):
-        p = self.desc.q
-        rank, C = self.rank, self.ncols
-        if self._U is None:
-            raise ValueError("factorization was rank_only")
-        W = self._U.copy()
-        for t in range(rank - 1, -1, -1):
-            col = W[:t, self.pivot_cols[t]].copy()
-            if np.any(col):
-                W[:t] = (W[:t] - np.outer(col, W[t])) % p
-        free = sorted(set(range(C)) - set(int(c) for c in self.pivot_cols))
-        basis = []
-        for c in free:
-            vec = np.zeros(C, dtype=np.int64)
-            vec[c] = 1
-            if rank:
-                vec[self.pivot_cols] = (-W[:, c]) % p
-            basis.append(vec)
-        return basis
+        x = np.zeros((self.ncols, flat.shape[1]), dtype=np.int64)
+        if self.rank:
+            beta = _block_substitute(self._Lpp, self._tblocks, flat[self.pivot_rows], p)
+            x[self.pivot_cols] = _block_substitute(self._Upc, self._ublocks, beta, p)
+        return x
 
     # ------------------------------------------------------------------ m > 1
-    def _factor_generic(self, rank_only):
+    def _factor_generic(self, marr):
         desc = self.desc
-        R, C = self.nrows, self.ncols
+        R, C = marr.shape[0], marr.shape[1]
         from .coeffring import _inv_coeffs_field
 
         # full Gauss-Jordan on [M | I]; row-op trail E recovered from the right block
-        W = np.concatenate([self.M.copy(), ra.eye(desc, R)], axis=1)
+        W = np.concatenate([marr.copy(), ra.eye(desc, R)], axis=1)
         unused = np.ones(R, dtype=bool)
         pivot_rows: list[int] = []
         pivot_cols: list[int] = []
@@ -187,45 +297,55 @@ class FieldSolver:
         self._rref = W[self.pivot_rows][:, :C] if pivot_rows else np.zeros((0, C, desc.m), dtype=np.int64)
         self._E = W[self.pivot_rows][:, C:] if pivot_rows else np.zeros((0, R, desc.m), dtype=np.int64)
 
-    def _solve_generic(self, rhs):
-        desc = self.desc
-        C = self.ncols
-        x = ra.zeros(desc, (C,) + rhs.shape[1:-1])
-        if self.rank:
-            xp = ra.tensordot(desc, self._E, rhs, ([1], [0]))
-            x[self.pivot_cols] = xp
-        resid = ra.sub(desc, ra.tensordot(desc, self.M, x, ([1], [0])), rhs)
-        if np.any(resid):
-            return None
-        return x
-
-    def _kernel_generic(self):
-        desc = self.desc
-        rank, C = self.rank, self.ncols
-        free = sorted(set(range(C)) - set(int(c) for c in self.pivot_cols))
-        basis = []
-        for c in free:
-            vec = ra.zeros(desc, (C,))
-            vec[c, 0] = 1
-            if rank:
-                vec[self.pivot_cols] = ra.neg(desc, self._rref[:, c])
-            basis.append(vec)
-        return basis
-
     # ------------------------------------------------------------------ public
+    def _kernel_matrix(self):
+        """Canonical kernel basis as the columns of a (C, C - rank, m) array."""
+        desc = self.desc
+        if desc.m == 1 and self._U is None:
+            raise ValueError("factorization was rank_only")
+        free = np.setdiff1d(np.arange(self.ncols), self.pivot_cols)
+        K = ra.zeros(desc, (self.ncols, free.size))
+        K[free, np.arange(free.size), 0] = 1
+        if self.rank and free.size:
+            if desc.m == 1:
+                xp = _block_substitute(self._Upc, self._ublocks, self._U[:, free], desc.q)
+                K[self.pivot_cols, :, 0] = (-xp) % desc.q
+            else:
+                K[self.pivot_cols] = ra.neg(desc, self._rref[:, free])
+        return K
+
+    def _times(self, x):
+        """M @ x against the unsketched input, exact."""
+        desc = self.desc
+        if isinstance(self.M, CooMatrix):
+            return self.M.dot(desc, x)
+        if desc.m == 1:
+            flat = x.reshape(self.ncols, -1)
+            return _exact_dot(self.M[..., 0], flat, desc.q).reshape((self.nrows,) + x.shape[1:])
+        return ra.tensordot(desc, self.M, x, ([1], [0]))
+
     def solve(self, rhs: np.ndarray):
         """Canonical particular solution (free variables zero) or None.
 
         rhs has physical shape (R, m) or (R, w, m); the result matches with R
         replaced by the column count.
         """
-        if self.desc.m == 1:
-            x = self._solve_prime(rhs[..., 0])
-            return None if x is None else x[..., None]
-        return self._solve_generic(rhs)
+        desc = self.desc
+        b = rhs % desc.q
+        sb = b
+        if self._sketch is not None:
+            sb = self._apply_sketch(np.arange(self.nrows), b)
+        if desc.m == 1:
+            x = self._solve_prime(sb.reshape(sb.shape[0], -1)).reshape((self.ncols,) + rhs.shape[1:])
+        else:
+            x = ra.zeros(desc, (self.ncols,) + rhs.shape[1:-1])
+            if self.rank:
+                x[self.pivot_cols] = ra.tensordot(desc, self._E, sb, ([1], [0]))
+        if np.any(self._times(x) != b):
+            return None
+        return x
 
     def kernel_basis(self):
         """Canonical kernel basis (one vector per free column, ascending)."""
-        if self.desc.m == 1:
-            return [v[:, None] for v in self._kernel_prime()]
-        return self._kernel_generic()
+        K = self._kernel_matrix()
+        return [np.ascontiguousarray(K[:, j]) for j in range(K.shape[1])]

@@ -8,9 +8,10 @@ d_a d_c = d_c d_a, d_total^2 = 0) are enforced by the test suite on random
 cochains, which is what makes the obstruction calculus of the lifting module
 sound.
 
-Flattened matrices of the total differential are materialized once per
-(context, degree) and cached; components of degree n are ordered
-(n,0), (n-1,1), ..., (0,n) and vectorized row-major (out index major).
+Flattened matrices of the total differential are assembled once per
+(context, degree) as sparse CooMatrix and cached with their FieldSolver;
+components of degree n are ordered (n,0), (n-1,1), ..., (0,n) and vectorized
+row-major (out index major).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import _arrays as ra
 from . import hopfcore as hc
 from . import tensorcalc as tc
-from ._linalg import FieldSolver
+from ._linalg import CooMatrix, FieldSolver
 from .coeffring import RingDescriptor
 from .errors import ArityMismatch, BudgetExceeded, DescriptorMismatch, InternalAxiomFailure, NotACocycle
 from .hopfcore import HopfMorphism, HopfPresentation
@@ -160,6 +161,7 @@ class _ContextCache:
         self.F = ctx.phi.map.coeffs  # (nb, na, m)
         self._e = {}
         self._p = {}
+        self._mult = {}
         self._dmat = {}
         self._solver = {}
 
@@ -178,6 +180,21 @@ class _ContextCache:
                 legs = ra.moveaxis(legs, 0, t)
             self._e[k] = legs.reshape(nb**k, na, desc.m)
         return self._e[k]
+
+    def mult_operator(self, k: int, side: str):
+        """Left/right multiplication by phi^{k}(Delta_k(e_a)) on B^{tensor k}:
+        [a, out, in] of shape (na, nb^k, nb^k)."""
+        if (k, side) not in self._mult:
+            desc = self.ctx.ring
+            na, nb = self.ctx.A.dim, self.ctx.B.dim
+            cur = self.e_tensor(k).reshape((nb,) * k + (na, desc.m))
+            for _ in range(k):
+                # the leg of E is the left (left action) or right factor of m_B
+                cur = ra.tensordot(desc, cur, self.MB, ([0], [1 if side == "left" else 2]))  # appends (o_t, i_t)
+            # axes: [a, o1, i1, o2, i2, ...]
+            perm = [0] + [1 + 2 * t for t in range(k)] + [2 + 2 * t for t in range(k)]
+            self._mult[(k, side)] = ra.transpose(cur, perm).reshape(na, nb**k, nb**k, desc.m)
+        return self._mult[(k, side)]
 
     def p_tensor(self, k: int):
         """phi o m_k: (nb, na^k) coefficient block."""
@@ -209,60 +226,76 @@ def _cache(ctx: ComplexContext) -> _ContextCache:
 # the two differentials
 
 
-def _left_action_term(cc: _ContextCache, f: MultiMap, p: int, q: int):
+def _left_action_term(cc: _ContextCache, f, p: int, q: int):
     """x (x) rest |-> phi^{q+1}(Delta_{q+1}(x)) * f(rest) as a legs block."""
-    desc = cc.ctx.ring
-    na, nb = cc.ctx.A.dim, cc.ctx.B.dim
-    k = q + 1
-    e_legs = cc.e_tensor(k).reshape((nb,) * k + (na, desc.m))
-    f_legs = f.coeffs.reshape((nb,) * k + (na ** (p + 1), desc.m))
-    cur = ra.tensordot(desc, cc.MB, e_legs, ([1], [0]))  # [o1, i1, x2..xk, a1]
-    cur = ra.tensordot(desc, cur, f_legs, ([1], [0]))  # [o1, x2..xk, a1, i2..ik, rest]
-    for t in range(2, k + 1):
-        cur = ra.tensordot(desc, cur, cc.MB, ([t - 1, k + 1], [1, 2]))  # o_t appended
-        cur = ra.moveaxis(cur, -1, t - 1)
-    return cur.reshape(nb**k, na ** (p + 2), desc.m)
+    na = cc.ctx.A.dim
+    cur = ra.tensordot(cc.ctx.ring, cc.mult_operator(q + 1, "left"), f, ([2], [0]))  # [x, out, rest, batch]
+    cur = ra.moveaxis(cur, 0, 1)
+    return cur.reshape((f.shape[0], na ** (p + 2)) + f.shape[2:])
 
 
-def _right_action_term(cc: _ContextCache, f: MultiMap, p: int, q: int):
+def _right_action_term(cc: _ContextCache, f, p: int, q: int):
     """rest (x) x |-> f(rest) * phi^{q+1}(Delta_{q+1}(x)) as a legs block."""
+    na = cc.ctx.A.dim
+    cur = ra.tensordot(cc.ctx.ring, cc.mult_operator(q + 1, "right"), f, ([2], [0]))  # [x, out, rest, batch]
+    cur = ra.moveaxis(cur, 0, 2)
+    return cur.reshape((f.shape[0], na ** (p + 2)) + f.shape[2:])
+
+
+def _signed_sum(desc, signed_terms):
+    """Sum of sign * term over (sign, term) pairs, reduced mod q once at the end.
+
+    Terms are residues, p + 3 of them for d_alg and q + 3 for d_coalg; while
+    there are at most 16 the running sum of residues below 2^58 stays inside
+    int64, and a larger q is reduced after every term.
+    """
+    total = None
+    for sign, term in signed_terms:
+        if total is None:
+            total = term.copy() if sign > 0 else -term
+        elif sign > 0:
+            total += term
+        else:
+            total -= term
+        if desc.q > ra._I64_SAFE >> 4:
+            total %= desc.q
+    total %= desc.q
+    return total
+
+
+def _d_alg_block(cc: _ContextCache, f, p: int, q: int):
+    """Algebra differential of a coefficient block f: (nb^{q+1}, na^{p+1}, batch, m)."""
     desc = cc.ctx.ring
     na, nb = cc.ctx.A.dim, cc.ctx.B.dim
-    k = q + 1
-    e_legs = cc.e_tensor(k).reshape((nb,) * k + (na, desc.m))
-    f_legs = f.coeffs.reshape((nb,) * k + (na ** (p + 1), desc.m))
-    cur = ra.tensordot(desc, cc.MB, e_legs, ([2], [0]))  # [o1, i1, x2..xk, a_last]
-    cur = ra.tensordot(desc, cur, f_legs, ([1], [0]))  # [o1, x2..xk, a_last, i2..ik, rest]
-    for t in range(2, k + 1):
-        cur = ra.tensordot(desc, cur, cc.MB, ([t - 1, k + 1], [2, 1]))
-        cur = ra.moveaxis(cur, -1, t - 1)
-    # axes now [o1..ok, a_last, rest]; inputs must be (rest, a_last)
-    cur = ra.moveaxis(cur, k, k + 1)
-    return cur.reshape(nb**k, na ** (p + 2), desc.m)
+    f_legs = f.reshape((nb ** (q + 1),) + (na,) * (p + 1) + f.shape[2:])
+
+    def terms():
+        yield (-1) ** (p + 1), _left_action_term(cc, f, p, q)
+        for i in range(1, p + 2):
+            # f o (I^{i-1} (x) m (x) I^{p+1-i}); the product feeds input slot i
+            term = ra.tensordot(desc, f_legs, cc.MA, ([i], [0]))  # legs (x,y) appended
+            term = ra.moveaxis(term, [-2, -1], [i, i + 1])
+            yield (-1) ** (p + 1 + i), term.reshape((nb ** (q + 1), na ** (p + 2)) + f.shape[2:])
+        yield -1, _right_action_term(cc, f, p, q)
+
+    return _signed_sum(desc, terms())
+
+
+def _arities(f: MultiMap):
+    p, q = f.arity_in - 1, f.arity_out - 1
+    if p < 0 or q < 0:
+        raise ArityMismatch("cochain arities must be >= 1")
+    return p, q
 
 
 def d_alg(ctx: ComplexContext, f: MultiMap) -> MultiMap:
     """Algebra differential C^{p,q} -> C^{p+1,q} (printed sign convention)."""
-    p, q = f.arity_in - 1, f.arity_out - 1
-    if p < 0 or q < 0:
-        raise ArityMismatch("cochain arities must be >= 1")
-    cc = _cache(ctx)
-    desc = ctx.ring
-    na, nb = ctx.A.dim, ctx.B.dim
-
-    total = ra.scale_int(desc, _left_action_term(cc, f, p, q), (-1) ** (p + 1))
-    f_legs = f.coeffs.reshape((nb ** (q + 1),) + (na,) * (p + 1) + (desc.m,))
-    for i in range(1, p + 2):
-        # f o (I^{i-1} (x) m (x) I^{p+1-i}); the product feeds input slot i
-        term = ra.tensordot(desc, f_legs, cc.MA, ([i], [0]))  # legs (x,y) appended
-        term = ra.moveaxis(term, [-2, -1], [i, i + 1])
-        term = term.reshape(nb ** (q + 1), na ** (p + 2), desc.m)
-        total = ra.add(desc, total, ra.scale_int(desc, term, (-1) ** (p + 1 + i)))
-    total = ra.sub(desc, total, _right_action_term(cc, f, p, q))
-    return MultiMap(desc, p + 2, q + 1, na, nb, total)
+    p, q = _arities(f)
+    out = _d_alg_block(_cache(ctx), f.coeffs[:, :, None], p, q)[:, :, 0]
+    return MultiMap(ctx.ring, p + 2, q + 1, ctx.A.dim, ctx.B.dim, out)
 
 
-def _coaction_term(cc: _ContextCache, f: MultiMap, p: int, q: int, side: str):
+def _coaction_term(cc: _ContextCache, f, p: int, q: int, side: str):
     """phi(a^(1) products) (x) f(a^(2)) (left) or f(a^(1)) (x) phi(a^(2)) (right)."""
     desc = cc.ctx.ring
     na, nb = cc.ctx.A.dim, cc.ctx.B.dim
@@ -274,31 +307,33 @@ def _coaction_term(cc: _ContextCache, f: MultiMap, p: int, q: int, side: str):
     # axes: [b, v1, a1, v2, a2, ...] (left) or [b, u1, a1, ...] (right)
     perm = [0] + [1 + 2 * t for t in range(k)] + [2 + 2 * t for t in range(k)]
     w = ra.transpose(cur, perm).reshape(nb, na**k, na**k, desc.m)  # [b, f-leg, a]
-    t_out = ra.tensordot(desc, f.coeffs, w, ([1], [1]))  # [o, b, a]
-    if side == "left":
-        t_out = ra.moveaxis(t_out, 1, 0)  # [b, o, a]
-    return t_out.reshape(nb ** (q + 2), na**k, desc.m)
+    t_out = ra.tensordot(desc, w, f, ([1], [1]))  # [b, a, o, batch]
+    t_out = ra.transpose(t_out, (0, 2, 1, 3) if side == "left" else (2, 0, 1, 3))
+    return t_out.reshape((nb ** (q + 2), na**k) + f.shape[2:])
+
+
+def _d_coalg_block(cc: _ContextCache, f, p: int, q: int):
+    """Coalgebra differential of a coefficient block f: (nb^{q+1}, na^{p+1}, batch, m)."""
+    desc = cc.ctx.ring
+    nb = cc.ctx.B.dim
+    f_legs = f.reshape((nb,) * (q + 1) + f.shape[1:])
+
+    def terms():
+        yield 1, _coaction_term(cc, f, p, q, "left")
+        for i in range(1, q + 2):
+            term = ra.tensordot(desc, f_legs, cc.DB, ([i - 1], [2]))  # (u,v) appended
+            term = ra.moveaxis(term, [-2, -1], [i - 1, i])
+            yield (-1) ** i, term.reshape((nb ** (q + 2),) + f.shape[1:])
+        yield (-1) ** (q + 2), _coaction_term(cc, f, p, q, "right")
+
+    return _signed_sum(desc, terms())
 
 
 def d_coalg(ctx: ComplexContext, f: MultiMap) -> MultiMap:
     """Coalgebra differential C^{p,q} -> C^{p,q+1} (printed sign convention)."""
-    p, q = f.arity_in - 1, f.arity_out - 1
-    if p < 0 or q < 0:
-        raise ArityMismatch("cochain arities must be >= 1")
-    cc = _cache(ctx)
-    desc = ctx.ring
-    na, nb = ctx.A.dim, ctx.B.dim
-
-    total = _coaction_term(cc, f, p, q, "left")
-    f_legs = f.coeffs.reshape((nb,) * (q + 1) + (na ** (p + 1), desc.m))
-    for i in range(1, q + 2):
-        term = ra.tensordot(desc, f_legs, cc.DB, ([i - 1], [2]))  # (u,v) appended
-        term = ra.moveaxis(term, [-2, -1], [i - 1, i])
-        term = term.reshape(nb ** (q + 2), na ** (p + 1), desc.m)
-        total = ra.add(desc, total, ra.scale_int(desc, term, (-1) ** i))
-    last = _coaction_term(cc, f, p, q, "right")
-    total = ra.add(desc, total, ra.scale_int(desc, last, (-1) ** (q + 2)))
-    return MultiMap(desc, p + 1, q + 2, na, nb, total)
+    p, q = _arities(f)
+    out = _d_coalg_block(_cache(ctx), f.coeffs[:, :, None], p, q)[:, :, 0]
+    return MultiMap(ctx.ring, p + 1, q + 2, ctx.A.dim, ctx.B.dim, out)
 
 
 def d_total(z: TotalCochain) -> TotalCochain:
@@ -343,31 +378,52 @@ def unvec_cochain(ctx: ComplexContext, n: int, vec: np.ndarray) -> TotalCochain:
     return TotalCochain(ctx, n, comps)
 
 
-def _basis_cochain(ctx, n, comp, flat_index):
-    z = zero_cochain(ctx, n)
-    f = z.components[comp]
-    arr = f.coeffs.copy()
-    arr.reshape(-1, ctx.ring.m)[flat_index, 0] = 1
-    z.components[comp] = MultiMap(ctx.ring, comp[0] + 1, comp[1] + 1, ctx.A.dim, ctx.B.dim, arr)
-    return z
+# basis cochains per assembly batch: keeps each image block, the largest
+# intermediate, near 2^22 cells
+_ASSEMBLY_CELLS = 1 << 22
 
 
-def dtotal_matrix(ctx: ComplexContext, n: int) -> np.ndarray:
-    """Matrix of d: C^n -> C^{n+1} in the flattened ordering (cached)."""
+def dtotal_matrix(ctx: ComplexContext, n: int) -> CooMatrix:
+    """Sparse matrix of d: C^n -> C^{n+1} in the flattened ordering (cached).
+
+    Column j is d_total of the j-th basis cochain; batches of basis cochains go
+    through the differentials at once, on a trailing batch axis.
+    """
     cc = _cache(ctx)
-    if n in cc._dmat:
-        return cc._dmat[n]
-    cols = sum(size for _, _, size in space_dims(ctx, n))
-    rows = sum(size for _, _, size in space_dims(ctx, n + 1))
-    mat = ra.zeros(ctx.ring, (rows, cols))
-    col = 0
+    if n not in cc._dmat:
+        cc._dmat[n] = _assemble(ctx, cc, n)
+    return cc._dmat[n]
+
+
+def _assemble(ctx: ComplexContext, cc: _ContextCache, n: int) -> CooMatrix:
+    desc = ctx.ring
+    na, nb = ctx.A.dim, ctx.B.dim
+    row_offset, rows_total = {}, 0
+    for p, q, size in space_dims(ctx, n + 1):
+        row_offset[(p, q)] = rows_total
+        rows_total += size
+    rows, cols, vals = [], [], []
+    col0 = 0
     for p, q, size in space_dims(ctx, n):
-        for j in range(size):
-            z = _basis_cochain(ctx, n, (p, q), j)
-            mat[:, col] = vec_cochain(d_total(z))
-            col += 1
-    cc._dmat[n] = mat
-    return mat
+        out_rows = max(nb ** (q + 1) * na ** (p + 2), nb ** (q + 2) * na ** (p + 1))
+        batch = max(1, _ASSEMBLY_CELLS // out_rows)
+        for j0 in range(0, size, batch):
+            width = min(batch, size - j0)
+            basis = np.zeros((size, width, desc.m), dtype=np.int64)
+            basis[j0 + np.arange(width), np.arange(width), 0] = 1
+            f = basis.reshape(nb ** (q + 1), na ** (p + 1), width, desc.m)
+            # d restricted to C^{p,q} is d_a + (-1)^p d_c
+            images = (((p + 1, q), 1, _d_alg_block), ((p, q + 1), (-1) ** p, _d_coalg_block))
+            for comp, sign, block in images:
+                img = block(cc, f, p, q).reshape(-1, width, desc.m)
+                r, c = np.nonzero(np.any(img != 0, axis=-1))
+                rows.append(row_offset[comp] + r)
+                cols.append(col0 + j0 + c)
+                vals.append(ra.scale_int(desc, img[r, c], sign))
+        col0 += size
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    order = np.lexsort((cols, rows))
+    return CooMatrix((rows_total, col0), rows[order], cols[order], vals[order])
 
 
 def _solver_for(ctx: ComplexContext, n: int) -> FieldSolver:
@@ -420,30 +476,12 @@ def cohomology_dim(ctx: ComplexContext, n: int) -> int:
 # the invariants subcomplex D^*(B)^A
 
 
-def _legwise_mult_operator(ctx: ComplexContext, k: int, side: str):
-    """Left/right multiplication by phi^{k}(Delta_k(e_a)) on B^{tensor k}:
-    returns [a, out, in] of shape (na, nb^k, nb^k)."""
-    cc = _cache(ctx)
-    desc = ctx.ring
-    na, nb = ctx.A.dim, ctx.B.dim
-    e_legs = cc.e_tensor(k).reshape((nb,) * k + (na, desc.m))
-    cur = e_legs
-    for _ in range(k):
-        if side == "left":
-            cur = ra.tensordot(desc, cur, cc.MB, ([0], [1]))  # appends (o_t, i_t)
-        else:
-            cur = ra.tensordot(desc, cur, cc.MB, ([0], [2]))
-    # axes: [a, o1, i1, o2, i2, ...]
-    perm = [0] + [1 + 2 * t for t in range(k)] + [2 + 2 * t for t in range(k)]
-    cur = ra.transpose(cur, perm)
-    return cur.reshape(na, nb**k, nb**k, desc.m)
-
-
 def _invariant_basis(ctx: ComplexContext, k: int):
     desc = ctx.ring
     na, nb = ctx.A.dim, ctx.B.dim
-    lm = _legwise_mult_operator(ctx, k, "left")
-    rm = _legwise_mult_operator(ctx, k, "right")
+    cc = _cache(ctx)
+    lm = cc.mult_operator(k, "left")
+    rm = cc.mult_operator(k, "right")
     rows = ra.sub(desc, lm, rm).reshape(na * nb**k, nb**k, desc.m)
     return FieldSolver(desc, rows).kernel_basis()
 

@@ -227,16 +227,6 @@ def verify_hopf(H: HopfPresentation) -> AxiomReport:
     return AxiomReport(checks)
 
 
-def mark_verified(H: HopfPresentation) -> HopfPresentation:
-    """Re-tag after a successful verify_hopf (raises if residuals remain)."""
-    if H.verified:
-        return H
-    report = verify_hopf(H)
-    if not report.all_pass:
-        raise InternalAxiomFailure(f"axioms fail: {report.failing()}")
-    return HopfPresentation(H.ring, H.dim, H.mul, H.unit, H.comul, H.counit, H.antipode, verified=True)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -613,7 +603,6 @@ def _fq_poly_xgcd(desc, a, b):
         return all(not np.any(c) for c in poly)
 
     def sub(x, y):
-        out = [c.copy() for c in (x if len(x) >= len(y) else x + z() * (len(y) - len(x)))]
         out = [c.copy() for c in x] + [np.zeros(desc.m, dtype=np.int64) for _ in range(max(0, len(y) - len(x)))]
         for i, c in enumerate(y):
             out[i] = (out[i] - c) % desc.q
@@ -670,7 +659,6 @@ def _decompose_commutative(desc, basis, mult, unit_vec):
                             break
                         rem = quot
                         mult_count += 1
-                    power = lin
                     acc = lin
                     for _ in range(mult_count - 1):
                         acc = _fq_poly_mul(desc, acc, lin)
@@ -1017,7 +1005,6 @@ def verify_qt(H: HopfPresentation, R: MultiMap) -> RMatrix:
         failures.append("hexagon1")
 
     hex2_l = ra.tensordot(desc, r2, D, ([1], [2]))  # r[a,v] D[b,c,v] -> [a,b,c]
-    w2 = ra.tensordot(desc, M, r2, ([1], [1]))  # M[a,u,w] r[x_j?]: r[u_row? see below
     # R13 R12 = sum x_i x_j (x) y_j (x) y_i: [a,b,c] = sum M[a,u,w] r[u,c] r[w,b]
     w2 = ra.tensordot(desc, M, r2, ([1], [0]))  # M[a,u,w] r[u,c] -> [a,w,c]
     hex2_r = ra.tensordot(desc, w2, r2, ([1], [0]))  # [a,c,b]
@@ -1144,9 +1131,3 @@ def reduce_presentation(H: HopfPresentation, target: RingDescriptor, verify: boo
     return make_presentation(target, *maps, verify=verify) if verify else HopfPresentation(
         target, H.dim, *maps, verified=False
     )
-
-
-def lift_presentation_raw(H: HopfPresentation, target: RingDescriptor) -> HopfPresentation:
-    """Digit-lift all tensors (no axiom guarantees at the higher precision)."""
-    maps = [tc.map_digit_lift(t, target) for t in H.tensors()]
-    return HopfPresentation(target, H.dim, *maps, verified=False)

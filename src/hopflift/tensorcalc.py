@@ -128,12 +128,6 @@ def identity_map(ring, dim, arity=1) -> MultiMap:
     return MultiMap(ring, arity, arity, dim, dim, ra.eye(ring, dim**arity))
 
 
-def scalar_map(ring, value=1) -> MultiMap:
-    coeffs = ra.zeros(ring, (1, 1))
-    coeffs[0, 0] = np.asarray(value.as_array() if isinstance(value, RingElement) else [value] + [0] * (ring.m - 1))
-    return MultiMap(ring, 0, 0, 1, 1, coeffs % ring.q)
-
-
 def compose(f: MultiMap, g: MultiMap) -> MultiMap:
     """f after g: MultiMap(k->j) composed with MultiMap(i->k)."""
     if f.ring != g.ring:
@@ -176,10 +170,6 @@ def permute(ring: RingDescriptor, dim: int, sigma) -> MultiMap:
     coeffs = ra.zeros(ring, (size, size))
     coeffs[out_flat, idx, 0] = 1
     return MultiMap(ring, n, n, dim, dim, coeffs)
-
-
-def swap_map(ring: RingDescriptor, dim: int) -> MultiMap:
-    return permute(ring, dim, (2, 1))
 
 
 def iterate(H, q: int, direction: str) -> MultiMap:

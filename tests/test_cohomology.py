@@ -179,8 +179,67 @@ def test_matrix_agrees_with_direct_application():
             z = coh.random_cochain(ctx, n, seed)
             from hopflift import _arrays as ra
 
-            via_matrix = ra.tensordot(ctx.ring, mat, coh.vec_cochain(z), ([1], [0]))
+            via_matrix = ra.tensordot(ctx.ring, mat.toarray(), coh.vec_cochain(z), ([1], [0]))
             assert np.array_equal(via_matrix, coh.vec_cochain(coh.d_total(z)))
+
+
+def percolumn_dtotal_matrix(ctx, n):
+    """Dense matrix of d: C^n -> C^{n+1}, one d_total call per basis cochain."""
+    m = ctx.ring.m
+    cols = sum(size for _, _, size in coh.space_dims(ctx, n))
+    rows = sum(size for _, _, size in coh.space_dims(ctx, n + 1))
+    mat = np.zeros((rows, cols, m), dtype=np.int64)
+    col = 0
+    for p, q, size in coh.space_dims(ctx, n):
+        for j in range(size):
+            z = coh.zero_cochain(ctx, n)
+            arr = z.components[(p, q)].coeffs.copy()
+            arr.reshape(-1, m)[j, 0] = 1
+            z.components[(p, q)] = tc.MultiMap(ctx.ring, p + 1, q + 1, ctx.A.dim, ctx.B.dim, arr)
+            mat[:, col] = coh.vec_cochain(coh.d_total(z))
+            col += 1
+    return mat
+
+
+def counit_unit_context():
+    B = hc.dual(C2)
+    return coh.make_context(C2, B, hc.make_morphism(C2, B, tc.compose(B.unit, C2.counit)))
+
+
+@pytest.mark.parametrize(
+    "make_ctx,n",
+    [
+        (lambda: coh.make_context(hc.generate("C3", F7)), 0),
+        (lambda: coh.make_context(hc.generate("C3", F7)), 1),
+        (lambda: coh.make_context(hc.generate("C2xC2", F5)), 2),
+        (lambda: coh.make_context(hc.generate("C3", cr.make_ring(2, 1, 2))), 1),
+        (counit_unit_context, 0),
+        (counit_unit_context, 1),
+    ],
+    ids=["C3/F7-n0", "C3/F7-n1", "C2xC2/F5-n2", "C3/F4-n1", "C2-dualC2-n0", "C2-dualC2-n1"],
+)
+def test_sparse_assembly_matches_percolumn_oracle(make_ctx, n):
+    ctx = make_ctx()
+    coo = coh.dtotal_matrix(ctx, n)
+    want = percolumn_dtotal_matrix(ctx, n)
+    assert coo.shape == want.shape[:2]
+    assert np.array_equal(coo.toarray(), want)
+    # stored entries are exactly the nonzeros, in row-major order
+    assert np.all(np.any(coo.vals != 0, axis=-1))
+    order = np.lexsort((coo.cols, coo.rows))
+    assert np.array_equal(order, np.arange(order.size))
+
+
+def test_sparse_assembly_batches_agree(monkeypatch):
+    # one basis cochain per batch gives the same matrix as whole components
+    ctx = coh.make_context(hc.generate("C3", F7))
+    whole = coh.dtotal_matrix(ctx, 1)
+    coh._CACHE.clear()
+    monkeypatch.setattr(coh, "_ASSEMBLY_CELLS", 1)
+    single = coh.dtotal_matrix(ctx, 1)
+    coh._CACHE.clear()
+    for field in ("rows", "cols", "vals"):
+        assert np.array_equal(getattr(whole, field), getattr(single, field))
 
 
 # --- coboundary solving ---

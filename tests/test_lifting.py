@@ -136,6 +136,16 @@ class TestLift:
             s2 = ra.tensordot(pres.ring, pres.antipode.coeffs, pres.antipode.coeffs, ([1], [0]))
             assert np.array_equal(s2, ra.eye(pres.ring, 2))
 
+    @pytest.mark.parametrize("strategy", ["canonical", "perturbed:5"])
+    def test_c2_f7_to_precision_11(self, strategy):
+        # 7^11 > 2^31: the scalar contractions of the unit and counit checks
+        # take the object-dtype path of _arrays.tensordot
+        base = hc.generate("C2", F7)
+        st = lf.lift(base, 11, strategy)
+        assert st.current.ring.q == 7**11
+        assert hc.verify_hopf(st.current).all_pass
+        assert hc.reduce_presentation(st.current, F7) == base
+
     def test_at_precision_levels_verified(self):
         st = lf.lift(C3_7, 3, "perturbed:1")
         for k in (1, 2, 3):

@@ -117,14 +117,13 @@ def tensordot(desc, a, b, axes):
         bound = k * (q - 1) * (q - 1)
         r = _raw_tensordot(a[..., 0], b[..., 0], (axa, axb), bound)
         return int64_mod(r, q)[..., None]
+    # coefficient s of a * b is sum_t (a x^t)_s b_t: only a needs its regular
+    # representation, whose column axis t contracts with b's coefficient axis
     areg = reg_rep(desc, a)
-    breg = reg_rep(desc, b)
     bound = k * desc.m * (q - 1) * (q - 1)
-    r = _raw_tensordot(areg, breg, (axa + [areg.ndim - 1], axb + [breg.ndim - 2]), bound)
-    n_a_free = a.ndim - 1 - len(axa)
-    # result axes: [a-free..., s, b-free..., u] -> [a-free..., b-free..., s, u]
-    r = np.moveaxis(int64_mod(r, q), n_a_free, -2)
-    return np.ascontiguousarray(r[..., :, 0])
+    r = _raw_tensordot(areg, b, (axa + [areg.ndim - 1], axb + [b.ndim - 1]), bound)
+    # result axes: [a-free..., s, b-free...] -> [a-free..., b-free..., s]
+    return np.ascontiguousarray(np.moveaxis(int64_mod(r, q), a.ndim - 1 - len(axa), -1))
 
 
 def kron2(desc, a, b):

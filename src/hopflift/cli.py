@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 success / predicate holds, 1 predicate fails (axiom violated,
-not semisimple, lemma not guaranteed), 2 usage, IO or schema errors.
+not semisimple, lemma not guaranteed), 2 usage, IO or schema errors and
+moduli p^n above 2^62.
 All outputs are deterministic given the inputs and seeds.
 """
 
@@ -19,7 +20,7 @@ from . import hopfcore as hc
 from . import lifting as lf
 from . import serialize as ser
 from .coeffring import make_ring
-from .errors import HopfliftError, SchemaViolation
+from .errors import HopfliftError, SchemaViolation, UnsupportedModulus
 
 
 def _read_json(path):
@@ -317,6 +318,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
+        return 2
+    except UnsupportedModulus as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except HopfliftError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

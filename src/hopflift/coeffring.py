@@ -22,7 +22,18 @@ from .errors import (
     NotPrime,
     ReducibleModulus,
     SingularModP,
+    UnsupportedModulus,
 )
+
+# the largest modulus q = p^n: residues are int64, and a sum of two residues
+# below 2^62 still fits
+MAX_MODULUS = 1 << 62
+
+
+def check_modulus(p: int, n: int):
+    """Refuse q = p^n > MAX_MODULUS before anything is allocated for it."""
+    if p**n > MAX_MODULUS:
+        raise UnsupportedModulus(f"modulus {p}^{n} exceeds 2^62")
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (plain int lists, ascending degree)
@@ -180,11 +191,16 @@ class RingDescriptor:
         return self.at_precision(1)
 
     def at_precision(self, k: int) -> "RingDescriptor":
-        if not 1 <= k <= self.n:
-            raise ValueError(f"precision {k} outside 1..{self.n}")
+        """GR(p^k, m): lowering reduces the modulus mod p^k, raising keeps its
+        representatives."""
+        if k < 1:
+            raise ValueError(f"precision {k} is below 1")
         if k == self.n:
             return self
-        mod = None if self.m == 1 else tuple(c % self.p**k for c in self.modulus)
+        check_modulus(self.p, k)
+        mod = self.modulus
+        if k < self.n and self.m > 1:
+            mod = tuple(c % self.p**k for c in self.modulus)
         return RingDescriptor(self.p, k, self.m, mod)
 
     def lift_compatible(self, other: "RingDescriptor") -> bool:
@@ -225,6 +241,7 @@ def make_ring(p: int, n: int = 1, m: int = 1, modulus=None) -> RingDescriptor:
         raise NotPrime(f"{p} is not prime")
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
+    check_modulus(p, n)
     q = p**n
     if m == 1:
         if modulus is not None:

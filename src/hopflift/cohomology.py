@@ -11,7 +11,9 @@ sound.
 Flattened matrices of the total differential are assembled once per
 (context, degree) as sparse CooMatrix and cached with their FieldSolver;
 components of degree n are ordered (n,0), (n-1,1), ..., (0,n) and vectorized
-row-major (out index major).
+row-major (out index major).  Degree-2 coboundaries for the lifting come from
+solve_obstruction, which contracts with the separability idempotent and never
+builds d_1.
 """
 
 from __future__ import annotations
@@ -27,8 +29,15 @@ from . import _arrays as ra
 from . import hopfcore as hc
 from . import tensorcalc as tc
 from ._linalg import CooMatrix, FieldSolver
-from .coeffring import RingDescriptor
-from .errors import ArityMismatch, BudgetExceeded, DescriptorMismatch, InternalAxiomFailure, NotACocycle
+from .coeffring import RingDescriptor, _inv_coeffs_field
+from .errors import (
+    ArityMismatch,
+    BudgetExceeded,
+    CocycleUnsolvable,
+    DescriptorMismatch,
+    InternalAxiomFailure,
+    NotACocycle,
+)
 from .hopfcore import HopfMorphism, HopfPresentation
 from .tensorcalc import MultiMap
 
@@ -160,10 +169,11 @@ class _ContextCache:
         self.DB = ctx.B.comul.coeffs.reshape(nb, nb, nb, desc.m)
         self.F = ctx.phi.map.coeffs  # (nb, na, m)
         self._e = {}
-        self._p = {}
+        self._coact = {}
         self._mult = {}
         self._dmat = {}
         self._solver = {}
+        self._contraction = None
 
     def e_tensor(self, k: int):
         """phi^{tensor k} o Delta_k: (nb^k, na) coefficient block."""
@@ -196,14 +206,22 @@ class _ContextCache:
             self._mult[(k, side)] = ra.transpose(cur, perm).reshape(na, nb**k, nb**k, desc.m)
         return self._mult[(k, side)]
 
-    def p_tensor(self, k: int):
-        """phi o m_k: (nb, na^k) coefficient block."""
-        if k not in self._p:
-            mk = tc.iterate(self.ctx.A, k, "product")
+    def coaction_operator(self, k: int, side: str):
+        """phi(a^(1) products) paired with the legs a^(2) that f eats (left), or
+        the mirror image (right): [b, f-leg, a] of shape (nb, na^k, na^k)."""
+        if (k, side) not in self._coact:
             desc = self.ctx.ring
-            out = ra.tensordot(desc, self.F, mk.coeffs, ([1], [0]))
-            self._p[k] = out
-        return self._p[k]
+            na, nb = self.ctx.A.dim, self.ctx.B.dim
+            mk = tc.iterate(self.ctx.A, k, "product")
+            cur = ra.tensordot(desc, self.F, mk.coeffs, ([1], [0]))  # phi o m_k: [b, u1..uk]
+            cur = cur.reshape((nb,) + (na,) * k + (desc.m,))
+            contract_axis = 0 if side == "left" else 1  # which Delta leg phi eats
+            for _ in range(k):
+                cur = ra.tensordot(desc, cur, self.DA, ([1], [contract_axis]))
+            # axes: [b, v1, a1, v2, a2, ...] (left) or [b, u1, a1, ...] (right)
+            perm = [0] + [1 + 2 * t for t in range(k)] + [2 + 2 * t for t in range(k)]
+            self._coact[(k, side)] = ra.transpose(cur, perm).reshape(nb, na**k, na**k, desc.m)
+        return self._coact[(k, side)]
 
 
 _CACHE: OrderedDict[bytes, _ContextCache] = OrderedDict()
@@ -297,17 +315,9 @@ def d_alg(ctx: ComplexContext, f: MultiMap) -> MultiMap:
 
 def _coaction_term(cc: _ContextCache, f, p: int, q: int, side: str):
     """phi(a^(1) products) (x) f(a^(2)) (left) or f(a^(1)) (x) phi(a^(2)) (right)."""
-    desc = cc.ctx.ring
     na, nb = cc.ctx.A.dim, cc.ctx.B.dim
     k = p + 1
-    cur = cc.p_tensor(k).reshape((nb,) + (na,) * k + (desc.m,))  # [b, u1..uk]
-    contract_axis = 0 if side == "left" else 1  # which Delta leg phi eats
-    for _ in range(k):
-        cur = ra.tensordot(desc, cur, cc.DA, ([1], [contract_axis]))
-    # axes: [b, v1, a1, v2, a2, ...] (left) or [b, u1, a1, ...] (right)
-    perm = [0] + [1 + 2 * t for t in range(k)] + [2 + 2 * t for t in range(k)]
-    w = ra.transpose(cur, perm).reshape(nb, na**k, na**k, desc.m)  # [b, f-leg, a]
-    t_out = ra.tensordot(desc, w, f, ([1], [1]))  # [b, a, o, batch]
+    t_out = ra.tensordot(cc.ctx.ring, cc.coaction_operator(k, side), f, ([1], [1]))  # [b, a, o, batch]
     t_out = ra.transpose(t_out, (0, 2, 1, 3) if side == "left" else (2, 0, 1, 3))
     return t_out.reshape((nb ** (q + 2), na**k) + f.shape[2:])
 
@@ -437,9 +447,9 @@ def solve_coboundary(z: TotalCochain, _cocycle_checked: bool = False) -> TotalCo
     """Find x of degree n-1 with d_total(x) = z exactly (None if inconsistent).
 
     The solution is the canonical one (free variables zero) of the flattened
-    linear system, so outputs are deterministic.  _cocycle_checked lets the
-    lifting pipeline skip a duplicate closedness check that its obstruction
-    report has already performed.
+    linear system, so outputs are deterministic.  _cocycle_checked lets a
+    caller that has already checked closedness (reconcile, lift_morphism)
+    skip the duplicate check.
     """
     ctx, n = z.context, z.degree
     if n < 1:
@@ -470,6 +480,142 @@ def cohomology_dim(ctx: ComplexContext, n: int) -> int:
         return kernel_dim
     rank_prev = _solver_for(ctx, n - 1).rank
     return kernel_dim - rank_prev
+
+
+# ---------------------------------------------------------------------------
+# degree-2 coboundaries by contraction (the lifting path)
+#
+# A normalized left integral L of A gives the separability idempotent
+# e = sum L_(1) (x) S(L_(2)), and (s f)(a_1, ...) = sum e1 . f(e2, a_1, ...)
+# contracts the Hochschild rows: d_a s + s d_a = +-id on C^{p,q} for p >= 1.
+# What survives is C^{0,q} modulo inner derivations ad(m) = [-, m], so a
+# degree-2 coboundary needs only one small solve, in m, on B^{tensor 2}.
+
+
+@dataclass
+class _Contraction:
+    """Per-context data of solve_obstruction (built once, held in _ContextCache)."""
+
+    el: dict  # q -> [b, out, in]: sum_u e[u, b] * (left action of e_u on B^{tensor q+1})
+    ad: np.ndarray  # m |-> ad(m) in C^{0,1}: (nb^2 * na, nb^2, m)
+    dc_ad: FieldSolver  # m |-> d_c(ad(m)) in C^{0,2}
+    free: np.ndarray  # free columns of d_1: the trailing pivots of im d_0
+    d0: CooMatrix
+    d0_free: FieldSolver  # rows `free` of d_0
+    h1: int  # dim H^1, computed on the reduced complex
+    rank: int  # rank of d_1, which is dim C^1 - rank d_0 once H^1 = 0 is certified
+
+
+def _separability_idempotent(ctx: ComplexContext):
+    """e[u, b] with e = sum e_u (x) e_b, certified by m(e) = 1 and
+    (a (x) 1) e = e (1 (x) a) for every basis element a."""
+    A, desc = ctx.A, ctx.ring
+    M, D, U, E, S = hc._legs(A)
+    lam = hc.integral(A, "left")[0]  # the left integrals form a line
+    eps = ra.tensordot(desc, E, lam, ([0], [0]))
+    if not np.any(eps):
+        raise InternalAxiomFailure("eps vanishes on the left integrals: A is not semisimple")
+    lam = ra.elem_mul(desc, lam, _inv_coeffs_field(desc, eps)[None, :])
+    dlam = ra.tensordot(desc, D, lam, ([2], [0]))  # [u, v]
+    e = ra.tensordot(desc, dlam, S, ([1], [1]))  # [u, b]
+    if np.any(ra.sub(desc, ra.tensordot(desc, M, e, ([1, 2], [0, 1])), U)):
+        raise InternalAxiomFailure("separability idempotent: m(e) != 1")
+    left = ra.transpose(ra.tensordot(desc, M, e, ([2], [0])), (1, 0, 2))  # (a e1) (x) e2: [a, x, b]
+    right = ra.transpose(ra.tensordot(desc, e, M, ([1], [1])), (2, 0, 1))  # e1 (x) (e2 a): [a, u, y]
+    if np.any(ra.sub(desc, left, right)):
+        raise InternalAxiomFailure("separability idempotent: (a (x) 1) e != e (1 (x) a)")
+    return e
+
+
+def _ad_matrix(cc: _ContextCache, k: int):
+    """m |-> ad(m) = a.m - m.a from B^{tensor k} to C^{0,k-1}: (nb^k * na, nb^k, m)."""
+    desc = cc.ctx.ring
+    na, nb = cc.ctx.A.dim, cc.ctx.B.dim
+    ad = ra.sub(desc, cc.mult_operator(k, "left"), cc.mult_operator(k, "right"))  # [a, out, in]
+    return np.ascontiguousarray(ra.transpose(ad, (1, 0, 2))).reshape(nb**k * na, nb**k, desc.m)
+
+
+def _dc_ad_matrix(cc: _ContextCache, k: int, ad):
+    """m |-> d_c(ad(m)) from B^{tensor k} to C^{0,k}."""
+    na, nb, m = cc.ctx.A.dim, cc.ctx.B.dim, cc.ctx.ring.m
+    img = _d_coalg_block(cc, ad.reshape(nb**k, na, nb**k, m), 0, k - 1)
+    return img.reshape(nb ** (k + 1) * na, nb**k, m)
+
+
+def _contraction(ctx: ComplexContext) -> _Contraction:
+    """Build (once per context) and certify the data of solve_obstruction.
+
+    Raises InternalAxiomFailure when the idempotent fails its identities and
+    CocycleUnsolvable when H^1 != 0, which the reduction computes exactly as
+    rank(ad_2) - rank(d_c ad_2) - rank(d_c ad_1) on B^{tensor 2} and B.
+    """
+    cc = _cache(ctx)
+    if cc._contraction is not None:
+        return cc._contraction
+    desc = ctx.ring
+    e = _separability_idempotent(ctx)
+    el = {q: ra.tensordot(desc, e, cc.mult_operator(q + 1, "left"), ([0], [0])) for q in (0, 1)}
+    ad1, ad2 = _ad_matrix(cc, 1), _ad_matrix(cc, 2)
+    dc_ad = FieldSolver(desc, _dc_ad_matrix(cc, 2, ad2))
+    h1 = (
+        FieldSolver(desc, ad2, rank_only=True).rank
+        - dc_ad.rank
+        - FieldSolver(desc, _dc_ad_matrix(cc, 1, ad1), rank_only=True).rank
+    )
+    # the free columns of d_1 are the last nonzero positions of an echelon
+    # basis of ker d_1 = im d_0: the greedy pivots of d_0^T, columns reversed
+    d0 = dtotal_matrix(ctx, 0)
+    dense = d0.toarray()
+    dim_c1 = d0.shape[0]
+    rev = FieldSolver(desc, np.ascontiguousarray(ra.transpose(dense, (1, 0))[:, ::-1]), rank_only=True)
+    free = np.sort(dim_c1 - 1 - rev.pivot_cols)
+    con = _Contraction(el, ad2, dc_ad, free, d0, FieldSolver(desc, dense[free]), h1, dim_c1 - rev.rank)
+    if con.h1:
+        raise CocycleUnsolvable(f"H^1 = {con.h1} != 0 on the reduced complex")
+    cc._contraction = con
+    return con
+
+
+def _homotopy(con: _Contraction, ctx: ComplexContext, f: MultiMap, q: int):
+    """s: C^{p+1,q} -> C^{p,q}, (s f)(a_1, ...) = sum e1 . f(e2, a_1, ...)."""
+    desc = ctx.ring
+    na = ctx.A.dim
+    legs = f.coeffs.reshape(f.coeffs.shape[0], na, -1, desc.m)
+    out = ra.tensordot(desc, con.el[q], legs, ([0, 2], [1, 0]))  # [out, rest]
+    return MultiMap(desc, f.arity_in - 1, f.arity_out, na, ctx.B.dim, out)
+
+
+def solve_obstruction(z: TotalCochain) -> TotalCochain | None:
+    """The canonical x with d_total(x) = z for a degree-2 z, or None.
+
+    The same answer as solve_coboundary(z), free variables zero, obtained by
+    contraction instead of a factorization of d_1:
+      x10 = s(c20), x01' = -s(c11 + d_c x10), then x01 = x01' + ad(m) with
+      d_c(ad(m)) = c02 - d_c x01' solved on B^{tensor 2};
+    then x loses its component in im d_0 = ker d_1 along the free columns of
+    d_1, and d_total(x) = z is checked exactly.  A non-cocycle z gives None.
+    """
+    ctx = z.context
+    if z.degree != 2:
+        raise ArityMismatch("solve_obstruction needs a degree-2 cochain")
+    if max(ctx.A.dim, ctx.B.dim) > coboundary_budget():
+        raise BudgetExceeded(f"dims exceed coboundary budget {coboundary_budget()}")
+    desc = ctx.ring
+    con = _contraction(ctx)
+    x10 = _homotopy(con, ctx, z.components[(2, 0)], 0)
+    x01 = _homotopy(con, ctx, z.components[(1, 1)] + d_coalg(ctx, x10), 1).scale(-1)
+    resid = z.components[(0, 2)] - d_coalg(ctx, x01)
+    m = con.dc_ad.solve(resid.coeffs.reshape(-1, desc.m))
+    if m is None:
+        return None
+    inner = ra.tensordot(desc, con.ad, m, ([1], [0])).reshape(x01.coeffs.shape)
+    x01 = MultiMap(desc, 1, 2, ctx.A.dim, ctx.B.dim, ra.add(desc, x01.coeffs, inner))
+    vec = vec_cochain(TotalCochain(ctx, 1, {(1, 0): x10, (0, 1): x01}))
+    w = con.d0_free.solve(vec[con.free])
+    if w is None:
+        return None
+    x = unvec_cochain(ctx, 1, ra.sub(desc, vec, con.d0.dot(desc, w)))
+    return x if d_total(x) == z else None
 
 
 # ---------------------------------------------------------------------------

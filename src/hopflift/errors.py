@@ -30,6 +30,10 @@ class SingularModP(HopfliftError):
     pass
 
 
+class UnsupportedModulus(HopfliftError):
+    """q = p^n exceeds MAX_MODULUS; residues are int64 and a sum of two must fit."""
+
+
 # tensor calculus
 class ArityMismatch(HopfliftError):
     pass

@@ -2,7 +2,8 @@
 
 Each level digit-lifts the current structure, measures the failure of the
 bialgebra axioms (an exact degree-2 cochain after division by p^k), kills it
-with a coboundary solve over the residue field, then recovers unit, counit
+with a coboundary over the residue field (contracted with the base's
+separability idempotent, no factorization of d_1), then recovers unit, counit
 and antipode by Hensel-solving linear systems whose reductions mod p are
 invertible.  Reconciliation builds the isomorphism between two lifts of the
 same base digit by digit from degree-1 coboundary solves; morphisms and
@@ -20,7 +21,7 @@ from . import _arrays as ra
 from . import cohomology as coh
 from . import hopfcore as hc
 from . import tensorcalc as tc
-from .coeffring import RingDescriptor, exact_div_p_array, hensel_solve_array
+from .coeffring import check_modulus, exact_div_p_array, hensel_solve_array
 from .errors import (
     CoboundaryUnsolvable,
     CocycleUnsolvable,
@@ -39,13 +40,6 @@ from .hopfcore import HopfMorphism, HopfPresentation
 from .tensorcalc import MultiMap
 
 
-def ring_at_precision(base_ring: RingDescriptor, k: int) -> RingDescriptor:
-    """GR(p^k, m) with the base field's modulus representatives."""
-    if k == base_ring.n:
-        return base_ring
-    return RingDescriptor(base_ring.p, k, base_ring.m, base_ring.modulus)
-
-
 @dataclass
 class LiftState:
     base: HopfPresentation
@@ -56,7 +50,7 @@ class LiftState:
     def at_precision(self, k: int) -> HopfPresentation:
         if k == self.precision:
             return self.current
-        return hc.reduce_presentation(self.current, ring_at_precision(self.base.ring, k))
+        return hc.reduce_presentation(self.current, self.base.ring.at_precision(k))
 
 
 @dataclass
@@ -104,7 +98,7 @@ def _admit_base(base: HopfPresentation):
 
 def _raw_extension(current: HopfPresentation, strategy, level: int):
     """Digit-lift (m, Delta) to precision level+1; perturbed adds p^level noise at level 1."""
-    target = ring_at_precision(current.ring, level + 1)
+    target = current.ring.at_precision(level + 1)
     mul = tc.map_digit_lift(current.mul, target)
     comul = tc.map_digit_lift(current.comul, target)
     kind, seed = parse_strategy(strategy)
@@ -179,9 +173,9 @@ def correct(mul: MultiMap, comul: MultiMap, report: ObstructionReport, base: Hop
     if report.is_zero:
         mul2, comul2 = mul, comul
     else:
-        # the solver's residual check certifies d(x) = c exactly, which subsumes
-        # the cocycle condition; it is only diagnosed separately on failure
-        x = coh.solve_coboundary(report.c, _cocycle_checked=True)
+        # the exact check d(x) = c subsumes the cocycle condition; it is only
+        # diagnosed separately on failure
+        x = coh.solve_obstruction(report.c)
         if x is None:
             if not report.cocycle_ok:
                 raise NotACocycle("obstruction cochain is not closed")
@@ -262,6 +256,7 @@ def solve_antipode(mul: MultiMap, comul: MultiMap, unit: MultiMap, counit: Multi
 
 def lift(base: HopfPresentation, n: int, strategy="canonical") -> LiftState:
     """Iterate raw-extension / obstruction / correct / solve_antipode up to p^n."""
+    check_modulus(base.ring.p, n)
     _admit_base(base)
     if n < 1:
         raise ValueError("precision must be >= 1")
@@ -279,7 +274,7 @@ def lift(base: HopfPresentation, n: int, strategy="canonical") -> LiftState:
             raise InternalAxiomFailure("lift does not reduce to its base mod p")
         solver_rank = None
         if not report.is_zero:
-            solver_rank = coh._solver_for(coh.make_context(base), 1).rank
+            solver_rank = coh._contraction(coh.make_context(base)).rank
         transcript.append(
             {
                 "level": level,
@@ -396,7 +391,7 @@ def lift_morphism(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState) -> Ho
     ctx = coh.make_context(phi.source, phi.target, phi)
     fmap = phi.map.coeffs
     for k in range(1, n):
-        desc = ring_at_precision(lift_a.base.ring, k + 1)
+        desc = lift_a.base.ring.at_precision(k + 1)
         a_pres = lift_a.at_precision(k + 1)
         b_pres = lift_b.at_precision(k + 1)
         ma = a_pres.mul.coeffs.reshape(na, na, na, desc.m)
@@ -444,7 +439,7 @@ def lift_morphism(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState) -> Ho
         rhs2 = ra.tensordot(desc, db, fmap, ([2], [0]))
         if np.any(ra.sub(desc, lhs2, rhs2)):
             raise PostAxiomFailure("corrected morphism is not comultiplicative")
-    desc = ring_at_precision(lift_a.base.ring, n)
+    desc = lift_a.base.ring.at_precision(n)
     a_pres, b_pres = lift_a.current, lift_b.current
     out = MultiMap(desc, 1, 1, na, nb, fmap % desc.q)
     # unit/counit compatibility is asserted, never silently repaired

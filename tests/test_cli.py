@@ -191,3 +191,12 @@ def test_cocycle_check_flow(tmp_path, capsys):
     bad.write_text(ser.dumps(ser.cochain_to_json(nz)))
     code, out, _ = run(capsys, "cohomology", str(c2), "--cocycle", str(bad))
     assert code == 1
+
+
+def test_oversized_modulus_exit_code(tmp_path, capsys):
+    base = gen_file(tmp_path, capsys, "C2", 3, "c2.json")
+    code, out, err = run(capsys, "lift", str(base), "--precision", "40", "-o", str(tmp_path / "lift.json"))
+    assert code == 2 and "UnsupportedModulus" in err and out == ""
+    assert not (tmp_path / "lift.json").exists()
+    code, _, err = run(capsys, "gen", "C2", "--p", "3", "--n", "40")
+    assert code == 2 and "UnsupportedModulus" in err

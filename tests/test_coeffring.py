@@ -224,3 +224,29 @@ def test_field_solver_blocked_matches_reference():
         # canonical: free variables zero
         free = sorted(set(range(cols)) - set(piv_cols))
         assert not np.any(got[free, 0])
+
+
+def test_oversized_modulus_refused():
+    from hopflift.errors import UnsupportedModulus
+
+    assert cr.make_ring(2, 62).q == 1 << 62
+    assert cr.make_ring(3, 39).q == 3**39
+    for p, n in ((2, 63), (3, 40), (2**31 - 1, 3)):
+        with pytest.raises(UnsupportedModulus):
+            cr.make_ring(p, n)
+    with pytest.raises(UnsupportedModulus):
+        cr.make_ring(3).at_precision(40)
+    with pytest.raises(UnsupportedModulus):
+        cr.make_ring(2, 1, 2).at_precision(63)
+
+
+def test_at_precision_raises_and_lowers():
+    gr = cr.make_ring(3, 3, 2, modulus=[2 + 9, 2 + 3, 1])
+    # lowering reduces the modulus, raising keeps its representatives
+    assert gr.at_precision(1).modulus == (2, 2, 1)
+    assert gr.at_precision(2).modulus == (2, 5, 1)
+    assert gr.at_precision(5) == cr.RingDescriptor(3, 5, 2, (11, 5, 1))
+    assert F9.at_precision(4) == cr.RingDescriptor(3, 4, 2, F9.modulus)
+    assert F5.at_precision(1) is F5 and F5.at_precision(3) == Z25.at_precision(3)
+    with pytest.raises(ValueError):
+        F5.at_precision(0)

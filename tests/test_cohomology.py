@@ -334,3 +334,72 @@ def test_invariants_ground_field_direction():
     ctx = coh.make_context(C2, one, phi)
     for n in (0, 1, 2):
         assert coh.invariants_complex_dim(ctx, n) == 0
+
+
+# --- degree-2 solve by contraction (the lifting path) against the dense oracle ---
+
+CONTRACTION_BASES = [
+    ("D4", 3, 1),
+    ("Q8", 7, 1),
+    ("S3", 7, 1),
+    ("C3", 2, 2),
+    ("C2xC2", 5, 1),
+    ("C2.double", 5, 1),
+]
+
+
+@pytest.mark.parametrize("name,p,m", CONTRACTION_BASES, ids=[f"{n}/F{p**m}" for n, p, m in CONTRACTION_BASES])
+def test_solve_obstruction_matches_dense(name, p, m):
+    from hopflift import lifting as lf
+
+    base = hc.generate(name, cr.make_ring(p, 1, m))
+    ctx = coh.make_context(base)
+    targets = []
+    for seed in (1, 2, 3):
+        mul, comul = lf.initial_lift(base, f"perturbed:{seed}")
+        targets.append(lf.obstruction(mul, comul, base).c)
+    targets += [coh.d_total(coh.random_cochain(ctx, 1, seed)) for seed in (4, 5)]
+    for z in targets:
+        got = coh.solve_obstruction(z)
+        want = coh.solve_coboundary(z)
+        assert got is not None and want is not None
+        assert np.array_equal(coh.vec_cochain(got), coh.vec_cochain(want))
+    con = coh._contraction(ctx)
+    assert con.rank == coh._solver_for(ctx, 1).rank
+    assert con.h1 == coh.cohomology_dim(ctx, 1) == 0
+
+
+def test_solve_obstruction_noncocycle_gives_none():
+    z = coh.random_cochain(CTX, 2, 5)
+    assert not coh.is_cocycle(z)
+    assert coh.solve_obstruction(z) is None
+
+
+def test_tampered_idempotent_raises(monkeypatch):
+    # the unit is no integral: e = 1 (x) 1 has m(e) = 1 but is not central
+    from hopflift.errors import InternalAxiomFailure
+
+    H = hc.generate("C2xC2", F5)
+    unit = H.unit.coeffs.reshape(H.dim, 1)
+    monkeypatch.setattr(hc, "integral", lambda A, side="left": [unit])
+    coh._CACHE.clear()
+    try:
+        with pytest.raises(InternalAxiomFailure, match="separability idempotent"):
+            coh._contraction(coh.make_context(H))
+    finally:
+        coh._CACHE.clear()
+
+
+def test_failed_h1_certificate_raises(monkeypatch):
+    # a zero d_c on B (x) B leaves every inner derivation of B (x) B a cocycle
+    # (S3 is not commutative, so there are nonzero inner derivations)
+    from hopflift.errors import CocycleUnsolvable
+
+    real = coh._dc_ad_matrix
+    monkeypatch.setattr(coh, "_dc_ad_matrix", lambda cc, k, ad: real(cc, k, ad) * (k != 2))
+    coh._CACHE.clear()
+    try:
+        with pytest.raises(CocycleUnsolvable):
+            coh._contraction(coh.make_context(hc.generate("S3", F7)))
+    finally:
+        coh._CACHE.clear()

@@ -268,3 +268,35 @@ class TestDoubleCommutesWithLifting:
         state = lf.LiftState(D_base, 2, double_of_lift, [])
         assert hc.reduce_presentation(double_of_lift, F5) == D_base
         lf.reconcile(lift_of_double, state)  # raises unless an exact iso exists
+
+
+def test_lift_never_assembles_degree1_differential(monkeypatch):
+    base = hc.generate("S3", F7)
+    degrees = []
+    real = coh.dtotal_matrix
+
+    def spy(ctx, n):
+        degrees.append(n)
+        return real(ctx, n)
+
+    coh._CACHE.clear()
+    monkeypatch.setattr(coh, "dtotal_matrix", spy)
+    st = lf.lift(base, 3, "perturbed:4")
+    assert degrees == [0]
+    monkeypatch.setattr(coh, "dtotal_matrix", real)
+    dense_rank = coh._solver_for(coh.make_context(base), 1).rank
+    assert [r["solver_rank"] for r in st.transcript] == [dense_rank, dense_rank]
+    coh._CACHE.clear()
+
+
+def test_oversized_modulus_refused_up_front(monkeypatch):
+    from hopflift.errors import UnsupportedModulus
+
+    base = hc.generate("C2", cr.make_ring(3))
+
+    def admitted(_):
+        raise AssertionError("the base was examined before the modulus was refused")
+
+    monkeypatch.setattr(lf, "_admit_base", admitted)
+    with pytest.raises(UnsupportedModulus):
+        lf.lift(base, 40)  # 3^40 > 2^62

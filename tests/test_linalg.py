@@ -225,3 +225,23 @@ def test_elem_mul_regression_gr_7_12():
     desc = cr.make_ring(7, 12)
     top = np.array([[desc.q - 1]], dtype=np.int64)
     assert ra.elem_mul(desc, top, top)[0, 0] == 1
+
+
+EXTENSION_RINGS = [cr.make_ring(2, 1, 2), cr.make_ring(3, 1, 2), cr.make_ring(7, 12, 2), cr.make_ring(2, 40, 3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(EXTENSION_RINGS), st.integers(0, 2**32 - 1))
+def test_tensordot_extension_matches_oracle(desc, seed):
+    # contraction over F_{p^m} / GR(p^n, m) against Python-int polynomial products
+    rng = np.random.default_rng(seed)
+    q, m = desc.q, desc.m
+    a = rng.integers(0, q, size=(2, 3, 2, m), dtype=np.int64)
+    b = rng.integers(0, q, size=(3, 2, m), dtype=np.int64)
+    got = ra.tensordot(desc, a, b, ([1], [0]))  # [i, k, l]
+    assert got.shape == (2, 2, 2, m)
+    for i, k, l in np.ndindex(2, 2, 2):
+        want = [0] * m
+        for j in range(3):
+            want = [(w + c) % q for w, c in zip(want, poly_mul_oracle(desc, a[i, j, k], b[j, l]))]
+        assert list(map(int, got[i, k, l])) == want

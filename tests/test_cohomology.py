@@ -369,6 +369,24 @@ def test_solve_obstruction_matches_dense(name, p, m):
     assert con.h1 == coh.cohomology_dim(ctx, 1) == 0
 
 
+def inclusion_context():
+    C4 = hc.generate("C4", F5)
+    inc = np.zeros((4, 2, 1), dtype=np.int64)
+    inc[0, 0, 0] = inc[2, 1, 0] = 1
+    return coh.make_context(C2, C4, hc.make_morphism(C2, C4, tc.MultiMap(F5, 1, 1, 2, 4, inc)))
+
+
+@pytest.mark.parametrize("make_ctx", [counit_unit_context, inclusion_context], ids=["C2-dualC2", "C2-C4"])
+def test_solve_obstruction_nonidentity_phi(make_ctx):
+    # the idempotent lives in A and acts on B through phi
+    ctx = make_ctx()
+    for seed in range(3):
+        z = coh.d_total(coh.random_cochain(ctx, 1, seed))
+        got, want = coh.solve_obstruction(z), coh.solve_coboundary(z)
+        assert got is not None and np.array_equal(coh.vec_cochain(got), coh.vec_cochain(want))
+    assert coh._contraction(ctx).rank == coh._solver_for(ctx, 1).rank
+
+
 def test_solve_obstruction_noncocycle_gives_none():
     z = coh.random_cochain(CTX, 2, 5)
     assert not coh.is_cocycle(z)

@@ -460,17 +460,36 @@ def hensel_solve(desc: RingDescriptor, matrix, rhs) -> list[RingElement]:
     return [desc.element(list(c)) for c in x]
 
 
-def hensel_solve_array(desc: RingDescriptor, marr: np.ndarray, rarr: np.ndarray) -> np.ndarray:
-    """Array form of hensel_solve; rarr may be (R, m) or (R, w, m)."""
+def hensel_solve_array(
+    desc: RingDescriptor, marr: np.ndarray, rarr: np.ndarray, solver=None, seed=None
+) -> np.ndarray:
+    """Array form of hensel_solve; rarr may be (R, m) or (R, w, m).
+
+    solver: a FieldSolver of marr mod p, used instead of a new factorization
+    once it is checked to factor exactly that matrix (DescriptorMismatch
+    otherwise).  seed: (x0, k) with x0 a solution mod p^k, 0 <= k < n; only
+    the digits k..n-1 are then solved, and a seed that is not a solution mod
+    p^k raises NotDivisible.  The solution is unique, so neither changes it.
+    """
     from ._linalg import FieldSolver
 
-    nrows, ncols = marr.shape[0], marr.shape[1]
+    ncols = marr.shape[1]
     fdesc = desc.residue()
-    solver = FieldSolver(fdesc, marr % desc.p)
+    reduced = marr % desc.p
+    if solver is None:
+        solver = FieldSolver(fdesc, reduced)
+    elif solver.desc != fdesc or not solver.factors(reduced):
+        raise DescriptorMismatch("the given solver does not factor this matrix mod p")
     if solver.rank < ncols:
         raise SingularModP(f"matrix singular mod {desc.p} (rank {solver.rank} < {ncols})")
-    x = np.zeros((ncols,) + rarr.shape[1:], dtype=np.int64)
-    for k in range(desc.n):
+    shape = (ncols,) + rarr.shape[1:]
+    x, start = np.zeros(shape, dtype=np.int64), 0
+    if seed is not None:
+        x0, start = seed
+        if not 0 <= start < desc.n or x0.shape != shape:
+            raise ValueError(f"seed needs shape {shape} and a precision in [0, {desc.n})")
+        x = np.asarray(x0, dtype=np.int64) % desc.q
+    for k in range(start, desc.n):
         pk = desc.p**k
         resid = ra.sub(desc, rarr, ra.tensordot(desc, marr, x, ([1], [0])))
         if np.any(resid % pk):

@@ -84,7 +84,7 @@ def make_context(A: HopfPresentation, B: HopfPresentation | None = None, phi: Ho
     if B is None:
         B = A
     if phi is None:
-        if B != A:
+        if B is not A and B != A:
             raise DescriptorMismatch("phi may only default to the identity when B == A")
         phi = hc.identity_morphism(A)
     return ComplexContext(A, B, phi)
@@ -174,6 +174,14 @@ class _ContextCache:
         self._dmat = {}
         self._solver = {}
         self._contraction = None
+        self._memo = {}
+
+    def memo(self, key, build):
+        """build(), computed once per context: lifting keeps the admission
+        verdict of its base and the mod-p factors of its Hensel systems here."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def e_tensor(self, k: int):
         """phi^{tensor k} o Delta_k: (nb^k, na) coefficient block."""

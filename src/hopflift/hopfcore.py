@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,6 +71,12 @@ class HopfPresentation:
                 raise ValueError(f"{name} has arities {mm.arity_in}->{mm.arity_out}")
             if (mm.dim_in, mm.dim_out) != (self.dim, self.dim):
                 raise ValueError(f"{name} dimension mismatch")
+            # the digest is computed once, so the coefficients must not change:
+            # a view is copied (its base could still be written) and frozen
+            if mm.coeffs.flags.writeable or not mm.coeffs.flags.owndata:
+                coeffs = mm.coeffs if mm.coeffs.flags.owndata else mm.coeffs.copy()
+                coeffs.setflags(write=False)
+                object.__setattr__(self, name, replace(mm, coeffs=coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, HopfPresentation):
@@ -92,11 +98,14 @@ class HopfPresentation:
         return (self.mul, self.unit, self.comul, self.counit, self.antipode)
 
     def digest(self) -> bytes:
-        h = hashlib.sha256()
-        h.update(repr((self.ring.p, self.ring.n, self.ring.m, self.ring.modulus, self.dim)).encode())
-        for t in self.tensors():
-            h.update(np.ascontiguousarray(t.coeffs).tobytes())
-        return h.digest()
+        """sha256 of the ring and the five tensors, computed once."""
+        if "_digest" not in self.__dict__:
+            h = hashlib.sha256()
+            h.update(repr((self.ring.p, self.ring.n, self.ring.m, self.ring.modulus, self.dim)).encode())
+            for t in self.tensors():
+                h.update(np.ascontiguousarray(t.coeffs).tobytes())
+            object.__setattr__(self, "_digest", h.digest())
+        return self._digest
 
     def __repr__(self):
         tag = "VERIFIED " if self.verified else ""
@@ -109,7 +118,7 @@ def make_presentation(ring, mul, unit, comul, counit, antipode, verify=True) -> 
         report = verify_hopf(H)
         if not report.all_pass:
             raise InternalAxiomFailure(f"presentation fails axioms: {report.failing()}")
-        H = HopfPresentation(ring, H.dim, mul, unit, comul, counit, antipode, verified=True)
+        H = HopfPresentation(ring, H.dim, *H.tensors(), verified=True)
     return H
 
 

@@ -5,9 +5,11 @@ bialgebra axioms (an exact degree-2 cochain after division by p^k), kills it
 with a coboundary over the residue field (contracted with the base's
 separability idempotent, no factorization of d_1), then recovers unit, counit
 and antipode by Hensel-solving linear systems whose reductions mod p are
-invertible.  Reconciliation builds the isomorphism between two lifts of the
-same base digit by digit from degree-1 coboundary solves; morphisms and
-R-matrices lift the same way (R-matrices through their theta morphism).
+invertible (those reductions are the base's, factored once per base; each
+level solves one new digit).  Reconciliation builds the isomorphism between
+two lifts of the same base digit by digit from degree-1 coboundary solves;
+morphisms and R-matrices lift the same way (R-matrices through their theta
+morphism).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from . import _arrays as ra
 from . import cohomology as coh
 from . import hopfcore as hc
 from . import tensorcalc as tc
+from ._linalg import FieldSolver
 from .coeffring import check_modulus, exact_div_p_array, hensel_solve_array
 from .errors import (
     CoboundaryUnsolvable,
@@ -87,10 +90,15 @@ def parse_strategy(strategy):
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def _base_cache(base: HopfPresentation):
+    """The context cache of base: per-base facts of the lifting are kept there."""
+    return coh._cache(coh.make_context(base))
+
+
 def _admit_base(base: HopfPresentation):
     if not base.verified or not base.ring.is_field:
         raise NotSemisimpleOrCosemisimple("base must be a VERIFIED presentation over F_q")
-    if not hc.is_semisimple(base) or not hc.is_cosemisimple(base):
+    if not _base_cache(base).memo("admitted", lambda: hc.is_semisimple(base) and hc.is_cosemisimple(base)):
         raise NotSemisimpleOrCosemisimple(
             "vanishing of the obstruction cohomology needs a semisimple and cosemisimple base"
         )
@@ -161,11 +169,73 @@ def obstruction(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> Obstr
     return ObstructionReport(coh.TotalCochain(ctx, 2, comps))
 
 
-def correct(mul: MultiMap, comul: MultiMap, report: ObstructionReport, base: HopfPresentation):
+# ---------------------------------------------------------------------------
+# the Hensel systems of unit, counit and antipode
+#
+# Their matrices reduce mod p to the base's own, so each is factored once per
+# base (held in the base's context cache), and a level seeded with the values
+# of the level below, which they agree with mod p^k, solves one new digit.
+
+
+def _unit_system(desc, m_legs, u0):
+    """u |-> m(u (x) u0) as a matrix [a, b]."""
+    return ra.tensordot(desc, m_legs, u0, ([2], [0]))
+
+
+def _counit_system(desc, d_legs, e0):
+    """f |-> (f (x) e0) Delta as a matrix [x, u]."""
+    return ra.transpose(ra.tensordot(desc, d_legs, e0, ([1], [0])), (1, 0))
+
+
+def _antipode_system(desc, m_legs, d_legs):
+    """S |-> m(S (x) I)Delta as a matrix [(a, x), (w, u)]."""
+    N = m_legs.shape[0]
+    t = ra.tensordot(desc, d_legs, m_legs, ([1], [2]))  # D[u,v,x] M[a,w,v] -> [u,x,a,w]
+    return ra.transpose(t, (2, 1, 3, 0)).reshape(N * N, N * N, desc.m)
+
+
+def _hensel_solver(base: HopfPresentation, kind: str):
+    """FieldSolver of the base's matrix of one Hensel system ("unit", "counit",
+    "antipode", or "identity" for reconcile's eta^-1), factored once per base."""
+
+    def build():
+        desc = base.ring
+        M, D, U, E, _ = hc._legs(base)
+        system = {
+            "unit": lambda: _unit_system(desc, M, U),
+            "counit": lambda: _counit_system(desc, D, E),
+            "antipode": lambda: _antipode_system(desc, M, D),
+            "identity": lambda: ra.eye(desc, base.dim),
+        }[kind]
+        return FieldSolver(desc, system())
+
+    return _base_cache(base).memo(("hensel", kind), build)
+
+
+def _hensel(desc, marr, rhs, kind: str, base: HopfPresentation | None, previous: HopfPresentation | None):
+    """Solve the Hensel system of the tensor `kind` with the base's factor of
+    it, seeded by that tensor of previous (the base by default), a solution
+    mod p^k; without a base, factor and solve every digit."""
+    if base is None:
+        return hensel_solve_array(desc, marr, rhs)
+    previous = base if previous is None else previous
+    x0 = getattr(previous, kind).coeffs.reshape(marr.shape[1], desc.m)
+    return hensel_solve_array(desc, marr, rhs, _hensel_solver(base, kind), (x0, previous.ring.n))
+
+
+def correct(
+    mul: MultiMap,
+    comul: MultiMap,
+    report: ObstructionReport,
+    base: HopfPresentation,
+    previous: HopfPresentation | None = None,
+):
     """Kill the obstruction with a coboundary solve, then recover unit and counit.
 
     Returns (mul'', comul'', unit'', counit''); all bialgebra axioms are exact
-    at the new precision (asserted, PostAxiomFailure otherwise).
+    at the new precision (asserted, PostAxiomFailure otherwise).  previous is
+    the presentation that mul and comul digit-lift (the base by default): its
+    unit and counit seed the Hensel solves.
     """
     desc = mul.ring
     n = desc.n - 1
@@ -196,8 +266,7 @@ def correct(mul: MultiMap, comul: MultiMap, report: ObstructionReport, base: Hop
     # unit: solve the square subsystem m''(u (x) u0) = u0, then assert
     # two-sidedness; u0 is any lift of the base unit (only its reduction matters)
     u0 = tc.map_digit_lift(base.unit, desc).coeffs.reshape(N, desc.m)
-    t_u = ra.tensordot(desc, m_legs, u0, ([2], [0]))  # [a, b]
-    unit2 = hensel_solve_array(desc, t_u, u0)
+    unit2 = _hensel(desc, _unit_system(desc, m_legs, u0), u0, "unit", base, previous)
     lu = ra.tensordot(desc, m_legs, unit2, ([1], [0]))
     ru = ra.tensordot(desc, m_legs, unit2, ([2], [0]))
     if np.any(ra.sub(desc, lu, eye)) or np.any(ra.sub(desc, ru, eye)):
@@ -205,9 +274,7 @@ def correct(mul: MultiMap, comul: MultiMap, report: ObstructionReport, base: Hop
 
     # counit: solve (eps'' (x) eps0) Delta'' = eps0, then assert both counit axioms
     e0 = tc.map_digit_lift(base.counit, desc).coeffs.reshape(N, desc.m)
-    t_e = ra.tensordot(desc, d_legs, e0, ([1], [0]))  # [u, x] -> matrix [x, u]
-    t_e = ra.transpose(t_e, (1, 0))
-    counit2 = hensel_solve_array(desc, t_e, e0)
+    counit2 = _hensel(desc, _counit_system(desc, d_legs, e0), e0, "counit", base, previous)
     lc = ra.tensordot(desc, counit2, d_legs, ([0], [0]))  # [v, x]
     rc = ra.tensordot(desc, d_legs, counit2, ([1], [0]))  # [u, x]
     if np.any(ra.sub(desc, lc, eye)) or np.any(ra.sub(desc, rc, eye)):
@@ -228,22 +295,29 @@ def correct(mul: MultiMap, comul: MultiMap, report: ObstructionReport, base: Hop
     return mul2, comul2, unit_map, counit_map
 
 
-def solve_antipode(mul: MultiMap, comul: MultiMap, unit: MultiMap, counit: MultiMap) -> MultiMap:
+def solve_antipode(
+    mul: MultiMap,
+    comul: MultiMap,
+    unit: MultiMap,
+    counit: MultiMap,
+    base: HopfPresentation | None = None,
+    previous: HopfPresentation | None = None,
+) -> MultiMap:
     """Solve T(S) = m(S (x) I)Delta = unit o counit by Hensel lifting.
 
     T is invertible mod p because convolution by the identity is invertible
     in any Hopf algebra (its inverse is convolution by the base antipode).
+    With the base given, T mod p is factored once per base, and the antipode
+    of previous (the base by default) seeds the solve.
     """
     desc = mul.ring
     N = mul.dim_out
     m_legs = mul.coeffs.reshape(N, N, N, desc.m)
     d_legs = comul.coeffs.reshape(N, N, N, desc.m)
-    t = ra.tensordot(desc, d_legs, m_legs, ([1], [2]))  # D[u,v,x] M[a,w,v] -> [u,x,a,w]
-    t = ra.transpose(t, (2, 1, 3, 0)).reshape(N * N, N * N, desc.m)  # [(a,x),(w,u)]
     u_vec = unit.coeffs.reshape(N, desc.m)
     e_vec = counit.coeffs.reshape(N, desc.m)
     rhs = ra.elem_mul(desc, u_vec[:, None, :], e_vec[None, :, :]).reshape(N * N, desc.m)
-    s_vec = hensel_solve_array(desc, t, rhs)
+    s_vec = _hensel(desc, _antipode_system(desc, m_legs, d_legs), rhs, "antipode", base, previous)
     s_map = MultiMap(desc, 1, 1, N, N, s_vec.reshape(N, N, desc.m))
     # right antipode identity
     t2 = ra.tensordot(desc, s_map.coeffs, d_legs, ([1], [1]))  # S[w,v] D[u,v,x] -> [w,u,x]
@@ -266,8 +340,8 @@ def lift(base: HopfPresentation, n: int, strategy="canonical") -> LiftState:
         t0 = time.perf_counter()
         mul, comul = _raw_extension(current, strategy, level)
         report = obstruction(mul, comul, base)
-        mul2, comul2, unit2, counit2 = correct(mul, comul, report, base)
-        s_map = solve_antipode(mul2, comul2, unit2, counit2)
+        mul2, comul2, unit2, counit2 = correct(mul, comul, report, base, current)
+        s_map = solve_antipode(mul2, comul2, unit2, counit2, base, current)
         target = mul2.ring
         current = hc.make_presentation(target, mul2, unit2, comul2, counit2, s_map)
         if hc.reduce_presentation(current, base.ring) != base:
@@ -315,11 +389,12 @@ def reconcile(s1: LiftState, s2: LiftState) -> MultiMap:
     desc = s1.current.ring
     N, n = base.dim, s1.precision
     ctx = coh.make_context(base)
-    eta = ra.eye(desc, N)
+    identity = _hensel_solver(base, "identity")
+    eye = ra.eye(desc, N)
+    eta = eta_inv = eye
     m2_legs = s2.current.mul.coeffs.reshape(N, N, N, desc.m)
     d2_legs = s2.current.comul.coeffs.reshape(N, N, N, desc.m)
     for k in range(1, n):
-        eta_inv = hensel_solve_array(desc, eta, ra.eye(desc, N))
         mhat, dhat = _pushforward(desc, eta, eta_inv, s1.current)
         diff_m = ra.sub(desc, mhat, m2_legs)
         diff_d = ra.sub(desc, dhat, d2_legs)
@@ -338,21 +413,33 @@ def reconcile(s1: LiftState, s2: LiftState) -> MultiMap:
                 (0, 1): MultiMap(base.ring, 1, 2, N, N, delta.reshape(N * N, N, base.ring.m)),
             },
         )
-        if not coh.is_cocycle(z):
-            raise NotACocycle("difference of exact lifts is not a 1-cocycle")
-        gamma = coh.solve_coboundary(z, _cocycle_checked=True)
-        if gamma is None:
-            raise CocycleUnsolvable("1-cocycle is not a coboundary; H^1(A) = 0 is violated")
+        gamma = _solve_cocycle(
+            z,
+            "difference of exact lifts is not a 1-cocycle",
+            "1-cocycle is not a coboundary; H^1(A) = 0 is violated",
+        )
         g = gamma.components[(0, 0)].coeffs
-        step = (ra.eye(desc, N) - pk * g) % desc.q
+        step = (eye - pk * g) % desc.q
         eta = ra.tensordot(desc, step, eta, ([1], [0]))
-    _assert_intertwines(desc, eta, s1.current, s2.current)
+        # eta moved by a multiple of p^k, so the old inverse is one mod p^k
+        eta_inv = hensel_solve_array(desc, eta, eye, identity, (eta_inv, k))
+    _assert_intertwines(desc, eta, eta_inv, s1.current, s2.current)
     return MultiMap(desc, 1, 1, N, N, eta)
 
 
-def _assert_intertwines(desc, eta, h1: HopfPresentation, h2: HopfPresentation):
+def _solve_cocycle(z: coh.TotalCochain, not_closed: str, not_exact: str) -> coh.TotalCochain:
+    """x with d(x) = z for a degree-1 z; the cocycle test runs only when the
+    solve fails, since a solution certifies z = d(x) and hence d z = 0."""
+    x = coh.solve_coboundary(z, _cocycle_checked=True)
+    if x is None:
+        if not coh.is_cocycle(z):
+            raise NotACocycle(not_closed)
+        raise CocycleUnsolvable(not_exact)
+    return x
+
+
+def _assert_intertwines(desc, eta, eta_inv, h1: HopfPresentation, h2: HopfPresentation):
     N = h1.dim
-    eta_inv = hensel_solve_array(desc, eta, ra.eye(desc, N))
     mhat, dhat = _pushforward(desc, eta, eta_inv, h1)
     if np.any(ra.sub(desc, mhat, h2.mul.coeffs.reshape(N, N, N, desc.m))):
         raise InternalAxiomFailure("eta fails to intertwine the products")
@@ -422,11 +509,11 @@ def lift_morphism(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState) -> Ho
                 (0, 1): MultiMap(fring, 1, 2, na, nb, eta.reshape(nb * nb, na, fring.m)),
             },
         )
-        if not coh.is_cocycle(z):
-            raise NotACocycle("morphism defect pair is not a 1-cocycle")
-        chi = coh.solve_coboundary(z, _cocycle_checked=True)
-        if chi is None:
-            raise CocycleUnsolvable("defect cocycle is not a coboundary; H^1(A,B,phi) = 0 is violated")
+        chi = _solve_cocycle(
+            z,
+            "morphism defect pair is not a 1-cocycle",
+            "defect cocycle is not a coboundary; H^1(A,B,phi) = 0 is violated",
+        )
         fmap = (f - pk * chi.components[(0, 0)].coeffs) % desc.q
         # exactness of the corrected map at this precision
         lhs = ra.tensordot(desc, fmap, ma, ([1], [0]))

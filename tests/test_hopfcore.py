@@ -300,3 +300,18 @@ def test_root_search_bound(monkeypatch):
     monkeypatch.setenv("HOPFLIFT_ROOT_BOUND", "3")
     with pytest.raises(FieldTooLargeForRootSearch):
         hc.grouplikes(hc.generate("C2", F5))
+
+
+def test_presentation_tensors_frozen_so_the_digest_stays_valid():
+    H = hc.generate("S3", F7)
+    digest = H.digest()
+    for t in H.tensors():
+        with pytest.raises(ValueError):
+            t.coeffs[0, 0, 0] = 1
+    # a tensor handed in as a view is copied: writing through its base changes nothing
+    store = H.antipode.coeffs.copy().reshape(-1)
+    view = tc.MultiMap(F7, 1, 1, 6, 6, store.reshape(6, 6, 1))
+    K = hc.HopfPresentation(F7, 6, H.mul, H.unit, H.comul, H.counit, view)
+    store[:] = 0
+    assert K == H and K.digest() == digest
+    assert hc.HopfPresentation(F7, 6, *H.tensors()).digest() == digest

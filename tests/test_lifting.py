@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from hopflift import cohomology as coh
 from hopflift import hopfcore as hc
 from hopflift import lifting as lf
 from hopflift import tensorcalc as tc
-from hopflift.errors import DifferentBaseOrPrecision, NotSemisimpleOrCosemisimple
+from hopflift._linalg import FieldSolver
+from hopflift.errors import CocycleUnsolvable, DifferentBaseOrPrecision, NotACocycle, NotSemisimpleOrCosemisimple
 
 F5 = cr.make_ring(5)
 F7 = cr.make_ring(7)
@@ -300,3 +303,118 @@ def test_oversized_modulus_refused_up_front(monkeypatch):
     monkeypatch.setattr(lf, "_admit_base", admitted)
     with pytest.raises(UnsupportedModulus):
         lf.lift(base, 40)  # 3^40 > 2^62
+
+
+def _hensel_factorizations(monkeypatch):
+    """Record each FieldSolver built for a Hensel system: the kind of a base
+    system factored by lifting._hensel_solver, or "fresh" for one factored
+    inside hensel_solve_array."""
+    kinds = []
+    real = FieldSolver.__init__
+
+    def spy(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name == "_hensel_solver":
+                kinds.append(frame.f_locals["kind"])
+                break
+            if frame.f_code.co_name == "hensel_solve_array":
+                kinds.append("fresh")
+                break
+            frame = frame.f_back
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FieldSolver, "__init__", spy)
+    return kinds
+
+
+def test_hensel_systems_factored_once_per_base(monkeypatch):
+    base = hc.generate("D4", cr.make_ring(3))
+    coh._CACHE.clear()
+    kinds = _hensel_factorizations(monkeypatch)
+    cold = lf.lift(base, 4, "perturbed:1")
+    assert sorted(kinds) == ["antipode", "counit", "unit"]
+    kinds.clear()
+    warm = lf.lift(base, 4, "perturbed:2")
+    assert kinds == []
+    lf.reconcile(cold, warm)
+    lf.reconcile(warm, cold)
+    assert kinds == ["identity"]
+    # the factors live in the context cache: emptying it makes the next lift cold
+    coh._CACHE.clear()
+    kinds.clear()
+    again = lf.lift(base, 4, "perturbed:1")
+    assert sorted(kinds) == ["antipode", "counit", "unit"]
+    assert again.current == cold.current
+    coh._CACHE.clear()
+
+
+def test_seeded_levels_match_full_solves():
+    """Each level's unit, counit and antipode equal full Hensel solves from zero."""
+    base = hc.generate("S3", F7)
+    st = lf.lift(base, 5, "perturbed:3")
+    for k in range(2, 6):
+        pres = st.at_precision(k)
+        desc = pres.ring
+        N = pres.dim
+        M, D, U, E, S = hc._legs(pres)
+        u0 = tc.map_digit_lift(base.unit, desc).coeffs.reshape(N, 1)
+        e0 = tc.map_digit_lift(base.counit, desc).coeffs.reshape(N, 1)
+        assert np.array_equal(cr.hensel_solve_array(desc, lf._unit_system(desc, M, u0), u0), U)
+        assert np.array_equal(cr.hensel_solve_array(desc, lf._counit_system(desc, D, e0), e0), E)
+        rhs = ra.elem_mul(desc, U[:, None, :], E[None, :, :]).reshape(N * N, 1)
+        full = cr.hensel_solve_array(desc, lf._antipode_system(desc, M, D), rhs)
+        assert np.array_equal(full.reshape(N, N, 1), S)
+
+
+def test_admission_verdict_cached_per_context(monkeypatch):
+    base = hc.generate("C3", F7)
+    calls = []
+    real = hc.is_cosemisimple
+
+    def spy(H):
+        calls.append(H)
+        return real(H)
+
+    coh._CACHE.clear()
+    monkeypatch.setattr(hc, "is_cosemisimple", spy)
+    lf.lift(base, 2)
+    lf.lift(base, 3, "perturbed:1")
+    assert len(calls) == 1
+    coh._CACHE.clear()
+    lf.lift(base, 2)
+    assert len(calls) == 2
+    coh._CACHE.clear()
+
+
+def _tampered(state, seed):
+    """state with p * noise added to its product: no longer a lift of anything."""
+    cur = state.current
+    desc = cur.ring
+    noise = np.random.default_rng(seed).integers(0, desc.p, size=cur.mul.coeffs.shape)
+    mul = tc.MultiMap(desc, 2, 1, cur.dim, cur.dim, (cur.mul.coeffs + desc.p * noise) % desc.q)
+    return lf.LiftState(state.base, state.precision, hc.HopfPresentation(desc, cur.dim, mul, *cur.tensors()[1:]), [])
+
+
+def test_failed_degree1_solve_diagnosed(monkeypatch):
+    """reconcile and lift_morphism test closedness only after a failed solve:
+    a non-closed cochain still raises NotACocycle, a closed one CocycleUnsolvable."""
+    C4 = hc.generate("C4", F5)
+    inc = np.zeros((4, 2, 1), dtype=np.int64)
+    inc[0, 0, 0] = 1
+    inc[2, 1, 0] = 1
+    phi = hc.make_morphism(C2, C4, tc.MultiMap(F5, 1, 1, 2, 4, inc))
+    a, b = lf.lift(C2, 3, "canonical"), lf.lift(C2, 3, "perturbed:7")
+    la, lb = lf.lift(C2, 3, "perturbed:1"), lf.lift(C4, 3, "perturbed:2")
+    assert a.current != b.current
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(coh, "solve_coboundary", lambda z, _cocycle_checked=False: None)
+        with pytest.raises(NotACocycle):
+            lf.reconcile(a, _tampered(b, 1))
+        with pytest.raises(NotACocycle):
+            lf.lift_morphism(phi, la, _tampered(lb, 2))
+    with pytest.raises(CocycleUnsolvable):
+        lf.reconcile(a, b)
+    with pytest.raises(CocycleUnsolvable):
+        lf.lift_morphism(phi, la, lb)

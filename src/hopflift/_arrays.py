@@ -102,10 +102,19 @@ def _raw_tensordot(a, b, axes, bound):
     return np.tensordot(a.astype(object), b.astype(object), axes)
 
 
-def tensordot(desc, a, b, axes):
+def expand(desc, a):
+    """The operand form of a fixed first operand of tensordot, to pass as its
+    a_reg: reg_rep(desc, a) over F_{p^m} and GR(p^n, m), m > 1; None for m = 1,
+    where tensordot expands nothing."""
+    return reg_rep(desc, a) if desc.m > 1 else None
+
+
+def tensordot(desc, a, b, axes, a_reg=None):
     """Contract logical axes ``axes=(axA, axB)``; trailing m axes handled.
 
     Result logical axes are the free axes of ``a`` followed by those of ``b``.
+    a_reg, when given, is expand(desc, a), kept by a caller that contracts
+    the same a many times.
     """
     axa = [ax % (a.ndim - 1) for ax in axes[0]]
     axb = [ax % (b.ndim - 1) for ax in axes[1]]
@@ -119,7 +128,7 @@ def tensordot(desc, a, b, axes):
         return int64_mod(r, q)[..., None]
     # coefficient s of a * b is sum_t (a x^t)_s b_t: only a needs its regular
     # representation, whose column axis t contracts with b's coefficient axis
-    areg = reg_rep(desc, a)
+    areg = reg_rep(desc, a) if a_reg is None else a_reg
     bound = k * desc.m * (q - 1) * (q - 1)
     r = _raw_tensordot(areg, b, (axa + [areg.ndim - 1], axb + [b.ndim - 1]), bound)
     # result axes: [a-free..., s, b-free...] -> [a-free..., b-free..., s]

@@ -183,6 +183,10 @@ class _ContextCache:
             self._memo[key] = build()
         return self._memo[key]
 
+    def expanded(self, key, arr):
+        """ra.expand of a fixed first operand of tensordot held here, once."""
+        return self.memo(("expanded", key), lambda: ra.expand(self.ctx.ring, arr))
+
     def e_tensor(self, k: int):
         """phi^{tensor k} o Delta_k: (nb^k, na) coefficient block."""
         if k not in self._e:
@@ -255,7 +259,9 @@ def _cache(ctx: ComplexContext) -> _ContextCache:
 def _left_action_term(cc: _ContextCache, f, p: int, q: int):
     """x (x) rest |-> phi^{q+1}(Delta_{q+1}(x)) * f(rest) as a legs block."""
     na = cc.ctx.A.dim
-    cur = ra.tensordot(cc.ctx.ring, cc.mult_operator(q + 1, "left"), f, ([2], [0]))  # [x, out, rest, batch]
+    op = cc.mult_operator(q + 1, "left")
+    # [x, out, rest, batch]
+    cur = ra.tensordot(cc.ctx.ring, op, f, ([2], [0]), cc.expanded(("mult", q + 1, "left"), op))
     cur = ra.moveaxis(cur, 0, 1)
     return cur.reshape((f.shape[0], na ** (p + 2)) + f.shape[2:])
 
@@ -263,7 +269,9 @@ def _left_action_term(cc: _ContextCache, f, p: int, q: int):
 def _right_action_term(cc: _ContextCache, f, p: int, q: int):
     """rest (x) x |-> f(rest) * phi^{q+1}(Delta_{q+1}(x)) as a legs block."""
     na = cc.ctx.A.dim
-    cur = ra.tensordot(cc.ctx.ring, cc.mult_operator(q + 1, "right"), f, ([2], [0]))  # [x, out, rest, batch]
+    op = cc.mult_operator(q + 1, "right")
+    # [x, out, rest, batch]
+    cur = ra.tensordot(cc.ctx.ring, op, f, ([2], [0]), cc.expanded(("mult", q + 1, "right"), op))
     cur = ra.moveaxis(cur, 0, 2)
     return cur.reshape((f.shape[0], na ** (p + 2)) + f.shape[2:])
 
@@ -325,7 +333,9 @@ def _coaction_term(cc: _ContextCache, f, p: int, q: int, side: str):
     """phi(a^(1) products) (x) f(a^(2)) (left) or f(a^(1)) (x) phi(a^(2)) (right)."""
     na, nb = cc.ctx.A.dim, cc.ctx.B.dim
     k = p + 1
-    t_out = ra.tensordot(cc.ctx.ring, cc.coaction_operator(k, side), f, ([1], [1]))  # [b, a, o, batch]
+    op = cc.coaction_operator(k, side)
+    # [b, a, o, batch]
+    t_out = ra.tensordot(cc.ctx.ring, op, f, ([1], [1]), cc.expanded(("coact", k, side), op))
     t_out = ra.transpose(t_out, (0, 2, 1, 3) if side == "left" else (2, 0, 1, 3))
     return t_out.reshape((nb ** (q + 2), na**k) + f.shape[2:])
 
@@ -506,6 +516,8 @@ class _Contraction:
 
     el: dict  # q -> [b, out, in]: sum_u e[u, b] * (left action of e_u on B^{tensor q+1})
     ad: np.ndarray  # m |-> ad(m) in C^{0,1}: (nb^2 * na, nb^2, m)
+    el_reg: dict  # q -> ra.expand of el[q]
+    ad_reg: np.ndarray | None  # ra.expand of ad
     dc_ad: FieldSolver  # m |-> d_c(ad(m)) in C^{0,2}
     free: np.ndarray  # free columns of d_1: the trailing pivots of im d_0
     d0: CooMatrix
@@ -577,7 +589,10 @@ def _contraction(ctx: ComplexContext) -> _Contraction:
     dim_c1 = d0.shape[0]
     rev = FieldSolver(desc, np.ascontiguousarray(ra.transpose(dense, (1, 0))[:, ::-1]), rank_only=True)
     free = np.sort(dim_c1 - 1 - rev.pivot_cols)
-    con = _Contraction(el, ad2, dc_ad, free, d0, FieldSolver(desc, dense[free]), h1, dim_c1 - rev.rank)
+    el_reg = {q: ra.expand(desc, el[q]) for q in el}
+    con = _Contraction(
+        el, ad2, el_reg, ra.expand(desc, ad2), dc_ad, free, d0, FieldSolver(desc, dense[free]), h1, dim_c1 - rev.rank
+    )
     if con.h1:
         raise CocycleUnsolvable(f"H^1 = {con.h1} != 0 on the reduced complex")
     cc._contraction = con
@@ -589,19 +604,22 @@ def _homotopy(con: _Contraction, ctx: ComplexContext, f: MultiMap, q: int):
     desc = ctx.ring
     na = ctx.A.dim
     legs = f.coeffs.reshape(f.coeffs.shape[0], na, -1, desc.m)
-    out = ra.tensordot(desc, con.el[q], legs, ([0, 2], [1, 0]))  # [out, rest]
+    out = ra.tensordot(desc, con.el[q], legs, ([0, 2], [1, 0]), con.el_reg[q])  # [out, rest]
     return MultiMap(desc, f.arity_in - 1, f.arity_out, na, ctx.B.dim, out)
 
 
-def solve_obstruction(z: TotalCochain) -> TotalCochain | None:
-    """The canonical x with d_total(x) = z for a degree-2 z, or None.
+def _contract_obstruction(z: TotalCochain) -> TotalCochain | None:
+    """The canonical x with d_total(x) = z for a degree-2 cocycle z, unchecked.
 
     The same answer as solve_coboundary(z), free variables zero, obtained by
     contraction instead of a factorization of d_1:
       x10 = s(c20), x01' = -s(c11 + d_c x10), then x01 = x01' + ad(m) with
       d_c(ad(m)) = c02 - d_c x01' solved on B^{tensor 2};
     then x loses its component in im d_0 = ker d_1 along the free columns of
-    d_1, and d_total(x) = z is checked exactly.  A non-cocycle z gives None.
+    d_1.  None when one of the two small solves has no solution; for a z that
+    is not a cocycle the result is otherwise meaningless, so a caller must
+    certify it (solve_obstruction checks d_total(x) = z, lifting.lift checks
+    the axioms of the corrected presentation).
     """
     ctx = z.context
     if z.degree != 2:
@@ -616,14 +634,23 @@ def solve_obstruction(z: TotalCochain) -> TotalCochain | None:
     m = con.dc_ad.solve(resid.coeffs.reshape(-1, desc.m))
     if m is None:
         return None
-    inner = ra.tensordot(desc, con.ad, m, ([1], [0])).reshape(x01.coeffs.shape)
+    inner = ra.tensordot(desc, con.ad, m, ([1], [0]), con.ad_reg).reshape(x01.coeffs.shape)
     x01 = MultiMap(desc, 1, 2, ctx.A.dim, ctx.B.dim, ra.add(desc, x01.coeffs, inner))
     vec = vec_cochain(TotalCochain(ctx, 1, {(1, 0): x10, (0, 1): x01}))
     w = con.d0_free.solve(vec[con.free])
     if w is None:
         return None
-    x = unvec_cochain(ctx, 1, ra.sub(desc, vec, con.d0.dot(desc, w)))
-    return x if d_total(x) == z else None
+    return unvec_cochain(ctx, 1, ra.sub(desc, vec, con.d0.dot(desc, w)))
+
+
+def solve_obstruction(z: TotalCochain) -> TotalCochain | None:
+    """The canonical x with d_total(x) = z for a degree-2 z, or None.
+
+    The contraction of _contract_obstruction, certified by the exact check
+    d_total(x) = z: a non-cocycle z gives None.
+    """
+    x = _contract_obstruction(z)
+    return x if x is not None and d_total(x) == z else None
 
 
 # ---------------------------------------------------------------------------

@@ -167,15 +167,35 @@ def _legs(H: HopfPresentation):
     return M, D, U, E, S
 
 
-def _delta_mult_rhs(desc, M, D):
-    """(m x m) o (1 3 2 4) o (Delta x Delta) as a (2->2) legs tensor [u,v,x,y].
+def _structure_residuals(desc, M, D):
+    """The three bialgebra defects of (m, Delta) that involve neither unit nor
+    counit, as legs tensors:
 
-    Contraction order keeps every intermediate at N^4 entries.
+      associativity        m(I (x) m) - m(m (x) I)                   [a,x,y,z]
+      delta_multiplicative Delta m - (m (x) m)(1 3 2 4)(Delta (x) Delta) [u,v,x,y]
+      coassociativity      (I (x) Delta)Delta - (Delta (x) I)Delta    [u,v,w,x]
+
+    verify_hopf tests them for zero; lifting.obstruction divides them by p^n.
+    The contraction order of the compatibility keeps every intermediate at N^4
+    entries.
     """
+    left = ra.tensordot(desc, M, M, ([1], [0]))  # sum_w M[a,w,z] M[w,x,y] -> [a,z,x,y]
+    left = ra.transpose(left, (0, 2, 3, 1))  # [a,x,y,z]
+    right = ra.tensordot(desc, M, M, ([2], [0]))  # sum_w M[a,x,w] M[w,y,z] -> [a,x,y,z]
+    assoc = ra.sub(desc, right, left)
+
+    lhs = ra.tensordot(desc, D, M, ([2], [0]))  # sum_a D[u,v,a] M[a,x,y] -> [u,v,x,y]
     t1 = ra.tensordot(desc, M, D, ([1], [0]))  # sum_a M[u,a,c] D[a,b,x] -> [u,c,b,x]
     t2 = ra.tensordot(desc, M, D, ([2], [1]))  # sum_d M[v,b,d] D[c,d,y] -> [v,b,c,y]
     rhs = ra.tensordot(desc, t1, t2, ([1, 2], [2, 1]))  # sum_{c,b} -> [u,x,v,y]
-    return ra.transpose(rhs, (0, 2, 1, 3))  # [u,v,x,y]
+    compat = ra.sub(desc, lhs, ra.transpose(rhs, (0, 2, 1, 3)))
+
+    cl = ra.tensordot(desc, D, D, ([0], [2]))  # sum_t D[t,w,x] D[u,v,t] -> [w,x,u,v]
+    cl = ra.transpose(cl, (2, 3, 0, 1))  # [u,v,w,x]
+    cr = ra.tensordot(desc, D, D, ([1], [2]))  # sum_t D[u,t,x] D[v,w,t] -> [u,x,v,w]
+    cr = ra.transpose(cr, (0, 2, 3, 1))  # [u,v,w,x]
+    coassoc = ra.sub(desc, cr, cl)
+    return assoc, compat, coassoc
 
 
 def verify_hopf(H: HopfPresentation) -> AxiomReport:
@@ -184,32 +204,22 @@ def verify_hopf(H: HopfPresentation) -> AxiomReport:
     N = H.dim
     M, D, U, E, S = _legs(H)
     eye = ra.eye(desc, N)
-    checks = []
-
-    left = ra.tensordot(desc, M, M, ([1], [0]))  # sum_w M[a,w,z] M[w,x,y] -> [a,z,x,y]
-    left = ra.transpose(left, (0, 2, 3, 1))  # [a,x,y,z]
-    right = ra.tensordot(desc, M, M, ([2], [0]))  # sum_w M[a,x,w] M[w,y,z] -> [a,x,y,z]
-    checks.append(_residual_check("associativity", ra.sub(desc, left, right)))
+    assoc, compat, coassoc = _structure_residuals(desc, M, D)
+    checks = [_residual_check("associativity", assoc)]
 
     lu = ra.tensordot(desc, M, U, ([1], [0]))  # [a,x]
     ru = ra.tensordot(desc, M, U, ([2], [0]))  # [a,x]
     diff = np.concatenate([ra.sub(desc, lu, eye), ra.sub(desc, ru, eye)])
     checks.append(_residual_check("unit", diff))
 
-    cl = ra.tensordot(desc, D, D, ([0], [2]))  # sum_t D[t,w,x] D[u,v,t] -> [w,x,u,v]
-    cl = ra.transpose(cl, (2, 3, 0, 1))  # [u,v,w,x]
-    cr = ra.tensordot(desc, D, D, ([1], [2]))  # sum_t D[u,t,x] D[v,w,t] -> [u,x,v,w]
-    cr = ra.transpose(cr, (0, 2, 3, 1))  # [u,v,w,x]
-    checks.append(_residual_check("coassociativity", ra.sub(desc, cl, cr)))
+    checks.append(_residual_check("coassociativity", coassoc))
 
     lc = ra.tensordot(desc, E, D, ([0], [0]))  # [y,x]
     rc = ra.tensordot(desc, D, E, ([1], [0]))  # [y,x]
     diff = np.concatenate([ra.sub(desc, lc, eye), ra.sub(desc, rc, eye)])
     checks.append(_residual_check("counit", diff))
 
-    lhs = ra.tensordot(desc, D, M, ([2], [0]))  # sum_a D[u,v,a] M[a,x,y] -> [u,v,x,y]
-    rhs = _delta_mult_rhs(desc, M, D)
-    checks.append(_residual_check("delta_multiplicative", ra.sub(desc, lhs, rhs)))
+    checks.append(_residual_check("delta_multiplicative", compat))
 
     lhs = ra.tensordot(desc, E, M, ([0], [0]))  # [x,y]
     rhs = ra.elem_mul(desc, E[:, None, :], E[None, :, :])

@@ -1,0 +1,132 @@
+"""Each lift level has one exact certificate: verify_hopf of the new
+presentation and its reduction mod p.  A stage whose output is wrong is
+caught there and reported with the exception type of that stage."""
+
+import pytest
+
+from hopflift import cohomology as coh
+from hopflift import hopfcore as hc
+from hopflift import lifting as lf
+from hopflift import tensorcalc as tc
+from hopflift.coeffring import make_ring
+from hopflift.errors import (
+    CoboundaryUnsolvable,
+    InternalAxiomFailure,
+    NotACocycle,
+    PostAxiomFailure,
+    RightAntipodeFailure,
+)
+
+D4 = hc.generate("D4", make_ring(3))
+PRECISION = 4
+
+
+def _spy(monkeypatch, module, name, calls, record=lambda *args: args):
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(record(*args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_warm_lift_certifies_each_level_once(monkeypatch):
+    lf.lift(D4, PRECISION, "perturbed:1")  # warm the context
+    verified, obstructions, dtotals = [], [], []
+    _spy(monkeypatch, hc, "verify_hopf", verified, lambda H: H.ring.n)
+    _spy(monkeypatch, lf, "obstruction", obstructions, lambda mul, comul, base: mul.ring.n)
+    _spy(monkeypatch, coh, "d_total", dtotals)
+    state = lf.lift(D4, PRECISION, "perturbed:2")
+    assert state.transcript[0]["correction_applied"]
+    assert verified == [2, 3, 4]
+    assert obstructions == [2, 3, 4]
+    assert dtotals == []
+    assert state.current.verified
+
+
+def _lift_with(monkeypatch, module, name, wrap, strategy="perturbed:2"):
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    return lf.lift(D4, PRECISION, strategy)
+
+
+def test_wrong_contraction_solution_raises_coboundary_unsolvable(monkeypatch):
+    # 2x = -x over F3: d(2x) = -c != c, a wrong solution of a cocycle
+    with pytest.raises(CoboundaryUnsolvable):
+        _lift_with(monkeypatch, coh, "_contract_obstruction", lambda real: lambda z: real(z).scale(2))
+
+
+def _unclosed(report, components):
+    """report's cochain plus noise in the given components: no longer closed."""
+    c = report.c
+    noise = coh.random_cochain(c.context, 2, 3)
+    comps = dict(c.components)
+    for key in components:
+        comps[key] = comps[key] + noise.components[key]
+    out = lf.ObstructionReport(coh.TotalCochain(c.context, 2, comps))
+    assert not coh.is_cocycle(out.c)
+    return out
+
+
+@pytest.mark.parametrize(
+    "components",
+    [[(2, 0)], [(2, 0), (1, 1), (0, 2)]],
+    ids=["certificate-fails", "contraction-fails"],
+)
+def test_unclosed_obstruction_raises_not_a_cocycle(monkeypatch, components):
+    # noise in c20 alone leaves the contraction solvable, so the certificate
+    # catches it; noise everywhere makes the contraction's own solve fail
+    def wrap(real):
+        return lambda mul, comul, base: _unclosed(real(mul, comul, base), components)
+
+    with pytest.raises(NotACocycle):
+        _lift_with(monkeypatch, lf, "obstruction", wrap)
+
+
+def test_unit_off_by_p_k_raises_post_axiom_failure(monkeypatch):
+    def wrap(real):
+        def hensel(desc, marr, rhs, kind, base, previous):
+            x = real(desc, marr, rhs, kind, base, previous)
+            if kind == "unit":
+                x = (x + desc.p ** (desc.n - 1)) % desc.q  # wrong in the new digit only
+            return x
+
+        return hensel
+
+    with pytest.raises(PostAxiomFailure):
+        _lift_with(monkeypatch, lf, "_hensel", wrap)
+
+
+def test_wrong_antipode_raises_right_antipode_failure(monkeypatch):
+    def wrap(real):
+        def solve_antipode(mul, comul, unit, counit, base=None, previous=None):
+            s = real(mul, comul, unit, counit, base, previous)
+            desc = s.ring
+            return tc.MultiMap(desc, 1, 1, s.dim_in, s.dim_out, (s.coeffs + desc.p ** (desc.n - 1)) % desc.q)
+
+        return solve_antipode
+
+    with pytest.raises(RightAntipodeFailure):
+        _lift_with(monkeypatch, lf, "solve_antipode", wrap)
+
+
+def test_certificate_failure_maps_to_stage():
+    """Over an exact bialgebra a left antipode is the two-sided one, so no
+    stage output fails the right identity alone; the mapping is tested on the
+    failing axiom names directly."""
+    mul, comul = lf.initial_lift(D4, "perturbed:2")
+    closed = lf.obstruction(mul, comul, D4)
+    unclosed = _unclosed(closed, [(2, 0)])
+    cases = [
+        (["associativity"], closed, CoboundaryUnsolvable),
+        (["coassociativity", "unit"], closed, CoboundaryUnsolvable),
+        (["delta_multiplicative"], unclosed, NotACocycle),
+        (["unit", "antipode_left", "antipode_right"], closed, PostAxiomFailure),
+        (["counit_unit"], closed, PostAxiomFailure),
+        (["antipode_right"], closed, RightAntipodeFailure),
+        (["antipode_left", "antipode_right"], closed, RightAntipodeFailure),
+        (["antipode_left"], closed, InternalAxiomFailure),
+    ]
+    for failing, report, expected in cases:
+        assert type(lf._certificate_error(failing, report)) is expected, failing
+

@@ -245,3 +245,5 @@ def test_tensordot_extension_matches_oracle(desc, seed):
         for j in range(3):
             want = [(w + c) % q for w, c in zip(want, poly_mul_oracle(desc, a[i, j, k], b[j, l]))]
         assert list(map(int, got[i, k, l])) == want
+    # a first operand expanded once by the caller gives the same bits
+    assert np.array_equal(ra.tensordot(desc, a, b, ([1], [0]), ra.expand(desc, a)), got)

@@ -1,0 +1,211 @@
+#!/usr/bin/env python3
+"""Paired benchmark of two source checkouts on the CLI pipeline.
+
+Usage:
+  python scripts/bench_cli_pipeline.py --parent DIR [--change DIR] [--seeds 1001-1006]
+                                       [--repeats 5] [--out BENCH_cli_pipeline.json]
+
+DIR is a source checkout, e.g. made by `git archive REV | tar -x -C DIR`;
+--change defaults to this checkout.  Three parts, each of which alternates
+the side that runs first:
+
+- workloads: `perfbench/run.py --workload W --seed S` at default settings,
+  for the three workloads and every seed, run from each checkout;
+- steps: the 20 commands of the cli_pipeline workload, each one
+  `python -m hopflift.cli` with the benchmark's environment (one BLAS thread,
+  PYTHONDONTWRITEBYTECODE=1, pinned to one CPU); the wall time of every step
+  in --repeats passes and its median;
+- kernels: grouplikes, presentation_from_json (with and without its
+  verify_hopf) and presentation_to_json of S3.double/F7, the median of five
+  calls in one fresh process per side and repeat.
+
+Writes every raw run, the medians, the parent's quartiles and the number of
+pairs in which the change did better to --out.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("cli_pipeline", "lift_cold", "lift_warm")
+METRICS = {"ops_per_s": "higher", "op_s.p50": "lower", "setup_s": "lower", "peak_rss_mb": "lower"}
+
+KERNELS = r"""
+import json, statistics, time
+from hopflift import hopfcore as hc
+from hopflift import serialize as ser
+from hopflift.coeffring import make_ring
+
+H = hc.generate("S3.double", make_ring(7))
+obj = ser.loads(ser.dumps(ser.presentation_to_json(H)))
+
+
+def median_s(fn, k=5):
+    times = []
+    for _ in range(k):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+print(json.dumps({
+    "grouplikes(S3.double/F7)": median_s(lambda: hc.grouplikes(H)),
+    "presentation_from_json(S3.double/F7, verify=False)": median_s(lambda: ser.presentation_from_json(obj, verify=False)),
+    "presentation_from_json(S3.double/F7)": median_s(lambda: ser.presentation_from_json(obj)),
+    "presentation_to_json(S3.double/F7)": median_s(lambda: ser.presentation_to_json(H)),
+}))
+"""
+
+STEPS = r"""
+import json, sys
+sys.path.insert(0, "perfbench")
+import workload
+workload.write_cli_inputs(sys.argv[1])
+strategy = workload.CLI_STRATEGIES[0]
+print(json.dumps([[label, [strategy if a == workload.STRATEGY else a for a in argv], code]
+                  for label, argv, code, _, _ in workload.CLI_STEPS]))
+"""
+
+
+def bench_env(tree):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("HOPFLIFT_")}
+    env.update(PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return env
+
+
+def pinned():
+    cpu = max(os.sched_getaffinity(0))
+    return lambda: os.sched_setaffinity(0, {cpu})
+
+
+def python(tree, args, cwd=None):
+    proc = subprocess.run([sys.executable, *args], cwd=cwd or tree, env=bench_env(tree), capture_output=True,
+                          text=True, preexec_fn=pinned())
+    if proc.returncode:
+        sys.exit(f"{args[:2]} in {tree} exited {proc.returncode}: {proc.stderr[-500:]}")
+    return proc.stdout
+
+
+def run_workload(tree, name, seed):
+    out = python(tree, ["perfbench/run.py", "--workload", name, "--seed", str(seed)])
+    result = json.loads(out.strip().splitlines()[-1])
+    row = {k: result[k] for k in ("correct", "attempted", "failed")}
+    row.update({k: m["value"] for k, m in result["metrics"].items()})
+    return row
+
+
+def run_steps(tree):
+    """Wall seconds of each cli_pipeline command, in pipeline order."""
+    workdir = tempfile.mkdtemp(prefix="bench-steps-")
+    try:
+        steps = json.loads(python(tree, ["-c", STEPS, workdir]))
+        times = {}
+        for label, argv, code in steps:
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "hopflift.cli", *argv], cwd=workdir, env=bench_env(tree),
+                                  capture_output=True, preexec_fn=pinned())
+            times[label] = time.perf_counter() - t0
+            if proc.returncode != code:
+                sys.exit(f"{label} in {tree} exited {proc.returncode}, expected {code}")
+        return times
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def quartiles(values):
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, q3]
+
+
+def paired(runs, better):
+    """Medians, the parent's quartiles and the pairs the change won."""
+    parent, change = runs["parent"], runs["change"]
+    wins = sum((c > p) if better == "higher" else (c < p) for p, c in zip(parent, change))
+    return {
+        "parent_median": statistics.median(parent),
+        "parent_quartiles": quartiles(parent) if len(parent) > 1 else None,
+        "change_median": statistics.median(change),
+        "ratio": statistics.median(change) / statistics.median(parent),
+        "change_better_pairs": f"{wins}/{len(parent)}",
+    }
+
+
+def sides(i):
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", default=HERE)
+    ap.add_argument("--seeds", default="1001-1006")
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--out", default=os.path.join(HERE, "BENCH_cli_pipeline.json"))
+    args = ap.parse_args()
+    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    lo, hi = (int(s) for s in args.seeds.split("-"))
+    seeds = list(range(lo, hi + 1))
+
+    kernels = {"parent": [], "change": []}
+    steps = {"parent": [], "change": []}
+    for i in range(args.repeats):
+        for side in sides(i):
+            kernels[side].append(json.loads(python(trees[side], ["-c", KERNELS]).strip().splitlines()[-1]))
+            steps[side].append(run_steps(trees[side]))
+        print(f"repeat {i + 1}/{args.repeats}: kernels and steps done", flush=True)
+
+    runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
+    for i, seed in enumerate(seeds):
+        for name in WORKLOADS:
+            for side in sides(i):
+                row = run_workload(trees[side], name, seed)
+                runs[name][side].append({"seed": seed, "first": sides(i)[0], **row})
+                print(f"seed {seed} {name} {side}: " + json.dumps(row), flush=True)
+
+    def series(rows, key):
+        return {side: [r[key] for r in rows[side]] for side in rows}
+
+    record = {
+        "what": (
+            "perfbench/run.py --workload W --seed S at default settings for the three workloads, seeds "
+            f"{args.seeds}; the 20 cli_pipeline commands timed one by one, {args.repeats} passes; kernels of "
+            f"S3.double/F7 in a fresh process, {args.repeats} repeats of a median of five calls. Parent and change "
+            "run from separate checkouts, the side that runs first alternating. Produced by "
+            "scripts/bench_cli_pipeline.py"
+        ),
+        "machine": {
+            "nproc": os.cpu_count(),
+            "python": sys.version.split()[0],
+            "pinning": "every timed process is pinned to one CPU",
+        },
+        "workloads": {
+            name: {
+                "runs": runs[name],
+                "summary": {k: paired(series(runs[name], k), better) for k, better in METRICS.items()},
+                "all_correct": all(r["correct"] for side in runs[name].values() for r in side),
+            }
+            for name in WORKLOADS
+        },
+        "steps_s": {label: paired(series(steps, label), "lower") for label in steps["change"][0]},
+        "steps_total_s": paired({s: [sum(p.values()) for p in steps[s]] for s in steps}, "lower"),
+        "kernels_s": {key: paired(series(kernels, key), "lower") for key in kernels["change"][0]},
+        "raw_steps_s": steps,
+        "raw_kernels_s": kernels,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

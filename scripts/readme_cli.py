@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Run the CLI block of README.md and check every documented exit code and output.
+
+Usage: python scripts/readme_cli.py
+
+Each command runs as `python -m hopflift.cli` in a temporary directory, with
+the checkout's src/ first on PYTHONPATH.  The inputs the README takes as given
+(a morphism C2 -> C4, an R-matrix of C2, a non-Hopf presentation) are written
+first.  `hopflift accept` is left out: the acceptance gate has its own test
+run.  Prints one line per command and exits 1 if any check fails.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
+
+
+def hopflift(workdir, *argv, stdin=None):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, "-m", "hopflift.cli", *argv], cwd=workdir, env=env, input=stdin, capture_output=True, text=True
+    )
+
+
+def write_inputs(workdir):
+    """phi.json (C2 -> C4, g -> h^2), r.json (an R-matrix of C2) and
+    broken.json (C2 with S(g) = 1, which fails both antipode axioms), over F5."""
+    import numpy as np
+
+    from hopflift import hopfcore as hc
+    from hopflift import serialize as ser
+    from hopflift import tensorcalc as tc
+    from hopflift.coeffring import make_ring
+
+    f5 = make_ring(5)
+    c2, c4 = hc.generate("C2", f5), hc.generate("C4", f5)
+    inc = np.zeros((4, 2, 1), dtype=np.int64)
+    inc[0, 0, 0] = 1
+    inc[2, 1, 0] = 1
+    phi = hc.make_morphism(c2, c4, tc.MultiMap(f5, 1, 1, 2, 4, inc))
+    r = tc.MultiMap(f5, 0, 2, 2, 2, np.array([3, 3, 3, 2], dtype=np.int64).reshape(4, 1, 1))
+    broken = ser.presentation_to_json(c2)
+    broken["S"][1] = [[1], [0]]
+    files = {"phi.json": ser.morphism_to_json(phi), "r.json": ser.rmatrix_to_json(c2, r), "broken.json": broken}
+    for name, obj in files.items():
+        with open(os.path.join(workdir, name), "w") as fh:
+            fh.write(ser.dumps(obj))
+
+
+def is_identity_mod_5(path):
+    eta = json.load(open(path))["eta"]
+    return all(c[0] % 5 == (i == j) for i, row in enumerate(eta) for j, c in enumerate(row))
+
+
+def main():
+    failures = 0
+
+    def check(label, proc, code, ok=True):
+        nonlocal failures
+        good = proc.returncode == code and ok
+        failures += not good
+        print(f"{'ok  ' if good else 'FAIL'} {label}: exit {proc.returncode} (documented {code})")
+        if not good:
+            print(f"     stdout {proc.stdout[-300:]!r}\n     stderr {proc.stderr[-300:]!r}")
+
+    with tempfile.TemporaryDirectory() as wd:
+        write_inputs(wd)
+        s3 = hopflift(wd, "gen", "S3", "--p", "7").stdout
+        p = hopflift(wd, "validate", stdin=s3)
+        check("gen S3 --p 7 | validate", p, 0, "FAIL" not in p.stdout)
+        c3 = hopflift(wd, "gen", "C3", "--p", "3").stdout
+        p = hopflift(wd, "analyze", stdin=c3)
+        check("gen C3 --p 3 | analyze", p, 1, "not semisimple" in p.stderr)
+        check("gen C2.double --p 5 -o d2.json", hopflift(wd, "gen", "C2.double", "--p", "5", "-o", "d2.json"), 0)
+        p = hopflift(wd, "cohomology", "d2.json", "--degree", "0,1", "--invariants")
+        check("cohomology d2.json --degree 0,1 --invariants", p, 0, p.stdout.startswith("H^0 = "))
+        check("gen C2 --p 5 -o c2.json", hopflift(wd, "gen", "C2", "--p", "5", "-o", "c2.json"), 0)
+        p = hopflift(wd, "lift", "c2.json", "--precision", "4", "--strategy", "perturbed:7", "-o", "lift.json")
+        check("lift c2.json --precision 4 --strategy perturbed:7", p, 0)
+        check("lift c2.json --precision 4", hopflift(wd, "lift", "c2.json", "--precision", "4", "-o", "canon.json"), 0)
+        p = hopflift(wd, "reconcile", "canon.json", "lift.json", "-o", "eta.json")
+        eta_ok = p.returncode == 0 and is_identity_mod_5(os.path.join(wd, "eta.json"))
+        check("reconcile canon.json lift.json (== id mod 5)", p, 0, eta_ok)
+        check("gen C4 --p 5 -o c4.json", hopflift(wd, "gen", "C4", "--p", "5", "-o", "c4.json"), 0)
+        check("lift c4.json --precision 4", hopflift(wd, "lift", "c4.json", "--precision", "4", "-o", "c4lift.json"), 0)
+        p = hopflift(wd, "lift-map", "--map", "phi.json", "--lift-a", "lift.json", "--lift-b", "c4lift.json")
+        check("lift-map --map phi.json --lift-a lift.json --lift-b c4lift.json", p, 0)
+        p = hopflift(wd, "lift-rmatrix", "--r", "r.json", "--lift", "lift.json")
+        check("lift-rmatrix --r r.json --lift lift.json", p, 0)
+        p = hopflift(wd, "lemma41", "--poly", "2,1,1", "--r", "3", "--p", "7")
+        check("lemma41 --poly 2,1,1 --r 3 --p 7", p, 0, "conclusion: nonvanishing-guaranteed" in p.stdout)
+        p = hopflift(wd, "threshold", "--dim", "8")
+        check("threshold --dim 8 (prints 64)", p, 0, p.stdout.strip() == "64")
+        p = hopflift(wd, "analyze", "broken.json")
+        check(
+            "analyze broken.json (axioms violated, no predicate)",
+            p,
+            1,
+            p.stdout == "" and p.stderr.strip() == "axioms violated: antipode_left, antipode_right",
+        )
+    print(f"{failures} checks failed" if failures else "all checks passed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,31 +4,28 @@ Exit codes: 0 success / predicate holds, 1 predicate fails (axiom violated,
 not semisimple, lemma not guaranteed), 2 usage, IO or schema errors and
 moduli p^n above 2^62.
 All outputs are deterministic given the inputs and seeds.
+Each command imports the modules it uses when it runs, so a command pays
+only for its own imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-import numpy as np
-
-from . import arithcheck as ac
-from . import cohomology as coh
-from . import hopfcore as hc
-from . import lifting as lf
-from . import serialize as ser
-from .coeffring import make_ring
 from .errors import HopfliftError, SchemaViolation, UnsupportedModulus
 
 
 def _read_json(path):
+    from . import serialize as ser
+
     text = sys.stdin.read() if path in (None, "-") else open(path).read()
     return ser.loads(text)
 
 
 def _write(obj, out):
+    from . import serialize as ser
+
     text = ser.dumps(obj)
     if out in (None, "-"):
         print(text)
@@ -38,10 +35,16 @@ def _write(obj, out):
 
 
 def _load_presentation(path, verify=True):
+    from . import serialize as ser
+
     return ser.presentation_from_json(_read_json(path), verify=verify)
 
 
 def cmd_gen(args):
+    from . import hopfcore as hc
+    from . import serialize as ser
+    from .coeffring import make_ring
+
     ring = make_ring(args.p, args.n, args.m)
     H = hc.generate(args.name, ring)
     _write(ser.presentation_to_json(H), args.output)
@@ -49,6 +52,8 @@ def cmd_gen(args):
 
 
 def cmd_validate(args):
+    from . import hopfcore as hc
+
     H = _load_presentation(args.file, verify=False)
     report = hc.verify_hopf(H)
     if args.json:
@@ -59,7 +64,7 @@ def cmd_validate(args):
                 for c in report.checks
             ],
         }
-        print(ser.dumps(payload))
+        _write(payload, None)
     else:
         for c in report.checks:
             mark = "ok" if c.ok else f"FAIL ({c.residual_count} residuals, e.g. {c.residual_sample[:2]})"
@@ -68,10 +73,16 @@ def cmd_validate(args):
 
 
 def cmd_analyze(args):
+    from . import hopfcore as hc
+
     H = _load_presentation(args.file)
     if not H.ring.is_field:
         print("analyze requires a presentation over a field (n = 1)", file=sys.stderr)
         return 2
+    if not H.verified:
+        # no predicate of a Hopf algebra means anything for this input
+        print(f"axioms violated: {', '.join(hc.verify_hopf(H).failing())}", file=sys.stderr)
+        return 1
     rep = hc.analyze(H)
     payload = {
         "semisimple": rep.semisimple,
@@ -82,11 +93,11 @@ def cmd_analyze(args):
         "antipode_sq_order": rep.antipode_sq_order,
         "trace_S2": list(rep.trace_S2.coeffs),
         "dim_in_k": list(rep.dim_in_k.coeffs),
-        "grouplikes": [[[int(c) for c in row] for row in g] for g in rep.grouplikes],
-        "central_grouplikes": [[[int(c) for c in row] for row in g] for g in rep.central_grouplikes],
+        "grouplikes": [g.tolist() for g in rep.grouplikes],
+        "central_grouplikes": [g.tolist() for g in rep.central_grouplikes],
     }
     if args.json:
-        print(ser.dumps(payload))
+        _write(payload, None)
     else:
         for key in ("semisimple", "cosemisimple", "commutative", "cocommutative"):
             print(f"{key:16s} {payload[key]}")
@@ -103,12 +114,18 @@ def cmd_analyze(args):
 
 
 def cmd_cohomology(args):
+    from . import cohomology as coh
+    from . import serialize as ser
+
     H = _load_presentation(args.file)
     ctx = coh.make_context(H)
     if args.cocycle:
         z = ser.cochain_from_json(_read_json(args.cocycle), ctx)
         closed = coh.is_cocycle(z)
-        print(ser.dumps({"degree": z.degree, "cocycle": closed}) if args.json else f"cocycle: {closed}")
+        if args.json:
+            _write({"degree": z.degree, "cocycle": closed}, None)
+        else:
+            print(f"cocycle: {closed}")
         return 0 if closed else 1
     degrees = [int(d) for d in args.degree.split(",")]
     dims = {}
@@ -118,7 +135,7 @@ def cmd_cohomology(args):
     if args.invariants:
         payload["invariants_dims"] = {str(n): coh.invariants_complex_dim(ctx, n) for n in degrees}
     if args.json:
-        print(ser.dumps(payload))
+        _write(payload, None)
     else:
         for n in degrees:
             extra = ""
@@ -129,6 +146,9 @@ def cmd_cohomology(args):
 
 
 def cmd_lift(args):
+    from . import lifting as lf
+    from . import serialize as ser
+
     H = _load_presentation(args.file)
     state = lf.lift(H, args.precision, args.strategy)
     for rec in state.transcript:
@@ -142,14 +162,20 @@ def cmd_lift(args):
 
 
 def cmd_reconcile(args):
+    from . import lifting as lf
+    from . import serialize as ser
+
     s1 = ser.liftstate_from_json(_read_json(args.lift_a))
     s2 = ser.liftstate_from_json(_read_json(args.lift_b))
     eta = lf.reconcile(s1, s2)
-    _write({"eta": [[[int(c) for c in eta.coeffs[j, i]] for j in range(eta.dim_out)] for i in range(eta.dim_in)]}, args.output)
+    _write({"eta": eta.coeffs.transpose(1, 0, 2).tolist()}, args.output)
     return 0
 
 
 def cmd_lift_map(args):
+    from . import lifting as lf
+    from . import serialize as ser
+
     phi = ser.morphism_from_json(_read_json(args.map))
     s1 = ser.liftstate_from_json(_read_json(args.lift_a))
     s2 = ser.liftstate_from_json(_read_json(args.lift_b))
@@ -159,6 +185,9 @@ def cmd_lift_map(args):
 
 
 def cmd_lift_rmatrix(args):
+    from . import lifting as lf
+    from . import serialize as ser
+
     robj = _read_json(args.r)
     state = ser.liftstate_from_json(_read_json(args.lift))
     R = ser.rmatrix_from_json(robj)
@@ -168,6 +197,9 @@ def cmd_lift_rmatrix(args):
 
 
 def cmd_double(args):
+    from . import hopfcore as hc
+    from . import serialize as ser
+
     H = _load_presentation(args.file)
     D, R = hc.drinfeld_double(H)
     _write({"double": ser.presentation_to_json(D), "R": ser.multimap_to_json(R.R)}, args.output)
@@ -175,12 +207,17 @@ def cmd_double(args):
 
 
 def cmd_dual(args):
+    from . import hopfcore as hc
+    from . import serialize as ser
+
     H = _load_presentation(args.file)
     _write(ser.presentation_to_json(hc.dual(H)), args.output)
     return 0
 
 
 def cmd_lemma41(args):
+    from . import arithcheck as ac
+
     coeffs = [int(c) for c in args.poly.split(",")]
     rep = ac.lemma41(coeffs, args.r, args.p)
     payload = {
@@ -197,7 +234,7 @@ def cmd_lemma41(args):
         "conclusion": rep.conclusion,
     }
     if args.json:
-        print(ser.dumps(payload))
+        _write(payload, None)
     else:
         print(f"r = {rep.r}, D = {rep.D}, phi(r) = {rep.phi_r}, bound D^(phi/2) = {rep.bound}, N = {rep.N}")
         print(
@@ -209,17 +246,21 @@ def cmd_lemma41(args):
 
 
 def cmd_threshold(args):
+    from . import arithcheck as ac
+
     thr, phi = ac.kaplansky_threshold(args.dim)
     if args.json:
-        print(ser.dumps({"dim": args.dim, "phi": phi, "threshold": thr}))
+        _write({"dim": args.dim, "phi": phi, "threshold": thr}, None)
     else:
         print(thr)
     return 0
 
 
 def cmd_accept(args):
+    from .acceptance import run
+
     numbers = [int(x) for x in args.criteria.split(",")] if args.criteria else None
-    results = __import__("hopflift.acceptance", fromlist=["run"]).run(numbers)
+    results = run(numbers)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -723,197 +723,84 @@ def _decompose_commutative(desc, basis, mult, unit_vec):
     return out
 
 
-def _dual_mult_fn(H: HopfPresentation):
-    """Multiplication of A* on coefficient vectors: (fg)(x) = (f (x) g)(Delta x)."""
-    desc, N = H.ring, H.dim
-    D = H.comul.coeffs.reshape(N, N, N, desc.m)
-
-    def mult(f, g):
-        t = ra.tensordot(desc, D, f, ([0], [0]))  # [v,x]
-        return ra.tensordot(desc, t, g, ([0], [0]))  # [x]
-
-    return mult
-
-
 def grouplikes(H: HopfPresentation, central_only: bool = False):
     """All g with Delta(g) = g (x) g and eps(g) = 1, via characters of the
-    abelianized dual algebra (exhaustive root search over F_q)."""
+    abelianized dual algebra (exhaustive root search over F_q).
+
+    A* has the structure tensor T[j, k, i], the f_i coefficient of f_j f_k.
+    A character of A*/I, I the commutator ideal, is a grouplike of A.  The
+    quotient map P is the canonical kernel basis of I (transposed), so the
+    quotient coordinates are the free columns of I's RREF and A*/I has the
+    structure tensor P.T[free, free]."""
     if not H.ring.is_field:
         raise DescriptorMismatch("grouplike search runs over the residue field")
     desc, N = H.ring, H.dim
-    mult = _dual_mult_fn(H)
-    basis_vecs = []
-    for i in range(N):
-        v = ra.zeros(desc, (N,))
-        v[i, 0] = 1
-        basis_vecs.append(v)
-    unit_dual = H.counit.coeffs.reshape(N, desc.m).copy()  # 1_{A*} = eps
-
-    # commutator ideal of A*
-    comms = []
-    for i in range(N):
-        for j in range(i + 1, N):
-            c = ra.sub(desc, mult(basis_vecs[i], basis_vecs[j]), mult(basis_vecs[j], basis_vecs[i]))
-            if np.any(c):
-                comms.append(c)
-    ideal = _span_closure(desc, comms, basis_vecs, mult)
-    proj, free_coords = _quotient_projection(desc, ideal, N)
-    qdim = len(free_coords)
-
-    # quotient algebra on free coordinates
-    reps = []
-    for c in free_coords:
-        v = ra.zeros(desc, (N,))
-        v[c, 0] = 1
-        reps.append(v)
-
-    def qmult(x, y):
-        amb_x = _quotient_lift(desc, x, reps)
-        amb_y = _quotient_lift(desc, y, reps)
-        return proj(mult(amb_x, amb_y))
-
-    q_unit = proj(unit_dual)
-    q_basis = []
-    for i in range(qdim):
-        v = ra.zeros(desc, (qdim,))
-        v[i, 0] = 1
-        q_basis.append(v)
-
-    chars_q = _characters(desc, q_basis, qmult, q_unit)
-    out = []
-    for lam in chars_q:
-        # chi(f_i) = chi(proj(f_i)); grouplike g = sum_i chi(f_i) e_i
-        g = ra.zeros(desc, (N,))
-        for i in range(N):
-            coords = proj(basis_vecs[i])
-            val = np.zeros(desc.m, dtype=np.int64)
-            for t in range(qdim):
-                val = (val + ra.elem_mul(desc, coords[t], lam[t])) % desc.q
-            g[i] = val
-        if _is_grouplike(H, g):
-            out.append(g)
+    T = H.comul.coeffs.reshape(N, N, N, desc.m)
+    j, k = np.triu_indices(N, 1)
+    comms = ra.transpose(ra.sub(desc, T, ra.transpose(T, (1, 0, 2)))[j, k], (1, 0))  # columns f_j f_k - f_k f_j
+    ideal = FieldSolver(desc, ra.transpose(_ideal_closure(desc, T, comms), (1, 0)))
+    kernel = ideal.kernel_basis()
+    if not kernel:
+        return []
+    K = np.stack(kernel, axis=1)  # (N, qdim): column s is row s of P
+    free = np.setdiff1d(np.arange(N), ideal.pivot_cols)
+    Tq = ra.tensordot(desc, T[free][:, free], K, ([2], [0]))
+    chars = _characters(desc, Tq, ra.tensordot(desc, K, H.counit.coeffs.reshape(N, desc.m), ([0], [0])))
+    # g = sum_i chi(f_i) e_i, and chi(f_i) = chi(P f_i)
+    G = ra.tensordot(desc, K, chars, ([1], [1]))  # [i, character]
+    out = [g for g in (np.ascontiguousarray(G[:, c]) for c in range(len(chars))) if _is_grouplike(H, g)]
     if central_only:
         out = [g for g in out if _is_central(H, g)]
     out.sort(key=lambda g: tuple(int(v) for v in g.reshape(-1)))
     return out
 
 
-def _span_closure(desc, seed, basis_vecs, mult):
-    """Row space of the two-sided(=left, commutator-generated) ideal closure."""
-    vecs = [v for v in seed]
-    if not vecs:
-        return np.zeros((0, len(basis_vecs), desc.m), dtype=np.int64)
+def _ideal_closure(desc, T, gens):
+    """Independent columns spanning the two-sided ideal that the columns of
+    gens (N, r) generate in the algebra with structure tensor T.  Each round
+    multiplies every spanning vector by every basis element on both sides at
+    once, until the rank stops growing."""
+    N, m = T.shape[0], desc.m
+    span = gens[:, FieldSolver(desc, gens).pivot_cols]
     while True:
-        mat = np.stack(vecs, axis=0)
-        solver = FieldSolver(desc, np.swapaxes(mat, 0, 1))
-        rank0 = solver.rank
-        new = list(vecs)
-        for b in basis_vecs:
-            for v in vecs:
-                new.append(mult(b, v))
-                new.append(mult(v, b))
-        mat2 = np.stack(new, axis=0)
-        solver2 = FieldSolver(desc, np.swapaxes(mat2, 0, 1))
-        if solver2.rank == rank0:
-            return mat
-        # reduce to an independent generating set: keep pivot columns of span
-        piv = solver2.pivot_cols
-        vecs = [new[int(c)] for c in piv]
+        left = ra.tensordot(desc, T, span, ([1], [0]))  # [a, i, r]: f_a v_r
+        right = ra.tensordot(desc, T, span, ([0], [0]))  # [a, i, r]: v_r f_a
+        prods = np.concatenate([left, right], axis=0).transpose(1, 0, 2, 3).reshape(N, -1, m)
+        cols = np.concatenate([span, prods], axis=1)
+        solver = FieldSolver(desc, cols)
+        if solver.rank == span.shape[1]:
+            return span
+        span = cols[:, solver.pivot_cols]
 
 
-def _quotient_projection(desc, ideal_rows, N):
-    """RREF the ideal; quotient coordinates are the non-pivot positions."""
-    if ideal_rows.shape[0] == 0:
-        free = list(range(N))
+def _characters(desc, T, unit_vec):
+    """Algebra characters of the commutative algebra with structure tensor T
+    (dim, dim, dim): the values chi(b_t) on its basis, one (dim,) row of the
+    returned (count, dim) array per character, via its block decomposition."""
+    n = T.shape[0]
+    T_reg = ra.expand(desc, T)
 
-        def proj(v):
-            return v.copy()
+    def mult(x, y):
+        return ra.tensordot(desc, ra.tensordot(desc, T, x, ([0], [0]), a_reg=T_reg), y, ([0], [0]))
 
-        return proj, free
-    mat = ideal_rows.copy()
-    used = np.zeros(mat.shape[0], dtype=bool)
-    pivots = []
-    for c in range(N):
-        cand = [i for i in range(mat.shape[0]) if not used[i] and np.any(mat[i, c])]
-        if not cand:
-            continue
-        r = cand[0]
-        inv = _inv_coeffs_field(desc, mat[r, c])
-        mat[r] = ra.elem_mul(desc, mat[r], inv[None, :])
-        for i in range(mat.shape[0]):
-            if i != r and np.any(mat[i, c]):
-                mat[i] = ra.sub(desc, mat[i], ra.elem_mul(desc, mat[i, c][None, :], mat[r]))
-        used[r] = True
-        pivots.append((c, r))
-    pivot_cols = [c for c, _ in pivots]
-    free = [c for c in range(N) if c not in pivot_cols]
-    rref = np.stack([mat[r] for _, r in pivots], axis=0) if pivots else np.zeros((0, N, desc.m), dtype=np.int64)
-
-    def proj(v):
-        out = v.copy()
-        for t, (c, _) in enumerate(pivots):
-            coef = out[c].copy()
-            if np.any(coef):
-                out = ra.sub(desc, out, ra.elem_mul(desc, coef[None, :], rref[t]))
-        return out[free]
-
-    return proj, free
-
-
-def _quotient_lift(desc, coords, reps):
-    out = np.zeros_like(reps[0]) if reps else None
-    for t, rep in enumerate(reps):
-        out = (out + ra.elem_mul(desc, coords[t][None, :], rep)) % desc.q
-    return out
-
-
-def _characters(desc, basis, mult, unit_vec):
-    """Algebra characters chi: values on the basis, via block decomposition."""
-    if not basis:
-        return []
-    blocks = _decompose_commutative(desc, basis, mult, unit_vec)
     chars = []
-    for e, bdim in blocks:
+    for e, _ in _decompose_commutative(desc, list(ra.eye(desc, n)), mult, unit_vec):
         support = np.flatnonzero(np.any(e != 0, axis=-1))
         if support.size == 0:
             continue
-        lam = []
-        ok = True
-        for b in basis:
-            eb = mult(e, b)
-            c = int(support[0])
-            val = ra.elem_mul(desc, eb[c], _inv_coeffs_field(desc, e[c]))
-            # require e*b = val * e on the whole block (single joint eigenvalue)
-            if np.any(ra.sub(desc, eb, ra.elem_mul(desc, val[None, :], e))):
-                ok = False
-                break
-            lam.append(val)
-        if not ok:
+        c = int(support[0])
+        eb = ra.tensordot(desc, T, e, ([0], [0]), a_reg=T_reg)  # [t, s]: e b_t
+        lam = ra.elem_mul(desc, eb[:, c], _inv_coeffs_field(desc, e[c])[None, :])
+        # e b_t = lam_t e on the whole block (a single joint eigenvalue)
+        if np.any(ra.sub(desc, eb, ra.elem_mul(desc, lam[:, None], e[None]))):
             continue
-        # verify multiplicativity and unit normalisation of the induced functional
-        chi = lambda v: _chi_eval(desc, v, lam)
-        if np.any(ra.sub(desc, chi(unit_vec), ra.one_scalar(desc))):
+        # the functional is unital and multiplicative: chi(b_i b_j) = lam_i lam_j
+        if not np.array_equal(ra.tensordot(desc, lam, unit_vec, ([0], [0])), ra.one_scalar(desc)):
             continue
-        good = True
-        for i, bi in enumerate(basis):
-            for j, bj in enumerate(basis):
-                lhs = chi(mult(bi, bj))
-                rhs = ra.elem_mul(desc, lam[i], lam[j])
-                if np.any(ra.sub(desc, lhs, rhs)):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
+        chi_prods = ra.tensordot(desc, T, lam, ([2], [0]))  # [i, j]
+        if not np.any(ra.sub(desc, chi_prods, ra.elem_mul(desc, lam[:, None], lam[None]))):
             chars.append(lam)
-    return chars
-
-
-def _chi_eval(desc, vec, lam):
-    acc = np.zeros(desc.m, dtype=np.int64)
-    for t in range(len(lam)):
-        acc = (acc + ra.elem_mul(desc, vec[t], lam[t])) % desc.q
-    return acc
+    return np.array(chars, dtype=np.int64).reshape(len(chars), n, desc.m)
 
 
 def _is_grouplike(H, g):

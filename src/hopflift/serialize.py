@@ -10,11 +10,11 @@ e_j (x) e_k coefficient of Delta(e_i), S[i][j] the e_j coefficient of S(e_i).
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
 from . import hopfcore as hc
-from . import lifting as lf
 from .coeffring import RingDescriptor, make_ring
 from .errors import SchemaViolation
 from .hopfcore import HopfMorphism, HopfPresentation
@@ -31,10 +31,6 @@ def _expect_key(obj, key, path):
     if key not in obj:
         raise SchemaViolation(f"{path}.{key}", "missing field")
     return obj[key]
-
-
-def _elem_to_json(vec) -> list:
-    return [int(c) for c in vec]
 
 
 def _elem_from_json(val, ring: RingDescriptor, path) -> list:
@@ -70,17 +66,15 @@ def ring_from_json(obj, path=".ring") -> RingDescriptor:
 
 
 def presentation_to_json(H: HopfPresentation) -> dict:
-    n = H.dim
-    mul = H.mul.coeffs
-    comul = H.comul.coeffs
+    n, m = H.dim, H.ring.m
     return {
         "ring": ring_to_json(H.ring),
         "dim": n,
-        "m": [[[_elem_to_json(mul[k, i * n + j]) for k in range(n)] for j in range(n)] for i in range(n)],
-        "unit": [_elem_to_json(H.unit.coeffs[i, 0]) for i in range(n)],
-        "delta": [[[_elem_to_json(comul[j * n + k, i]) for k in range(n)] for j in range(n)] for i in range(n)],
-        "counit": [_elem_to_json(H.counit.coeffs[0, i]) for i in range(n)],
-        "S": [[_elem_to_json(H.antipode.coeffs[j, i]) for j in range(n)] for i in range(n)],
+        "m": H.mul.coeffs.reshape(n, n, n, m).transpose(1, 2, 0, 3).tolist(),
+        "unit": H.unit.coeffs[:, 0].tolist(),
+        "delta": H.comul.coeffs.reshape(n, n, n, m).transpose(2, 0, 1, 3).tolist(),
+        "counit": H.counit.coeffs[0].tolist(),
+        "S": H.antipode.coeffs.transpose(1, 0, 2).tolist(),
     }
 
 
@@ -92,37 +86,45 @@ def _nested(obj, path, dims, ring):
     return [_nested(v, f"{path}[{i}]", dims[1:], ring) for i, v in enumerate(obj)]
 
 
+def _table(obj, path, dims, ring) -> np.ndarray:
+    """A nested coefficient table as an int64 array of shape dims + (m,).
+
+    One pass at C speed accepts a table of plain lists of the right lengths
+    at every level whose coefficients are plain ints in [0, q): exactly what
+    _nested accepts, which runs only when that pass fails, to raise the
+    SchemaViolation with its path (or to read list and int subclasses)."""
+    level = [obj]
+    for d in dims + (ring.m,):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {d}:
+            return np.array(_nested(obj, path, dims, ring), dtype=np.int64)
+        level = list(chain.from_iterable(level))
+    if set(map(type, level)) != {int} or min(level) < 0 or max(level) >= ring.q:
+        return np.array(_nested(obj, path, dims, ring), dtype=np.int64)
+    return np.array(level, dtype=np.int64).reshape(dims + (ring.m,))
+
+
 def presentation_from_json(obj, path="", verify=True) -> HopfPresentation:
     ring = ring_from_json(_expect_key(obj, "ring", path), f"{path}.ring")
     n = _expect_key(obj, "dim", path)
     _expect(isinstance(n, int) and n >= 1, f"{path}.dim", "expected a positive integer")
-    m_tab = _nested(_expect_key(obj, "m", path), f"{path}.m", (n, n, n), ring)
-    unit_tab = _nested(_expect_key(obj, "unit", path), f"{path}.unit", (n,), ring)
-    delta_tab = _nested(_expect_key(obj, "delta", path), f"{path}.delta", (n, n, n), ring)
-    counit_tab = _nested(_expect_key(obj, "counit", path), f"{path}.counit", (n,), ring)
-    s_tab = _nested(_expect_key(obj, "S", path), f"{path}.S", (n, n), ring)
 
-    mul = np.zeros((n, n * n, ring.m), dtype=np.int64)
-    comul = np.zeros((n * n, n, ring.m), dtype=np.int64)
-    unit = np.zeros((n, 1, ring.m), dtype=np.int64)
-    counit = np.zeros((1, n, ring.m), dtype=np.int64)
-    anti = np.zeros((n, n, ring.m), dtype=np.int64)
-    for i in range(n):
-        unit[i, 0] = unit_tab[i]
-        counit[0, i] = counit_tab[i]
-        for j in range(n):
-            anti[j, i] = s_tab[i][j]
-            for k in range(n):
-                mul[k, i * n + j] = m_tab[i][j][k]
-                comul[j * n + k, i] = delta_tab[i][j][k]
+    def table(key, dims):
+        return _table(_expect_key(obj, key, path), f"{path}.{key}", dims, ring)
+
+    m_tab = table("m", (n, n, n))  # [i, j, k]
+    unit_tab = table("unit", (n,))
+    delta_tab = table("delta", (n, n, n))  # [i, j, k]
+    counit_tab = table("counit", (n,))
+    s_tab = table("S", (n, n))  # [i, j]
+    m = ring.m
     pres = HopfPresentation(
         ring,
         n,
-        MultiMap(ring, 2, 1, n, n, mul),
-        MultiMap(ring, 0, 1, n, n, unit),
-        MultiMap(ring, 1, 2, n, n, comul),
-        MultiMap(ring, 1, 0, n, n, counit),
-        MultiMap(ring, 1, 1, n, n, anti),
+        MultiMap(ring, 2, 1, n, n, np.ascontiguousarray(m_tab.transpose(2, 0, 1, 3)).reshape(n, n * n, m)),
+        MultiMap(ring, 0, 1, n, n, unit_tab.reshape(n, 1, m)),
+        MultiMap(ring, 1, 2, n, n, np.ascontiguousarray(delta_tab.transpose(1, 2, 0, 3)).reshape(n * n, n, m)),
+        MultiMap(ring, 1, 0, n, n, counit_tab.reshape(1, n, m)),
+        MultiMap(ring, 1, 1, n, n, np.ascontiguousarray(s_tab.transpose(1, 0, 2))),
     )
     if verify:
         report = hc.verify_hopf(pres)
@@ -135,7 +137,7 @@ def multimap_to_json(mm: MultiMap) -> dict:
     return {
         "in": mm.arity_in,
         "out": mm.arity_out,
-        "coeffs": [_elem_to_json(v) for v in mm.coeffs.reshape(-1, mm.ring.m)],
+        "coeffs": mm.coeffs.reshape(-1, mm.ring.m).tolist(),
     }
 
 
@@ -145,9 +147,7 @@ def multimap_from_json(obj, ring, dim_in, dim_out, path=".map") -> MultiMap:
     coeffs = _expect_key(obj, "coeffs", path)
     rows, cols = dim_out**ao, dim_in**ai
     _expect(isinstance(coeffs, list) and len(coeffs) == rows * cols, f"{path}.coeffs", f"expected {rows * cols} entries")
-    arr = np.zeros((rows * cols, ring.m), dtype=np.int64)
-    for t, v in enumerate(coeffs):
-        arr[t] = _elem_from_json(v, ring, f"{path}.coeffs[{t}]")
+    arr = _table(coeffs, f"{path}.coeffs", (rows * cols,), ring)
     return MultiMap(ring, ai, ao, dim_in, dim_out, arr.reshape(rows, cols, ring.m))
 
 
@@ -162,26 +162,22 @@ def rmatrix_from_json(obj) -> MultiMap:
 
 
 def morphism_to_json(phi: HopfMorphism) -> dict:
-    ns, nt = phi.source.dim, phi.target.dim
     return {
         "source": presentation_to_json(phi.source),
         "target": presentation_to_json(phi.target),
-        "map": [[_elem_to_json(phi.map.coeffs[j, i]) for j in range(nt)] for i in range(ns)],
+        "map": phi.map.coeffs.transpose(1, 0, 2).tolist(),
     }
 
 
 def morphism_from_json(obj, verify=True) -> HopfMorphism:
     src = presentation_from_json(_expect_key(obj, "source", ""), ".source", verify=verify)
     tgt = presentation_from_json(_expect_key(obj, "target", ""), ".target", verify=verify)
-    tab = _nested(_expect_key(obj, "map", ""), ".map", (src.dim, tgt.dim), src.ring)
-    arr = np.zeros((tgt.dim, src.dim, src.ring.m), dtype=np.int64)
-    for i in range(src.dim):
-        for j in range(tgt.dim):
-            arr[j, i] = tab[i][j]
+    tab = _table(_expect_key(obj, "map", ""), ".map", (src.dim, tgt.dim), src.ring)  # [i, j]
+    arr = np.ascontiguousarray(tab.transpose(1, 0, 2))
     return hc.make_morphism(src, tgt, MultiMap(src.ring, 1, 1, src.dim, tgt.dim, arr), verify=verify)
 
 
-def liftstate_to_json(state: lf.LiftState) -> dict:
+def liftstate_to_json(state) -> dict:
     return {
         "base": presentation_to_json(state.base),
         "precision": state.precision,
@@ -190,7 +186,9 @@ def liftstate_to_json(state: lf.LiftState) -> dict:
     }
 
 
-def liftstate_from_json(obj) -> lf.LiftState:
+def liftstate_from_json(obj):
+    from . import lifting as lf
+
     base = presentation_from_json(_expect_key(obj, "base", ""), ".base")
     precision = _expect_key(obj, "precision", "")
     current = presentation_from_json(_expect_key(obj, "current", ""), ".current")

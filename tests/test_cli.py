@@ -200,3 +200,56 @@ def test_oversized_modulus_exit_code(tmp_path, capsys):
     assert not (tmp_path / "lift.json").exists()
     code, _, err = run(capsys, "gen", "C2", "--p", "3", "--n", "40")
     assert code == 2 and "UnsupportedModulus" in err
+
+
+def _broken_presentation(tmp_path, capsys, key, index, value):
+    path = gen_file(tmp_path, capsys, "C2", 5, "broken.json")
+    obj = json.loads(path.read_text())
+    table = obj[key]
+    for i in index[:-1]:
+        table = table[i]
+    table[index[-1]] = value
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize(
+    "key,index,value,failing",
+    [
+        ("S", (1, 1), [0], "antipode_left, antipode_right"),
+        ("m", (1, 1, 0), [2], "delta_multiplicative, counit_multiplicative, antipode_left, antipode_right"),
+    ],
+    ids=["S(g) = 0", "g g = 2"],
+)
+@pytest.mark.parametrize("as_json", [False, True])
+def test_analyze_refuses_non_hopf_input(tmp_path, capsys, key, index, value, failing, as_json):
+    path = _broken_presentation(tmp_path, capsys, key, index, value)
+    code, out, err = run(capsys, "analyze", str(path), *(["--json"] if as_json else []))
+    assert code == 1 and out == ""
+    assert err.strip() == "axioms violated: " + failing
+
+
+def _modules_after(code):
+    """The hopflift modules loaded after running code in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import hopflift
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopflift.__file__)))
+    script = code + "\nimport sys\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('hopflift'))))"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_hygiene(tmp_path):
+    loaded = _modules_after("import hopflift.serialize")
+    assert "hopflift.serialize" in loaded
+    assert not loaded & {"hopflift.lifting", "hopflift.cohomology"}
+    loaded = _modules_after("from hopflift import cli\ncli.main(['threshold', '--dim', '8'])")
+    assert "hopflift.arithcheck" in loaded and "hopflift.hopfcore" not in loaded
+    out = tmp_path / "c2.json"
+    loaded = _modules_after(f"from hopflift import cli\ncli.main(['gen', 'C2', '--p', '5', '-o', {str(out)!r}])")
+    assert out.exists() and "hopflift.hopfcore" in loaded and "hopflift.lifting" not in loaded

@@ -16,8 +16,13 @@ the side that runs first:
   PYTHONDONTWRITEBYTECODE=1, pinned to one CPU); the wall time of every step
   in --repeats passes and its median;
 - kernels: grouplikes, presentation_from_json (with and without its
-  verify_hopf) and presentation_to_json of S3.double/F7, the median of five
-  calls in one fresh process per side and repeat.
+  verify_hopf), presentation_to_json, verify_hopf and verify_qt (of its
+  canonical R) of S3.double/F7, and drinfeld_double(S3/F7), the median of
+  five calls in one fresh process per side and repeat.
+
+Both checkouts must be free of __pycache__ under src/, as fresh ones are:
+bytecode left in one tree would spare that side's CLI children the compile
+time the other side pays.
 
 Writes every raw run, the medians, the parent's quartiles and the number of
 pairs in which the change did better to --out.
@@ -43,7 +48,8 @@ from hopflift import hopfcore as hc
 from hopflift import serialize as ser
 from hopflift.coeffring import make_ring
 
-H = hc.generate("S3.double", make_ring(7))
+S3 = hc.generate("S3", make_ring(7))
+H, R = hc.drinfeld_double(S3)
 obj = ser.loads(ser.dumps(ser.presentation_to_json(H)))
 
 
@@ -61,6 +67,9 @@ print(json.dumps({
     "presentation_from_json(S3.double/F7, verify=False)": median_s(lambda: ser.presentation_from_json(obj, verify=False)),
     "presentation_from_json(S3.double/F7)": median_s(lambda: ser.presentation_from_json(obj)),
     "presentation_to_json(S3.double/F7)": median_s(lambda: ser.presentation_to_json(H)),
+    "drinfeld_double(S3/F7)": median_s(lambda: hc.drinfeld_double(S3)),
+    "verify_hopf(S3.double/F7)": median_s(lambda: hc.verify_hopf(H)),
+    "verify_qt(S3.double/F7)": median_s(lambda: hc.verify_qt(H, R.R)),
 }))
 """
 
@@ -93,6 +102,12 @@ def python(tree, args, cwd=None):
     if proc.returncode:
         sys.exit(f"{args[:2]} in {tree} exited {proc.returncode}: {proc.stderr[-500:]}")
     return proc.stdout
+
+
+def check_no_bytecode(tree):
+    for root, dirs, _ in os.walk(os.path.join(tree, "src")):
+        if "__pycache__" in dirs:
+            sys.exit(f"{os.path.join(root, '__pycache__')} exists: bench a fresh checkout")
 
 
 def run_workload(tree, name, seed):
@@ -152,6 +167,8 @@ def main():
     ap.add_argument("--out", default=os.path.join(HERE, "BENCH_cli_pipeline.json"))
     args = ap.parse_args()
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    for tree in trees.values():
+        check_no_bytecode(tree)
     lo, hi = (int(s) for s in args.seeds.split("-"))
     seeds = list(range(lo, hi + 1))
 

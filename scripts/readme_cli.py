@@ -103,6 +103,14 @@ def main():
             1,
             p.stdout == "" and p.stderr.strip() == "axioms violated: antipode_left, antipode_right",
         )
+        p = hopflift(wd, "lift", "broken.json", "--precision", "2")
+        check(
+            "lift broken.json --precision 2 (AxiomsViolated, no lift)",
+            p,
+            1,
+            p.stdout == ""
+            and p.stderr.strip() == "AxiomsViolated: base fails the Hopf axioms antipode_left, antipode_right",
+        )
     print(f"{failures} checks failed" if failures else "all checks passed")
     return 1 if failures else 0
 

@@ -3,13 +3,19 @@
 A tensor is an int64 ndarray whose trailing axis has length m (the polynomial
 coordinates of one ring element); every entry lies in [0, p^n).  All kernels
 are exact: contractions run through float64/float32 BLAS only when the worst
-case integer bound fits the mantissa, otherwise through int64 or object paths.
+case integer bound fits the mantissa, otherwise through int64 or object paths,
+and large contractions of sparse operands through their nonzeros alone.
 """
+
+import math
 
 import numpy as np
 
 _F64_SAFE = 1 << 52
 _I64_SAFE = 1 << 62
+# when tensordot joins sparse operands; its docstring gives the measurement
+_JOIN_MIN_MADDS = 1 << 22
+_JOIN_PAIR_COST = 500
 
 
 def int64_mod(r, q):
@@ -115,13 +121,29 @@ def tensordot(desc, a, b, axes, a_reg=None):
     Result logical axes are the free axes of ``a`` followed by those of ``b``.
     a_reg, when given, is expand(desc, a), kept by a caller that contracts
     the same a many times.
+
+    A contraction of at least _JOIN_MIN_MADDS = 2^22 dense multiply-adds
+    (k x output cells x m) counts the nonzeros of both operands; when their
+    matching pairs number less than 1/_JOIN_PAIR_COST = 1/500 of the dense
+    multiply-adds, it is computed by _join from the nonzeros alone (Gustavson,
+    ACM TOMS 4(3), 1978).  The crossover was measured once on random operands
+    over F_7 and F_9, on one core with one BLAS thread: a pair costs 120-370
+    ns in the join and a dense multiply-add 0.2-1.6 ns, so the two paths
+    break even at 200-500 multiply-adds per pair.  The result is the same
+    array on either path.
     """
     axa = [ax % (a.ndim - 1) for ax in axes[0]]
     axb = [ax % (b.ndim - 1) for ax in axes[1]]
-    q = desc.q
     k = 1
     for ax in axa:
         k *= a.shape[ax]
+    # dense multiply-adds: a.size * b.size / (k m); a logical scalar stays dense
+    if a.size * b.size >= _JOIN_MIN_MADDS * k * desc.m and a.ndim > 1 and b.ndim > 1:
+        nza, nzb = _nonzeros(a, axa), _nonzeros(b, axb)
+        pairs = int(np.bincount(nza[0], minlength=k) @ np.bincount(nzb[0], minlength=k))
+        if pairs * _JOIN_PAIR_COST * k * desc.m < a.size * b.size:
+            return _join(desc, a, b, axa, axb, k, nza, nzb)
+    q = desc.q
     if desc.m == 1:
         bound = k * (q - 1) * (q - 1)
         r = _raw_tensordot(a[..., 0], b[..., 0], (axa, axb), bound)
@@ -133,6 +155,51 @@ def tensordot(desc, a, b, axes, a_reg=None):
     r = _raw_tensordot(areg, b, (axa + [areg.ndim - 1], axb + [b.ndim - 1]), bound)
     # result axes: [a-free..., s, b-free...] -> [a-free..., b-free..., s]
     return np.ascontiguousarray(np.moveaxis(int64_mod(r, q), a.ndim - 1 - len(axa), -1))
+
+
+def _nonzeros(arr, key_axes):
+    """The nonzero entries of arr: their row-major flat index over the logical
+    key_axes (in that order), over the other logical axes, and their values."""
+    shape, m = arr.shape[:-1], arr.shape[-1]
+    rows = arr.reshape(-1, m)
+    at = np.flatnonzero(rows[:, 0] != 0 if m == 1 else np.any(rows != 0, axis=1))
+    coords = np.unravel_index(at, shape)
+
+    def flat(axes):
+        if not axes:
+            return np.zeros(at.size, dtype=np.intp)
+        return np.ravel_multi_index([coords[ax] for ax in axes], [shape[ax] for ax in axes])
+
+    return flat(key_axes), flat([ax for ax in range(len(shape)) if ax not in key_axes]), rows[at]
+
+
+def _join(desc, a, b, axa, axb, k, nza=None, nzb=None):
+    """tensordot from the nonzeros of a and b (their _nonzeros, when already
+    counted), given the nonnegative contracted axes and the number k of
+    contracted indices.  Each output cell sums at most k products, reduced
+    mod q: in int64 while k (q-1)^2 < 2^62, else as Python ints.  Returns the
+    dense, reduced, contiguous int64 array of the BLAS path."""
+    q, m = desc.q, desc.m
+    ka, fa, va = _nonzeros(a, axa) if nza is None else nza
+    kb, fb, vb = _nonzeros(b, axb) if nzb is None else nzb
+    # b's nonzeros in key order; pair j of a's nonzero i is the
+    # (j - first[i])-th of those with key ka[i]
+    order = np.argsort(kb, kind="stable")
+    per_key = np.bincount(kb, minlength=k)
+    counts = per_key[ka]
+    first = np.cumsum(counts) - counts
+    ia = np.repeat(np.arange(ka.size), counts)
+    ib = order[np.arange(ia.size) + np.repeat((np.cumsum(per_key) - per_key)[ka] - first, counts)]
+    prods = mul_mod(va[ia], vb[ib], q) if m == 1 else elem_mul(desc, va[ia], vb[ib])
+    free_a = [n for ax, n in enumerate(a.shape[:-1]) if ax not in axa]
+    free_b = [n for ax, n in enumerate(b.shape[:-1]) if ax not in axb]
+    idx = fa[ia] * math.prod(free_b) + fb[ib]
+    cells, slot = np.unique((idx[:, None] * m + np.arange(m)).ravel(), return_inverse=True)
+    sums = np.zeros(cells.size, dtype=np.int64 if k * (q - 1) * (q - 1) < _I64_SAFE else object)
+    np.add.at(sums, slot, prods.ravel().astype(sums.dtype))
+    out = np.zeros(math.prod(free_a + free_b) * m, dtype=np.int64)
+    out[cells] = int64_mod(sums, q)
+    return out.reshape(tuple(free_a + free_b) + (m,))
 
 
 def kron2(desc, a, b):
@@ -169,6 +236,10 @@ def eye(desc, n):
 
 
 def nonzero_coords(arr):
-    """Logical coordinates of nonzero entries (trailing axis collapsed)."""
+    """Logical coordinates of nonzero entries (trailing axis collapsed), in
+    row-major order; arr may be a boolean array."""
     mask = np.any(arr != 0, axis=-1)
-    return np.argwhere(mask)
+    if mask.ndim < 2:
+        return np.argwhere(mask)
+    # one flat scan: np.nonzero on a many-axis mask is several times slower
+    return np.column_stack(np.unravel_index(np.flatnonzero(mask), mask.shape))

@@ -209,13 +209,19 @@ class FieldSolver:
         for c0 in range(0, C, _BLOCK):
             c1 = min(C, c0 + _BLOCK)
             # U rows of earlier pivots on this panel (blocked forward solve),
-            # then one bulk update of the panel for all rows.
+            # then one bulk update of the panel for the unused rows; the rows
+            # of used ones are never read and stay zero.
+            rows = np.flatnonzero(unused)
+            Wp = np.zeros((R, c1 - c0), dtype=np.int64)
             if t:
                 Urows = _block_substitute(Lpp[:t, :t], tblocks, M0[pivot_rows, c0:c1], p)
                 U[:t, c0:c1] = Urows
-                Wp = (M0[:, c0:c1] - _exact_dot(Lam[:, :t], Urows, p)) % p
+                Wp[rows] = (M0[rows, c0:c1] - _exact_dot(Lam[rows, :t], Urows, p)) % p
             else:
-                Wp = M0[:, c0:c1].copy()
+                Wp[rows] = M0[rows, c0:c1]
+            if not Wp.any():
+                # no unused row has a nonzero here: the panel has no pivot
+                continue
             t0 = t
             for j in range(c1 - c0):
                 col = Wp[:, j] % p

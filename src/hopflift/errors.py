@@ -86,6 +86,10 @@ class NotSemisimpleOrCosemisimple(HopfliftError):
     pass
 
 
+class AxiomsViolated(NotSemisimpleOrCosemisimple):
+    """A base handed to lift fails Hopf axioms; the message names them."""
+
+
 class CoboundaryUnsolvable(HopfliftError):
     """A degree-2 obstruction was not a coboundary; contradicts H^2 = 0."""
 

@@ -152,8 +152,10 @@ class AxiomReport:
         raise KeyError(name)
 
 
-def _residual_check(name, diff) -> AxiomCheck:
-    coords = ra.nonzero_coords(diff)
+def _residual_check(name, lhs, rhs) -> AxiomCheck:
+    """The cells where the reduced tensors lhs and rhs differ, i.e. where
+    lhs - rhs is nonzero mod q."""
+    coords = ra.nonzero_coords(lhs != rhs)
     return AxiomCheck(name, coords.shape[0] == 0, int(coords.shape[0]), [tuple(map(int, c)) for c in coords[:5]])
 
 
@@ -169,33 +171,31 @@ def _legs(H: HopfPresentation):
 
 def _structure_residuals(desc, M, D):
     """The three bialgebra defects of (m, Delta) that involve neither unit nor
-    counit, as legs tensors:
+    counit, each as the pair (lhs, rhs) of reduced legs tensors whose
+    difference it is:
 
       associativity        m(I (x) m) - m(m (x) I)                   [a,x,y,z]
       delta_multiplicative Delta m - (m (x) m)(1 3 2 4)(Delta (x) Delta) [u,v,x,y]
       coassociativity      (I (x) Delta)Delta - (Delta (x) I)Delta    [u,v,w,x]
 
-    verify_hopf tests them for zero; lifting.obstruction divides them by p^n.
-    The contraction order of the compatibility keeps every intermediate at N^4
-    entries.
+    verify_hopf compares the sides; lifting.obstruction divides their
+    difference by p^n.  The contraction order of the compatibility keeps
+    every intermediate at N^4 entries.
     """
     left = ra.tensordot(desc, M, M, ([1], [0]))  # sum_w M[a,w,z] M[w,x,y] -> [a,z,x,y]
     left = ra.transpose(left, (0, 2, 3, 1))  # [a,x,y,z]
     right = ra.tensordot(desc, M, M, ([2], [0]))  # sum_w M[a,x,w] M[w,y,z] -> [a,x,y,z]
-    assoc = ra.sub(desc, right, left)
 
     lhs = ra.tensordot(desc, D, M, ([2], [0]))  # sum_a D[u,v,a] M[a,x,y] -> [u,v,x,y]
     t1 = ra.tensordot(desc, M, D, ([1], [0]))  # sum_a M[u,a,c] D[a,b,x] -> [u,c,b,x]
     t2 = ra.tensordot(desc, M, D, ([2], [1]))  # sum_d M[v,b,d] D[c,d,y] -> [v,b,c,y]
     rhs = ra.tensordot(desc, t1, t2, ([1, 2], [2, 1]))  # sum_{c,b} -> [u,x,v,y]
-    compat = ra.sub(desc, lhs, ra.transpose(rhs, (0, 2, 1, 3)))
 
     cl = ra.tensordot(desc, D, D, ([0], [2]))  # sum_t D[t,w,x] D[u,v,t] -> [w,x,u,v]
     cl = ra.transpose(cl, (2, 3, 0, 1))  # [u,v,w,x]
     cr = ra.tensordot(desc, D, D, ([1], [2]))  # sum_t D[u,t,x] D[v,w,t] -> [u,x,v,w]
     cr = ra.transpose(cr, (0, 2, 3, 1))  # [u,v,w,x]
-    coassoc = ra.sub(desc, cr, cl)
-    return assoc, compat, coassoc
+    return (right, left), (lhs, ra.transpose(rhs, (0, 2, 1, 3))), (cr, cl)
 
 
 def verify_hopf(H: HopfPresentation) -> AxiomReport:
@@ -205,43 +205,39 @@ def verify_hopf(H: HopfPresentation) -> AxiomReport:
     M, D, U, E, S = _legs(H)
     eye = ra.eye(desc, N)
     assoc, compat, coassoc = _structure_residuals(desc, M, D)
-    checks = [_residual_check("associativity", assoc)]
+    checks = [_residual_check("associativity", *assoc)]
 
     lu = ra.tensordot(desc, M, U, ([1], [0]))  # [a,x]
     ru = ra.tensordot(desc, M, U, ([2], [0]))  # [a,x]
-    diff = np.concatenate([ra.sub(desc, lu, eye), ra.sub(desc, ru, eye)])
-    checks.append(_residual_check("unit", diff))
+    checks.append(_residual_check("unit", np.concatenate([lu, ru]), np.concatenate([eye, eye])))
 
-    checks.append(_residual_check("coassociativity", coassoc))
+    checks.append(_residual_check("coassociativity", *coassoc))
 
     lc = ra.tensordot(desc, E, D, ([0], [0]))  # [y,x]
     rc = ra.tensordot(desc, D, E, ([1], [0]))  # [y,x]
-    diff = np.concatenate([ra.sub(desc, lc, eye), ra.sub(desc, rc, eye)])
-    checks.append(_residual_check("counit", diff))
+    checks.append(_residual_check("counit", np.concatenate([lc, rc]), np.concatenate([eye, eye])))
 
-    checks.append(_residual_check("delta_multiplicative", compat))
+    checks.append(_residual_check("delta_multiplicative", *compat))
 
     lhs = ra.tensordot(desc, E, M, ([0], [0]))  # [x,y]
     rhs = ra.elem_mul(desc, E[:, None, :], E[None, :, :])
-    checks.append(_residual_check("counit_multiplicative", ra.sub(desc, lhs, rhs)))
+    checks.append(_residual_check("counit_multiplicative", lhs, rhs))
 
     d1 = ra.tensordot(desc, D, U, ([2], [0]))  # [u,v]
     uu = ra.elem_mul(desc, U[:, None, :], U[None, :, :])
-    checks.append(_residual_check("delta_unit", ra.sub(desc, d1, uu)))
+    checks.append(_residual_check("delta_unit", d1, uu))
 
     e1 = ra.tensordot(desc, E, U, ([0], [0]))  # scalar
-    one = ra.zeros(desc, ())
-    one[..., 0] = 1
-    checks.append(_residual_check("counit_unit", ra.sub(desc, e1, one)))
+    checks.append(_residual_check("counit_unit", e1, ra.one_scalar(desc)))
 
     target = ra.elem_mul(desc, U[:, None, :], E[None, :, :])  # [a,x]
     t1 = ra.tensordot(desc, S, D, ([1], [0]))  # sum_u S[w,u] D[u,v,x] -> [w,v,x]
     lhs = ra.tensordot(desc, M, t1, ([1, 2], [0, 1]))  # [a,x]
-    checks.append(_residual_check("antipode_left", ra.sub(desc, lhs, target)))
+    checks.append(_residual_check("antipode_left", lhs, target))
 
     t2 = ra.tensordot(desc, S, D, ([1], [1]))  # sum_v S[w,v] D[u,v,x] -> [w,u,x]
     rhs = ra.tensordot(desc, M, t2, ([1, 2], [1, 0]))  # [a,x]
-    checks.append(_residual_check("antipode_right", ra.sub(desc, rhs, target)))
+    checks.append(_residual_check("antipode_right", rhs, target))
 
     return AxiomReport(checks)
 
@@ -645,27 +641,35 @@ def _decompose_commutative(desc, basis, mult, unit_vec):
     Splitting uses exhaustive root search over F_q plus CRT idempotents from
     the coprime factorization of minimal polynomials.
     """
+
+    def block_dim(e):
+        return FieldSolver(desc, np.stack([mult(e, b) for b in basis], axis=1), rank_only=True).rank
+
     elements = None
-    blocks = [unit_vec % desc.q]
+    unit = unit_vec % desc.q
+    blocks = [(unit, block_dim(unit))]
     for g in basis:
         new_blocks = []
-        for e in blocks:
-            x = mult(e, g)
-            powers = [e.copy(), x]
-            minpoly = None
-            while True:
-                mat = np.stack(powers[:-1], axis=1)  # ambient x count
-                solver = FieldSolver(desc, mat)
-                sol = solver.solve(powers[-1])
-                if sol is not None:
-                    t = len(powers) - 1
-                    coeffs = [(-sol[s]) % desc.q for s in range(t)] + [ra.one_scalar(desc)]
-                    minpoly = coeffs
-                    break
-                powers.append(mult(powers[-1], x))
-            # factor: linear powers by root search, the rest stays lumped
-            if elements is None:
+        for e, dim in blocks:
+            if elements is None:  # a field too large to search is refused even if no block needs it
                 elements = list(_field_elements(desc))
+            if dim <= 1:
+                # e g is a multiple of e: one linear factor, the block stays
+                new_blocks.append((e, dim))
+                continue
+            x = mult(e, g)
+            # the Krylov columns e, x, x^2, ... lie in the dim-dimensional
+            # e.span(basis), so dim + 1 of them are dependent.  They are factored
+            # once: the pivots are the first t columns, t the degree of the
+            # minimal polynomial, and the canonical kernel vector of free column
+            # t holds its (monic) coefficients.
+            powers = [e.copy(), x]
+            while len(powers) <= dim:
+                powers.append(mult(powers[-1], x))
+            solver = FieldSolver(desc, np.stack(powers, axis=1))
+            t = solver.rank
+            minpoly = list(solver.kernel_basis()[0][: t + 1])
+            # factor: linear powers by root search, the rest stays lumped
             rem = minpoly
             factors = []
             for lam in elements:
@@ -687,7 +691,7 @@ def _decompose_commutative(desc, basis, mult, unit_vec):
             if len(rem) > 1:
                 factors.append(rem)
             if len(factors) <= 1:
-                new_blocks.append(e)
+                new_blocks.append((e, dim))
                 continue
             full = factors[0]
             for f in factors[1:]:
@@ -714,13 +718,9 @@ def _decompose_commutative(desc, basis, mult, unit_vec):
                 total = (total + piece) % desc.q
             if np.any(ra.sub(desc, total, e)):
                 raise InternalAxiomFailure("CRT idempotents do not sum to the block unit")
-            new_blocks.extend(pieces)
+            new_blocks.extend((piece, block_dim(piece)) for piece in pieces)
         blocks = new_blocks
-    out = []
-    for e in blocks:
-        prods = np.stack([mult(e, b) for b in basis], axis=1)
-        out.append((e, FieldSolver(desc, prods, rank_only=True).rank))
-    return out
+    return blocks
 
 
 def grouplikes(H: HopfPresentation, central_only: bool = False):
@@ -918,26 +918,32 @@ def verify_qt(H: HopfPresentation, R: MultiMap) -> RMatrix:
     if np.any(ra.sub(desc, hex2_l, hex2_r)):
         failures.append("hexagon2")
 
-    lr1 = ra.tensordot(desc, M, r2, ([1], [0]))  # [a,w,v]
-    lmat = ra.tensordot(desc, lr1, M, ([2], [1]))  # [a,w,b,z]
-    lmat = ra.transpose(lmat, (0, 2, 1, 3)).reshape(N * N, N * N, m)
-    if desc.is_field:
-        invertible = FieldSolver(desc, lmat, rank_only=True).rank == N * N
-    else:
-        invertible = FieldSolver(desc.residue(), lmat % desc.p, rank_only=True).rank == N * N
-    if not invertible:
-        failures.append("invertibility")
+    uu = ra.elem_mul(desc, U[:, None, :], U[None, :, :])
+
+    def times_r(x):
+        # (X R)[a,b] = sum x[u,v] r[w,z] M[a,u,w] M[b,v,z]
+        q1 = ra.tensordot(desc, M, x, ([1], [0]))  # M[a,u,w] x[u,v] -> [a,w,v]
+        q2 = ra.tensordot(desc, q1, r2, ([1], [0]))  # [a,v,z]
+        return ra.tensordot(desc, q2, M, ([1, 2], [1, 2]))  # [a,b]
+
+    # a quasitriangular R has the inverse (S (x) id)(R) (Drinfeld); a left
+    # inverse in the finite-dimensional A (x) A is two-sided, so R' R = 1 (x) 1
+    # certifies invertibility, and only an R that fails it has its left
+    # multiplication matrix ranked
+    if not np.array_equal(times_r(ra.tensordot(desc, S, r2, ([1], [0]))), uu):
+        lr1 = ra.tensordot(desc, M, r2, ([1], [0]))  # [a,w,v]
+        lmat = ra.tensordot(desc, lr1, M, ([2], [1]))  # [a,w,b,z]
+        lmat = ra.transpose(lmat, (0, 2, 1, 3)).reshape(N * N, N * N, m)
+        if desc.is_field:
+            invertible = FieldSolver(desc, lmat, rank_only=True).rank == N * N
+        else:
+            invertible = FieldSolver(desc.residue(), lmat % desc.p, rank_only=True).rank == N * N
+        if not invertible:
+            failures.append("invertibility")
 
     qt = not failures
-    triangular = False
-    if qt:
-        # (R21 R)[a,b] = sum r21[u,v] r[w,z] M[a,u,w] M[b,v,z]
-        r21 = ra.transpose(r2, (1, 0))
-        q1 = ra.tensordot(desc, M, r21, ([1], [0]))  # M[a,u,w] r21[u,v] -> [a,w,v]
-        q2 = ra.tensordot(desc, q1, r2, ([1], [0]))  # [a,v,z]
-        prod = ra.tensordot(desc, q2, M, ([1, 2], [1, 2]))  # [a,b]
-        uu = ra.elem_mul(desc, U[:, None, :], U[None, :, :])
-        triangular = bool(np.array_equal(prod, uu))
+    # triangular: R21 R = 1 (x) 1
+    triangular = qt and bool(np.array_equal(times_r(ra.transpose(r2, (1, 0))), uu))
     return RMatrix(H, R, qt, triangular, failures)
 
 

@@ -27,6 +27,7 @@ from . import tensorcalc as tc
 from ._linalg import FieldSolver
 from .coeffring import check_modulus, exact_div_p_array, hensel_solve_array
 from .errors import (
+    AxiomsViolated,
     CoboundaryUnsolvable,
     CocycleUnsolvable,
     DifferentBaseOrPrecision,
@@ -96,6 +97,10 @@ def _base_cache(base: HopfPresentation):
 
 
 def _admit_base(base: HopfPresentation):
+    if not base.verified:
+        failing = hc.verify_hopf(base).failing()
+        if failing:
+            raise AxiomsViolated(f"base fails the Hopf axioms {', '.join(failing)}")
     if not base.verified or not base.ring.is_field:
         raise NotSemisimpleOrCosemisimple("base must be a VERIFIED presentation over F_q")
     if not _base_cache(base).memo("admitted", lambda: hc.is_semisimple(base) and hc.is_cosemisimple(base)):
@@ -138,7 +143,7 @@ def obstruction(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> Obstr
     N = mul.dim_out
     m_legs = mul.coeffs.reshape(N, N, N, desc.m)
     d_legs = comul.coeffs.reshape(N, N, N, desc.m)
-    a1, a2, a3 = hc._structure_residuals(desc, m_legs, d_legs)
+    a1, a2, a3 = (ra.sub(desc, lhs, rhs) for lhs, rhs in hc._structure_residuals(desc, m_legs, d_legs))
 
     ctx = coh.make_context(base)
     comps = {}

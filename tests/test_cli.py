@@ -229,6 +229,22 @@ def test_analyze_refuses_non_hopf_input(tmp_path, capsys, key, index, value, fai
     assert err.strip() == "axioms violated: " + failing
 
 
+@pytest.mark.parametrize(
+    "key,index,value,failing",
+    [
+        ("S", (1, 1), [0], "antipode_left, antipode_right"),
+        ("m", (1, 1, 0), [2], "delta_multiplicative, counit_multiplicative, antipode_left, antipode_right"),
+    ],
+    ids=["S(g) = 0", "g g = 2"],
+)
+def test_lift_names_failing_axioms(tmp_path, capsys, key, index, value, failing):
+    path = _broken_presentation(tmp_path, capsys, key, index, value)
+    out_path = tmp_path / "lift.json"
+    code, out, err = run(capsys, "lift", str(path), "--precision", "3", "-o", str(out_path))
+    assert code == 1 and out == "" and not out_path.exists()
+    assert err.strip() == "AxiomsViolated: base fails the Hopf axioms " + failing
+
+
 def _modules_after(code):
     """The hopflift modules loaded after running code in a fresh interpreter."""
     import os

@@ -418,3 +418,18 @@ def test_failed_degree1_solve_diagnosed(monkeypatch):
         lf.reconcile(a, b)
     with pytest.raises(CocycleUnsolvable):
         lf.lift_morphism(phi, la, lb)
+
+
+def test_admit_base_names_failing_axioms():
+    from hopflift.errors import AxiomsViolated
+
+    S = C2.antipode.coeffs.copy()
+    S[1, 1, 0] = 0  # S(g) = 0
+    broken = hc.HopfPresentation(F5, 2, C2.mul, C2.unit, C2.comul, C2.counit, tc.MultiMap(F5, 1, 1, 2, 2, S))
+    with pytest.raises(AxiomsViolated, match="^base fails the Hopf axioms antipode_left, antipode_right$"):
+        lf.lift(broken, 3)
+    assert issubclass(AxiomsViolated, NotSemisimpleOrCosemisimple)
+    # an unverified base that passes every axiom keeps the refusal it had
+    with pytest.raises(NotSemisimpleOrCosemisimple, match="VERIFIED") as exc:
+        lf.lift(hc.HopfPresentation(F5, 2, *C2.tensors()), 3)
+    assert type(exc.value) is NotSemisimpleOrCosemisimple

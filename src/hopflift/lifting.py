@@ -7,10 +7,10 @@ separability idempotent, no factorization of d_1), then recovers unit, counit
 and antipode by Hensel-solving linear systems whose reductions mod p are
 invertible (those reductions are the base's, factored once per base; each
 level solves one new digit).  One verify_hopf of the new presentation, with
-its reduction mod p, certifies each level.  Reconciliation builds the
-isomorphism between two lifts of the same base digit by digit from degree-1
-coboundary solves; morphisms and R-matrices lift the same way (R-matrices
-through their theta morphism).
+its reduction mod p, certifies each level.  Morphisms lift digit by digit
+from degree-1 coboundary solves, with one certificate per lifted map;
+reconciling two lifts of one base is the lift of its identity morphism, and
+R-matrices lift through their theta morphism.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def obstruction(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> Obstr
     N = mul.dim_out
     m_legs = mul.coeffs.reshape(N, N, N, desc.m)
     d_legs = comul.coeffs.reshape(N, N, N, desc.m)
-    a1, a2, a3 = (ra.sub(desc, lhs, rhs) for lhs, rhs in hc._structure_residuals(desc, m_legs, d_legs))
+    a1, a3, a2 = (ra.sub(desc, lhs, rhs) for lhs, rhs in hc._structure_residuals(desc, m_legs, d_legs))
 
     ctx = coh.make_context(base)
     comps = {}
@@ -186,8 +186,8 @@ def _antipode_system(desc, m_legs, d_legs):
 
 
 def _hensel_solver(base: HopfPresentation, kind: str):
-    """FieldSolver of the base's matrix of one Hensel system ("unit", "counit",
-    "antipode", or "identity" for reconcile's eta^-1), factored once per base."""
+    """FieldSolver of the base's matrix of one Hensel system ("unit", "counit"
+    or "antipode"), factored once per base."""
 
     def build():
         desc = base.ring
@@ -196,7 +196,6 @@ def _hensel_solver(base: HopfPresentation, kind: str):
             "unit": lambda: _unit_system(desc, M, U),
             "counit": lambda: _counit_system(desc, D, E),
             "antipode": lambda: _antipode_system(desc, M, D),
-            "identity": lambda: ra.eye(desc, base.dim),
         }[kind]
         return FieldSolver(desc, system())
 
@@ -352,108 +351,89 @@ def lift(base: HopfPresentation, n: int, strategy="canonical") -> LiftState:
 
 
 # ---------------------------------------------------------------------------
-# uniqueness: reconciling two lifts
+# lifting maps: morphisms, reconciliation (the identity) and R-matrices
 
 
-def _pushforward(desc, eta, eta_inv, pres: HopfPresentation):
-    """Transport a presentation along the module isomorphism eta."""
-    N = pres.dim
-    m_legs = pres.mul.coeffs.reshape(N, N, N, desc.m)
-    d_legs = pres.comul.coeffs.reshape(N, N, N, desc.m)
-    t = ra.tensordot(desc, eta, m_legs, ([1], [0]))  # [a,x',y']
-    t = ra.tensordot(desc, t, eta_inv, ([1], [0]))  # [a,y',x]
-    mhat = ra.tensordot(desc, t, eta_inv, ([1], [0]))  # [a,x,y]
-    t = ra.tensordot(desc, d_legs, eta_inv, ([2], [0]))  # [u,v,x]
-    t = ra.tensordot(desc, eta, t, ([1], [0]))  # [u',v,x]
-    dhat = ra.tensordot(desc, eta, t, ([1], [1]))  # [v',u',x]
-    dhat = ra.transpose(dhat, (1, 0, 2))
-    return mhat, dhat
+def _lift_map(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState):
+    """The map lift_a.current -> lift_b.current reducing to phi, one digit per
+    level, with its certificate.
 
-
-def reconcile(s1: LiftState, s2: LiftState) -> MultiMap:
-    """Exact Hopf isomorphism eta: s1.current -> s2.current with eta = id mod p."""
-    if s1.base != s2.base or s1.precision != s2.precision:
-        raise DifferentBaseOrPrecision("reconcile needs the same base and precision")
-    base = s1.base
-    desc = s1.current.ring
-    N, n = base.dim, s1.precision
-    ctx = coh.make_context(base)
-    identity = _hensel_solver(base, "identity")
-    eye = ra.eye(desc, N)
-    eta = eta_inv = eye
-    m2_legs = s2.current.mul.coeffs.reshape(N, N, N, desc.m)
-    d2_legs = s2.current.comul.coeffs.reshape(N, N, N, desc.m)
+    Level k digit-lifts the map, divides its multiplicative and
+    comultiplicative defects by p^k (NotDivisible if they are not), and
+    subtracts p^k times the coboundary solution chi of that defect pair, so
+    it changes digit k only.  The final map reduced mod p^(k+1) is therefore
+    the map of level k, and one morphism_failures of the final map, with its
+    reduction to phi, certifies every level.  Returns the map and the names
+    of the failed checks ("reduction" for the reduction to phi).
+    """
+    n = lift_a.precision
+    na, nb = phi.source.dim, phi.target.dim
+    fring = lift_a.base.ring
+    ctx = coh.make_context(phi.source, phi.target, phi)
+    fmap = phi.map.coeffs
     for k in range(1, n):
-        mhat, dhat = _pushforward(desc, eta, eta_inv, s1.current)
-        diff_m = ra.sub(desc, mhat, m2_legs)
-        diff_d = ra.sub(desc, dhat, d2_legs)
-        if not (np.any(diff_m) or np.any(diff_d)):
-            break
+        desc = fring.at_precision(k + 1)
+        f = fmap % desc.q  # digit lift
+        sides = hc._morphism_residuals(f, lift_a.at_precision(k + 1), lift_b.at_precision(k + 1))
+        defect_m, defect_d = (ra.sub(desc, lhs, rhs) for lhs, rhs in sides)
         pk = desc.p**k
-        if np.any(diff_m % pk) or np.any(diff_d % pk):
-            raise InternalAxiomFailure(f"lift difference not divisible by p^{k}")
-        mu = (diff_m // pk) % desc.p
-        delta = (diff_d // pk) % desc.p
+        if np.any(defect_m % pk) or np.any(defect_d % pk):
+            raise NotDivisible(f"morphism defect not divisible by p^{k}")
         z = coh.TotalCochain(
             ctx,
             1,
             {
-                (1, 0): MultiMap(base.ring, 2, 1, N, N, mu.reshape(N, N * N, base.ring.m)),
-                (0, 1): MultiMap(base.ring, 1, 2, N, N, delta.reshape(N * N, N, base.ring.m)),
+                (1, 0): MultiMap(fring, 2, 1, na, nb, ((defect_m // pk) % desc.p).reshape(nb, na * na, fring.m)),
+                (0, 1): MultiMap(fring, 1, 2, na, nb, ((defect_d // pk) % desc.p).reshape(nb * nb, na, fring.m)),
             },
         )
-        gamma = _solve_cocycle(
-            z,
-            "difference of exact lifts is not a 1-cocycle",
-            "1-cocycle is not a coboundary; H^1(A) = 0 is violated",
-        )
-        g = gamma.components[(0, 0)].coeffs
-        step = (eye - pk * g) % desc.q
-        eta = ra.tensordot(desc, step, eta, ([1], [0]))
-        # eta moved by a multiple of p^k, so the old inverse is one mod p^k
-        eta_inv = hensel_solve_array(desc, eta, eye, identity, (eta_inv, k))
-    _assert_intertwines(desc, eta, eta_inv, s1.current, s2.current)
-    return MultiMap(desc, 1, 1, N, N, eta)
+        # a solution certifies z = d(chi), hence d z = 0: closedness is tested only after a failed solve
+        chi = coh.solve_coboundary(z, _cocycle_checked=True)
+        if chi is None:
+            if not coh.is_cocycle(z):
+                raise NotACocycle("morphism defect pair is not a 1-cocycle")
+            raise CocycleUnsolvable("defect cocycle is not a coboundary; H^1(A,B,phi) = 0 is violated")
+        fmap = (f - pk * chi.components[(0, 0)].coeffs) % desc.q
+    desc = fring.at_precision(n)
+    out = MultiMap(desc, 1, 1, na, nb, fmap % desc.q)
+    fails = hc.morphism_failures(HopfMorphism(lift_a.current, lift_b.current, out))
+    if np.any(ra.sub(fring, out.coeffs % fring.p, phi.map.coeffs)):
+        fails.append("reduction")
+    return out, fails
 
 
-def _solve_cocycle(z: coh.TotalCochain, not_closed: str, not_exact: str) -> coh.TotalCochain:
-    """x with d(x) = z for a degree-1 z; the cocycle test runs only when the
-    solve fails, since a solution certifies z = d(x) and hence d z = 0."""
-    x = coh.solve_coboundary(z, _cocycle_checked=True)
-    if x is None:
-        if not coh.is_cocycle(z):
-            raise NotACocycle(not_closed)
-        raise CocycleUnsolvable(not_exact)
-    return x
+def reconcile(s1: LiftState, s2: LiftState) -> MultiMap:
+    """Exact Hopf isomorphism eta: s1.current -> s2.current with eta = id mod p.
 
-
-def _assert_intertwines(desc, eta, eta_inv, h1: HopfPresentation, h2: HopfPresentation):
-    N = h1.dim
-    mhat, dhat = _pushforward(desc, eta, eta_inv, h1)
-    if np.any(ra.sub(desc, mhat, h2.mul.coeffs.reshape(N, N, N, desc.m))):
-        raise InternalAxiomFailure("eta fails to intertwine the products")
-    if np.any(ra.sub(desc, dhat, h2.comul.coeffs.reshape(N, N, N, desc.m))):
-        raise InternalAxiomFailure("eta fails to intertwine the coproducts")
-    u2 = ra.tensordot(desc, eta, h1.unit.coeffs.reshape(N, desc.m), ([1], [0]))
-    if np.any(ra.sub(desc, u2, h2.unit.coeffs.reshape(N, desc.m))):
-        raise InternalAxiomFailure("eta fails on the units")
-    e1 = ra.tensordot(desc, h2.counit.coeffs.reshape(N, desc.m), eta, ([0], [0]))
-    if np.any(ra.sub(desc, e1, h1.counit.coeffs.reshape(N, desc.m))):
-        raise InternalAxiomFailure("eta fails on the counits")
-    s_l = ra.tensordot(desc, eta, h1.antipode.coeffs, ([1], [0]))
-    s_r = ra.tensordot(desc, h2.antipode.coeffs, eta, ([1], [0]))
-    if np.any(ra.sub(desc, s_l, s_r)):
-        raise InternalAxiomFailure("eta fails to intertwine the antipodes")
-    if np.any((eta - ra.eye(desc, N)) % desc.p):
-        raise InternalAxiomFailure("eta is not the identity mod p")
-
-
-# ---------------------------------------------------------------------------
-# morphism and R-matrix lifting
+    eta is the lift of the identity morphism of the base (uniqueness of lifts
+    is the H^1 = 0 case of lifting morphisms).  A map that is I mod p is
+    invertible, so no inverse is formed; besides the map lift's certificate,
+    eta is checked to intertwine the antipodes.  Every failure after the
+    cocycle solves raises InternalAxiomFailure.
+    """
+    if s1.base != s2.base or s1.precision != s2.precision:
+        raise DifferentBaseOrPrecision("reconcile needs the same base and precision")
+    try:
+        eta, fails = _lift_map(hc.identity_morphism(s1.base), s1, s2)
+    except NotDivisible as exc:
+        raise InternalAxiomFailure(f"the lifts differ: {exc}") from exc
+    desc = eta.ring
+    s_l = ra.tensordot(desc, eta.coeffs, s1.current.antipode.coeffs, ([1], [0]))
+    s_r = ra.tensordot(desc, s2.current.antipode.coeffs, eta.coeffs, ([1], [0]))
+    if np.any(s_l != s_r):
+        fails.append("antipode")
+    if fails:
+        raise InternalAxiomFailure(f"eta fails {fails}")
+    return eta
 
 
 def lift_morphism(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState) -> HopfMorphism:
-    """The unique Hopf morphism between the lifts reducing to phi mod p."""
+    """The unique Hopf morphism between the lifts reducing to phi mod p.
+
+    A failed certificate raises PostAxiomFailure for the (co)multiplicative
+    checks, else UnitCompatibilityFailure for the (co)unit ones (never
+    silently repaired), else InternalAxiomFailure for the reduction to phi.
+    """
     if not phi.verified:
         raise InternalAxiomFailure("phi must be VERIFIED")
     if phi.source != lift_a.base or phi.target != lift_b.base:
@@ -462,78 +442,15 @@ def lift_morphism(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState) -> Ho
         raise DifferentBaseOrPrecision("lift states must share the precision")
     for state in (lift_a, lift_b):
         _admit_base(state.base)
-    n = lift_a.precision
-    na, nb = phi.source.dim, phi.target.dim
-    ctx = coh.make_context(phi.source, phi.target, phi)
-    fmap = phi.map.coeffs
-    for k in range(1, n):
-        desc = lift_a.base.ring.at_precision(k + 1)
-        a_pres = lift_a.at_precision(k + 1)
-        b_pres = lift_b.at_precision(k + 1)
-        ma = a_pres.mul.coeffs.reshape(na, na, na, desc.m)
-        da = a_pres.comul.coeffs.reshape(na, na, na, desc.m)
-        mb = b_pres.mul.coeffs.reshape(nb, nb, nb, desc.m)
-        db = b_pres.comul.coeffs.reshape(nb, nb, nb, desc.m)
-        f = fmap % desc.q  # digit lift
-        lhs = ra.tensordot(desc, f, ma, ([1], [0]))  # [b, i, j]
-        t = ra.tensordot(desc, mb, f, ([1], [0]))
-        rhs = ra.tensordot(desc, t, f, ([1], [0]))
-        defect_m = ra.sub(desc, lhs, rhs)  # phi(xy) - phi(x)phi(y)
-        t = ra.tensordot(desc, f, da, ([1], [0]))  # [u, b, i]
-        lhs2 = ra.tensordot(desc, f, t, ([1], [1]))  # [v, u, i]
-        lhs2 = ra.transpose(lhs2, (1, 0, 2))
-        rhs2 = ra.tensordot(desc, db, f, ([2], [0]))
-        defect_d = ra.sub(desc, lhs2, rhs2)  # (phi (x) phi)Delta - Delta phi
-        pk = desc.p**k
-        if np.any(defect_m % pk) or np.any(defect_d % pk):
-            raise NotDivisible(f"morphism defect not divisible by p^{k}")
-        psi = (defect_m // pk) % desc.p
-        eta = (defect_d // pk) % desc.p
-        fring = lift_a.base.ring
-        z = coh.TotalCochain(
-            ctx,
-            1,
-            {
-                (1, 0): MultiMap(fring, 2, 1, na, nb, psi.reshape(nb, na * na, fring.m)),
-                (0, 1): MultiMap(fring, 1, 2, na, nb, eta.reshape(nb * nb, na, fring.m)),
-            },
-        )
-        chi = _solve_cocycle(
-            z,
-            "morphism defect pair is not a 1-cocycle",
-            "defect cocycle is not a coboundary; H^1(A,B,phi) = 0 is violated",
-        )
-        fmap = (f - pk * chi.components[(0, 0)].coeffs) % desc.q
-        # exactness of the corrected map at this precision
-        lhs = ra.tensordot(desc, fmap, ma, ([1], [0]))
-        t = ra.tensordot(desc, mb, fmap, ([1], [0]))
-        rhs = ra.tensordot(desc, t, fmap, ([1], [0]))
-        if np.any(ra.sub(desc, lhs, rhs)):
-            raise PostAxiomFailure("corrected morphism is not multiplicative")
-        t = ra.tensordot(desc, fmap, da, ([1], [0]))
-        lhs2 = ra.transpose(ra.tensordot(desc, fmap, t, ([1], [1])), (1, 0, 2))
-        rhs2 = ra.tensordot(desc, db, fmap, ([2], [0]))
-        if np.any(ra.sub(desc, lhs2, rhs2)):
-            raise PostAxiomFailure("corrected morphism is not comultiplicative")
-    desc = lift_a.base.ring.at_precision(n)
-    a_pres, b_pres = lift_a.current, lift_b.current
-    out = MultiMap(desc, 1, 1, na, nb, fmap % desc.q)
-    # unit/counit compatibility is asserted, never silently repaired
-    ub = b_pres.unit.coeffs.reshape(nb, desc.m)
-    ua = a_pres.unit.coeffs.reshape(na, desc.m)
-    if np.any(ra.sub(desc, ra.tensordot(desc, out.coeffs, ua, ([1], [0])), ub)):
-        raise UnitCompatibilityFailure("lifted morphism does not preserve the unit")
-    ea = a_pres.counit.coeffs.reshape(na, desc.m)
-    eb = b_pres.counit.coeffs.reshape(nb, desc.m)
-    if np.any(ra.sub(desc, ra.tensordot(desc, eb, out.coeffs, ([0], [0])), ea)):
-        raise UnitCompatibilityFailure("lifted morphism does not preserve the counit")
-    if np.any(ra.sub(lift_a.base.ring, out.coeffs % lift_a.base.ring.p, phi.map.coeffs)):
-        raise InternalAxiomFailure("lifted morphism does not reduce to phi")
-    result = HopfMorphism(a_pres, b_pres, out)
-    fails = hc.morphism_failures(result)
-    if fails:
-        raise PostAxiomFailure(f"lifted morphism fails {fails}")
-    return HopfMorphism(a_pres, b_pres, out, verified=True)
+    out, fails = _lift_map(phi, lift_a, lift_b)
+    for names, error in (
+        ({"multiplicative", "comultiplicative"}, PostAxiomFailure),
+        ({"unital", "counital"}, UnitCompatibilityFailure),
+        ({"reduction"}, InternalAxiomFailure),
+    ):
+        if names.intersection(fails):
+            raise error(f"lifted morphism fails {fails}")
+    return HopfMorphism(lift_a.current, lift_b.current, out, verified=True)
 
 
 def dualcop_state(state: LiftState) -> LiftState:

@@ -339,7 +339,7 @@ def test_hensel_systems_factored_once_per_base(monkeypatch):
     assert kinds == []
     lf.reconcile(cold, warm)
     lf.reconcile(warm, cold)
-    assert kinds == ["identity"]
+    assert kinds == []
     # the factors live in the context cache: emptying it makes the next lift cold
     coh._CACHE.clear()
     kinds.clear()
@@ -433,3 +433,25 @@ def test_admit_base_names_failing_axioms():
     with pytest.raises(NotSemisimpleOrCosemisimple, match="VERIFIED") as exc:
         lf.lift(hc.HopfPresentation(F5, 2, *C2.tensors()), 3)
     assert type(exc.value) is NotSemisimpleOrCosemisimple
+
+
+@pytest.mark.parametrize(
+    "fails, lift_error",
+    [
+        (["multiplicative"], "PostAxiomFailure"),
+        (["comultiplicative", "unital"], "PostAxiomFailure"),
+        (["counital"], "UnitCompatibilityFailure"),
+    ],
+)
+def test_failed_map_certificate_raises_stage_exception(monkeypatch, fails, lift_error):
+    """The one certificate of a lifted map: (co)multiplicative failures raise
+    PostAxiomFailure before (co)unit ones raise UnitCompatibilityFailure; in
+    reconcile every failure is an InternalAxiomFailure."""
+    from hopflift import errors
+
+    st = lf.lift(C2, 3, "perturbed:3")
+    monkeypatch.setattr(hc, "morphism_failures", lambda phi: list(fails))
+    with pytest.raises(getattr(errors, lift_error)):
+        lf.lift_morphism(hc.identity_morphism(C2), st, st)
+    with pytest.raises(errors.InternalAxiomFailure):
+        lf.reconcile(st, st)

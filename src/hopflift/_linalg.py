@@ -2,10 +2,14 @@
 
 FieldSolver factors a matrix once (canonical greedy pivoting: columns left to
 right, first unused row in original order) and then answers repeated solves,
-ranks and kernels.  For m == 1 the factorization is a left-looking panel
+ranks and kernels.  There is one elimination, over F_p: a left-looking panel
 elimination whose bulk updates run through BLAS at dtypes with proven-exact
-integer bounds; for m > 1 a dense vectorized elimination over the extension
-field is used (desk-scale inputs only).
+integer bounds.  Over F_{p^m}, m > 1, it factors the F_p matrix of the
+regular representation, whose entry ((r, i), (c, j)) is coefficient i of
+M[r, c] x^j.  Its greedy pivot columns come in whole blocks (c, 0..m-1), one
+for each pivot column c over F_{p^m}; its canonical kernel vectors at the
+free columns (f, 0) and its canonical solutions are those over F_{p^m},
+written in coefficients.
 
 A tall input (more than _SKETCH_MARGIN rows beyond its column count) is
 factored through a sparse row sketch P.M with cols + _SKETCH_MARGIN rows: each
@@ -15,8 +19,10 @@ makes ker(P.M) = ker(M); the greedy pivot columns, the kernel basis in RREF
 and the canonical solution depend only on that kernel, so every output is the
 one the unsketched elimination gives.  A failed certificate re-sketches with
 the next seed, and finally factors M itself (P = I) with the same code.
-Solves map the right-hand side through P and keep the exact residual check
-M.x = b against the unsketched matrix.
+Sketch, certificate and residual checks run over F_{p^m} on the unexpanded
+input; only the sketch, or the unsketched input, is expanded to F_p.  Solves
+map the right-hand side through P and keep the exact residual check M.x = b
+against the unsketched matrix.
 """
 
 from __future__ import annotations
@@ -123,11 +129,12 @@ def _inv_lower(T, invs, p):
 
 def _block_substitute(T, blocks, B, p):
     """X with T X = B for a triangular T, given its diagonal blocks
-    (s0, s1, inverse of T[s0:s1, s0:s1]) in solving order.  Rows not yet
-    solved are zero in X, so the whole rows of T can be used."""
+    (s0, s1, inverse of T[s0:s1, s0:s1]) in solving order; B is reduced.
+    Rows not yet solved are zero in X, so the whole rows of T can be used,
+    and the first block needs no update."""
     X = np.zeros_like(B)
-    for s0, s1, inv in blocks:
-        acc = (B[s0:s1] - _exact_dot(T[s0:s1], X, p)) % p
+    for i, (s0, s1, inv) in enumerate(blocks):
+        acc = (B[s0:s1] - _exact_dot(T[s0:s1], X, p)) % p if i else B[s0:s1]
         X[s0:s1] = _exact_dot(inv, acc, p)
     return X
 
@@ -146,8 +153,10 @@ def _make_sketch(nrows, k, q, seed):
 class FieldSolver:
     """Echelon factorization of a matrix over a field descriptor (n == 1).
 
-    ``marr`` is a dense (R, C, m) array or a CooMatrix.  ``pivot_rows`` index
-    the factored matrix: the input, or the sketch when the input was sketched.
+    ``marr`` is a dense (R, C, m) array or a CooMatrix.  ``rank`` and
+    ``pivot_cols`` are over F_{p^m}.  ``pivot_rows`` index the rows (r, i) of
+    the factored F_p matrix: the regular representation of the input, or of
+    the sketch when the input was sketched (the input itself when m == 1).
     """
 
     def __init__(self, desc, marr, rank_only: bool = False):
@@ -182,13 +191,16 @@ class FieldSolver:
         return _scatter(index, coeff[rows], vals, k * width, self.desc.q, -(-self.nrows // k))
 
     def _factor(self, marr):
-        if self.desc.m == 1:
+        R, C, m = marr.shape
+        if m == 1:
             self._factor_prime(marr[..., 0])
         else:
-            self._factor_generic(marr)
+            # the F_p matrix: entry ((r, i), (c, j)) is coefficient i of marr[r, c] x^j
+            self._factor_prime(ra.reg_rep(self.desc, marr).transpose(0, 2, 1, 3).reshape(R * m, C * m))
+        # pivot column c over F_{p^m} is the F_p pivot block (c, 0..m-1)
+        self.pivot_cols = self._pcols[::m] // m
         self.rank = len(self.pivot_cols)
 
-    # ------------------------------------------------------------------ m == 1
     def _factor_prime(self, M0):
         p = self.desc.q
         R, C = M0.shape
@@ -250,10 +262,10 @@ class FieldSolver:
             if t > t0:
                 tblocks.append((t0, t, _inv_lower(Lpp[t0:t, t0:t], invs[t0:t], p)))
         self.pivot_rows = np.array(pivot_rows, dtype=np.int64)
-        self.pivot_cols = np.array(pivot_cols, dtype=np.int64)
+        self._pcols = np.array(pivot_cols, dtype=np.int64)
         self._Lpp = Lpp[:t, :t]
         self._U = U[:t]
-        self._Upc = U[:t][:, self.pivot_cols]
+        self._Upc = U[:t][:, self._pcols]
         self._tblocks = tblocks
         # Upc is unit upper triangular: reversing both axes makes it lower
         self._ublocks = [
@@ -261,64 +273,19 @@ class FieldSolver:
             for s0, s1, _ in reversed(tblocks)
         ]
 
-    def _solve_prime(self, flat):
-        """Canonical x (C, w) for the factored rows: T beta = b on the pivot rows, Upc xp = beta."""
-        p = self.desc.q
-        x = np.zeros((self.ncols, flat.shape[1]), dtype=np.int64)
-        if self.rank:
-            beta = _block_substitute(self._Lpp, self._tblocks, flat[self.pivot_rows], p)
-            x[self.pivot_cols] = _block_substitute(self._Upc, self._ublocks, beta, p)
-        return x
-
-    # ------------------------------------------------------------------ m > 1
-    def _factor_generic(self, marr):
-        desc = self.desc
-        R, C = marr.shape[0], marr.shape[1]
-        from .coeffring import _inv_coeffs_field
-
-        # full Gauss-Jordan on [M | I]; row-op trail E recovered from the right block
-        W = np.concatenate([marr.copy(), ra.eye(desc, R)], axis=1)
-        unused = np.ones(R, dtype=bool)
-        pivot_rows: list[int] = []
-        pivot_cols: list[int] = []
-        for c in range(C):
-            col_nonzero = np.any(W[:, c] != 0, axis=-1) & unused
-            cand = np.flatnonzero(col_nonzero)
-            if cand.size == 0:
-                continue
-            r = int(cand[0])
-            inv = _inv_coeffs_field(desc, W[r, c])
-            W[r] = ra.elem_mul(desc, W[r], inv[None, :])
-            mask = np.any(W[:, c] != 0, axis=-1)
-            mask[r] = False
-            rows = np.flatnonzero(mask)
-            if rows.size:
-                factors = W[rows, c]
-                W[rows] = ra.sub(desc, W[rows], ra.elem_mul(desc, factors[:, None, :], W[r][None, :, :]))
-            unused[r] = False
-            pivot_rows.append(r)
-            pivot_cols.append(c)
-        self.pivot_rows = np.array(pivot_rows, dtype=np.int64)
-        self.pivot_cols = np.array(pivot_cols, dtype=np.int64)
-        self._rref = W[self.pivot_rows][:, :C] if pivot_rows else np.zeros((0, C, desc.m), dtype=np.int64)
-        self._E = W[self.pivot_rows][:, C:] if pivot_rows else np.zeros((0, R, desc.m), dtype=np.int64)
-
-    # ------------------------------------------------------------------ public
     def _kernel_matrix(self):
         """Canonical kernel basis as the columns of a (C, C - rank, m) array."""
-        desc = self.desc
-        if desc.m == 1 and self._U is None:
+        if self._U is None:
             raise ValueError("factorization was rank_only")
+        m, p = self.desc.m, self.desc.q
         free = np.setdiff1d(np.arange(self.ncols), self.pivot_cols)
-        K = ra.zeros(desc, (self.ncols, free.size))
-        K[free, np.arange(free.size), 0] = 1
+        # the kernel vector at free column f is the F_p one at free column (f, 0)
+        K = np.zeros((self.ncols * m, free.size), dtype=np.int64)
+        K[free * m, np.arange(free.size)] = 1
         if self.rank and free.size:
-            if desc.m == 1:
-                xp = _block_substitute(self._Upc, self._ublocks, self._U[:, free], desc.q)
-                K[self.pivot_cols, :, 0] = (-xp) % desc.q
-            else:
-                K[self.pivot_cols] = ra.neg(desc, self._rref[:, free])
-        return K
+            xp = _block_substitute(self._Upc, self._ublocks, self._U[:, free * m], p)
+            K[self._pcols] = (-xp) % p
+        return np.ascontiguousarray(K.reshape(self.ncols, m, free.size).swapaxes(1, 2))
 
     def _times(self, x):
         """M @ x against the unsketched input, exact."""
@@ -341,17 +308,20 @@ class FieldSolver:
         rhs has physical shape (R, m) or (R, w, m); the result matches with R
         replaced by the column count.
         """
-        desc = self.desc
-        b = rhs % desc.q
+        p, m = self.desc.q, self.desc.m
+        b = rhs % p
         sb = b
         if self._sketch is not None:
             sb = self._apply_sketch(np.arange(self.nrows), b)
-        if desc.m == 1:
-            x = self._solve_prime(sb.reshape(sb.shape[0], -1)).reshape((self.ncols,) + rhs.shape[1:])
-        else:
-            x = ra.zeros(desc, (self.ncols,) + rhs.shape[1:-1])
-            if self.rank:
-                x[self.pivot_cols] = ra.tensordot(desc, self._E, sb, ([1], [0]))
+        # over F_p, row (r, i) of the right-hand side is coefficient i of sb[r]
+        flat = sb.reshape(sb.shape[0], -1, m).swapaxes(1, 2).reshape(sb.shape[0] * m, -1)
+        xp = np.zeros((self.ncols * m, flat.shape[1]), dtype=np.int64)
+        if self.rank:
+            # T beta = b on the pivot rows, Upc xp = beta
+            beta = _block_substitute(self._Lpp, self._tblocks, flat[self.pivot_rows], p)
+            xp[self._pcols] = _block_substitute(self._Upc, self._ublocks, beta, p)
+        x = np.ascontiguousarray(xp.reshape(self.ncols, m, -1).swapaxes(1, 2))
+        x = x.reshape((self.ncols,) + rhs.shape[1:])
         if np.any(self._times(x) != b):
             return None
         return x

@@ -429,10 +429,10 @@ class HopfMorphism:
         return f"<{tag}HopfMorphism {self.source.dim}->{self.target.dim} over {self.source.ring}>"
 
 
-def _morphism_residuals(F, A: HopfPresentation, B: HopfPresentation):
+def _morphism_residuals(desc, F, Ma, Da, Mb, Db):
     """The multiplicative and comultiplicative defects of a linear map F: A -> B
-    (F[b, a]), each as the pair (lhs, rhs) of reduced tensors whose difference
-    it is:
+    (F[b, a]), given the mul and comul legs of A and B (see _legs), each as
+    the pair (lhs, rhs) of reduced tensors whose difference it is:
 
       multiplicative    F m_A - m_B (F (x) F)           [b,i,j]
       comultiplicative  (F (x) F) Delta_A - Delta_B F   [u,v,i]
@@ -440,9 +440,6 @@ def _morphism_residuals(F, A: HopfPresentation, B: HopfPresentation):
     morphism_failures compares the sides; lifting._lift_map divides their
     difference by p^k.
     """
-    desc = A.ring
-    Ma, Da = _legs(A)[:2]
-    Mb, Db = _legs(B)[:2]
     t = ra.tensordot(desc, Mb, F, ([1], [0]))  # sum_v Mb[b,v,w] F[v,i] -> [b,w,i]
     mult = ra.tensordot(desc, F, Ma, ([1], [0])), ra.tensordot(desc, t, F, ([1], [0]))
     t = ra.tensordot(desc, F, Da, ([1], [0]))  # sum_a F[u,a] Da[a,c,i] -> [u,c,i]
@@ -452,12 +449,11 @@ def _morphism_residuals(F, A: HopfPresentation, B: HopfPresentation):
 
 def morphism_failures(phi: HopfMorphism) -> list[str]:
     """Exact residual checks: multiplicative, comultiplicative, unital, counital."""
-    src, tgt, F = phi.source, phi.target, phi.map.coeffs
-    desc = src.ring
-    sides = _morphism_residuals(F, src, tgt)
+    F, desc = phi.map.coeffs, phi.source.ring
+    Ms, Ds, Us, Es, _ = _legs(phi.source)
+    Mt, Dt, Ut, Et, _ = _legs(phi.target)
+    sides = _morphism_residuals(desc, F, Ms, Ds, Mt, Dt)
     fails = [name for name, (lhs, rhs) in zip(("multiplicative", "comultiplicative"), sides) if np.any(lhs != rhs)]
-    _, _, Us, Es, _ = _legs(src)
-    _, _, Ut, Et, _ = _legs(tgt)
     if np.any(ra.sub(desc, ra.tensordot(desc, F, Us, ([1], [0])), Ut)):
         fails.append("unital")
     if np.any(ra.sub(desc, ra.tensordot(desc, Et, F, ([0], [0])), Es)):

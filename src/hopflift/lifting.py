@@ -361,24 +361,30 @@ def _lift_map(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState):
     Level k digit-lifts the map, divides its multiplicative and
     comultiplicative defects by p^k (NotDivisible if they are not), and
     subtracts p^k times the coboundary solution chi of that defect pair, so
-    it changes digit k only.  The final map reduced mod p^(k+1) is therefore
-    the map of level k, and one morphism_failures of the final map, with its
-    reduction to phi, certifies every level.  Returns the map and the names
-    of the failed checks ("reduction" for the reduction to phi).
+    it changes digit k only; a zero defect pair has chi = 0 and solves
+    nothing.  The final map reduced mod p^(k+1) is therefore the map of level
+    k, and one morphism_failures of the final map, with its reduction to phi,
+    certifies every level.  Returns the map and the names of the failed
+    checks ("reduction" for the reduction to phi).
     """
     n = lift_a.precision
     na, nb = phi.source.dim, phi.target.dim
     fring = lift_a.base.ring
     ctx = coh.make_context(phi.source, phi.target, phi)
     fmap = phi.map.coeffs
+    # only mul and comul enter the defects: their legs are reduced per level
+    legs = hc._legs(lift_a.current)[:2] + hc._legs(lift_b.current)[:2]
     for k in range(1, n):
         desc = fring.at_precision(k + 1)
         f = fmap % desc.q  # digit lift
-        sides = hc._morphism_residuals(f, lift_a.at_precision(k + 1), lift_b.at_precision(k + 1))
+        sides = hc._morphism_residuals(desc, f, *(leg % desc.q for leg in legs))
         defect_m, defect_d = (ra.sub(desc, lhs, rhs) for lhs, rhs in sides)
         pk = desc.p**k
         if np.any(defect_m % pk) or np.any(defect_d % pk):
             raise NotDivisible(f"morphism defect not divisible by p^{k}")
+        if not (defect_m.any() or defect_d.any()):
+            fmap = f
+            continue
         z = coh.TotalCochain(
             ctx,
             1,

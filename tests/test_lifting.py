@@ -455,3 +455,30 @@ def test_failed_map_certificate_raises_stage_exception(monkeypatch, fails, lift_
         lf.lift_morphism(hc.identity_morphism(C2), st, st)
     with pytest.raises(errors.InternalAxiomFailure):
         lf.reconcile(st, st)
+
+
+def test_zero_defect_levels_solve_nothing(monkeypatch):
+    """A level whose defect pair is zero has the zero cochain as its coboundary
+    solution, so no solve runs: reconcile of a lift with itself solves nothing,
+    and two different lifts still solve at their nonzero levels."""
+    st = lf.lift(C2, 4, "perturbed:3")
+    calls = []
+    real = coh.solve_coboundary
+    monkeypatch.setattr(coh, "solve_coboundary", lambda *a, **k: calls.append(1) or real(*a, **k))
+    eta = lf.reconcile(st, st)
+    assert calls == []
+    assert np.array_equal(eta.coeffs, ra.eye(st.current.ring, 2))
+    lf.lift_morphism(hc.identity_morphism(C2), st, st)
+    assert calls == []
+    lf.reconcile(st, lf.lift(C2, 4, "perturbed:5"))
+    assert calls
+    # a comultiplication moved by p^2 noise alone: level 1 is zero and skipped,
+    # level 2 has a zero multiplicative but a nonzero comultiplicative defect
+    cur = st.current
+    noise = np.random.default_rng(2).integers(0, 5, size=cur.comul.coeffs.shape)
+    comul = tc.MultiMap(cur.ring, 1, 2, 2, 2, (cur.comul.coeffs + 25 * noise) % cur.ring.q)
+    moved = hc.HopfPresentation(cur.ring, 2, cur.mul, cur.unit, comul, cur.counit, cur.antipode)
+    del calls[:]
+    with pytest.raises(NotACocycle):
+        lf.reconcile(st, lf.LiftState(C2, 4, moved, []))
+    assert len(calls) == 1

@@ -1,7 +1,9 @@
 """FieldSolver's sketched path and the exact kernels at large moduli.
 
-Oracles: the same elimination on the unsketched matrix (P = I), and plain
-Gauss-Jordan elimination in Python ints.
+Oracles: the same elimination on the unsketched matrix (P = I), plain
+Gauss-Jordan elimination in Python ints, and over F_{p^m} a Gauss-Jordan
+elimination on [M | I] in the extension field itself, which FieldSolver's
+F_p elimination of the regular representation must match bit for bit.
 """
 
 import numpy as np
@@ -247,3 +249,155 @@ def test_tensordot_extension_matches_oracle(desc, seed):
         assert list(map(int, got[i, k, l])) == want
     # a first operand expanded once by the caller gives the same bits
     assert np.array_equal(ra.tensordot(desc, a, b, ([1], [0]), ra.expand(desc, a)), got)
+
+
+# --- extension-field oracle: Gauss-Jordan on [M | I] over F_{p^m} ---
+
+
+def gauss_jordan_ext(desc, marr):
+    """Full Gauss-Jordan over F_{p^m} on [M | I], columns left to right, the
+    first unused row in original order as pivot.  Returns the pivot columns,
+    the RREF rows at those columns and the row-operation trail E, so that
+    x[pivots] = E b is the canonical solution of a consistent M x = b."""
+    R, C = marr.shape[0], marr.shape[1]
+    W = np.concatenate([marr % desc.q, ra.eye(desc, R)], axis=1)
+    unused = np.ones(R, dtype=bool)
+    pivot_rows, pivot_cols = [], []
+    for c in range(C):
+        cand = np.flatnonzero(np.any(W[:, c] != 0, axis=-1) & unused)
+        if cand.size == 0:
+            continue
+        r = int(cand[0])
+        W[r] = ra.elem_mul(desc, W[r], cr._inv_coeffs_field(desc, W[r, c])[None, :])
+        mask = np.any(W[:, c] != 0, axis=-1)
+        mask[r] = False
+        rows = np.flatnonzero(mask)
+        if rows.size:
+            W[rows] = ra.sub(desc, W[rows], ra.elem_mul(desc, W[rows, c][:, None, :], W[r][None, :, :]))
+        unused[r] = False
+        pivot_rows.append(r)
+        pivot_cols.append(c)
+    piv = W[pivot_rows].reshape(len(pivot_rows), R + C, desc.m)
+    return np.array(pivot_cols, dtype=np.int64), piv[:, :C], piv[:, C:]
+
+
+class ExtOracle:
+    """Rank, pivots, kernel and canonical solutions from gauss_jordan_ext."""
+
+    def __init__(self, desc, marr):
+        self.desc, self.marr = desc, marr % desc.q
+        self.pivot_cols, self.rref, self.E = gauss_jordan_ext(desc, marr)
+        self.rank = len(self.pivot_cols)
+
+    def kernel_basis(self):
+        C = self.marr.shape[1]
+        out = []
+        for f in np.setdiff1d(np.arange(C), self.pivot_cols):
+            vec = ra.zeros(self.desc, (C,))
+            vec[f, 0] = 1
+            vec[self.pivot_cols] = ra.neg(self.desc, self.rref[:, f])
+            out.append(vec)
+        return out
+
+    def solve(self, rhs):
+        desc = self.desc
+        b = rhs % desc.q
+        x = ra.zeros(desc, (self.marr.shape[1],) + rhs.shape[1:-1])
+        if self.rank:
+            x[self.pivot_cols] = ra.tensordot(desc, self.E, b, ([1], [0]))
+        return x if np.array_equal(ra.tensordot(desc, self.marr, x, ([1], [0])), b) else None
+
+
+F8 = cr.make_ring(2, 1, 3)
+F25 = cr.make_ring(5, 1, 2)
+# F_{p^2} at p = 2^31 + 11, x^2 + 1 irreducible as p = 3 mod 4: the object-dtype side
+F_P31_UP_2 = cr.make_ring(P31_UP, 1, 2, modulus=[1, 0, 1])
+EXT_FIELDS = [F4, F8, F9, F25, F_P31_UP_2]
+# (rows, cols): wide, square, tall but not sketched, tall and sketched
+EXT_SHAPES = [(5, 14), (12, 12), (30, 9), (9 + _linalg._SKETCH_MARGIN + 40, 9)]
+
+
+def ext_matrix(desc, rows, cols, kind, seed):
+    if kind == "zero":
+        return ra.zeros(desc, (rows, cols))
+    rng = np.random.default_rng(seed)
+    while kind == "full":
+        mat = rng.integers(0, desc.q, size=(rows, cols, desc.m)).astype(np.int64)
+        if len(gauss_jordan_ext(desc, mat)[0]) == min(rows, cols):
+            return mat
+    return planted(desc, rows, cols, max(1, min(rows, cols) // 2), seed)
+
+
+def assert_matches_ext_oracle(desc, solver, oracle, seed):
+    assert solver.rank == oracle.rank
+    assert np.array_equal(solver.pivot_cols, oracle.pivot_cols)
+    got, want = solver.kernel_basis(), oracle.kernel_basis()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    mat = oracle.marr
+    rng = np.random.default_rng(seed + 7)
+    x0 = rng.integers(0, desc.q, size=(mat.shape[1], 3, desc.m)).astype(np.int64)
+    consistent = ra.tensordot(desc, mat, x0, ([1], [0]))
+    random_rhs = rng.integers(0, desc.q, size=(mat.shape[0], 2, desc.m)).astype(np.int64)
+    for rhs in (consistent, consistent[:, 0], np.zeros_like(consistent), random_rhs, random_rhs[:, 1]):
+        a, b = solver.solve(rhs), oracle.solve(rhs)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+    assert solver.factors(mat)
+    other = mat.copy()
+    other[0, 0, 0] = (other[0, 0, 0] + 1) % desc.q
+    assert not solver.factors(other)
+
+
+@pytest.mark.parametrize("desc", EXT_FIELDS, ids=["F4", "F8", "F9", "F25", "F_P31_UP_2"])
+@pytest.mark.parametrize("shape", EXT_SHAPES, ids=["wide", "square", "tall", "sketched"])
+@pytest.mark.parametrize("kind", ["zero", "full", "deficient"])
+def test_extension_field_solver_matches_gauss_jordan(desc, shape, kind, monkeypatch):
+    rows, cols = shape
+    seed = rows * 31 + cols + desc.p * desc.m
+    mat = ext_matrix(desc, rows, cols, kind, seed)
+    oracle = ExtOracle(desc, mat)
+    assert oracle.rank == {"zero": 0, "full": min(rows, cols)}.get(kind, oracle.rank)
+    solver = FieldSolver(desc, mat)
+    assert (solver._sketch is not None) == (rows > cols + _linalg._SKETCH_MARGIN)
+    assert_matches_ext_oracle(desc, solver, oracle, seed)
+    assert_matches_ext_oracle(desc, FieldSolver(desc, CooMatrix.from_dense(mat)), oracle, seed)
+    # the failed-certificate fallback: no seed certifies, so the input itself is factored
+    with monkeypatch.context() as mp:
+        mp.setattr(_linalg, "_SKETCH_SEEDS", ())
+        for marr in (mat, CooMatrix.from_dense(mat)):
+            solver = FieldSolver(desc, marr)
+            assert solver._sketch is None
+            assert_matches_ext_oracle(desc, solver, oracle, seed)
+
+
+def hensel_oracle(desc, marr, rhs):
+    """The unique x with M x = rhs over GR(p^n, m), one p-digit per
+    gauss_jordan_ext solve of the reduced system."""
+    fdesc = desc.residue()
+    oracle = ExtOracle(fdesc, marr % desc.p)
+    x = np.zeros((marr.shape[1],) + rhs.shape[1:], dtype=np.int64)
+    for k in range(desc.n):
+        resid = ra.sub(desc, rhs, ra.tensordot(desc, marr, x, ([1], [0])))
+        x = (x + desc.p**k * oracle.solve((resid // desc.p**k) % desc.p)) % desc.q
+    return x
+
+
+@pytest.mark.parametrize("desc", [cr.make_ring(2, 3, 2), cr.make_ring(5, 2, 2)], ids=["GR8_2", "GR25_2"])
+@pytest.mark.parametrize("size", [1, 4, 9])
+def test_extension_hensel_matches_gauss_jordan(desc, size):
+    rng = np.random.default_rng([desc.p, desc.n, size])
+    fdesc = desc.residue()
+    while True:
+        marr = rng.integers(0, desc.q, size=(size, size, desc.m)).astype(np.int64)
+        if ExtOracle(fdesc, marr % desc.p).rank == size:
+            break
+    for shape in ((size, desc.m), (size, 3, desc.m)):
+        rhs = rng.integers(0, desc.q, size=shape).astype(np.int64)
+        want = hensel_oracle(desc, marr, rhs)
+        assert np.array_equal(ra.tensordot(desc, marr, want, ([1], [0])), rhs)
+        for solver in (None, FieldSolver(fdesc, marr % desc.p)):
+            got = cr.hensel_solve_array(desc, marr, rhs, solver)
+            assert got.dtype == want.dtype and np.array_equal(got, want)

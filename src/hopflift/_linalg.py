@@ -129,12 +129,11 @@ def _inv_lower(T, invs, p):
 
 def _block_substitute(T, blocks, B, p):
     """X with T X = B for a triangular T, given its diagonal blocks
-    (s0, s1, inverse of T[s0:s1, s0:s1]) in solving order; B is reduced.
-    Rows not yet solved are zero in X, so the whole rows of T can be used,
-    and the first block needs no update."""
+    (s0, s1, inverse of T[s0:s1, s0:s1]) in solving order.  Rows not yet
+    solved are zero in X, so the whole rows of T can be used."""
     X = np.zeros_like(B)
-    for i, (s0, s1, inv) in enumerate(blocks):
-        acc = (B[s0:s1] - _exact_dot(T[s0:s1], X, p)) % p if i else B[s0:s1]
+    for s0, s1, inv in blocks:
+        acc = (B[s0:s1] - _exact_dot(T[s0:s1], X, p)) % p
         X[s0:s1] = _exact_dot(inv, acc, p)
     return X
 

@@ -76,6 +76,9 @@ def main():
         c3 = hopflift(wd, "gen", "C3", "--p", "3").stdout
         p = hopflift(wd, "analyze", stdin=c3)
         check("gen C3 --p 3 | analyze", p, 1, "not semisimple" in p.stderr)
+        p = hopflift(wd, "analyze", stdin=hopflift(wd, "gen", "C3.dual", "--p", "3").stdout)
+        glikes = "grouplikes       1 (1 central)" in p.stdout.splitlines()
+        check("gen C3.dual --p 3 | analyze", p, 1, "not cosemisimple" in p.stderr and glikes)
         check("gen C2.double --p 5 -o d2.json", hopflift(wd, "gen", "C2.double", "--p", "5", "-o", "d2.json"), 0)
         p = hopflift(wd, "cohomology", "d2.json", "--degree", "0,1", "--invariants")
         check("cohomology d2.json --degree 0,1 --invariants", p, 0, p.stdout.startswith("H^0 = "))

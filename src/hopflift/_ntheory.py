@@ -58,10 +58,3 @@ def primes_upto(bound: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i, b in enumerate(sieve) if b]
-
-
-def divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in prime_factors(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)

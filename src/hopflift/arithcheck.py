@@ -36,11 +36,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def height_sum(self) -> int:
-        """D = sum of absolute coefficient values."""
-        return sum(abs(c) for c in self.coeffs)
-
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         out = [0] * n

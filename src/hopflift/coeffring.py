@@ -7,7 +7,6 @@ coefficient vectors of polynomial residues, stored reduced mod (p^n, modulus).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -139,9 +138,13 @@ def _is_irreducible_mod_p(f, p):
 
 
 def _default_modulus(p, m):
-    """Smallest monic irreducible of degree m over F_p in lex coefficient order."""
-    for tail in itertools.product(range(p), repeat=m):
-        f = list(tail) + [1]
+    """Smallest monic irreducible of degree m over F_p in lex coefficient order.
+
+    The tails (c_0, .., c_{m-1}) are counted lazily as the base-p digits of
+    p^(m-1), p^(m-1) + 1, ..., so the search starts at constant term 1: for
+    m >= 2 every tail with c_0 = 0 gives a multiple of x."""
+    for n in range(p ** (m - 1), p**m):
+        f = [n // p ** (m - 1 - i) % p for i in range(m)] + [1]
         if _is_irreducible_mod_p(f, p):
             return tuple(f)
     raise ReducibleModulus(f"no irreducible of degree {m} over F_{p}")  # unreachable

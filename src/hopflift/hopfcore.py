@@ -10,7 +10,6 @@ the Drinfeld element, theta maps and Wedderburn block dimensions.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 from dataclasses import dataclass, field, replace
 
@@ -559,176 +558,89 @@ def trace_s2(H: HopfPresentation) -> RingElement:
 
 
 # ---------------------------------------------------------------------------
-# commutative decomposition machinery (grouplikes, Wedderburn blocks)
+# characters of commutative algebras (grouplikes, Wedderburn blocks)
 
 
 def _field_elements(desc):
-    if desc.q > root_search_bound():
-        raise FieldTooLargeForRootSearch(f"|F| = {desc.q} exceeds bound {root_search_bound()}")
-    for tup in itertools.product(range(desc.p), repeat=desc.m):
-        yield np.array(tup, dtype=np.int64)
+    """The p^m elements of the field as the rows of a (p^m, m) array; a field
+    over the root-search bound is refused before any search."""
+    size = desc.p**desc.m
+    if size > root_search_bound():
+        raise FieldTooLargeForRootSearch(f"|F| = {size} exceeds bound {root_search_bound()}")
+    return np.indices((desc.p,) * desc.m).reshape(desc.m, size).T.copy()
 
 
-def _fq_poly_eval(desc, coeffs, x):
-    """Horner evaluation; coeffs ascending, entries are (m,) arrays."""
-    acc = np.zeros(desc.m, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (ra.elem_mul(desc, acc, x) + c) % desc.q
-    return acc
+def _characters(desc, T, unit_vec):
+    """Algebra characters of the commutative algebra with structure tensor T
+    (dim, dim, dim): the values chi(b_t) on its basis, one (dim,) row of the
+    returned (count, dim) array per character.
 
-
-def _fq_poly_divmod(desc, a, b):
-    a = [c.copy() for c in a]
-    db = len(b) - 1
-    inv = _inv_coeffs_field(desc, b[-1])
-    quot = [np.zeros(desc.m, dtype=np.int64) for _ in range(max(0, len(a) - db))]
-    for i in range(len(a) - 1, db - 1, -1):
-        c = ra.elem_mul(desc, a[i], inv)
-        if np.any(c):
-            quot[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - ra.elem_mul(desc, c, b[j])) % desc.q
-    while len(a) > 1 and not np.any(a[-1]):
-        a.pop()
-    while len(quot) > 1 and not np.any(quot[-1]):
-        quot.pop()
-    return quot or [np.zeros(desc.m, dtype=np.int64)], a[:db] or [np.zeros(desc.m, dtype=np.int64)]
-
-
-def _fq_poly_mul(desc, a, b):
-    out = [np.zeros(desc.m, dtype=np.int64) for _ in range(len(a) + len(b) - 1)]
-    for i, ai in enumerate(a):
-        if np.any(ai):
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ra.elem_mul(desc, ai, bj)) % desc.q
-    return out
-
-
-def _fq_poly_xgcd(desc, a, b):
-    r0, r1 = [c.copy() for c in a], [c.copy() for c in b]
-    s0 = [ra.one_scalar(desc)]
-    s1 = [np.zeros(desc.m, dtype=np.int64)]
-    z = lambda: [np.zeros(desc.m, dtype=np.int64)]
-    t0, t1 = z(), [ra.one_scalar(desc)]
-
-    def is_zero(poly):
-        return all(not np.any(c) for c in poly)
-
-    def sub(x, y):
-        out = [c.copy() for c in x] + [np.zeros(desc.m, dtype=np.int64) for _ in range(max(0, len(y) - len(x)))]
-        for i, c in enumerate(y):
-            out[i] = (out[i] - c) % desc.q
-        while len(out) > 1 and not np.any(out[-1]):
-            out.pop()
-        return out
-
-    while not is_zero(r1):
-        quot, rem = _fq_poly_divmod(desc, r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, sub(s0, _fq_poly_mul(desc, quot, s1))
-        t0, t1 = t1, sub(t0, _fq_poly_mul(desc, quot, t1))
-    return r0, s0, t0
-
-
-def _decompose_commutative(desc, basis, mult, unit_vec):
-    """Primitive idempotents of a commutative algebra given by an ambient basis.
-
-    mult(x, y) multiplies ambient coefficient vectors.  Returns a list of
-    (idempotent, block_dim) pairs; block_dim is the rank of e * span(basis).
-    Splitting uses exhaustive root search over F_q plus CRT idempotents from
-    the coprime factorization of minimal polynomials.
-    """
-
-    def block_dim(e):
-        return FieldSolver(desc, np.stack([mult(e, b) for b in basis], axis=1), rank_only=True).rank
-
-    elements = None
-    unit = unit_vec % desc.q
-    blocks = [(unit, block_dim(unit))]
-    for g in basis:
-        new_blocks = []
-        for e, dim in blocks:
-            if elements is None:  # a field too large to search is refused even if no block needs it
-                elements = list(_field_elements(desc))
-            if dim <= 1:
-                # e g is a multiple of e: one linear factor, the block stays
-                new_blocks.append((e, dim))
+    A character is a common eigenvector of the transposed multiplication
+    operators L_t^T: f -> f(b_t .), with eigenvalue chi(b_t).  A common
+    eigenvector f with eigenvalues lam_t has f(a) = lam(a) f(1), so each
+    common eigenspace is the line that the character lam spans, also when the
+    algebra is not semisimple.  The space of functionals is split by the
+    kernels of L_t^T - lam, one operator at a time, lam over the F_q roots of
+    the minimal polynomial of b_t, until every piece is a line."""
+    n = T.shape[0]
+    elements = _field_elements(desc)
+    T_reg = ra.expand(desc, T)
+    pieces = [ra.eye(desc, n)]  # the columns of each piece span it
+    for t in range(n):
+        if all(B.shape[1] == 1 for B in pieces):
+            break
+        Lt, Lt_reg = T[t], None if T_reg is None else T_reg[t]  # [k, i]: coefficient i of b_t b_k
+        # the Krylov columns 1, b_t, ..., b_t^n are dependent.  They are factored
+        # once: the pivots are the first d columns, d the degree of the minimal
+        # polynomial, and the canonical kernel vector of free column d holds its
+        # monic coefficients, evaluated at all of F_q in one Horner pass
+        powers = [unit_vec]
+        for _ in range(n):
+            powers.append(ra.tensordot(desc, Lt, powers[-1], ([0], [0]), a_reg=Lt_reg))
+        krylov = FieldSolver(desc, np.stack(powers, axis=1))
+        values = np.zeros_like(elements)
+        for c in krylov.kernel_basis()[0][krylov.rank :: -1]:
+            values = ra.add(desc, ra.elem_mul(desc, values, elements), c)
+        roots = elements[~np.any(values, axis=-1)]
+        split = []
+        for B in pieces:
+            if B.shape[1] == 1:
+                split.append(B)
                 continue
-            x = mult(e, g)
-            # the Krylov columns e, x, x^2, ... lie in the dim-dimensional
-            # e.span(basis), so dim + 1 of them are dependent.  They are factored
-            # once: the pivots are the first t columns, t the degree of the
-            # minimal polynomial, and the canonical kernel vector of free column
-            # t holds its (monic) coefficients.
-            powers = [e.copy(), x]
-            while len(powers) <= dim:
-                powers.append(mult(powers[-1], x))
-            solver = FieldSolver(desc, np.stack(powers, axis=1))
-            t = solver.rank
-            minpoly = list(solver.kernel_basis()[0][: t + 1])
-            # factor: linear powers by root search, the rest stays lumped
-            rem = minpoly
-            factors = []
-            for lam in elements:
-                if not np.any(_fq_poly_eval(desc, rem, lam)):
-                    mult_count = 0
-                    lin = [(-lam) % desc.q, ra.one_scalar(desc)]
-                    while True:
-                        quot, r = _fq_poly_divmod(desc, rem, lin)
-                        if np.any(r[0]) or len(r) > 1:
-                            break
-                        rem = quot
-                        mult_count += 1
-                    acc = lin
-                    for _ in range(mult_count - 1):
-                        acc = _fq_poly_mul(desc, acc, lin)
-                    factors.append(acc)
-                if len(rem) == 1:
+            LB = ra.tensordot(desc, Lt, B, ([1], [0]), a_reg=Lt_reg)  # [k, s]: f_s(b_t b_k)
+            found = 0
+            for lam in roots:
+                if found == B.shape[1]:  # the eigenspaces found fill the piece
                     break
-            if len(rem) > 1:
-                factors.append(rem)
-            if len(factors) <= 1:
-                new_blocks.append((e, dim))
-                continue
-            full = factors[0]
-            for f in factors[1:]:
-                full = _fq_poly_mul(desc, full, f)
-            pieces = []
-            for f_i in factors:
-                g_i, _ = _fq_poly_divmod(desc, full, f_i)
-                d, a_i, _ = _fq_poly_xgcd(desc, g_i, f_i)
-                dinv = _inv_coeffs_field(desc, d[0])
-                h_i = [ra.elem_mul(desc, c, dinv) for c in a_i]
-                idem_poly = _fq_poly_mul(desc, g_i, h_i)
-                _, idem_poly = _fq_poly_divmod(desc, idem_poly, full)
-                # evaluate at x inside the corner: x^0 = e
-                acc = np.zeros_like(e)
-                xp = e.copy()
-                for c in idem_poly:
-                    acc = (acc + ra.elem_mul(desc, c[None, :] if acc.ndim > 1 else c, xp)) % desc.q
-                    xp = mult(xp, x)
-                pieces.append(acc % desc.q)
-            total = np.zeros_like(e)
-            for piece in pieces:
-                if np.any(ra.sub(desc, mult(piece, piece), piece)):
-                    raise InternalAxiomFailure("CRT piece is not idempotent")
-                total = (total + piece) % desc.q
-            if np.any(ra.sub(desc, total, e)):
-                raise InternalAxiomFailure("CRT idempotents do not sum to the block unit")
-            new_blocks.extend((piece, block_dim(piece)) for piece in pieces)
-        blocks = new_blocks
-    return blocks
+                kernel = FieldSolver(desc, ra.sub(desc, LB, ra.elem_mul(desc, lam, B))).kernel_basis()
+                if kernel:
+                    split.append(ra.tensordot(desc, B, np.stack(kernel, axis=1), ([1], [0])))
+                    found += len(kernel)
+        pieces = split
+    chars = []
+    for B in pieces:
+        f = B[:, 0]
+        lam = ra.elem_mul(desc, f, _inv_coeffs_field(desc, ra.tensordot(desc, f, unit_vec, ([0], [0]))))
+        # the functional is unital and multiplicative: chi(b_i b_j) = lam_i lam_j
+        if not np.array_equal(ra.tensordot(desc, lam, unit_vec, ([0], [0])), ra.one_scalar(desc)):
+            continue
+        chi_prods = ra.tensordot(desc, T, lam, ([2], [0]))  # [i, j]
+        if not np.any(ra.sub(desc, chi_prods, ra.elem_mul(desc, lam[:, None], lam[None]))):
+            chars.append(lam)
+    return np.array(chars, dtype=np.int64).reshape(len(chars), n, desc.m)
 
 
 def grouplikes(H: HopfPresentation, central_only: bool = False):
     """All g with Delta(g) = g (x) g and eps(g) = 1, via characters of the
-    abelianized dual algebra (exhaustive root search over F_q).
+    abelianized dual algebra (common eigenvectors, eigenvalues by exhaustive
+    root search over F_q).  Every character is found, also on a local block
+    of a non-cosemisimple A, so the unit is always among them.
 
     A* has the structure tensor T[j, k, i], the f_i coefficient of f_j f_k.
     A character of A*/I, I the commutator ideal, is a grouplike of A.  The
     quotient map P is the canonical kernel basis of I (transposed), so the
     quotient coordinates are the free columns of I's RREF and A*/I has the
-    structure tensor P.T[free, free]."""
+    structure tensor P.T[free, free].  central_only keeps the central ones."""
     if not H.ring.is_field:
         raise DescriptorMismatch("grouplike search runs over the residue field")
     desc, N = H.ring, H.dim
@@ -770,36 +682,6 @@ def _ideal_closure(desc, T, gens):
         span = cols[:, solver.pivot_cols]
 
 
-def _characters(desc, T, unit_vec):
-    """Algebra characters of the commutative algebra with structure tensor T
-    (dim, dim, dim): the values chi(b_t) on its basis, one (dim,) row of the
-    returned (count, dim) array per character, via its block decomposition."""
-    n = T.shape[0]
-    T_reg = ra.expand(desc, T)
-
-    def mult(x, y):
-        return ra.tensordot(desc, ra.tensordot(desc, T, x, ([0], [0]), a_reg=T_reg), y, ([0], [0]))
-
-    chars = []
-    for e, _ in _decompose_commutative(desc, list(ra.eye(desc, n)), mult, unit_vec):
-        support = np.flatnonzero(np.any(e != 0, axis=-1))
-        if support.size == 0:
-            continue
-        c = int(support[0])
-        eb = ra.tensordot(desc, T, e, ([0], [0]), a_reg=T_reg)  # [t, s]: e b_t
-        lam = ra.elem_mul(desc, eb[:, c], _inv_coeffs_field(desc, e[c])[None, :])
-        # e b_t = lam_t e on the whole block (a single joint eigenvalue)
-        if np.any(ra.sub(desc, eb, ra.elem_mul(desc, lam[:, None], e[None]))):
-            continue
-        # the functional is unital and multiplicative: chi(b_i b_j) = lam_i lam_j
-        if not np.array_equal(ra.tensordot(desc, lam, unit_vec, ([0], [0])), ra.one_scalar(desc)):
-            continue
-        chi_prods = ra.tensordot(desc, T, lam, ([2], [0]))  # [i, j]
-        if not np.any(ra.sub(desc, chi_prods, ra.elem_mul(desc, lam[:, None], lam[None]))):
-            chars.append(lam)
-    return np.array(chars, dtype=np.int64).reshape(len(chars), n, desc.m)
-
-
 def _is_grouplike(H, g):
     desc, N = H.ring, H.dim
     D = H.comul.coeffs.reshape(N, N, N, desc.m)
@@ -820,51 +702,47 @@ def _is_central(H, g):
     return bool(np.array_equal(left, right))
 
 
-def _ambient_mult_fn(H: HopfPresentation):
-    desc, N = H.ring, H.dim
-    M = H.mul.coeffs.reshape(N, N, N, desc.m)
-
-    def mult(x, y):
-        t = ra.tensordot(desc, M, x, ([1], [0]))  # [a,y]
-        return ra.tensordot(desc, t, y, ([1], [0]))
-
-    return mult
-
-
 def center_basis(H: HopfPresentation):
+    """The canonical basis of the centre as the columns z_i of an (N, r, m)
+    array, and its coordinates: the free columns, where z_i is 1 at the i-th
+    and 0 at the others."""
     desc, N = H.ring, H.dim
     M = H.mul.coeffs.reshape(N, N, N, desc.m)
     rows = ra.zeros(desc, (N * N, N))
     for j in range(N):
         rows[j * N : (j + 1) * N] = ra.sub(desc, M[:, :, j, :], M[:, j, :, :])
-    return FieldSolver(desc, rows).kernel_basis()
+    solver = FieldSolver(desc, rows)
+    return np.stack(solver.kernel_basis(), axis=1), np.setdiff1d(np.arange(N), solver.pivot_cols)
 
 
 def irreducible_dimensions(H: HopfPresentation) -> list[int]:
-    """Wedderburn block sizes {n_i} of a split semisimple presentation."""
+    """Wedderburn block sizes {n_i} of a split semisimple presentation.
+
+    The blocks are {a : z a = chi(z) a for all central z}, one per character
+    chi of the centre Z.  They fill A exactly when Z is split over F_q."""
     if not H.ring.is_field:
         raise DescriptorMismatch("irreducible_dimensions runs over the residue field")
     if not is_semisimple(H):
         raise NotSemisimple("presentation is not semisimple")
     desc, N = H.ring, H.dim
-    mult = _ambient_mult_fn(H)
-    z_basis = center_basis(H)
-    unit = H.unit.coeffs.reshape(N, desc.m).copy()
-    blocks = _decompose_commutative(desc, z_basis, mult, unit)
+    M = H.mul.coeffs.reshape(N, N, N, desc.m)
+    Z, free = center_basis(H)
+    left = ra.tensordot(desc, M, Z, ([1], [0]))  # [a, x, i]: coefficient a of z_i e_x
+    Tz = ra.transpose(ra.tensordot(desc, left[free], Z, ([1], [0])), (1, 2, 0))  # z_i z_j in coordinates
+    chars = _characters(desc, Tz, H.unit.coeffs.reshape(N, desc.m)[free])
+    ops = ra.transpose(left, (2, 0, 1))  # [i, a, x]: left multiplication by z_i
     dims = []
     total = 0
-    for e, center_block_dim in blocks:
-        if center_block_dim != 1:
-            raise NotSplit(f"central block of dimension {center_block_dim} over F_q (field extension)")
-        t = ra.tensordot(desc, H.mul.coeffs.reshape(N, N, N, desc.m), e, ([1], [0]))  # [a,x]
-        bdim = FieldSolver(desc, t, rank_only=True).rank
+    for chi in chars:
+        shifted = ra.sub(desc, ops, ra.elem_mul(desc, chi[:, None, None], ra.eye(desc, N)[None]))
+        bdim = N - FieldSolver(desc, shifted.reshape(-1, N, desc.m), rank_only=True).rank
         n = int(round(bdim**0.5))
         if n * n != bdim:
             raise NotSplit(f"matrix block of dimension {bdim} is not a square")
         dims.append(n)
         total += bdim
     if total != N:
-        raise NotSplit(f"block dimensions sum to {total} != {N}")
+        raise NotSplit(f"block dimensions sum to {total} != {N}: the centre does not split over F_q")
     return sorted(dims)
 
 

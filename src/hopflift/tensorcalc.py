@@ -105,20 +105,6 @@ def _check_same_shape(f: MultiMap, g: MultiMap):
         raise ArityMismatch(f"{f} vs {g}")
 
 
-def from_array(ring: RingDescriptor, arity_in: int, arity_out: int, coeffs, dim_in=None, dim_out=None) -> MultiMap:
-    arr = np.asarray(coeffs, dtype=np.int64) % ring.q
-    if arr.ndim == 2:
-        arr = arr[..., None]
-        if ring.m != 1:
-            raise ValueError("2-D coefficients only valid when m == 1")
-    rows, cols = arr.shape[0], arr.shape[1]
-    if dim_out is None:
-        dim_out = rows if arity_out == 1 else round(rows ** (1 / arity_out)) if arity_out else (dim_in or 1)
-    if dim_in is None:
-        dim_in = cols if arity_in == 1 else round(cols ** (1 / arity_in)) if arity_in else dim_out
-    return MultiMap(ring, arity_in, arity_out, dim_in, dim_out, arr)
-
-
 def zero_map(ring, arity_in, arity_out, dim_in, dim_out=None) -> MultiMap:
     dim_out = dim_in if dim_out is None else dim_out
     return MultiMap(ring, arity_in, arity_out, dim_in, dim_out, ra.zeros(ring, (dim_out**arity_out, dim_in**arity_in)))

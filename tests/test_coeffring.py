@@ -34,6 +34,12 @@ def test_default_modulus_is_lex_smallest():
     assert cr.make_ring(3, 1, 2).modulus == (1, 0, 1)
 
 
+def test_default_modulus_for_a_large_prime():
+    # p = 2^31 - 1 = 3 mod 4, so x^2 + 1 is irreducible; the search never
+    # materialises range(p)
+    assert cr.make_ring(2147483647, 1, 2).modulus == (1, 0, 1)
+
+
 def test_arith_examples():
     assert cr.arith("mul", Z25.element(7), Z25.element(18)) == Z25.element(1)
     assert cr.arith("add", F5.element(3), F5.element(4)) == F5.element(2)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from hopflift import _arrays as ra
 from hopflift import coeffring as cr
 from hopflift import hopfcore as hc
 from hopflift import tensorcalc as tc
-from hopflift.errors import NotAGroup, NotSemisimple
+from hopflift.errors import NotAGroup, NotSemisimple, NotSplit
 
 F3 = cr.make_ring(3)
 F5 = cr.make_ring(5)
@@ -22,6 +23,17 @@ def vec(ring, entries):
 def r_matrix(ring, dim, entries):
     arr = np.array(entries, dtype=np.int64).reshape(dim * dim, 1)[:, :, None]
     return tc.MultiMap(ring, 0, 2, dim, dim, arr % ring.q)
+
+
+def _ambient_mult_fn(H):
+    desc, N = H.ring, H.dim
+    M = H.mul.coeffs.reshape(N, N, N, desc.m)
+
+    def mult(x, y):
+        t = ra.tensordot(desc, M, x, ([1], [0]))  # [a,y]
+        return ra.tensordot(desc, t, y, ([1], [0]))
+
+    return mult
 
 
 R0 = r_matrix(F5, 2, [1, 0, 0, 0])
@@ -144,14 +156,12 @@ class TestIntegralsAndSemisimplicity:
         assert basis[0][:, 0].tolist() in ([1, 0], [0, 1])
         got = basis[0][:, 0]
         # verify the defining relation directly: a L = eps(a) L
-        mult = hc._ambient_mult_fn(d)
+        mult = _ambient_mult_fn(d)
         E = d.counit.coeffs.reshape(2, 1)
         for i in range(2):
             a = np.zeros((2, 1), dtype=np.int64)
             a[i, 0] = 1
             lhs = mult(a, basis[0])
-            from hopflift import _arrays as ra
-
             rhs = ra.elem_mul(F5, E[i], basis[0])
             assert np.array_equal(lhs, rhs)
 
@@ -185,10 +195,8 @@ class TestGrouplikes:
             gs = hc.grouplikes(H)
             unit = H.unit.coeffs.reshape(H.dim, ring.m)
             assert any(np.array_equal(v, unit) for v in gs)
-            mult = hc._ambient_mult_fn(H)
+            mult = _ambient_mult_fn(H)
             S = H.antipode.coeffs
-            from hopflift import _arrays as ra
-
             for v in gs:
                 sv = ra.tensordot(ring, S, v, ([1], [0]))
                 assert np.array_equal(mult(v, sv), unit)
@@ -196,6 +204,16 @@ class TestGrouplikes:
     def test_grouplikes_of_group_algebra_is_group(self):
         H = hc.generate("C4", F5)
         assert len(hc.grouplikes(H)) == 4
+
+    @pytest.mark.parametrize("name,p", [("C3.dual", 3), ("C2.dual", 2)])
+    def test_unit_of_non_cosemisimple_dual(self, name, p):
+        # the dual algebra F_p[C_p] is local: its one character, the counit,
+        # spans a common eigenspace but no block of an idempotent splitting
+        H = hc.generate(name, cr.make_ring(p))
+        unit = H.unit.coeffs.reshape(H.dim, 1)
+        for central_only in (False, True):
+            g = hc.grouplikes(H, central_only=central_only)
+            assert len(g) == 1 and g[0].dtype == unit.dtype and np.array_equal(g[0], unit)
 
 
 class TestWedderburn:
@@ -216,6 +234,11 @@ class TestWedderburn:
     def test_not_semisimple_rejected(self):
         with pytest.raises(NotSemisimple):
             hc.irreducible_dimensions(hc.generate("C3", F3))
+
+    def test_not_split_rejected(self):
+        # F5[C3] = F5 x F25: the centre has one character over F5, not three
+        with pytest.raises(NotSplit):
+            hc.irreducible_dimensions(hc.generate("C3", F5))
 
 
 class TestQuasitriangular:
@@ -300,6 +323,15 @@ def test_root_search_bound(monkeypatch):
     monkeypatch.setenv("HOPFLIFT_ROOT_BOUND", "3")
     with pytest.raises(FieldTooLargeForRootSearch):
         hc.grouplikes(hc.generate("C2", F5))
+
+
+def test_root_search_bound_counts_the_field_elements(monkeypatch):
+    from hopflift.errors import FieldTooLargeForRootSearch
+
+    # F_25 has 25 elements: over a bound of 24 although p = 5 is not
+    monkeypatch.setenv("HOPFLIFT_ROOT_BOUND", "24")
+    with pytest.raises(FieldTooLargeForRootSearch):
+        hc.grouplikes(hc.generate("C2", cr.make_ring(5, 1, 2)))
 
 
 def test_presentation_tensors_frozen_so_the_digest_stays_valid():

@@ -82,6 +82,9 @@ def main():
         check("gen C2.double --p 5 -o d2.json", hopflift(wd, "gen", "C2.double", "--p", "5", "-o", "d2.json"), 0)
         p = hopflift(wd, "cohomology", "d2.json", "--degree", "0,1", "--invariants")
         check("cohomology d2.json --degree 0,1 --invariants", p, 0, p.stdout.startswith("H^0 = "))
+        check("gen S3 --p 7 -o s3.json", hopflift(wd, "gen", "S3", "--p", "7", "-o", "s3.json"), 0)
+        p = hopflift(wd, "cohomology", "s3.json", "--degree", "0,1,2")
+        check("cohomology s3.json --degree 0,1,2 (H^2 = 0)", p, 0, "H^2 = 0" in p.stdout.splitlines())
         check("gen C2 --p 5 -o c2.json", hopflift(wd, "gen", "C2", "--p", "5", "-o", "c2.json"), 0)
         p = hopflift(wd, "lift", "c2.json", "--precision", "4", "--strategy", "perturbed:7", "-o", "lift.json")
         check("lift c2.json --precision 4 --strategy perturbed:7", p, 0)

@@ -13,7 +13,9 @@ Flattened matrices of the total differential are assembled once per
 components of degree n are ordered (n,0), (n-1,1), ..., (0,n) and vectorized
 row-major (out index major).  Degree-2 coboundaries for the lifting come from
 solve_obstruction, which contracts with the separability idempotent and never
-builds d_1.
+builds d_1.  For a semisimple A the same contraction reduces cohomology_dim,
+the H^1 certificate and the invariants complex to the complex ad(B^{tensor q+1})
+under d_c, with one cached solver per ad_k and per d_c ad_k.
 """
 
 from __future__ import annotations
@@ -172,13 +174,12 @@ class _ContextCache:
         self._coact = {}
         self._mult = {}
         self._dmat = {}
-        self._solver = {}
         self._contraction = None
         self._memo = {}
 
     def memo(self, key, build):
-        """build(), computed once per context: lifting keeps the admission
-        verdict of its base and the mod-p factors of its Hensel systems here."""
+        """build(), computed once per context: the solvers of d_n, ad_k and d_c ad_k,
+        and lifting's admission verdict and mod-p factors of its Hensel systems."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -455,10 +456,7 @@ def _assemble(ctx: ComplexContext, cc: _ContextCache, n: int) -> CooMatrix:
 
 
 def _solver_for(ctx: ComplexContext, n: int) -> FieldSolver:
-    cc = _cache(ctx)
-    if n not in cc._solver:
-        cc._solver[n] = FieldSolver(ctx.ring, dtotal_matrix(ctx, n))
-    return cc._solver[n]
+    return _cache(ctx).memo(("d", n), lambda: FieldSolver(ctx.ring, dtotal_matrix(ctx, n)))
 
 
 def solve_coboundary(z: TotalCochain, _cocycle_checked: bool = False) -> TotalCochain | None:
@@ -484,12 +482,21 @@ def solve_coboundary(z: TotalCochain, _cocycle_checked: bool = False) -> TotalCo
 
 
 def cohomology_dim(ctx: ComplexContext, n: int) -> int:
-    """dim H^n = dim ker(d_n) - rank(d_{n-1}), by exact rank computation."""
+    """dim H^n for n = 0..2, exactly: on the reduced complex when A is semisimple
+    (its separability idempotent certified), else on the whole bicomplex."""
     if n < 0 or n > 2:
         raise BudgetExceeded("only degrees 0..2 are supported")
     limit = h2_budget() if n == 2 else coboundary_budget()
     if max(ctx.A.dim, ctx.B.dim) > limit:
         raise BudgetExceeded(f"dims exceed budget {limit} for degree {n}")
+    if hc.is_semisimple(ctx.A):
+        _separability_idempotent(ctx)
+        return _reduced_dim(_cache(ctx), n)
+    return _bicomplex_dim(ctx, n)
+
+
+def _bicomplex_dim(ctx: ComplexContext, n: int) -> int:
+    """dim H^n = dim ker(d_n) - rank(d_{n-1}) on the total complex."""
     dim_cn = sum(size for _, _, size in space_dims(ctx, n))
     mat_n = dtotal_matrix(ctx, n)
     rank_n = FieldSolver(ctx.ring, mat_n, rank_only=True).rank
@@ -562,12 +569,28 @@ def _dc_ad_matrix(cc: _ContextCache, k: int, ad):
     return img.reshape(nb ** (k + 1) * na, nb**k, m)
 
 
+def _ad_solver(cc: _ContextCache, k: int) -> FieldSolver:
+    """FieldSolver of ad_k, once per context; its kernel is (B^{tensor k})^A."""
+    return cc.memo(("ad", k), lambda: FieldSolver(cc.ctx.ring, _ad_matrix(cc, k)))
+
+
+def _dc_ad_solver(cc: _ContextCache, k: int) -> FieldSolver:
+    """FieldSolver of m |-> d_c(ad(m)) on B^{tensor k}, once per context."""
+    return cc.memo(("dc_ad", k), lambda: FieldSolver(cc.ctx.ring, _dc_ad_matrix(cc, k, _ad_matrix(cc, k))))
+
+
+def _reduced_dim(cc: _ContextCache, n: int) -> int:
+    """dim H^n of X_q = ad(B^{tensor q+1}) under d_c, that of the bicomplex for a semisimple A:
+    rank(ad_{n+1}) - rank(d_c ad_{n+1}) - rank(d_c ad_n), the last term absent for n = 0."""
+    closed = _ad_solver(cc, n + 1).rank - _dc_ad_solver(cc, n + 1).rank
+    return closed - _dc_ad_solver(cc, n).rank if n else closed
+
+
 def _contraction(ctx: ComplexContext) -> _Contraction:
     """Build (once per context) and certify the data of solve_obstruction.
 
     Raises InternalAxiomFailure when the idempotent fails its identities and
-    CocycleUnsolvable when H^1 != 0, which the reduction computes exactly as
-    rank(ad_2) - rank(d_c ad_2) - rank(d_c ad_1) on B^{tensor 2} and B.
+    CocycleUnsolvable when H^1 != 0 on the reduced complex (_reduced_dim).
     """
     cc = _cache(ctx)
     if cc._contraction is not None:
@@ -575,13 +598,9 @@ def _contraction(ctx: ComplexContext) -> _Contraction:
     desc = ctx.ring
     e = _separability_idempotent(ctx)
     el = {q: ra.tensordot(desc, e, cc.mult_operator(q + 1, "left"), ([0], [0])) for q in (0, 1)}
-    ad1, ad2 = _ad_matrix(cc, 1), _ad_matrix(cc, 2)
-    dc_ad = FieldSolver(desc, _dc_ad_matrix(cc, 2, ad2))
-    h1 = (
-        FieldSolver(desc, ad2, rank_only=True).rank
-        - dc_ad.rank
-        - FieldSolver(desc, _dc_ad_matrix(cc, 1, ad1), rank_only=True).rank
-    )
+    ad2 = _ad_matrix(cc, 2)
+    dc_ad = _dc_ad_solver(cc, 2)
+    h1 = _reduced_dim(cc, 1)
     # the free columns of d_1 are the last nonzero positions of an echelon
     # basis of ker d_1 = im d_0: the greedy pivots of d_0^T, columns reversed
     d0 = dtotal_matrix(ctx, 0)
@@ -657,16 +676,6 @@ def solve_obstruction(z: TotalCochain) -> TotalCochain | None:
 # the invariants subcomplex D^*(B)^A
 
 
-def _invariant_basis(ctx: ComplexContext, k: int):
-    desc = ctx.ring
-    na, nb = ctx.A.dim, ctx.B.dim
-    cc = _cache(ctx)
-    lm = cc.mult_operator(k, "left")
-    rm = cc.mult_operator(k, "right")
-    rows = ra.sub(desc, lm, rm).reshape(na * nb**k, nb**k, desc.m)
-    return FieldSolver(desc, rows).kernel_basis()
-
-
 def _hat_differential_matrix(ctx: ComplexContext, q: int):
     """d: B^{tensor q+1} -> B^{tensor q+2} of the augmented coalgebra complex."""
     desc = ctx.ring
@@ -694,38 +703,24 @@ def _hat_differential_matrix(ctx: ComplexContext, q: int):
 
 def invariants_complex_dim(ctx: ComplexContext, n: int) -> int:
     """Cohomology of the A-invariants subcomplex (B^{tensor q+1})^A under the
-    coalgebra differential; agrees with cohomology_dim on the tested corpus."""
+    coalgebra differential; agrees with cohomology_dim on the tested corpus.
+    (B^{tensor k})^A is the kernel of ad_k, and d must map it into ker ad_{k+1}."""
     if max(ctx.A.dim, ctx.B.dim) > 4 or n > 2 or n < 0:
         raise BudgetExceeded("invariants complex limited to dims <= 4 and n <= 2")
     desc = ctx.ring
+    cc = _cache(ctx)
 
     def restricted(qd):
-        vin = _invariant_basis(ctx, qd + 1)
-        vout = _invariant_basis(ctx, qd + 2)
-        dmat = _hat_differential_matrix(ctx, qd)
+        """dim (B^{tensor qd+1})^A and the rank of d on it."""
+        vin = _ad_solver(cc, qd + 1).kernel_basis()
         if not vin:
-            return np.zeros((max(len(vout), 1), 0, desc.m), dtype=np.int64), 0, len(vout)
-        images = [ra.tensordot(desc, dmat, v, ([1], [0])) for v in vin]
-        if not vout:
-            for img in images:
-                if np.any(img):
-                    raise InternalAxiomFailure("differential does not preserve invariants")
-            return np.zeros((1, len(vin), desc.m), dtype=np.int64), len(vin), 0
-        vout_mat = np.stack(vout, axis=1)
-        solver = FieldSolver(desc, vout_mat)
-        cols = []
-        for img in images:
-            c = solver.solve(img)
-            if c is None:
-                raise InternalAxiomFailure("differential does not preserve invariants")
-            cols.append(c)
-        return np.stack(cols, axis=1), len(vin), len(vout)
+            return 0, 0
+        images = ra.tensordot(desc, _hat_differential_matrix(ctx, qd), np.stack(vin, axis=1), ([1], [0]))
+        if np.any(ra.tensordot(desc, _ad_matrix(cc, qd + 2), images, ([1], [0]))):
+            raise InternalAxiomFailure("differential does not preserve invariants")
+        return len(vin), FieldSolver(desc, images, rank_only=True).rank
 
-    mat_n, dim_n, _ = restricted(n)
-    rank_n = FieldSolver(desc, mat_n, rank_only=True).rank if dim_n else 0
-    kernel = dim_n - rank_n
+    dim_n, rank_n = restricted(n)
     if n == 0:
-        return kernel
-    mat_prev, dim_prev, _ = restricted(n - 1)
-    rank_prev = FieldSolver(desc, mat_prev, rank_only=True).rank if dim_prev else 0
-    return kernel - rank_prev
+        return dim_n - rank_n
+    return dim_n - rank_n - restricted(n - 1)[1]

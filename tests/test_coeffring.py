@@ -319,3 +319,105 @@ def test_hensel_bad_seed_or_solver_raises(desc):
     for bad in (FieldSolver(desc.residue(), other), FieldSolver(cr.make_ring(11), np.eye(3, dtype=np.int64)[..., None])):
         with pytest.raises(DescriptorMismatch):
             cr.hensel_solve_array(desc, marr, rhs, bad)
+
+
+# --- exactness near the modulus bound q <= 2^62, against Python ints ---
+
+NEAR_BOUND = [
+    cr.make_ring(2, 62),
+    cr.make_ring(3, 39),
+    cr.make_ring(7, 22),
+    cr.make_ring(2**31 - 1, 2),
+    cr.make_ring(2, 31, 2),
+]
+
+
+def int_mul(desc, a, b):
+    """a * b in GR(p^n, m) on coefficient lists, in Python ints: the product
+    polynomial, then x^t -> -x^{t-m} (modulus - x^m) from the top degree down."""
+    prod = [0] * (2 * desc.m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for t in range(2 * desc.m - 2, desc.m - 1, -1):
+        c, prod[t] = prod[t], 0
+        for i in range(desc.m):
+            prod[t - desc.m + i] -= c * desc.modulus[i]
+    return [c % desc.q for c in prod[: desc.m]]
+
+
+def int_matmul(desc, a, b):
+    """a @ b for matrices given as rows of elements, in Python ints."""
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            acc = [0] * desc.m
+            for x, brow in zip(row, b):
+                acc = [s + t for s, t in zip(acc, int_mul(desc, x, brow[j]))]
+            out[-1].append([c % desc.q for c in acc])
+    return out
+
+
+def ring_elements(desc):
+    # values at both ends of [0, q) as well as anywhere in between
+    coeff = st.one_of(st.integers(0, desc.q - 1), st.integers(desc.q - 2**16, desc.q - 1), st.integers(0, 2**16))
+    return st.lists(coeff, min_size=desc.m, max_size=desc.m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_invert_near_the_modulus_bound(data):
+    desc = data.draw(st.sampled_from(NEAR_BOUND), label="ring")
+    a = data.draw(ring_elements(desc))
+    if data.draw(st.booleans(), label="non-unit"):
+        a = [desc.p * c % desc.q for c in a]
+        with pytest.raises(NotAUnit):
+            cr.invert(desc.element(a))
+    elif any(c % desc.p for c in a):
+        inv = cr.invert(desc.element(a))
+        assert int_mul(desc, a, list(inv.coeffs)) == [1] + [0] * (desc.m - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_div_p_array_near_the_modulus_bound(data):
+    desc = data.draw(st.sampled_from(NEAR_BOUND), label="ring")
+    k = data.draw(st.integers(1, desc.n - 1), label="k")
+    ys = data.draw(st.lists(ring_elements(desc), min_size=1, max_size=6))
+    pk = desc.p**k
+    arr = np.array([[pk * c % desc.q for c in y] for y in ys], dtype=np.int64)
+    target, out = cr.exact_div_p_array(desc, arr, k)
+    assert target == desc.at_precision(desc.n - k)
+    assert out.dtype == np.int64 and out.tolist() == [[c % target.q for c in y] for y in ys]
+    arr[-1, 0] = (arr[-1, 0] + 1) % desc.q
+    with pytest.raises(NotDivisible):
+        cr.exact_div_p_array(desc, arr, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hensel_solve_array_near_the_modulus_bound(data):
+    desc = data.draw(st.sampled_from(NEAR_BOUND), label="ring")
+    n = data.draw(st.integers(1, 4), label="n")
+    width = data.draw(st.sampled_from([None, 2]), label="width")
+
+    def entry():
+        return data.draw(ring_elements(desc))
+
+    # M = P L U with L unit lower and U upper triangular, units on U's
+    # diagonal: invertible mod p
+    one, zero = [1] + [0] * (desc.m - 1), [0] * desc.m
+    lower = [[one if i == j else entry() if i > j else zero for j in range(n)] for i in range(n)]
+    upper = [[entry() if j >= i else zero for j in range(n)] for i in range(n)]
+    for i in range(n):
+        upper[i][i][0] += 1 - upper[i][i][0] % desc.p
+    perm = data.draw(st.permutations(range(n)), label="P")
+    lu = int_matmul(desc, lower, upper)
+    mat = [lu[i] for i in perm]
+    x = [[entry() for _ in range(width or 1)] for _ in range(n)]
+    rhs = int_matmul(desc, mat, x)
+    shape = (n, desc.m) if width is None else (n, width, desc.m)
+    got = cr.hensel_solve_array(desc, np.array(mat, dtype=np.int64), np.array(rhs, dtype=np.int64).reshape(shape))
+    assert got.dtype == np.int64 and got.shape == shape
+    assert got.reshape(n, -1, desc.m).tolist() == x

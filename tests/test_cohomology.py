@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from hopflift import _arrays as ra
 from hopflift import coeffring as cr
 from hopflift import cohomology as coh
 from hopflift import hopfcore as hc
 from hopflift import tensorcalc as tc
-from hopflift.errors import BudgetExceeded, NotACocycle
+from hopflift._linalg import CooMatrix, FieldSolver
+from hopflift.errors import BudgetExceeded, InternalAxiomFailure, NotACocycle
 
 F5 = cr.make_ring(5)
 F7 = cr.make_ring(7)
@@ -278,8 +280,8 @@ def test_degree1_solution_deterministic():
 
 @pytest.mark.parametrize(
     "H",
-    [C2, hc.generate("C3", F7), hc.dual(C2)],
-    ids=["C2/F5", "C3/F7", "dual(C2)/F5"],
+    [C2, hc.generate("C3", F7), hc.dual(C2), hc.generate("S3", F7)],
+    ids=["C2/F5", "C3/F7", "dual(C2)/F5", "S3/F7"],
 )
 def test_theorem_11_vanishing(H):
     ctx = coh.make_context(H)
@@ -311,6 +313,71 @@ def test_budget_exceeded():
         coh.cohomology_dim(ctx, 2)
 
 
+# --- the reduced complex against the dense bicomplex, rank by rank ---
+
+
+def dense_reduced_ranks(ctx, k):
+    """rank(ad_k) and rank(d_c ad_k) from the column block (0, k-1) of
+    dtotal_matrix(ctx, k-1), for a semisimple A: there ker(d_a) = ad(B^{(x) k}),
+    and ker(d) = ker(d_a) n ker(d_c) has dimension rank(ad_k) - rank(d_c ad_k)."""
+    mat = coh.dtotal_matrix(ctx, k - 1)
+    *_, size = coh.space_dims(ctx, k - 1)[-1]
+    out_dims = [s for _, _, s in coh.space_dims(ctx, k)]
+    a0 = sum(out_dims[:-2])  # rows of component (1, k-1), the image of d_a
+    block = mat.cols >= mat.shape[1] - size
+    rows, cols, vals = mat.rows[block], mat.cols[block] - (mat.shape[1] - size), mat.vals[block]
+    alg = (rows >= a0) & (rows < a0 + out_dims[-2])
+    rank_d = FieldSolver(ctx.ring, CooMatrix((mat.shape[0], size), rows, cols, vals), rank_only=True).rank
+    d_a = CooMatrix((out_dims[-2], size), rows[alg] - a0, cols[alg], vals[alg])
+    rank_da = FieldSolver(ctx.ring, d_a, rank_only=True).rank
+    return size - rank_da, rank_d - rank_da
+
+
+def s3_inclusion_context():
+    # C2 -> S3 over F7, g |-> the transposition (1 2), element 1 of the S3 table
+    S3 = hc.generate("S3", F7)
+    inc = np.zeros((6, 2, 1), dtype=np.int64)
+    inc[0, 0, 0] = inc[1, 1, 0] = 1
+    C2_7 = hc.generate("C2", F7)
+    return coh.make_context(C2_7, S3, hc.make_morphism(C2_7, S3, tc.MultiMap(F7, 1, 1, 2, 6, inc)))
+
+
+# noncommutative B: ad != 0, so each rank below is a nonzero number to match
+REDUCED_CASES = [
+    ("S3/F7", lambda: coh.make_context(hc.generate("S3", F7)), 3),
+    ("S3/F25", lambda: coh.make_context(hc.generate("S3", cr.make_ring(5, 1, 2))), 2),
+    ("C2-S3/F7", s3_inclusion_context, 3),
+]
+
+
+@pytest.mark.parametrize("make_ctx,top", [c[1:] for c in REDUCED_CASES], ids=[c[0] for c in REDUCED_CASES])
+def test_reduced_complex_matches_dense_ranks(make_ctx, top):
+    ctx = make_ctx()
+    cc = coh._cache(ctx)
+    ranks = {k: dense_reduced_ranks(ctx, k) for k in range(1, top + 1)}
+    for k, (rank_ad, rank_dc_ad) in ranks.items():
+        assert 0 < rank_ad < ctx.B.dim**k and rank_dc_ad > 0
+        assert (coh._ad_solver(cc, k).rank, coh._dc_ad_solver(cc, k).rank) == (rank_ad, rank_dc_ad)
+    for n in range(top):
+        want = ranks[n + 1][0] - ranks[n + 1][1] - (ranks[n][1] if n else 0)
+        assert coh.cohomology_dim(ctx, n) == want
+        if n < 2:  # the dense d_2 of S3 is the 10 s path the reduction replaces
+            assert coh._bicomplex_dim(ctx, n) == want
+
+
+def test_cohomology_dim_takes_the_bicomplex_only_when_a_is_not_semisimple(monkeypatch):
+    calls = []
+    real = coh.dtotal_matrix
+    monkeypatch.setattr(coh, "dtotal_matrix", lambda ctx, n: calls.append(n) or real(ctx, n))
+    s3 = coh.make_context(hc.generate("S3", F7))
+    assert [coh.cohomology_dim(s3, n) for n in (0, 1, 2)] == [0, 0, 0]
+    assert calls == []
+    c3 = coh.make_context(hc.generate("C3", cr.make_ring(3)))  # p | |G|: not semisimple
+    assert not hc.is_semisimple(c3.A)
+    assert [coh.cohomology_dim(c3, n) for n in (0, 1, 2)] == [0, 0, 0]
+    assert set(calls) == {0, 1, 2}
+
+
 # --- invariants complex (Eq 1.3 cross-check) ---
 
 
@@ -334,6 +401,89 @@ def test_invariants_ground_field_direction():
     ctx = coh.make_context(C2, one, phi)
     for n in (0, 1, 2):
         assert coh.invariants_complex_dim(ctx, n) == 0
+
+
+def old_invariant_basis(ctx, k):
+    """(B^{(x) k})^A as the kernel of a FieldSolver of its own."""
+    desc = ctx.ring
+    na, nb = ctx.A.dim, ctx.B.dim
+    cc = coh._cache(ctx)
+    lm = cc.mult_operator(k, "left")
+    rm = cc.mult_operator(k, "right")
+    rows = ra.sub(desc, lm, rm).reshape(na * nb**k, nb**k, desc.m)
+    return FieldSolver(desc, rows).kernel_basis()
+
+
+def old_invariants_complex_dim(ctx, n):
+    """The restricted differential solved vector by vector in the basis of the
+    invariants of B^{(x) k+1}: the oracle of invariants_complex_dim."""
+    desc = ctx.ring
+
+    def restricted(qd):
+        vin = old_invariant_basis(ctx, qd + 1)
+        vout = old_invariant_basis(ctx, qd + 2)
+        dmat = coh._hat_differential_matrix(ctx, qd)
+        if not vin:
+            return np.zeros((max(len(vout), 1), 0, desc.m), dtype=np.int64), 0, len(vout)
+        images = [ra.tensordot(desc, dmat, v, ([1], [0])) for v in vin]
+        if not vout:
+            for img in images:
+                if np.any(img):
+                    raise InternalAxiomFailure("differential does not preserve invariants")
+            return np.zeros((1, len(vin), desc.m), dtype=np.int64), len(vin), 0
+        solver = FieldSolver(desc, np.stack(vout, axis=1))
+        cols = []
+        for img in images:
+            c = solver.solve(img)
+            if c is None:
+                raise InternalAxiomFailure("differential does not preserve invariants")
+            cols.append(c)
+        return np.stack(cols, axis=1), len(vin), len(vout)
+
+    mat_n, dim_n, _ = restricted(n)
+    rank_n = FieldSolver(desc, mat_n, rank_only=True).rank if dim_n else 0
+    kernel = dim_n - rank_n
+    if n == 0:
+        return kernel
+    mat_prev, dim_prev, _ = restricted(n - 1)
+    rank_prev = FieldSolver(desc, mat_prev, rank_only=True).rank if dim_prev else 0
+    return kernel - rank_prev
+
+
+def small_contexts():
+    """The corpus of dimension <= 4, C3/F4 over F_{p^m}, and C3/F3 (A not semisimple)."""
+    from hopflift.acceptance import full_corpus
+
+    extra = [("C3/F4", hc.generate("C3", cr.make_ring(2, 1, 2))), ("C3/F3", hc.generate("C3", cr.make_ring(3)))]
+    return [(label, H) for label, H in full_corpus(max_double_dim=4) if H.dim <= 4] + extra
+
+
+SMALL_CONTEXTS = small_contexts()
+
+
+@pytest.mark.parametrize("label,H", SMALL_CONTEXTS, ids=[label for label, _ in SMALL_CONTEXTS])
+def test_invariants_complex_matches_old_oracle(label, H):
+    ctx = coh.make_context(H)
+    cc = coh._cache(ctx)
+    for k in (1, 2, 3, 4):
+        old, new = old_invariant_basis(ctx, k), coh._ad_solver(cc, k).kernel_basis()
+        assert len(old) == len(new)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(old, new))
+    assert [coh.invariants_complex_dim(ctx, n) for n in (0, 1, 2)] == [
+        old_invariants_complex_dim(ctx, n) for n in (0, 1, 2)
+    ]
+
+
+def test_invariants_complex_checks_that_images_are_invariant(monkeypatch):
+    # with ad_2 replaced by the identity, no nonzero image of d on B^A = B is invariant
+    real = coh._ad_matrix
+    monkeypatch.setattr(coh, "_ad_matrix", lambda cc, k: real(cc, k) if k == 1 else ra.eye(F5, cc.ctx.B.dim**k))
+    coh._CACHE.clear()
+    try:
+        with pytest.raises(InternalAxiomFailure, match="does not preserve invariants"):
+            coh.invariants_complex_dim(CTX, 0)
+    finally:
+        coh._CACHE.clear()
 
 
 # --- degree-2 solve by contraction (the lifting path) against the dense oracle ---

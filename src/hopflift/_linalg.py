@@ -296,11 +296,6 @@ class FieldSolver:
             return _exact_dot(self.M[..., 0], flat, desc.q).reshape((self.nrows,) + x.shape[1:])
         return ra.tensordot(desc, self.M, x, ([1], [0]))
 
-    def factors(self, marr) -> bool:
-        """Whether the factored input is exactly the dense (R, C, m) array marr."""
-        M = self.M.toarray() if isinstance(self.M, CooMatrix) else self.M
-        return M.shape == marr.shape and np.array_equal(M, marr)
-
     def solve(self, rhs: np.ndarray):
         """Canonical particular solution (free variables zero) or None.
 

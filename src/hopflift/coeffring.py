@@ -347,23 +347,28 @@ def _inv_coeffs_field(desc: RingDescriptor, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inv_coeffs(desc: RingDescriptor, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of a unit of GR(p^n, m): invert mod p, then Hensel refine."""
-    if not np.any(coeffs % desc.p):
-        raise NotAUnit(f"{list(coeffs)} lies in the maximal ideal of {desc}")
-    x = _inv_coeffs_field(desc.residue(), coeffs % desc.p)
-    if desc.n == 1:
-        return x
-    a = np.asarray(coeffs, dtype=np.int64) % desc.q
-    prec = 1
+def newton_lift(desc: RingDescriptor, x: np.ndarray, prec: int, xax) -> np.ndarray:
+    """Newton's iteration x <- 2x - xax(x), from x right mod p^prec (prec >= 1)
+    until it is right mod p^n.
+
+    xax(x) is x a x when x is to be the inverse of a; the unit u of a product
+    m is the same iteration's fixed point with xax(u) = m(u (x) u).  If x* is
+    the answer and x = x* + p^k d, then xax(x) = x* + 2 p^k d mod p^2k: each
+    step doubles the number of correct p-digits.
+    """
     while prec < desc.n:
-        # x <- x*(2 - a*x), doubling the number of correct p-digits
-        ax = ra.elem_mul(desc, a, x)
-        two = np.zeros(desc.m, dtype=np.int64)
-        two[0] = 2
-        x = ra.elem_mul(desc, x, (two - ax) % desc.q)
+        x = ra.sub(desc, ra.add(desc, x, x), xax(x))
         prec *= 2
     return x
+
+
+def _inv_coeffs(desc: RingDescriptor, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of a unit of GR(p^n, m): invert mod p, then Newton-refine."""
+    if not np.any(coeffs % desc.p):
+        raise NotAUnit(f"{list(coeffs)} lies in the maximal ideal of {desc}")
+    a = np.asarray(coeffs, dtype=np.int64) % desc.q
+    x = _inv_coeffs_field(desc.residue(), coeffs % desc.p)
+    return newton_lift(desc, x, 1, lambda x: ra.elem_mul(desc, x, ra.elem_mul(desc, a, x)))
 
 
 def invert(a: RingElement) -> RingElement:
@@ -463,36 +468,16 @@ def hensel_solve(desc: RingDescriptor, matrix, rhs) -> list[RingElement]:
     return [desc.element(list(c)) for c in x]
 
 
-def hensel_solve_array(
-    desc: RingDescriptor, marr: np.ndarray, rarr: np.ndarray, solver=None, seed=None
-) -> np.ndarray:
-    """Array form of hensel_solve; rarr may be (R, m) or (R, w, m).
-
-    solver: a FieldSolver of marr mod p, used instead of a new factorization
-    once it is checked to factor exactly that matrix (DescriptorMismatch
-    otherwise).  seed: (x0, k) with x0 a solution mod p^k, 0 <= k < n; only
-    the digits k..n-1 are then solved, and a seed that is not a solution mod
-    p^k raises NotDivisible.  The solution is unique, so neither changes it.
-    """
+def hensel_solve_array(desc: RingDescriptor, marr: np.ndarray, rarr: np.ndarray) -> np.ndarray:
+    """Array form of hensel_solve; rarr may be (R, m) or (R, w, m)."""
     from ._linalg import FieldSolver
 
     ncols = marr.shape[1]
-    fdesc = desc.residue()
-    reduced = marr % desc.p
-    if solver is None:
-        solver = FieldSolver(fdesc, reduced)
-    elif solver.desc != fdesc or not solver.factors(reduced):
-        raise DescriptorMismatch("the given solver does not factor this matrix mod p")
+    solver = FieldSolver(desc.residue(), marr % desc.p)
     if solver.rank < ncols:
         raise SingularModP(f"matrix singular mod {desc.p} (rank {solver.rank} < {ncols})")
-    shape = (ncols,) + rarr.shape[1:]
-    x, start = np.zeros(shape, dtype=np.int64), 0
-    if seed is not None:
-        x0, start = seed
-        if not 0 <= start < desc.n or x0.shape != shape:
-            raise ValueError(f"seed needs shape {shape} and a precision in [0, {desc.n})")
-        x = np.asarray(x0, dtype=np.int64) % desc.q
-    for k in range(start, desc.n):
+    x = np.zeros((ncols,) + rarr.shape[1:], dtype=np.int64)
+    for k in range(desc.n):
         pk = desc.p**k
         resid = ra.sub(desc, rarr, ra.tensordot(desc, marr, x, ([1], [0])))
         if np.any(resid % pk):

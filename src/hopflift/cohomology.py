@@ -170,16 +170,12 @@ class _ContextCache:
         self.MB = ctx.B.mul.coeffs.reshape(nb, nb, nb, desc.m)
         self.DB = ctx.B.comul.coeffs.reshape(nb, nb, nb, desc.m)
         self.F = ctx.phi.map.coeffs  # (nb, na, m)
-        self._e = {}
-        self._coact = {}
-        self._mult = {}
-        self._dmat = {}
-        self._contraction = None
         self._memo = {}
 
     def memo(self, key, build):
-        """build(), computed once per context: the solvers of d_n, ad_k and d_c ad_k,
-        and lifting's admission verdict and mod-p factors of its Hensel systems."""
+        """build(), computed once per context: the structure operators below,
+        the matrices and solvers of d_n, ad_k and d_c ad_k, the contraction
+        data, the expanded operands, and lifting's admission verdict."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -190,7 +186,8 @@ class _ContextCache:
 
     def e_tensor(self, k: int):
         """phi^{tensor k} o Delta_k: (nb^k, na) coefficient block."""
-        if k not in self._e:
+
+        def build():
             dk = tc.iterate(self.ctx.A, k, "coproduct")
             cur = dk.coeffs  # (na^k, na, m)
             desc = self.ctx.ring
@@ -201,13 +198,15 @@ class _ContextCache:
                 legs = ra.tensordot(desc, self.F, legs, ([1], [t]))
                 # new phi-leg lands in front; rotate it to position t
                 legs = ra.moveaxis(legs, 0, t)
-            self._e[k] = legs.reshape(nb**k, na, desc.m)
-        return self._e[k]
+            return legs.reshape(nb**k, na, desc.m)
+
+        return self.memo(("e", k), build)
 
     def mult_operator(self, k: int, side: str):
         """Left/right multiplication by phi^{k}(Delta_k(e_a)) on B^{tensor k}:
         [a, out, in] of shape (na, nb^k, nb^k)."""
-        if (k, side) not in self._mult:
+
+        def build():
             desc = self.ctx.ring
             na, nb = self.ctx.A.dim, self.ctx.B.dim
             cur = self.e_tensor(k).reshape((nb,) * k + (na, desc.m))
@@ -216,13 +215,15 @@ class _ContextCache:
                 cur = ra.tensordot(desc, cur, self.MB, ([0], [1 if side == "left" else 2]))  # appends (o_t, i_t)
             # axes: [a, o1, i1, o2, i2, ...]
             perm = [0] + [1 + 2 * t for t in range(k)] + [2 + 2 * t for t in range(k)]
-            self._mult[(k, side)] = ra.transpose(cur, perm).reshape(na, nb**k, nb**k, desc.m)
-        return self._mult[(k, side)]
+            return ra.transpose(cur, perm).reshape(na, nb**k, nb**k, desc.m)
+
+        return self.memo(("mult", k, side), build)
 
     def coaction_operator(self, k: int, side: str):
         """phi(a^(1) products) paired with the legs a^(2) that f eats (left), or
         the mirror image (right): [b, f-leg, a] of shape (nb, na^k, na^k)."""
-        if (k, side) not in self._coact:
+
+        def build():
             desc = self.ctx.ring
             na, nb = self.ctx.A.dim, self.ctx.B.dim
             mk = tc.iterate(self.ctx.A, k, "product")
@@ -233,8 +234,9 @@ class _ContextCache:
                 cur = ra.tensordot(desc, cur, self.DA, ([1], [contract_axis]))
             # axes: [b, v1, a1, v2, a2, ...] (left) or [b, u1, a1, ...] (right)
             perm = [0] + [1 + 2 * t for t in range(k)] + [2 + 2 * t for t in range(k)]
-            self._coact[(k, side)] = ra.transpose(cur, perm).reshape(nb, na**k, na**k, desc.m)
-        return self._coact[(k, side)]
+            return ra.transpose(cur, perm).reshape(nb, na**k, na**k, desc.m)
+
+        return self.memo(("coact", k, side), build)
 
 
 _CACHE: OrderedDict[bytes, _ContextCache] = OrderedDict()
@@ -419,9 +421,7 @@ def dtotal_matrix(ctx: ComplexContext, n: int) -> CooMatrix:
     through the differentials at once, on a trailing batch axis.
     """
     cc = _cache(ctx)
-    if n not in cc._dmat:
-        cc._dmat[n] = _assemble(ctx, cc, n)
-    return cc._dmat[n]
+    return cc.memo(("dmat", n), lambda: _assemble(ctx, cc, n))
 
 
 def _assemble(ctx: ComplexContext, cc: _ContextCache, n: int) -> CooMatrix:
@@ -523,8 +523,6 @@ class _Contraction:
 
     el: dict  # q -> [b, out, in]: sum_u e[u, b] * (left action of e_u on B^{tensor q+1})
     ad: np.ndarray  # m |-> ad(m) in C^{0,1}: (nb^2 * na, nb^2, m)
-    el_reg: dict  # q -> ra.expand of el[q]
-    ad_reg: np.ndarray | None  # ra.expand of ad
     dc_ad: FieldSolver  # m |-> d_c(ad(m)) in C^{0,2}
     free: np.ndarray  # free columns of d_1: the trailing pivots of im d_0
     d0: CooMatrix
@@ -593,38 +591,35 @@ def _contraction(ctx: ComplexContext) -> _Contraction:
     CocycleUnsolvable when H^1 != 0 on the reduced complex (_reduced_dim).
     """
     cc = _cache(ctx)
-    if cc._contraction is not None:
-        return cc._contraction
-    desc = ctx.ring
-    e = _separability_idempotent(ctx)
-    el = {q: ra.tensordot(desc, e, cc.mult_operator(q + 1, "left"), ([0], [0])) for q in (0, 1)}
-    ad2 = _ad_matrix(cc, 2)
-    dc_ad = _dc_ad_solver(cc, 2)
-    h1 = _reduced_dim(cc, 1)
-    # the free columns of d_1 are the last nonzero positions of an echelon
-    # basis of ker d_1 = im d_0: the greedy pivots of d_0^T, columns reversed
-    d0 = dtotal_matrix(ctx, 0)
-    dense = d0.toarray()
-    dim_c1 = d0.shape[0]
-    rev = FieldSolver(desc, np.ascontiguousarray(ra.transpose(dense, (1, 0))[:, ::-1]), rank_only=True)
-    free = np.sort(dim_c1 - 1 - rev.pivot_cols)
-    el_reg = {q: ra.expand(desc, el[q]) for q in el}
-    con = _Contraction(
-        el, ad2, el_reg, ra.expand(desc, ad2), dc_ad, free, d0, FieldSolver(desc, dense[free]), h1, dim_c1 - rev.rank
-    )
-    if con.h1:
-        raise CocycleUnsolvable(f"H^1 = {con.h1} != 0 on the reduced complex")
-    cc._contraction = con
-    return con
+
+    def build():
+        desc = ctx.ring
+        e = _separability_idempotent(ctx)
+        el = {q: ra.tensordot(desc, e, cc.mult_operator(q + 1, "left"), ([0], [0])) for q in (0, 1)}
+        dc_ad = _dc_ad_solver(cc, 2)
+        h1 = _reduced_dim(cc, 1)
+        if h1:
+            raise CocycleUnsolvable(f"H^1 = {h1} != 0 on the reduced complex")
+        # the free columns of d_1 are the last nonzero positions of an echelon
+        # basis of ker d_1 = im d_0: the greedy pivots of d_0^T, columns reversed
+        d0 = dtotal_matrix(ctx, 0)
+        dense = d0.toarray()
+        dim_c1 = d0.shape[0]
+        rev = FieldSolver(desc, np.ascontiguousarray(ra.transpose(dense, (1, 0))[:, ::-1]), rank_only=True)
+        free = np.sort(dim_c1 - 1 - rev.pivot_cols)
+        d0_free = FieldSolver(desc, dense[free])
+        return _Contraction(el, _ad_matrix(cc, 2), dc_ad, free, d0, d0_free, h1, dim_c1 - rev.rank)
+
+    return cc.memo("contraction", build)
 
 
-def _homotopy(con: _Contraction, ctx: ComplexContext, f: MultiMap, q: int):
+def _homotopy(cc: _ContextCache, con: _Contraction, f: MultiMap, q: int):
     """s: C^{p+1,q} -> C^{p,q}, (s f)(a_1, ...) = sum e1 . f(e2, a_1, ...)."""
-    desc = ctx.ring
-    na = ctx.A.dim
+    desc = cc.ctx.ring
+    na = cc.ctx.A.dim
     legs = f.coeffs.reshape(f.coeffs.shape[0], na, -1, desc.m)
-    out = ra.tensordot(desc, con.el[q], legs, ([0, 2], [1, 0]), con.el_reg[q])  # [out, rest]
-    return MultiMap(desc, f.arity_in - 1, f.arity_out, na, ctx.B.dim, out)
+    out = ra.tensordot(desc, con.el[q], legs, ([0, 2], [1, 0]), cc.expanded(("el", q), con.el[q]))  # [out, rest]
+    return MultiMap(desc, f.arity_in - 1, f.arity_out, na, cc.ctx.B.dim, out)
 
 
 def _contract_obstruction(z: TotalCochain) -> TotalCochain | None:
@@ -646,14 +641,14 @@ def _contract_obstruction(z: TotalCochain) -> TotalCochain | None:
     if max(ctx.A.dim, ctx.B.dim) > coboundary_budget():
         raise BudgetExceeded(f"dims exceed coboundary budget {coboundary_budget()}")
     desc = ctx.ring
-    con = _contraction(ctx)
-    x10 = _homotopy(con, ctx, z.components[(2, 0)], 0)
-    x01 = _homotopy(con, ctx, z.components[(1, 1)] + d_coalg(ctx, x10), 1).scale(-1)
+    cc, con = _cache(ctx), _contraction(ctx)
+    x10 = _homotopy(cc, con, z.components[(2, 0)], 0)
+    x01 = _homotopy(cc, con, z.components[(1, 1)] + d_coalg(ctx, x10), 1).scale(-1)
     resid = z.components[(0, 2)] - d_coalg(ctx, x01)
     m = con.dc_ad.solve(resid.coeffs.reshape(-1, desc.m))
     if m is None:
         return None
-    inner = ra.tensordot(desc, con.ad, m, ([1], [0]), con.ad_reg).reshape(x01.coeffs.shape)
+    inner = ra.tensordot(desc, con.ad, m, ([1], [0]), cc.expanded("ad", con.ad)).reshape(x01.coeffs.shape)
     x01 = MultiMap(desc, 1, 2, ctx.A.dim, ctx.B.dim, ra.add(desc, x01.coeffs, inner))
     vec = vec_cochain(TotalCochain(ctx, 1, {(1, 0): x10, (0, 1): x01}))
     w = con.d0_free.solve(vec[con.free])

@@ -4,13 +4,12 @@ Each level digit-lifts the current structure, measures the failure of the
 bialgebra axioms (an exact degree-2 cochain after division by p^k), kills it
 with a coboundary over the residue field (contracted with the base's
 separability idempotent, no factorization of d_1), then recovers unit, counit
-and antipode by Hensel-solving linear systems whose reductions mod p are
-invertible (those reductions are the base's, factored once per base; each
-level solves one new digit).  One verify_hopf of the new presentation, with
-its reduction mod p, certifies each level.  Morphisms lift digit by digit
-from degree-1 coboundary solves, with one certificate per lifted map;
-reconciling two lifts of one base is the lift of its identity morphism, and
-R-matrices lift through their theta morphism.
+and antipode, which the corrected pair determines, by one Newton step each
+from those of the level below (no linear solve).  One verify_hopf of the new
+presentation, with its reduction mod p, certifies each level.  Morphisms lift
+digit by digit from degree-1 coboundary solves, with one certificate per
+lifted map; reconciling two lifts of one base is the lift of its identity
+morphism, and R-matrices lift through their theta morphism.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from . import _arrays as ra
 from . import cohomology as coh
 from . import hopfcore as hc
 from . import tensorcalc as tc
-from ._linalg import FieldSolver
-from .coeffring import check_modulus, exact_div_p_array, hensel_solve_array
+from .coeffring import check_modulus, exact_div_p_array, newton_lift
 from .errors import (
     AxiomsViolated,
     CoboundaryUnsolvable,
@@ -161,56 +159,28 @@ def obstruction(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> Obstr
 
 
 # ---------------------------------------------------------------------------
-# the Hensel systems of unit, counit and antipode
+# unit, counit and antipode by Newton's iteration
 #
-# Their matrices reduce mod p to the base's own, so each is factored once per
-# base (held in the base's context cache), and a level seeded with the values
-# of the level below, which they agree with mod p^k, solves one new digit.
+# Once (m'', Delta'') is a bialgebra mod p^(k+1), its unit, counit and antipode
+# are unique and agree mod p^k with those of the level below; one step of
+# newton_lift takes those, right mod p^k, to p^2k >= p^(k+1).
 
 
-def _unit_system(desc, m_legs, u0):
-    """u |-> m(u (x) u0) as a matrix [a, b]."""
-    return ra.tensordot(desc, m_legs, u0, ([2], [0]))
+def _unit_square(desc, m_legs, u):
+    """m(u (x) u)."""
+    return ra.tensordot(desc, ra.tensordot(desc, m_legs, u, ([2], [0])), u, ([1], [0]))
 
 
-def _counit_system(desc, d_legs, e0):
-    """f |-> (f (x) e0) Delta as a matrix [x, u]."""
-    return ra.transpose(ra.tensordot(desc, d_legs, e0, ([1], [0])), (1, 0))
+def _counit_square(desc, d_legs, e):
+    """(e (x) e) Delta."""
+    return ra.tensordot(desc, e, ra.tensordot(desc, e, d_legs, ([0], [0])), ([0], [0]))
 
 
-def _antipode_system(desc, m_legs, d_legs):
-    """S |-> m(S (x) I)Delta as a matrix [(a, x), (w, u)]."""
-    N = m_legs.shape[0]
-    t = ra.tensordot(desc, d_legs, m_legs, ([1], [2]))  # D[u,v,x] M[a,w,v] -> [u,x,a,w]
-    return ra.transpose(t, (2, 1, 3, 0)).reshape(N * N, N * N, desc.m)
-
-
-def _hensel_solver(base: HopfPresentation, kind: str):
-    """FieldSolver of the base's matrix of one Hensel system ("unit", "counit"
-    or "antipode"), factored once per base."""
-
-    def build():
-        desc = base.ring
-        M, D, U, E, _ = hc._legs(base)
-        system = {
-            "unit": lambda: _unit_system(desc, M, U),
-            "counit": lambda: _counit_system(desc, D, E),
-            "antipode": lambda: _antipode_system(desc, M, D),
-        }[kind]
-        return FieldSolver(desc, system())
-
-    return _base_cache(base).memo(("hensel", kind), build)
-
-
-def _hensel(desc, marr, rhs, kind: str, base: HopfPresentation | None, previous: HopfPresentation | None):
-    """Solve the Hensel system of the tensor `kind` with the base's factor of
-    it, seeded by that tensor of previous (the base by default), a solution
-    mod p^k; without a base, factor and solve every digit."""
-    if base is None:
-        return hensel_solve_array(desc, marr, rhs)
-    previous = base if previous is None else previous
-    x0 = getattr(previous, kind).coeffs.reshape(marr.shape[1], desc.m)
-    return hensel_solve_array(desc, marr, rhs, _hensel_solver(base, kind), (x0, previous.ring.n))
+def _convolution(desc, m_legs, d_legs, f, g):
+    """f * g = m(f (x) g) Delta as a matrix [a, x]."""
+    t = ra.tensordot(desc, f, d_legs, ([1], [0]))  # sum_u f[w,u] D[u,v,x] -> [w,v,x]
+    t = ra.tensordot(desc, g, t, ([1], [1]))  # sum_v g[y,v] t[w,v,x] -> [y,w,x]
+    return ra.tensordot(desc, m_legs, t, ([1, 2], [1, 0]))
 
 
 def correct(
@@ -225,8 +195,8 @@ def correct(
     Returns (mul'', comul'', unit'', counit'').  This stage is uncertified:
     lift certifies its output, with the antipode, by one verify_hopf of the
     new presentation.  previous is the presentation that mul and comul
-    digit-lift (the base by default): its unit and counit seed the Hensel
-    solves.
+    digit-lift (the base by default): its unit and counit seed the Newton
+    steps u <- 2u - m''(u (x) u) and e <- 2e - (e (x) e)Delta''.
     """
     desc = mul.ring
     n = desc.n - 1
@@ -245,14 +215,12 @@ def correct(
         mul2 = MultiMap(desc, 2, 1, N, N, (mul.coeffs - pn * mu.coeffs) % desc.q)
         comul2 = MultiMap(desc, 1, 2, N, N, (comul.coeffs - pn * delta.coeffs) % desc.q)
 
+    previous = base if previous is None else previous
     m_legs = mul2.coeffs.reshape(N, N, N, desc.m)
     d_legs = comul2.coeffs.reshape(N, N, N, desc.m)
-    # unit: the square subsystem m''(u (x) u0) = u0, u0 any lift of the base
-    # unit (only its reduction matters); counit: (eps'' (x) eps0) Delta'' = eps0
-    u0 = tc.map_digit_lift(base.unit, desc).coeffs.reshape(N, desc.m)
-    unit2 = _hensel(desc, _unit_system(desc, m_legs, u0), u0, "unit", base, previous)
-    e0 = tc.map_digit_lift(base.counit, desc).coeffs.reshape(N, desc.m)
-    counit2 = _hensel(desc, _counit_system(desc, d_legs, e0), e0, "counit", base, previous)
+    u0, e0 = (t.coeffs.reshape(N, desc.m) for t in (previous.unit, previous.counit))
+    unit2 = newton_lift(desc, u0, previous.ring.n, lambda u: _unit_square(desc, m_legs, u))
+    counit2 = newton_lift(desc, e0, previous.ring.n, lambda e: _counit_square(desc, d_legs, e))
     unit_map = MultiMap(desc, 0, 1, N, N, unit2.reshape(N, 1, desc.m))
     counit_map = MultiMap(desc, 1, 0, N, N, counit2.reshape(1, N, desc.m))
     return mul2, comul2, unit_map, counit_map
@@ -263,27 +231,28 @@ def solve_antipode(
     comul: MultiMap,
     unit: MultiMap,
     counit: MultiMap,
-    base: HopfPresentation | None = None,
+    base: HopfPresentation,
     previous: HopfPresentation | None = None,
 ) -> MultiMap:
-    """Solve T(S) = m(S (x) I)Delta = unit o counit by Hensel lifting.
+    """The antipode: the convolution inverse S of the identity, by Newton
+    steps S <- 2S - S * I * S with f * g = m(f (x) g)Delta, seeded with the
+    antipode of previous (the base by default), which mul and comul digit-lift.
 
-    T is invertible mod p because convolution by the identity is invertible
-    in any Hopf algebra (its inverse is convolution by the base antipode).
-    With the base given, T mod p is factored once per base, and the antipode
-    of previous (the base by default) seeds the solve.  The left identity is
-    exact by the solve; the right one is not checked here: lift certifies the
-    output with one verify_hopf of the new presentation.
+    The convolution unit, unit o counit, stays implicit in the step, so unit
+    and counit do not enter it.  The output is unchecked here: lift certifies
+    it with one verify_hopf of the new presentation.
     """
     desc = mul.ring
     N = mul.dim_out
     m_legs = mul.coeffs.reshape(N, N, N, desc.m)
     d_legs = comul.coeffs.reshape(N, N, N, desc.m)
-    u_vec = unit.coeffs.reshape(N, desc.m)
-    e_vec = counit.coeffs.reshape(N, desc.m)
-    rhs = ra.elem_mul(desc, u_vec[:, None, :], e_vec[None, :, :]).reshape(N * N, desc.m)
-    s_vec = _hensel(desc, _antipode_system(desc, m_legs, d_legs), rhs, "antipode", base, previous)
-    return MultiMap(desc, 1, 1, N, N, s_vec.reshape(N, N, desc.m))
+    eye = ra.eye(desc, N)
+    previous = base if previous is None else previous
+
+    def sis(s):
+        return _convolution(desc, m_legs, d_legs, _convolution(desc, m_legs, d_legs, s, eye), s)
+
+    return MultiMap(desc, 1, 1, N, N, newton_lift(desc, previous.antipode.coeffs, previous.ring.n, sis))
 
 
 _STRUCTURE_AXIOMS = {"associativity", "coassociativity", "delta_multiplicative"}

@@ -258,69 +258,6 @@ def test_at_precision_raises_and_lowers():
         F5.at_precision(0)
 
 
-GR7_12_2 = cr.make_ring(7, 12, 2)
-
-
-def _invertible_mod_p(desc, n, rng):
-    from hopflift._linalg import FieldSolver
-
-    while True:
-        marr = np.asarray(rng.integers(0, desc.q, size=(n, n, desc.m)), dtype=np.int64)
-        if FieldSolver(desc.residue(), marr % desc.p).rank == n:
-            return marr
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_hensel_seeded_and_prefactored_match_unseeded(data):
-    from hopflift import _arrays as ra
-    from hopflift._linalg import FieldSolver
-
-    desc = data.draw(st.sampled_from([F5, cr.make_ring(7), F4, F9, Z25, GR25_2, cr.make_ring(3, 4), GR7_12_2]))
-    n = data.draw(st.integers(1, 4))
-    width = data.draw(st.sampled_from([None, 1, 3]))
-    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
-    marr = _invertible_mod_p(desc, n, rng)
-    shape = (n, desc.m) if width is None else (n, width, desc.m)
-    xs = np.asarray(rng.integers(0, desc.q, size=shape), dtype=np.int64)
-    rhs = ra.tensordot(desc, marr, xs, ([1], [0]))
-    plain = cr.hensel_solve_array(desc, marr, rhs)
-    assert np.array_equal(plain, xs)
-    solver = FieldSolver(desc.residue(), marr % desc.p)
-    k = data.draw(st.integers(0, desc.n - 1))
-    seed = (plain % desc.p**k, k)
-    for got in (
-        cr.hensel_solve_array(desc, marr, rhs, solver),
-        cr.hensel_solve_array(desc, marr, rhs, None, seed),
-        cr.hensel_solve_array(desc, marr, rhs, solver, seed),
-    ):
-        assert got.dtype == plain.dtype and np.array_equal(got, plain)
-
-
-@pytest.mark.parametrize("desc", [Z25, GR25_2, GR7_12_2], ids=repr)
-def test_hensel_bad_seed_or_solver_raises(desc):
-    from hopflift import _arrays as ra
-    from hopflift._linalg import FieldSolver
-
-    rng = np.random.default_rng(5)
-    marr = _invertible_mod_p(desc, 3, rng)
-    xs = np.asarray(rng.integers(0, desc.q, size=(3, desc.m)), dtype=np.int64)
-    rhs = ra.tensordot(desc, marr, xs, ([1], [0]))
-    solver = FieldSolver(desc.residue(), marr % desc.p)
-    for k in range(1, desc.n):
-        wrong = xs % desc.p**k
-        wrong[0, 0] = (wrong[0, 0] + 1) % desc.p**k  # off by one in digit 0
-        with pytest.raises(NotDivisible):
-            cr.hensel_solve_array(desc, marr, rhs, solver, (wrong, k))
-    with pytest.raises(ValueError):
-        cr.hensel_solve_array(desc, marr, rhs, solver, (xs, desc.n))
-    other = marr % desc.p
-    other[0, 0, 0] = (other[0, 0, 0] + 1) % desc.p
-    for bad in (FieldSolver(desc.residue(), other), FieldSolver(cr.make_ring(11), np.eye(3, dtype=np.int64)[..., None])):
-        with pytest.raises(DescriptorMismatch):
-            cr.hensel_solve_array(desc, marr, rhs, bad)
-
-
 # --- exactness near the modulus bound q <= 2^62, against Python ints ---
 
 NEAR_BOUND = [

@@ -85,16 +85,14 @@ def test_unclosed_obstruction_raises_not_a_cocycle(monkeypatch, components):
 
 def test_unit_off_by_p_k_raises_post_axiom_failure(monkeypatch):
     def wrap(real):
-        def hensel(desc, marr, rhs, kind, base, previous):
-            x = real(desc, marr, rhs, kind, base, previous)
-            if kind == "unit":
-                x = (x + desc.p ** (desc.n - 1)) % desc.q  # wrong in the new digit only
-            return x
+        def unit_square(desc, m_legs, u):
+            # the step u <- 2u - m(u (x) u) is then wrong in the new digit only
+            return (real(desc, m_legs, u) + desc.p ** (desc.n - 1)) % desc.q
 
-        return hensel
+        return unit_square
 
     with pytest.raises(PostAxiomFailure):
-        _lift_with(monkeypatch, lf, "_hensel", wrap)
+        _lift_with(monkeypatch, lf, "_unit_square", wrap)
 
 
 def test_wrong_antipode_raises_right_antipode_failure(monkeypatch):

@@ -105,14 +105,14 @@ class TestCorrectAndAntipode:
         mul, comul = lf.initial_lift(C2, "canonical")
         rep = lf.obstruction(mul, comul, C2)
         m2, d2, u2, e2 = lf.correct(mul, comul, rep, C2)
-        s = lf.solve_antipode(m2, d2, u2, e2)
+        s = lf.solve_antipode(m2, d2, u2, e2, C2)
         assert s.coeffs[:, :, 0].tolist() == [[1, 0], [0, 1]]  # S(g) = g
 
     def test_antipode_reduces_to_base(self):
         mul, comul = lf.initial_lift(C2, "perturbed:5")
         rep = lf.obstruction(mul, comul, C2)
         m2, d2, u2, e2 = lf.correct(mul, comul, rep, C2)
-        s = lf.solve_antipode(m2, d2, u2, e2)
+        s = lf.solve_antipode(m2, d2, u2, e2, C2)
         assert np.array_equal(s.coeffs % 5, C2.antipode.coeffs)
 
 
@@ -305,66 +305,112 @@ def test_oversized_modulus_refused_up_front(monkeypatch):
         lf.lift(base, 40)  # 3^40 > 2^62
 
 
-def _hensel_factorizations(monkeypatch):
-    """Record each FieldSolver built for a Hensel system: the kind of a base
-    system factored by lifting._hensel_solver, or "fresh" for one factored
-    inside hensel_solve_array."""
-    kinds = []
+def _solver_builders(monkeypatch):
+    """Record each FieldSolver built: "cohomology" when a cohomology function
+    is on the stack, "admission" under lifting._admit_base, else the module of
+    the code that built it."""
+    builders = []
     real = FieldSolver.__init__
 
     def spy(self, *args, **kwargs):
         frame = sys._getframe(1)
+        caller = frame.f_globals["__name__"]
         while frame is not None:
-            if frame.f_code.co_name == "_hensel_solver":
-                kinds.append(frame.f_locals["kind"])
+            if frame.f_globals["__name__"] == coh.__name__:
+                caller = "cohomology"
                 break
-            if frame.f_code.co_name == "hensel_solve_array":
-                kinds.append("fresh")
+            if frame.f_code.co_name == "_admit_base":
+                caller = "admission"
                 break
             frame = frame.f_back
+        builders.append(caller)
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(FieldSolver, "__init__", spy)
-    return kinds
+    return builders
 
 
 def test_hensel_systems_factored_once_per_base(monkeypatch):
+    """No lift stage factors a system of its own: unit, counit and antipode
+    come from Newton steps.  A cold lift, and the first reconcile (its d_0),
+    build only cohomology's solvers and those of the admission verdict; then
+    a warm lift and two reconciles build none."""
     base = hc.generate("D4", cr.make_ring(3))
     coh._CACHE.clear()
-    kinds = _hensel_factorizations(monkeypatch)
+    builders = _solver_builders(monkeypatch)
     cold = lf.lift(base, 4, "perturbed:1")
-    assert sorted(kinds) == ["antipode", "counit", "unit"]
-    kinds.clear()
-    warm = lf.lift(base, 4, "perturbed:2")
-    assert kinds == []
+    assert "cohomology" in builders and set(builders) <= {"cohomology", "admission"}
+    builders.clear()
+    lf.reconcile(cold, lf.lift(base, 4, "perturbed:2"))
+    assert set(builders) == {"cohomology"}
+    builders.clear()
+    warm = lf.lift(base, 4, "perturbed:3")
     lf.reconcile(cold, warm)
     lf.reconcile(warm, cold)
-    assert kinds == []
-    # the factors live in the context cache: emptying it makes the next lift cold
+    assert builders == []
     coh._CACHE.clear()
-    kinds.clear()
-    again = lf.lift(base, 4, "perturbed:1")
-    assert sorted(kinds) == ["antipode", "counit", "unit"]
-    assert again.current == cold.current
-    coh._CACHE.clear()
+
+
+# the Hensel systems of unit, counit and antipode: the linear oracle of the
+# Newton steps of lifting.correct and lifting.solve_antipode
+
+
+def _unit_system(desc, m_legs, u0):
+    """u |-> m(u (x) u0) as a matrix [a, b]."""
+    return ra.tensordot(desc, m_legs, u0, ([2], [0]))
+
+
+def _counit_system(desc, d_legs, e0):
+    """f |-> (f (x) e0) Delta as a matrix [x, u]."""
+    return ra.transpose(ra.tensordot(desc, d_legs, e0, ([1], [0])), (1, 0))
+
+
+def _antipode_system(desc, m_legs, d_legs):
+    """S |-> m(S (x) I)Delta as a matrix [(a, x), (w, u)]."""
+    N = m_legs.shape[0]
+    t = ra.tensordot(desc, d_legs, m_legs, ([1], [2]))  # D[u,v,x] M[a,w,v] -> [u,x,a,w]
+    return ra.transpose(t, (2, 1, 3, 0)).reshape(N * N, N * N, desc.m)
+
+
+def _hensel_oracle(pres, base):
+    """Unit, counit and antipode of pres's (m, Delta) by full Hensel solves:
+    m(u (x) u0) = u0 and (e (x) e0) Delta = e0 for u0, e0 the digit lifts of
+    the base's, then m(S (x) I)Delta = u e."""
+    desc, N = pres.ring, pres.dim
+    M, D = hc._legs(pres)[:2]
+    u0 = tc.map_digit_lift(base.unit, desc).coeffs.reshape(N, desc.m)
+    e0 = tc.map_digit_lift(base.counit, desc).coeffs.reshape(N, desc.m)
+    U = cr.hensel_solve_array(desc, _unit_system(desc, M, u0), u0)
+    E = cr.hensel_solve_array(desc, _counit_system(desc, D, e0), e0)
+    rhs = ra.elem_mul(desc, U[:, None, :], E[None, :, :]).reshape(N * N, desc.m)
+    S = cr.hensel_solve_array(desc, _antipode_system(desc, M, D), rhs).reshape(N, N, desc.m)
+    return U, E, S
 
 
 def test_seeded_levels_match_full_solves():
     """Each level's unit, counit and antipode equal full Hensel solves from zero."""
-    base = hc.generate("S3", F7)
-    st = lf.lift(base, 5, "perturbed:3")
-    for k in range(2, 6):
-        pres = st.at_precision(k)
-        desc = pres.ring
-        N = pres.dim
-        M, D, U, E, S = hc._legs(pres)
-        u0 = tc.map_digit_lift(base.unit, desc).coeffs.reshape(N, 1)
-        e0 = tc.map_digit_lift(base.counit, desc).coeffs.reshape(N, 1)
-        assert np.array_equal(cr.hensel_solve_array(desc, lf._unit_system(desc, M, u0), u0), U)
-        assert np.array_equal(cr.hensel_solve_array(desc, lf._counit_system(desc, D, e0), e0), E)
-        rhs = ra.elem_mul(desc, U[:, None, :], E[None, :, :]).reshape(N * N, 1)
-        full = cr.hensel_solve_array(desc, lf._antipode_system(desc, M, D), rhs)
-        assert np.array_equal(full.reshape(N, N, 1), S)
+    for name, p, m, n in (("S3", 7, 1, 5), ("D4", 3, 1, 4), ("C3", 2, 2, 4)):
+        base = hc.generate(name, cr.make_ring(p, 1, m))
+        st = lf.lift(base, n, "perturbed:3")
+        for k in range(2, n + 1):
+            pres = st.at_precision(k)
+            for got, want in zip(hc._legs(pres)[2:], _hensel_oracle(pres, base)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (name, k)
+
+
+@pytest.mark.parametrize("name, p, m", [("S3", 7, 1), ("C3", 2, 2)], ids=["S3/F7", "C3/F4"])
+def test_standalone_stages_refine_from_the_base(name, p, m):
+    """correct and solve_antipode on an exact p^4 lift (zero obstruction),
+    seeded with the base: two Newton steps give the lift's tensors."""
+    base = hc.generate(name, cr.make_ring(p, 1, m))
+    cur = lf.lift(base, 4, "perturbed:5").current
+    report = lf.obstruction(cur.mul, cur.comul, base)
+    assert report.is_zero
+    mul, comul, unit, counit = lf.correct(cur.mul, cur.comul, report, base)
+    assert (mul, comul, unit, counit) == (cur.mul, cur.comul, cur.unit, cur.counit)
+    assert lf.solve_antipode(mul, comul, unit, counit, base) == cur.antipode
+    # each tensor has a nonzero digit past p^2, which one step from the base cannot reach
+    assert all(np.any(t.coeffs // p**2) for t in (cur.unit, cur.counit, cur.antipode))
 
 
 def test_admission_verdict_cached_per_context(monkeypatch):

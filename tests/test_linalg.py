@@ -345,10 +345,6 @@ def assert_matches_ext_oracle(desc, solver, oracle, seed):
         assert (a is None) == (b is None)
         if a is not None:
             assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
-    assert solver.factors(mat)
-    other = mat.copy()
-    other[0, 0, 0] = (other[0, 0, 0] + 1) % desc.q
-    assert not solver.factors(other)
 
 
 @pytest.mark.parametrize("desc", EXT_FIELDS, ids=["F4", "F8", "F9", "F25", "F_P31_UP_2"])
@@ -398,6 +394,5 @@ def test_extension_hensel_matches_gauss_jordan(desc, size):
         rhs = rng.integers(0, desc.q, size=shape).astype(np.int64)
         want = hensel_oracle(desc, marr, rhs)
         assert np.array_equal(ra.tensordot(desc, marr, want, ([1], [0])), rhs)
-        for solver in (None, FieldSolver(fdesc, marr % desc.p)):
-            got = cr.hensel_solve_array(desc, marr, rhs, solver)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        got = cr.hensel_solve_array(desc, marr, rhs)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -3,10 +3,11 @@
 
 Usage:
   python scripts/bench_cli_pipeline.py --parent DIR [--change DIR] [--seeds 1001-1006]
-                                       [--repeats 5] [--out BENCH_cli_pipeline.json]
+                                       [--repeats 5] [--workloads cli_pipeline,lift_cold,lift_warm]
+                                       [--gate 0] [--out BENCH_cli_pipeline.json]
 
 DIR is a source checkout, e.g. made by `git archive REV | tar -x -C DIR`;
---change defaults to this checkout.  Three parts, each of which alternates
+--change defaults to this checkout.  Up to four parts, each of which alternates
 the side that runs first:
 
 - workloads: `perfbench/run.py --workload W --seed S` at default settings,
@@ -18,7 +19,11 @@ the side that runs first:
 - kernels: grouplikes, presentation_from_json (with and without its
   verify_hopf), presentation_to_json, verify_hopf and verify_qt (of its
   canonical R) of S3.double/F7, and drinfeld_double(S3/F7), the median of
-  five calls in one fresh process per side and repeat.
+  five calls in one fresh process per side and repeat;
+- gate (with --gate N): N pairs of `scripts/run_acceptance.py 4`, the
+  acceptance gate's criterion 4, and its seconds.
+
+--repeats 0 skips the steps and the kernels.
 
 Both checkouts must be free of __pycache__ under src/, as fresh ones are:
 bytecode left in one tree would spare that side's CLI children the compile
@@ -136,6 +141,13 @@ def run_steps(tree):
         shutil.rmtree(workdir, ignore_errors=True)
 
 
+def run_criterion4(tree):
+    line = next(ln for ln in python(tree, ["scripts/run_acceptance.py", "4"]).splitlines() if "criterion  4" in ln)
+    if not line.startswith("[PASS]"):
+        sys.exit(f"criterion 4 failed in {tree}: {line}")
+    return float(line.split("(", 1)[1].split("s)", 1)[0])
+
+
 def quartiles(values):
     q1, _, q3 = statistics.quantiles(values, n=4)
     return [q1, q3]
@@ -164,6 +176,8 @@ def main():
     ap.add_argument("--change", default=HERE)
     ap.add_argument("--seeds", default="1001-1006")
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--workloads", default=",".join(WORKLOADS))
+    ap.add_argument("--gate", type=int, default=0)
     ap.add_argument("--out", default=os.path.join(HERE, "BENCH_cli_pipeline.json"))
     args = ap.parse_args()
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -171,6 +185,7 @@ def main():
         check_no_bytecode(tree)
     lo, hi = (int(s) for s in args.seeds.split("-"))
     seeds = list(range(lo, hi + 1))
+    workloads = args.workloads.split(",")
 
     kernels = {"parent": [], "change": []}
     steps = {"parent": [], "change": []}
@@ -180,9 +195,15 @@ def main():
             steps[side].append(run_steps(trees[side]))
         print(f"repeat {i + 1}/{args.repeats}: kernels and steps done", flush=True)
 
-    runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
+    gate = {"parent": [], "change": []}
+    for i in range(args.gate):
+        for side in sides(i):
+            gate[side].append(run_criterion4(trees[side]))
+        print(f"gate pair {i + 1}/{args.gate}: " + json.dumps({s: gate[s][-1] for s in gate}), flush=True)
+
+    runs = {w: {"parent": [], "change": []} for w in workloads}
     for i, seed in enumerate(seeds):
-        for name in WORKLOADS:
+        for name in workloads:
             for side in sides(i):
                 row = run_workload(trees[side], name, seed)
                 runs[name][side].append({"seed": seed, "first": sides(i)[0], **row})
@@ -193,11 +214,11 @@ def main():
 
     record = {
         "what": (
-            "perfbench/run.py --workload W --seed S at default settings for the three workloads, seeds "
-            f"{args.seeds}; the 20 cli_pipeline commands timed one by one, {args.repeats} passes; kernels of "
-            f"S3.double/F7 in a fresh process, {args.repeats} repeats of a median of five calls. Parent and change "
-            "run from separate checkouts, the side that runs first alternating. Produced by "
-            "scripts/bench_cli_pipeline.py"
+            f"perfbench/run.py --workload W --seed S at default settings for W in {args.workloads}, seeds "
+            f"{args.seeds}; the 20 cli_pipeline commands timed one by one, {args.repeats} passes, and kernels of "
+            f"S3.double/F7 in a fresh process, {args.repeats} repeats of a median of five calls (none if 0); "
+            f"criterion 4 of the acceptance gate, {args.gate} pairs. Parent and change run from separate "
+            "checkouts, the side that runs first alternating. Produced by scripts/bench_cli_pipeline.py"
         ),
         "machine": {
             "nproc": os.cpu_count(),
@@ -210,14 +231,19 @@ def main():
                 "summary": {k: paired(series(runs[name], k), better) for k, better in METRICS.items()},
                 "all_correct": all(r["correct"] for side in runs[name].values() for r in side),
             }
-            for name in WORKLOADS
+            for name in workloads
         },
-        "steps_s": {label: paired(series(steps, label), "lower") for label in steps["change"][0]},
-        "steps_total_s": paired({s: [sum(p.values()) for p in steps[s]] for s in steps}, "lower"),
-        "kernels_s": {key: paired(series(kernels, key), "lower") for key in kernels["change"][0]},
-        "raw_steps_s": steps,
-        "raw_kernels_s": kernels,
     }
+    if args.repeats:
+        record.update(
+            steps_s={label: paired(series(steps, label), "lower") for label in steps["change"][0]},
+            steps_total_s=paired({s: [sum(p.values()) for p in steps[s]] for s in steps}, "lower"),
+            kernels_s={key: paired(series(kernels, key), "lower") for key in kernels["change"][0]},
+            raw_steps_s=steps,
+            raw_kernels_s=kernels,
+        )
+    if args.gate:
+        record.update(criterion4_s={"summary": paired(gate, "lower"), "runs": gate})
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -633,7 +633,7 @@ def _contract_obstruction(z: TotalCochain) -> TotalCochain | None:
     d_1.  None when one of the two small solves has no solution; for a z that
     is not a cocycle the result is otherwise meaningless, so a caller must
     certify it (solve_obstruction checks d_total(x) = z, lifting.lift checks
-    the axioms of the corrected presentation).
+    the axioms of its final presentation).
     """
     ctx = z.context
     if z.degree != 2:

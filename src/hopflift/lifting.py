@@ -5,11 +5,12 @@ bialgebra axioms (an exact degree-2 cochain after division by p^k), kills it
 with a coboundary over the residue field (contracted with the base's
 separability idempotent, no factorization of d_1), then recovers unit, counit
 and antipode, which the corrected pair determines, by one Newton step each
-from those of the level below (no linear solve).  One verify_hopf of the new
-presentation, with its reduction mod p, certifies each level.  Morphisms lift
-digit by digit from degree-1 coboundary solves, with one certificate per
-lifted map; reconciling two lifts of one base is the lift of its identity
-morphism, and R-matrices lift through their theta morphism.
+from those of the level below (no linear solve).  A level changes only digit
+k of the pair, which fixes the other three tensors, so one verify_hopf of the
+final presentation, with its reduction mod p, certifies the whole lift.
+Morphisms lift digit by digit from degree-1 coboundary solves, with one
+certificate per lifted map; reconciling two lifts of one base is the lift of
+its identity morphism, and R-matrices lift through their theta morphism.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class ObstructionReport:
 
     @property
     def cocycle_ok(self) -> bool:
-        """d_total(c) = 0; evaluated lazily, only to diagnose a failed level
-        (lift certifies a level by verify_hopf of its result instead)."""
+        """d_total(c) = 0; evaluated lazily, only to diagnose a failed
+        certificate (lift certifies by verify_hopf of its result instead)."""
         if self._cocycle_ok is None:
             self._cocycle_ok = coh.is_cocycle(self.c)
         return self._cocycle_ok
@@ -193,10 +194,10 @@ def correct(
     """Kill the obstruction with a coboundary, then recover unit and counit.
 
     Returns (mul'', comul'', unit'', counit'').  This stage is uncertified:
-    lift certifies its output, with the antipode, by one verify_hopf of the
-    new presentation.  previous is the presentation that mul and comul
-    digit-lift (the base by default): its unit and counit seed the Newton
-    steps u <- 2u - m''(u (x) u) and e <- 2e - (e (x) e)Delta''.
+    lift certifies its final output, with the antipode, by one verify_hopf.
+    previous is the presentation that mul and comul digit-lift (the base by
+    default): its unit and counit seed the Newton steps u <- 2u - m''(u (x) u)
+    and e <- 2e - (e (x) e)Delta''.
     """
     desc = mul.ring
     n = desc.n - 1
@@ -227,20 +228,14 @@ def correct(
 
 
 def solve_antipode(
-    mul: MultiMap,
-    comul: MultiMap,
-    unit: MultiMap,
-    counit: MultiMap,
-    base: HopfPresentation,
-    previous: HopfPresentation | None = None,
+    mul: MultiMap, comul: MultiMap, base: HopfPresentation, previous: HopfPresentation | None = None
 ) -> MultiMap:
     """The antipode: the convolution inverse S of the identity, by Newton
     steps S <- 2S - S * I * S with f * g = m(f (x) g)Delta, seeded with the
     antipode of previous (the base by default), which mul and comul digit-lift.
 
-    The convolution unit, unit o counit, stays implicit in the step, so unit
-    and counit do not enter it.  The output is unchecked here: lift certifies
-    it with one verify_hopf of the new presentation.
+    The convolution unit, unit o counit, stays implicit in the step.  The
+    output is unchecked here: lift certifies its final one by verify_hopf.
     """
     desc = mul.ring
     N = mul.dim_out
@@ -260,7 +255,7 @@ _UNIT_COUNIT_AXIOMS = {"unit", "counit", "counit_multiplicative", "delta_unit", 
 
 
 def _certificate_error(failing: list[str], report: ObstructionReport) -> Exception:
-    """The exception of the stage whose output fails a level's certificate:
+    """The exception of the stage whose output fails the certificate:
     the coboundary solve (axioms of m and Delta alone), the unit and counit
     solves, then the antipode solve, in pipeline order."""
     if _STRUCTURE_AXIOMS.intersection(failing):
@@ -276,33 +271,47 @@ def _certificate_error(failing: list[str], report: ObstructionReport) -> Excepti
     return InternalAxiomFailure(f"presentation fails axioms: {failing}")
 
 
+def _certify(pres: HopfPresentation, report: ObstructionReport | None, base: HopfPresentation) -> HopfPresentation:
+    """pres marked verified, once verify_hopf passes (all ten axioms, residual
+    exactly zero) and it reduces to base mod p; else the exception of the stage
+    that made the failing tensor (_certificate_error, with pres's report)."""
+    failing = hc.verify_hopf(pres).failing()
+    if failing:
+        raise _certificate_error(failing, report)
+    if hc.reduce_presentation(pres, base.ring) != base:
+        raise InternalAxiomFailure("lift does not reduce to its base mod p")
+    return HopfPresentation(pres.ring, pres.dim, *pres.tensors(), verified=True)
+
+
 def lift(base: HopfPresentation, n: int, strategy="canonical") -> LiftState:
     """Iterate raw-extension / obstruction / correct / solve_antipode up to p^n.
 
-    Each level has one exact certificate: verify_hopf of the new presentation
-    (all ten axioms, residual exactly zero) and its reduction mod p equal to
-    the base.  A failing axiom raises the exception of the stage that made it
-    (_certificate_error).
+    The lift has one exact certificate, _certify of the final presentation.
+    It certifies every level: a level changes only digit k of (m, Delta), and
+    the unit, counit and antipode are unique given the pair, so a wrong
+    intermediate one is either healed by the next Newton step or shows in the
+    final tensors.  A wrong pair at level k is not a bialgebra mod p^(k+1),
+    so level k+1's obstruction raises NotDivisible; level k's presentation is
+    then certified with its own report, to raise its stage's exception.
     """
     check_modulus(base.ring.p, n)
     _admit_base(base)
     if n < 1:
         raise ValueError("precision must be >= 1")
-    current = base
+    current, report = base, None
     transcript = []
     for level in range(1, n):
         t0 = time.perf_counter()
         mul, comul = _raw_extension(current, strategy, level)
-        report = obstruction(mul, comul, base)
+        try:
+            level_report = obstruction(mul, comul, base)
+        except NotDivisible:
+            _certify(current, report, base)
+            raise
+        report = level_report
         mul2, comul2, unit2, counit2 = correct(mul, comul, report, base, current)
-        s_map = solve_antipode(mul2, comul2, unit2, counit2, base, current)
-        pres = HopfPresentation(mul2.ring, base.dim, mul2, unit2, comul2, counit2, s_map)
-        axioms = hc.verify_hopf(pres)
-        if not axioms.all_pass:
-            raise _certificate_error(axioms.failing(), report)
-        current = HopfPresentation(pres.ring, pres.dim, *pres.tensors(), verified=True)
-        if hc.reduce_presentation(current, base.ring) != base:
-            raise InternalAxiomFailure("lift does not reduce to its base mod p")
+        s_map = solve_antipode(mul2, comul2, base, current)
+        current = HopfPresentation(mul2.ring, base.dim, mul2, unit2, comul2, counit2, s_map)
         solver_rank = None
         if not report.is_zero:
             solver_rank = coh._contraction(coh.make_context(base)).rank
@@ -316,7 +325,7 @@ def lift(base: HopfPresentation, n: int, strategy="canonical") -> LiftState:
                 "seconds": round(time.perf_counter() - t0, 6),
             }
         )
-    return LiftState(base, n, current, transcript)
+    return LiftState(base, n, _certify(current, report, base) if n > 1 else current, transcript)
 
 
 # ---------------------------------------------------------------------------

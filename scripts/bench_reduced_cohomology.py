@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Cohomology dimensions on the reduced complex: two source checkouts compared.
+"""Cohomology dimensions on the reduced complex, and cold lifts at dimension 16:
+two source checkouts compared.
 
 Usage:
   python scripts/bench_reduced_cohomology.py --parent DIR [--change DIR] [--repeats 5]
@@ -11,13 +12,14 @@ DIR is a source checkout, e.g. made by `git archive REV | tar -x -C DIR`;
 src/.  Two parts, each of which alternates the side that runs first:
 
 - cohomology: `cohomology_dim` in degrees 0-2 of S3/F7, S3/F25 and
-  C2.double/F5, and the CLI step `hopflift cohomology d2.json --degree 0,1,2
-  --invariants` of C2.double/F5, each in a fresh process pinned to one CPU
-  with one BLAS thread and an address-space cap of --cap-gb GB: its wall time
-  and its peak RSS.  D4/F3, Q8/F7 and dual(D4)/F5 run with
-  HOPFLIFT_H2_BUDGET=8 on the change only, since the parent's whole
-  bicomplex cannot factor their degree-2 differential under the cap.  A run
-  that fails records its exception instead of dimensions.
+  C2.double/F5, and of D4/F3, Q8/F7 and dual(D4)/F5 with
+  HOPFLIFT_H2_BUDGET=8; a cold perturbed lift to p^4 of C4.double/F5 and
+  C2xC2.double/F3 with HOPFLIFT_COBOUNDARY_BUDGET=16; and the CLI step
+  `hopflift cohomology d2.json --degree 0,1,2 --invariants` of C2.double/F5.
+  Each runs in a fresh process pinned to one CPU with one BLAS thread and an
+  address-space cap of --cap-gb GB: its in-process seconds, its wall time and
+  its peak RSS.  A run that fails records its exception instead of its
+  result.
 - workloads: `perfbench/run.py --workload W --seed S` at default settings,
   for the three workloads and every seed, as in scripts/bench_cli_pipeline.py.
 
@@ -59,14 +61,34 @@ out["seconds"] = time.perf_counter() - t0
 print(json.dumps(out))
 """
 
-# label, PROBE arguments, extra environment, whether the parent runs it too
+LIFT_PROBE = r"""
+import json, sys, time
+from hopflift import hopfcore as hc
+from hopflift import lifting as lf
+from hopflift.coeffring import make_ring
+
+H = hc.generate(sys.argv[1], make_ring(int(sys.argv[2])))
+t0 = time.perf_counter()
+try:
+    st = lf.lift(H, 4, "perturbed:1")
+    out = {"seconds": time.perf_counter() - t0, "certified": not hc.verify_hopf(st.current).failing()}
+except MemoryError as exc:
+    out = {"error": f"MemoryError: {exc}", "seconds": time.perf_counter() - t0}
+print(json.dumps(out))
+"""
+
+# label, probe, its arguments, extra environment
+H2_AT_8 = {"HOPFLIFT_H2_BUDGET": "8"}
+DIM_16 = {"HOPFLIFT_COBOUNDARY_BUDGET": "16"}
 CASES = [
-    ("S3/F7", ["S3", "7", "1"], {}, True),
-    ("S3/F25", ["S3", "5", "2"], {}, True),
-    ("C2.double/F5", ["C2.double", "5", "1"], {}, True),
-    ("D4/F3, HOPFLIFT_H2_BUDGET=8", ["D4", "3", "1"], {"HOPFLIFT_H2_BUDGET": "8"}, False),
-    ("Q8/F7, HOPFLIFT_H2_BUDGET=8", ["Q8", "7", "1"], {"HOPFLIFT_H2_BUDGET": "8"}, False),
-    ("dual(D4)/F5, HOPFLIFT_H2_BUDGET=8", ["dual(D4)", "5", "1"], {"HOPFLIFT_H2_BUDGET": "8"}, False),
+    ("S3/F7", PROBE, ["S3", "7", "1"], {}),
+    ("S3/F25", PROBE, ["S3", "5", "2"], {}),
+    ("C2.double/F5", PROBE, ["C2.double", "5", "1"], {}),
+    ("D4/F3, HOPFLIFT_H2_BUDGET=8", PROBE, ["D4", "3", "1"], H2_AT_8),
+    ("Q8/F7, HOPFLIFT_H2_BUDGET=8", PROBE, ["Q8", "7", "1"], H2_AT_8),
+    ("dual(D4)/F5, HOPFLIFT_H2_BUDGET=8", PROBE, ["dual(D4)", "5", "1"], H2_AT_8),
+    ("cold lift C4.double/F5 p^4, HOPFLIFT_COBOUNDARY_BUDGET=16", LIFT_PROBE, ["C4.double", "5"], DIM_16),
+    ("cold lift C2xC2.double/F3 p^4, HOPFLIFT_COBOUNDARY_BUDGET=16", LIFT_PROBE, ["C2xC2.double", "3"], DIM_16),
 ]
 CLI_STEP = "cli: cohomology d2.json --degree 0,1,2 --invariants (C2.double/F5)"
 
@@ -91,11 +113,11 @@ def run_child(tree, argv, extra_env, cap_bytes, cwd=None):
         return out.read(), err.read(), proc.returncode, wall, usage.ru_maxrss / 1024
 
 
-def probe(tree, argv, extra_env, cap_bytes):
-    out, err, code, wall, rss = run_child(tree, ["-c", PROBE, *argv], extra_env, cap_bytes)
+def probe(tree, code_text, argv, extra_env, cap_bytes):
+    out, err, code, wall, rss = run_child(tree, ["-c", code_text, *argv], extra_env, cap_bytes)
     row = json.loads(out.strip().splitlines()[-1]) if code == 0 else {"error": f"exit {code}: {err[-300:]}"}
     row.update(wall_s=wall, peak_rss_mb=rss)
-    row["correct"] = row.get("dims") == [0, 0, 0]
+    row["correct"] = row.get("dims") == [0, 0, 0] if code_text is PROBE else row.get("certified") is True
     return row
 
 
@@ -113,14 +135,12 @@ def cli_step(tree, cap_bytes):
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def summary(rows, change_only):
-    """Medians of the change alone, or the paired summary of both sides."""
+def summary(rows):
+    """The paired summary of both sides."""
     out = {}
-    for key in ("wall_s", "peak_rss_mb"):
-        series = {side: [r[key] for r in runs] for side, runs in rows.items()}
-        if change_only:
-            out[key] = {"change_median": statistics.median(series["change"])}
-        else:
+    for key in ("seconds", "wall_s", "peak_rss_mb"):
+        series = {side: [r.get(key) for r in runs] for side, runs in rows.items()}
+        if None not in series["parent"] + series["change"]:
             out[key] = pipeline.paired(series, "lower")
     return out
 
@@ -144,9 +164,8 @@ def main():
     runs = {label: {"parent": [], "change": []} for label in labels}
     for i in range(args.repeats):
         for side in pipeline.sides(i):
-            for label, argv, env, both in CASES:
-                if both or side == "change":
-                    runs[label][side].append(probe(trees[side], argv, env, cap))
+            for label, code_text, argv, env in CASES:
+                runs[label][side].append(probe(trees[side], code_text, argv, env, cap))
             runs[CLI_STEP][side].append(cli_step(trees[side], cap))
         print(f"repeat {i + 1}/{args.repeats}: cohomology probes done", flush=True)
 
@@ -163,7 +182,8 @@ def main():
 
     record = {
         "what": (
-            f"cohomology_dim in degrees 0-2 and the CLI cohomology step, {args.repeats} fresh processes per side "
+            f"cohomology_dim in degrees 0-2, cold lifts at dimension 16 and the CLI cohomology step, "
+            f"{args.repeats} fresh processes per side "
             f"under a {args.cap_gb:g} GB address-space cap; perfbench/run.py --workload W --seed S at default "
             f"settings, seeds {args.seeds}. Parent and change run from separate checkouts, the side that runs "
             "first alternating, every process pinned to one CPU. Produced by scripts/bench_reduced_cohomology.py"
@@ -171,9 +191,9 @@ def main():
         "machine": {"nproc": os.cpu_count(), "python": sys.version.split()[0]},
         "cohomology": {
             label: {
-                "runs": {side: rows for side, rows in runs[label].items() if rows},
-                "summary": summary(runs[label], not runs[label]["parent"]),
-                "all_correct": {side: all(r["correct"] for r in rows) for side, rows in runs[label].items() if rows},
+                "runs": runs[label],
+                "summary": summary(runs[label]),
+                "all_correct": {side: all(r["correct"] for r in rows) for side, rows in runs[label].items()},
             }
             for label in labels
         },

@@ -20,8 +20,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 sys.path.insert(0, SRC)
 
 
-def hopflift(workdir, *argv, stdin=None):
+def hopflift(workdir, *argv, stdin=None, extra_env=None):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    env.update(extra_env or {})
     return subprocess.run(
         [sys.executable, "-m", "hopflift.cli", *argv], cwd=workdir, env=env, input=stdin, capture_output=True, text=True
     )
@@ -85,6 +86,9 @@ def main():
         check("gen S3 --p 7 -o s3.json", hopflift(wd, "gen", "S3", "--p", "7", "-o", "s3.json"), 0)
         p = hopflift(wd, "cohomology", "s3.json", "--degree", "0,1,2")
         check("cohomology s3.json --degree 0,1,2 (H^2 = 0)", p, 0, "H^2 = 0" in p.stdout.splitlines())
+        check("gen D4 --p 3 -o d4.json", hopflift(wd, "gen", "D4", "--p", "3", "-o", "d4.json"), 0)
+        p = hopflift(wd, "cohomology", "d4.json", "--degree", "2", extra_env={"HOPFLIFT_H2_BUDGET": "8"})
+        check("HOPFLIFT_H2_BUDGET=8 cohomology d4.json --degree 2 (H^2 = 0)", p, 0, "H^2 = 0" in p.stdout.splitlines())
         check("gen C2 --p 5 -o c2.json", hopflift(wd, "gen", "C2", "--p", "5", "-o", "c2.json"), 0)
         p = hopflift(wd, "lift", "c2.json", "--precision", "4", "--strategy", "perturbed:7", "-o", "lift.json")
         check("lift c2.json --precision 4 --strategy perturbed:7", p, 0)

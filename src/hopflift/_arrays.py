@@ -139,7 +139,7 @@ def tensordot(desc, a, b, axes, a_reg=None):
         k *= a.shape[ax]
     # dense multiply-adds: a.size * b.size / (k m); a logical scalar stays dense
     if a.size * b.size >= _JOIN_MIN_MADDS * k * desc.m and a.ndim > 1 and b.ndim > 1:
-        nza, nzb = _nonzeros(a, axa), _nonzeros(b, axb)
+        nza, nzb = nonzeros(a, axa), nonzeros(b, axb)
         pairs = int(np.bincount(nza[0], minlength=k) @ np.bincount(nzb[0], minlength=k))
         if pairs * _JOIN_PAIR_COST * k * desc.m < a.size * b.size:
             return _join(desc, a, b, axa, axb, k, nza, nzb)
@@ -157,7 +157,7 @@ def tensordot(desc, a, b, axes, a_reg=None):
     return np.ascontiguousarray(np.moveaxis(int64_mod(r, q), a.ndim - 1 - len(axa), -1))
 
 
-def _nonzeros(arr, key_axes):
+def nonzeros(arr, key_axes):
     """The nonzero entries of arr: their row-major flat index over the logical
     key_axes (in that order), over the other logical axes, and their values."""
     shape, m = arr.shape[:-1], arr.shape[-1]
@@ -173,15 +173,29 @@ def _nonzeros(arr, key_axes):
     return flat(key_axes), flat([ax for ax in range(len(shape)) if ax not in key_axes]), rows[at]
 
 
-def _join(desc, a, b, axa, axb, k, nza=None, nzb=None):
-    """tensordot from the nonzeros of a and b (their _nonzeros, when already
-    counted), given the nonnegative contracted axes and the number k of
-    contracted indices.  Each output cell sums at most k products, reduced
-    mod q: in int64 while k (q-1)^2 < 2^62, else as Python ints.  Returns the
-    dense, reduced, contiguous int64 array of the BLAS path."""
+def collect(q, cells, vals, count):
+    """The distinct cells, ascending, and the sums mod q of their rows of
+    residues vals, without the cells whose sum is zero; no cell occurs more
+    than count times.  Sums in int64 while count (q-1) < 2^62, else as Python
+    ints."""
+    cells, slot = np.unique(cells, return_inverse=True)
+    sums = np.zeros((cells.size, vals.shape[-1]), dtype=np.int64 if count * (q - 1) < _I64_SAFE else object)
+    np.add.at(sums, slot.ravel(), vals.astype(sums.dtype))
+    sums = int64_mod(sums, q)
+    keep = np.any(sums != 0, axis=1)
+    return cells[keep], sums[keep]
+
+
+def join(desc, nza, nzb, k, nfree_b):
+    """A contraction from nonzeros to nonzeros (Gustavson, ACM TOMS 4(3), 1978).
+
+    nza and nzb are (key, free, vals) as nonzeros() gives them, for k
+    contracted indices; nfree_b is the number of free cells of b.  Returns the
+    nonzero output cells free_a * nfree_b + free_b, ascending, and their
+    values, reduced mod q.  Over F_{p^m}, m > 1, products are ring products."""
     q, m = desc.q, desc.m
-    ka, fa, va = _nonzeros(a, axa) if nza is None else nza
-    kb, fb, vb = _nonzeros(b, axb) if nzb is None else nzb
+    ka, fa, va = nza
+    kb, fb, vb = nzb
     # b's nonzeros in key order; pair j of a's nonzero i is the
     # (j - first[i])-th of those with key ka[i]
     order = np.argsort(kb, kind="stable")
@@ -191,15 +205,22 @@ def _join(desc, a, b, axa, axb, k, nza=None, nzb=None):
     ia = np.repeat(np.arange(ka.size), counts)
     ib = order[np.arange(ia.size) + np.repeat((np.cumsum(per_key) - per_key)[ka] - first, counts)]
     prods = mul_mod(va[ia], vb[ib], q) if m == 1 else elem_mul(desc, va[ia], vb[ib])
+    return collect(q, fa[ia] * nfree_b + fb[ib], prods, k)
+
+
+def _join(desc, a, b, axa, axb, k, nza=None, nzb=None):
+    """tensordot from the nonzeros of a and b (their nonzeros(), when already
+    counted), given the nonnegative contracted axes and the number k of
+    contracted indices: join() written into the dense, reduced, contiguous
+    int64 array of the BLAS path."""
     free_a = [n for ax, n in enumerate(a.shape[:-1]) if ax not in axa]
     free_b = [n for ax, n in enumerate(b.shape[:-1]) if ax not in axb]
-    idx = fa[ia] * math.prod(free_b) + fb[ib]
-    cells, slot = np.unique((idx[:, None] * m + np.arange(m)).ravel(), return_inverse=True)
-    sums = np.zeros(cells.size, dtype=np.int64 if k * (q - 1) * (q - 1) < _I64_SAFE else object)
-    np.add.at(sums, slot, prods.ravel().astype(sums.dtype))
-    out = np.zeros(math.prod(free_a + free_b) * m, dtype=np.int64)
-    out[cells] = int64_mod(sums, q)
-    return out.reshape(tuple(free_a + free_b) + (m,))
+    nza = nonzeros(a, axa) if nza is None else nza
+    nzb = nonzeros(b, axb) if nzb is None else nzb
+    cells, vals = join(desc, nza, nzb, k, math.prod(free_b))
+    out = np.zeros((math.prod(free_a + free_b), desc.m), dtype=np.int64)
+    out[cells] = vals
+    return out.reshape(tuple(free_a + free_b) + (desc.m,))
 
 
 def kron2(desc, a, b):

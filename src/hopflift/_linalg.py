@@ -92,18 +92,35 @@ class CooMatrix:
         rows, cols = np.nonzero(np.any(marr != 0, axis=-1))
         return cls(marr.shape[:2], rows, cols, marr[rows, cols])
 
+    @classmethod
+    def from_entries(cls, desc, shape, rows, cols, vals):
+        """The matrix whose entry (r, c) is the sum of the vals at (r, c)."""
+        cells, sums = ra.collect(desc.q, rows * shape[1] + cols, vals, rows.size)
+        return cls(tuple(shape), cells // shape[1], cells % shape[1], sums)
+
     def toarray(self):
         out = np.zeros(tuple(self.shape) + (self.vals.shape[-1],), dtype=np.int64)
         out[self.rows, self.cols] = self.vals
         return out
 
+    def matmul(self, desc, other):
+        """self @ other over the field, from the nonzeros of both."""
+        nz_self, nz_other = (self.cols, self.rows, self.vals), (other.rows, other.cols, other.vals)
+        cells, vals = ra.join(desc, nz_self, nz_other, self.shape[1], other.shape[1])
+        return CooMatrix((self.shape[0], other.shape[1]), cells // other.shape[1], cells % other.shape[1], vals)
+
     def dot(self, desc, x):
         """self @ x over the field, exact; x is (C, m) or (C, w, m)."""
         q, m = desc.q, desc.m
-        per_row = int(np.bincount(self.rows).max()) if self.rows.size else 0
-        dt = _wide_dtype(per_row * m * (q - 1) * (q - 1))
+        # the expanded values, built at the first product and kept
+        kept = self.__dict__.get("_expanded")
+        if kept is None or kept[0] != desc:
+            per_row = int(np.bincount(self.rows).max()) if self.rows.size else 0
+            dt = _wide_dtype(per_row * m * (q - 1) * (q - 1))
+            kept = (desc, ra.reg_rep(desc, self.vals).astype(dt)[:, None], dt)  # (nnz, 1, m, m)
+            object.__setattr__(self, "_expanded", kept)
+        _, lreg, dt = kept
         xs = x.reshape(x.shape[0], -1, m)
-        lreg = ra.reg_rep(desc, self.vals).astype(dt)[:, None]  # (nnz, 1, m, m)
         # column blocks keep the (nnz, w, m, m) product near 2^22 cells
         step = max(1, (1 << 22) // max(1, self.rows.size * m * m))
         out = np.empty((self.shape[0], xs.shape[1], m), dtype=np.int64)
@@ -156,6 +173,8 @@ class FieldSolver:
     ``pivot_cols`` are over F_{p^m}.  ``pivot_rows`` index the rows (r, i) of
     the factored F_p matrix: the regular representation of the input, or of
     the sketch when the input was sketched (the input itself when m == 1).
+    A rank_only solver keeps just these; its solve and kernel_basis raise
+    ValueError.
     """
 
     def __init__(self, desc, marr, rank_only: bool = False):
@@ -165,6 +184,7 @@ class FieldSolver:
         self.nrows, self.ncols = marr.shape[0], marr.shape[1]
         sparse = isinstance(marr, CooMatrix)
         self._sketch = None
+        self._m_reg = None  # expand(desc, M) of a dense M, kept once _times needs it
         if self.nrows > self.ncols + _SKETCH_MARGIN:
             self.M = marr if sparse else CooMatrix.from_dense(marr % desc.q)
             for seed in _SKETCH_SEEDS:
@@ -178,7 +198,8 @@ class FieldSolver:
                 self._factor(self.M.toarray())
         else:
             self.M = marr.toarray() if sparse else marr % desc.q
-            self._factor(self.M)
+            # without a sketch to certify, a rank needs no factor beyond the last pivot
+            self._factor(self.M, rank_only)
         if rank_only:
             self._U = None
 
@@ -189,18 +210,20 @@ class FieldSolver:
         index = bucket[rows] * width + cols
         return _scatter(index, coeff[rows], vals, k * width, self.desc.q, -(-self.nrows // k))
 
-    def _factor(self, marr):
+    def _factor(self, marr, rank_only=False):
         R, C, m = marr.shape
         if m == 1:
-            self._factor_prime(marr[..., 0])
+            self._factor_prime(marr[..., 0], rank_only)
         else:
             # the F_p matrix: entry ((r, i), (c, j)) is coefficient i of marr[r, c] x^j
-            self._factor_prime(ra.reg_rep(self.desc, marr).transpose(0, 2, 1, 3).reshape(R * m, C * m))
+            self._factor_prime(ra.reg_rep(self.desc, marr).transpose(0, 2, 1, 3).reshape(R * m, C * m), rank_only)
         # pivot column c over F_{p^m} is the F_p pivot block (c, 0..m-1)
         self.pivot_cols = self._pcols[::m] // m
         self.rank = len(self.pivot_cols)
 
-    def _factor_prime(self, M0):
+    def _factor_prime(self, M0, rank_only=False):
+        """Factor M0 over F_p; rank_only stops once every row is a pivot row
+        and keeps only the pivots and the lower factor."""
         p = self.desc.q
         R, C = M0.shape
         maxr = min(R, C)
@@ -218,6 +241,8 @@ class FieldSolver:
         defer = p < (1 << 27)
         t = 0
         for c0 in range(0, C, _BLOCK):
+            if rank_only and t == R:
+                break
             c1 = min(C, c0 + _BLOCK)
             # U rows of earlier pivots on this panel (blocked forward solve),
             # then one bulk update of the panel for the unused rows; the rows
@@ -263,9 +288,11 @@ class FieldSolver:
         self.pivot_rows = np.array(pivot_rows, dtype=np.int64)
         self._pcols = np.array(pivot_cols, dtype=np.int64)
         self._Lpp = Lpp[:t, :t]
+        self._tblocks = tblocks
+        if rank_only:
+            return
         self._U = U[:t]
         self._Upc = U[:t][:, self._pcols]
-        self._tblocks = tblocks
         # Upc is unit upper triangular: reversing both axes makes it lower
         self._ublocks = [
             (s0, s1, _inv_lower(self._Upc[s0:s1, s0:s1][::-1, ::-1], [1] * (s1 - s0), p)[::-1, ::-1])
@@ -294,7 +321,9 @@ class FieldSolver:
         if desc.m == 1:
             flat = x.reshape(self.ncols, -1)
             return _exact_dot(self.M[..., 0], flat, desc.q).reshape((self.nrows,) + x.shape[1:])
-        return ra.tensordot(desc, self.M, x, ([1], [0]))
+        if self._m_reg is None:
+            self._m_reg = ra.expand(desc, self.M)
+        return ra.tensordot(desc, self.M, x, ([1], [0]), self._m_reg)
 
     def solve(self, rhs: np.ndarray):
         """Canonical particular solution (free variables zero) or None.
@@ -302,6 +331,8 @@ class FieldSolver:
         rhs has physical shape (R, m) or (R, w, m); the result matches with R
         replaced by the column count.
         """
+        if self._U is None:
+            raise ValueError("factorization was rank_only")
         p, m = self.desc.q, self.desc.m
         b = rhs % p
         sb = b

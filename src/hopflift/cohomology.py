@@ -15,7 +15,10 @@ row-major (out index major).  Degree-2 coboundaries for the lifting come from
 solve_obstruction, which contracts with the separability idempotent and never
 builds d_1.  For a semisimple A the same contraction reduces cohomology_dim,
 the H^1 certificate and the invariants complex to the complex ad(B^{tensor q+1})
-under d_c, with one cached solver per ad_k and per d_c ad_k.
+under d_c, with one cached solver per ad_k and per d_c ad_k.  Both matrices are
+built from nonzeros and never as dense images: the multiplication operators of
+B^{tensor k} are joins of e_tensor(k) with m_B, and d_c ad_k = ad_{k+1} o d^_k,
+with d^ the differential of the augmented coalgebra complex of B.
 """
 
 from __future__ import annotations
@@ -202,22 +205,38 @@ class _ContextCache:
 
         return self.memo(("e", k), build)
 
-    def mult_operator(self, k: int, side: str):
-        """Left/right multiplication by phi^{k}(Delta_k(e_a)) on B^{tensor k}:
-        [a, out, in] of shape (na, nb^k, nb^k)."""
+    def mult_operator(self, k: int, side: str) -> CooMatrix:
+        """Left/right multiplication by phi^{k}(Delta_k(e_a)) on B^{tensor k}, built
+        from nonzeros: the (nb^k * na, nb^k) matrix of [(out, a), in]."""
 
         def build():
             desc = self.ctx.ring
             na, nb = self.ctx.A.dim, self.ctx.B.dim
-            cur = self.e_tensor(k).reshape((nb,) * k + (na, desc.m))
+            # the leg of E is the left (left action) or right factor of m_B
+            mb = ra.nonzeros(self.MB, [1 if side == "left" else 2])  # key x, free (o, i)
+            _, cells, vals = ra.nonzeros(self.e_tensor(k), [])  # [x1, ..., xk, a]
+            size = nb**k * na
             for _ in range(k):
-                # the leg of E is the left (left action) or right factor of m_B
-                cur = ra.tensordot(desc, cur, self.MB, ([0], [1 if side == "left" else 2]))  # appends (o_t, i_t)
-            # axes: [a, o1, i1, o2, i2, ...]
-            perm = [0] + [1 + 2 * t for t in range(k)] + [2 + 2 * t for t in range(k)]
-            return ra.transpose(cur, perm).reshape(na, nb**k, nb**k, desc.m)
+                # join the leading leg x_t with m_B, which appends (o_t, i_t)
+                rest = size // nb
+                cells, vals = ra.join(desc, (cells // rest, cells % rest, vals), mb, nb, nb * nb)
+                size = rest * nb * nb
+            # axes [a, o1, i1, ..., ok, ik]
+            idx = np.unravel_index(cells, (na,) + (nb,) * (2 * k))
+            rows = np.ravel_multi_index(idx[1::2] + idx[:1], (nb,) * k + (na,))
+            cols = np.ravel_multi_index(idx[2::2], (nb,) * k)
+            order = np.lexsort((cols, rows))
+            return CooMatrix((nb**k * na, nb**k), rows[order], cols[order], vals[order])
 
         return self.memo(("mult", k, side), build)
+
+    def mult_array(self, k: int, side: str):
+        """mult_operator(k, side) as a dense [out, a, in] array, for the action
+        terms of d_alg and the contraction's el (k <= 2)."""
+        na, nb, m = self.ctx.A.dim, self.ctx.B.dim, self.ctx.ring.m
+        return self.memo(
+            ("mult_array", k, side), lambda: self.mult_operator(k, side).toarray().reshape(nb**k, na, nb**k, m)
+        )
 
     def coaction_operator(self, k: int, side: str):
         """phi(a^(1) products) paired with the legs a^(2) that f eats (left), or
@@ -259,24 +278,29 @@ def _cache(ctx: ComplexContext) -> _ContextCache:
 # the two differentials
 
 
+def _action(cc: _ContextCache, f, q: int, side: str):
+    """phi^{q+1}(Delta_{q+1}(x)) acting on f(rest) from the given side: [out, x, rest, batch].
+
+    On B and B^{tensor 2} the dense operator is contracted, which is faster at
+    the sizes of a lift; on B^{tensor 3} and beyond, where it would hold
+    N^{2q+3} cells, the CooMatrix is."""
+    desc = cc.ctx.ring
+    if q < 2:
+        op = cc.mult_array(q + 1, side)
+        return ra.tensordot(desc, op, f, ([2], [0]), cc.expanded(("mult", q + 1, side), op))
+    out = cc.mult_operator(q + 1, side).dot(desc, f.reshape(f.shape[0], -1, desc.m))
+    return out.reshape((f.shape[0], cc.ctx.A.dim) + f.shape[1:])
+
+
 def _left_action_term(cc: _ContextCache, f, p: int, q: int):
     """x (x) rest |-> phi^{q+1}(Delta_{q+1}(x)) * f(rest) as a legs block."""
-    na = cc.ctx.A.dim
-    op = cc.mult_operator(q + 1, "left")
-    # [x, out, rest, batch]
-    cur = ra.tensordot(cc.ctx.ring, op, f, ([2], [0]), cc.expanded(("mult", q + 1, "left"), op))
-    cur = ra.moveaxis(cur, 0, 1)
-    return cur.reshape((f.shape[0], na ** (p + 2)) + f.shape[2:])
+    return _action(cc, f, q, "left").reshape((f.shape[0], cc.ctx.A.dim ** (p + 2)) + f.shape[2:])
 
 
 def _right_action_term(cc: _ContextCache, f, p: int, q: int):
     """rest (x) x |-> f(rest) * phi^{q+1}(Delta_{q+1}(x)) as a legs block."""
-    na = cc.ctx.A.dim
-    op = cc.mult_operator(q + 1, "right")
-    # [x, out, rest, batch]
-    cur = ra.tensordot(cc.ctx.ring, op, f, ([2], [0]), cc.expanded(("mult", q + 1, "right"), op))
-    cur = ra.moveaxis(cur, 0, 2)
-    return cur.reshape((f.shape[0], na ** (p + 2)) + f.shape[2:])
+    cur = ra.moveaxis(_action(cc, f, q, "right"), 1, 2)
+    return cur.reshape((f.shape[0], cc.ctx.A.dim ** (p + 2)) + f.shape[2:])
 
 
 def _signed_sum(desc, signed_terms):
@@ -522,7 +546,7 @@ class _Contraction:
     """Per-context data of solve_obstruction (built once, held in _ContextCache)."""
 
     el: dict  # q -> [b, out, in]: sum_u e[u, b] * (left action of e_u on B^{tensor q+1})
-    ad: np.ndarray  # m |-> ad(m) in C^{0,1}: (nb^2 * na, nb^2, m)
+    ad: CooMatrix  # m |-> ad(m) in C^{0,1}, kept sparse: _ad_matrix(cc, 2)
     dc_ad: FieldSolver  # m |-> d_c(ad(m)) in C^{0,2}
     free: np.ndarray  # free columns of d_1: the trailing pivots of im d_0
     d0: CooMatrix
@@ -552,19 +576,27 @@ def _separability_idempotent(ctx: ComplexContext):
     return e
 
 
-def _ad_matrix(cc: _ContextCache, k: int):
-    """m |-> ad(m) = a.m - m.a from B^{tensor k} to C^{0,k-1}: (nb^k * na, nb^k, m)."""
-    desc = cc.ctx.ring
-    na, nb = cc.ctx.A.dim, cc.ctx.B.dim
-    ad = ra.sub(desc, cc.mult_operator(k, "left"), cc.mult_operator(k, "right"))  # [a, out, in]
-    return np.ascontiguousarray(ra.transpose(ad, (1, 0, 2))).reshape(nb**k * na, nb**k, desc.m)
+def _ad_matrix(cc: _ContextCache, k: int) -> CooMatrix:
+    """m |-> ad(m) = a.m - m.a from B^{tensor k} to C^{0,k-1}: the (nb^k * na, nb^k)
+    matrix of the two multiplication operators, once per context."""
+
+    def build():
+        desc = cc.ctx.ring
+        left, right = cc.mult_operator(k, "left"), cc.mult_operator(k, "right")
+        rows, cols = np.concatenate([left.rows, right.rows]), np.concatenate([left.cols, right.cols])
+        vals = np.concatenate([left.vals, ra.neg(desc, right.vals)])
+        return CooMatrix.from_entries(desc, left.shape, rows, cols, vals)
+
+    return cc.memo(("ad_matrix", k), build)
 
 
-def _dc_ad_matrix(cc: _ContextCache, k: int, ad):
-    """m |-> d_c(ad(m)) from B^{tensor k} to C^{0,k}."""
-    na, nb, m = cc.ctx.A.dim, cc.ctx.B.dim, cc.ctx.ring.m
-    img = _d_coalg_block(cc, ad.reshape(nb**k, na, nb**k, m), 0, k - 1)
-    return img.reshape(nb ** (k + 1) * na, nb**k, m)
+def _dc_ad_matrix(cc: _ContextCache, k: int) -> CooMatrix:
+    """m |-> d_c(ad(m)) from B^{tensor k} to C^{0,k}, as ad_{k+1} o d^_k.
+
+    The coaction terms of d_c(ad m) are ad(1 (x) m) and ad(m (x) 1), and each
+    interior term is ad(Delta_i m), since Delta_B is an algebra map and phi a
+    coalgebra map; the signs are those of d^ (_hat_differential_matrix)."""
+    return _ad_matrix(cc, k + 1).matmul(cc.ctx.ring, _hat_differential_matrix(cc.ctx, k - 1))
 
 
 def _ad_solver(cc: _ContextCache, k: int) -> FieldSolver:
@@ -574,7 +606,7 @@ def _ad_solver(cc: _ContextCache, k: int) -> FieldSolver:
 
 def _dc_ad_solver(cc: _ContextCache, k: int) -> FieldSolver:
     """FieldSolver of m |-> d_c(ad(m)) on B^{tensor k}, once per context."""
-    return cc.memo(("dc_ad", k), lambda: FieldSolver(cc.ctx.ring, _dc_ad_matrix(cc, k, _ad_matrix(cc, k))))
+    return cc.memo(("dc_ad", k), lambda: FieldSolver(cc.ctx.ring, _dc_ad_matrix(cc, k)))
 
 
 def _reduced_dim(cc: _ContextCache, n: int) -> int:
@@ -595,7 +627,7 @@ def _contraction(ctx: ComplexContext) -> _Contraction:
     def build():
         desc = ctx.ring
         e = _separability_idempotent(ctx)
-        el = {q: ra.tensordot(desc, e, cc.mult_operator(q + 1, "left"), ([0], [0])) for q in (0, 1)}
+        el = {q: ra.tensordot(desc, e, cc.mult_array(q + 1, "left"), ([0], [1])) for q in (0, 1)}
         dc_ad = _dc_ad_solver(cc, 2)
         h1 = _reduced_dim(cc, 1)
         if h1:
@@ -648,7 +680,7 @@ def _contract_obstruction(z: TotalCochain) -> TotalCochain | None:
     m = con.dc_ad.solve(resid.coeffs.reshape(-1, desc.m))
     if m is None:
         return None
-    inner = ra.tensordot(desc, con.ad, m, ([1], [0]), cc.expanded("ad", con.ad)).reshape(x01.coeffs.shape)
+    inner = con.ad.dot(desc, m).reshape(x01.coeffs.shape)
     x01 = MultiMap(desc, 1, 2, ctx.A.dim, ctx.B.dim, ra.add(desc, x01.coeffs, inner))
     vec = vec_cochain(TotalCochain(ctx, 1, {(1, 0): x10, (0, 1): x01}))
     w = con.d0_free.solve(vec[con.free])
@@ -671,29 +703,26 @@ def solve_obstruction(z: TotalCochain) -> TotalCochain | None:
 # the invariants subcomplex D^*(B)^A
 
 
-def _hat_differential_matrix(ctx: ComplexContext, q: int):
-    """d: B^{tensor q+1} -> B^{tensor q+2} of the augmented coalgebra complex."""
+def _hat_differential_matrix(ctx: ComplexContext, q: int) -> CooMatrix:
+    """d: B^{tensor q+1} -> B^{tensor q+2} of the augmented coalgebra complex:
+    1 (x) b, then Delta on leg i with sign (-1)^i, then b (x) 1 with sign (-1)^{q+2}."""
     desc = ctx.ring
-    nb = ctx.B.dim
-    cc = _cache(ctx)
-    ub = ctx.B.unit.coeffs.reshape(nb, desc.m)
-    k = q + 1
-    size_in, size_out = nb**k, nb ** (k + 1)
-    mat = ra.zeros(desc, (size_out, size_in))
-    eye = ra.eye(desc, size_in)
-    # 1 (x) b
-    term = ra.kron2(desc, ub.reshape(nb, 1, desc.m), eye)
-    mat = ra.add(desc, mat, term)
-    # interior comultiplications
-    for i in range(1, k + 1):
-        legs = eye.reshape((nb,) * k + (size_in, desc.m))
-        t = ra.tensordot(desc, legs, cc.DB, ([i - 1], [2]))
-        t = ra.moveaxis(t, [-2, -1], [i - 1, i])
-        mat = ra.add(desc, mat, ra.scale_int(desc, t.reshape(size_out, size_in, desc.m), (-1) ** i))
-    # b (x) 1
-    term = ra.kron2(desc, eye, ub.reshape(nb, 1, desc.m))
-    mat = ra.add(desc, mat, ra.scale_int(desc, term, (-1) ** (k + 1)))
-    return mat
+    nb, k = ctx.B.dim, q + 1
+    unit = CooMatrix.from_dense(ctx.B.unit.coeffs.reshape(nb, 1, desc.m))
+    comul = CooMatrix.from_dense(ctx.B.comul.coeffs.reshape(nb * nb, nb, desc.m))
+    terms = [(1, 1, unit, nb**k)]
+    terms += [((-1) ** i, nb ** (i - 1), comul, nb ** (k - i)) for i in range(1, k + 1)]
+    terms.append(((-1) ** (k + 1), nb**k, unit, 1))
+    rows, cols, vals = [], [], []
+    for sign, left, mat, right in terms:
+        # the entries of I_left (x) mat (x) I_right
+        lead, tail = np.arange(left)[:, None, None], np.arange(right)
+        rows.append(((lead * mat.shape[0] + mat.rows[:, None]) * right + tail).ravel())
+        cols.append(((lead * mat.shape[1] + mat.cols[:, None]) * right + tail).ravel())
+        signed = ra.scale_int(desc, mat.vals, sign)[:, None]
+        vals.append(np.broadcast_to(signed, (left, mat.rows.size, right, desc.m)).reshape(-1, desc.m))
+    shape = (nb ** (k + 1), nb**k)
+    return CooMatrix.from_entries(desc, shape, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
 
 
 def invariants_complex_dim(ctx: ComplexContext, n: int) -> int:
@@ -710,8 +739,8 @@ def invariants_complex_dim(ctx: ComplexContext, n: int) -> int:
         vin = _ad_solver(cc, qd + 1).kernel_basis()
         if not vin:
             return 0, 0
-        images = ra.tensordot(desc, _hat_differential_matrix(ctx, qd), np.stack(vin, axis=1), ([1], [0]))
-        if np.any(ra.tensordot(desc, _ad_matrix(cc, qd + 2), images, ([1], [0]))):
+        images = _hat_differential_matrix(ctx, qd).dot(desc, np.stack(vin, axis=1))
+        if np.any(_ad_matrix(cc, qd + 2).dot(desc, images)):
             raise InternalAxiomFailure("differential does not preserve invariants")
         return len(vin), FieldSolver(desc, images, rank_only=True).rank
 

@@ -116,7 +116,7 @@ def naive_d_alg(H, f_arr, p, q):
     return out
 
 
-@pytest.mark.parametrize("p,q", [(0, 0), (1, 0), (0, 1), (1, 1)])
+@pytest.mark.parametrize("p,q", [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)])
 def test_d_alg_matches_naive_oracle(p, q):
     rng = np.random.default_rng(7 + p * 10 + q)
     shape = (2 ** (q + 1), 2 ** (p + 1), 1)
@@ -365,6 +365,109 @@ def test_reduced_complex_matches_dense_ranks(make_ctx, top):
             assert coh._bicomplex_dim(ctx, n) == want
 
 
+# --- ad_k and d_c ad_k = ad_{k+1} o d^_k from nonzeros, against the dense builders ---
+
+SPARSE_AD_CASES = [
+    ("S3/F7", lambda: coh.make_context(hc.generate("S3", F7))),
+    ("D4/F3", lambda: coh.make_context(hc.generate("D4", cr.make_ring(3)))),
+    ("dual(D4)/F5", lambda: coh.make_context(hc.dual(hc.generate("D4", F5)))),
+    ("C3/F4", lambda: coh.make_context(hc.generate("C3", cr.make_ring(2, 1, 2)))),
+    ("S3/F25", lambda: coh.make_context(hc.generate("S3", cr.make_ring(5, 1, 2)))),
+    ("C2-S3/F7", s3_inclusion_context),
+    ("C3/F3", lambda: coh.make_context(hc.generate("C3", cr.make_ring(3)))),
+]
+
+
+def assert_nonzeros_in_row_major_order(mat):
+    assert mat.vals.dtype == np.int64 and np.all(np.any(mat.vals != 0, axis=-1))
+    assert np.all(np.diff(mat.rows * mat.shape[1] + mat.cols) > 0)
+
+
+@pytest.mark.parametrize("make_ctx", [c[1] for c in SPARSE_AD_CASES], ids=[c[0] for c in SPARSE_AD_CASES])
+def test_sparse_ad_matches_dense_oracle(make_ctx):
+    ctx = make_ctx()
+    cc = coh._cache(ctx)
+    for k in (1, 2, 3):
+        want = dense_ad_matrix(ctx, k)
+        ad = coh._ad_matrix(cc, k)
+        assert_nonzeros_in_row_major_order(ad)
+        got = ad.toarray()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        hat = coh._hat_differential_matrix(ctx, k - 1)
+        assert_nonzeros_in_row_major_order(hat)
+        assert np.array_equal(hat.toarray(), dense_hat_differential_matrix(ctx, k - 1))
+        dc_ad = coh._dc_ad_matrix(cc, k)
+        assert_nonzeros_in_row_major_order(dc_ad)
+        assert dc_ad.shape == (ctx.B.dim ** (k + 1) * ctx.A.dim, ctx.B.dim**k)
+        # column blocks of the dense d_c ad_k, which is 134 MB at D4, k = 3
+        for c0 in range(0, want.shape[1], 64):
+            cols = np.arange(c0, min(c0 + 64, want.shape[1]))
+            block = dense_dc_ad_columns(ctx, k, want, cols)
+            sel = np.isin(dc_ad.cols, cols)
+            got = np.zeros_like(block)
+            got[dc_ad.rows[sel], dc_ad.cols[sel] - c0] = dc_ad.vals[sel]
+            assert block.dtype == np.int64 and np.array_equal(got, block)
+    for k in (1, 2):
+        for side in ("left", "right"):
+            dense = np.ascontiguousarray(ra.transpose(dense_mult_operator(ctx, k, side), (1, 0, 2)))
+            got = cc.mult_array(k, side)
+            assert got.dtype == dense.dtype and np.array_equal(got, dense)
+
+
+IDENTITY_CASES = [c for c in SPARSE_AD_CASES if c[0] in ("S3/F7", "S3/F25", "C2-S3/F7", "D4/F3")]
+
+
+@pytest.mark.parametrize("make_ctx", [c[1] for c in IDENTITY_CASES], ids=[c[0] for c in IDENTITY_CASES])
+def test_dc_ad_identity_on_random_elements(make_ctx):
+    # d_c(ad m) through the public d_coalg equals ad_{k+1}(d^_k m)
+    ctx = make_ctx()
+    cc, desc = coh._cache(ctx), ctx.ring
+    na, nb = ctx.A.dim, ctx.B.dim
+    rng = np.random.default_rng([7, nb, desc.q])
+    for k in (1, 2, 3):
+        for _ in range(2):
+            m = rng.integers(0, desc.q, size=(nb**k, desc.m)).astype(np.int64)
+            ad_m = ra.tensordot(desc, dense_ad_matrix(ctx, k), m, ([1], [0])).reshape(nb**k, na, desc.m)
+            lhs = coh.d_coalg(ctx, tc.MultiMap(desc, 1, k, na, nb, ad_m)).coeffs
+            rhs = coh._ad_matrix(cc, k + 1).dot(desc, coh._hat_differential_matrix(ctx, k - 1).dot(desc, m))
+            assert lhs.any() and np.array_equal(lhs, rhs.reshape(lhs.shape))
+
+
+def test_dimension_8_degree_2_from_sparse_solvers(monkeypatch):
+    """cohomology_dim of D4/F3 in degrees 0-2, with the budget raised to 8.
+    Every solver of ad_k and d_c ad_k gets a CooMatrix; neither a dense
+    d_c ad_k nor a dense multiplication operator of B^{(x) k}, k >= 3, is built,
+    here, in a cold lift of the same base or in d_total of a degree-2 cochain."""
+    monkeypatch.setenv(coh.H2_BUDGET_ENV, "8")
+    D4 = hc.generate("D4", cr.make_ring(3))
+    ctx = coh.make_context(D4)
+    na = nb = 8
+    received, densified = [], []
+    real_solver, real_toarray = coh.FieldSolver, CooMatrix.toarray
+
+    def solver(desc, marr, rank_only=False):
+        received.append((type(marr), tuple(marr.shape[:2])))
+        return real_solver(desc, marr, rank_only)
+
+    monkeypatch.setattr(coh, "FieldSolver", solver)
+    monkeypatch.setattr(CooMatrix, "toarray", lambda self: densified.append(tuple(self.shape)) or real_toarray(self))
+    coh._CACHE.clear()
+    try:
+        from hopflift import lifting as lf
+
+        lf.lift(D4, 4, "perturbed:1")
+        assert [coh.cohomology_dim(ctx, n) for n in (0, 1, 2)] == [0, 0, 0]
+        assert coh.is_cocycle(coh.d_total(coh.random_cochain(ctx, 1, 0)))  # d_alg on C^{0,2}
+    finally:
+        coh._CACHE.clear()
+    ad_shapes = {(nb**k * na, nb**k) for k in (1, 2, 3)}
+    dc_ad_shapes = {(nb ** (k + 1) * na, nb**k) for k in (1, 2, 3)}
+    assert ad_shapes | dc_ad_shapes <= {shape for _, shape in received}
+    assert all(kind is CooMatrix for kind, shape in received if shape in ad_shapes | dc_ad_shapes)
+    assert not dc_ad_shapes & set(densified)
+    assert {shape for shape in densified if shape in ad_shapes} <= {(nb * na, nb), (nb**2 * na, nb**2)}
+
+
 def test_cohomology_dim_takes_the_bicomplex_only_when_a_is_not_semisimple(monkeypatch):
     calls = []
     real = coh.dtotal_matrix
@@ -403,15 +506,60 @@ def test_invariants_ground_field_direction():
         assert coh.invariants_complex_dim(ctx, n) == 0
 
 
-def old_invariant_basis(ctx, k):
-    """(B^{(x) k})^A as the kernel of a FieldSolver of its own."""
+# --- the dense builders of ad_k, d_c ad_k, d^ and the multiplication operators:
+# the oracles of the sparse ones in cohomology
+
+
+def dense_mult_operator(ctx, k, side):
+    """Left/right multiplication by phi^{k}(Delta_k(e_a)) on B^{(x) k}: [a, out, in]."""
+    cc = coh._cache(ctx)
     desc = ctx.ring
     na, nb = ctx.A.dim, ctx.B.dim
+    cur = cc.e_tensor(k).reshape((nb,) * k + (na, desc.m))
+    for _ in range(k):
+        cur = ra.tensordot(desc, cur, cc.MB, ([0], [1 if side == "left" else 2]))  # appends (o_t, i_t)
+    perm = [0] + [1 + 2 * t for t in range(k)] + [2 + 2 * t for t in range(k)]
+    return ra.transpose(cur, perm).reshape(na, nb**k, nb**k, desc.m)
+
+
+def dense_ad_matrix(ctx, k):
+    """m |-> a.m - m.a from B^{(x) k} to C^{0,k-1}: (nb^k * na, nb^k, m)."""
+    desc = ctx.ring
+    na, nb = ctx.A.dim, ctx.B.dim
+    ad = ra.sub(desc, dense_mult_operator(ctx, k, "left"), dense_mult_operator(ctx, k, "right"))
+    return np.ascontiguousarray(ra.transpose(ad, (1, 0, 2))).reshape(nb**k * na, nb**k, desc.m)
+
+
+def dense_dc_ad_columns(ctx, k, ad, cols):
+    """Columns cols of m |-> d_c(ad(m)) from B^{(x) k} to C^{0,k}, by d_coalg's block."""
+    na, nb, m = ctx.A.dim, ctx.B.dim, ctx.ring.m
+    block = np.ascontiguousarray(ad[:, cols]).reshape(nb**k, na, len(cols), m)
+    return coh._d_coalg_block(coh._cache(ctx), block, 0, k - 1).reshape(nb ** (k + 1) * na, len(cols), m)
+
+
+def dense_hat_differential_matrix(ctx, q):
+    """d: B^{(x) q+1} -> B^{(x) q+2} of the augmented coalgebra complex."""
+    desc = ctx.ring
+    nb = ctx.B.dim
     cc = coh._cache(ctx)
-    lm = cc.mult_operator(k, "left")
-    rm = cc.mult_operator(k, "right")
-    rows = ra.sub(desc, lm, rm).reshape(na * nb**k, nb**k, desc.m)
-    return FieldSolver(desc, rows).kernel_basis()
+    ub = ctx.B.unit.coeffs.reshape(nb, desc.m)
+    k = q + 1
+    size_in, size_out = nb**k, nb ** (k + 1)
+    mat = ra.zeros(desc, (size_out, size_in))
+    eye = ra.eye(desc, size_in)
+    mat = ra.add(desc, mat, ra.kron2(desc, ub.reshape(nb, 1, desc.m), eye))
+    for i in range(1, k + 1):
+        legs = eye.reshape((nb,) * k + (size_in, desc.m))
+        t = ra.tensordot(desc, legs, cc.DB, ([i - 1], [2]))
+        t = ra.moveaxis(t, [-2, -1], [i - 1, i])
+        mat = ra.add(desc, mat, ra.scale_int(desc, t.reshape(size_out, size_in, desc.m), (-1) ** i))
+    term = ra.kron2(desc, eye, ub.reshape(nb, 1, desc.m))
+    return ra.add(desc, mat, ra.scale_int(desc, term, (-1) ** (k + 1)))
+
+
+def old_invariant_basis(ctx, k):
+    """(B^{(x) k})^A as the kernel of a FieldSolver of its own."""
+    return FieldSolver(ctx.ring, dense_ad_matrix(ctx, k)).kernel_basis()
 
 
 def old_invariants_complex_dim(ctx, n):
@@ -422,7 +570,7 @@ def old_invariants_complex_dim(ctx, n):
     def restricted(qd):
         vin = old_invariant_basis(ctx, qd + 1)
         vout = old_invariant_basis(ctx, qd + 2)
-        dmat = coh._hat_differential_matrix(ctx, qd)
+        dmat = dense_hat_differential_matrix(ctx, qd)
         if not vin:
             return np.zeros((max(len(vout), 1), 0, desc.m), dtype=np.int64), 0, len(vout)
         images = [ra.tensordot(desc, dmat, v, ([1], [0])) for v in vin]
@@ -477,7 +625,8 @@ def test_invariants_complex_matches_old_oracle(label, H):
 def test_invariants_complex_checks_that_images_are_invariant(monkeypatch):
     # with ad_2 replaced by the identity, no nonzero image of d on B^A = B is invariant
     real = coh._ad_matrix
-    monkeypatch.setattr(coh, "_ad_matrix", lambda cc, k: real(cc, k) if k == 1 else ra.eye(F5, cc.ctx.B.dim**k))
+    eye = lambda k: CooMatrix.from_dense(ra.eye(F5, C2.dim**k))  # noqa: E731
+    monkeypatch.setattr(coh, "_ad_matrix", lambda cc, k: real(cc, k) if k == 1 else eye(k))
     coh._CACHE.clear()
     try:
         with pytest.raises(InternalAxiomFailure, match="does not preserve invariants"):
@@ -564,7 +713,12 @@ def test_failed_h1_certificate_raises(monkeypatch):
     from hopflift.errors import CocycleUnsolvable
 
     real = coh._dc_ad_matrix
-    monkeypatch.setattr(coh, "_dc_ad_matrix", lambda cc, k, ad: real(cc, k, ad) * (k != 2))
+
+    def zero_on_b2(cc, k):
+        mat = real(cc, k)
+        return mat if k != 2 else CooMatrix(mat.shape, mat.rows[:0], mat.cols[:0], mat.vals[:0])
+
+    monkeypatch.setattr(coh, "_dc_ad_matrix", zero_on_b2)
     coh._CACHE.clear()
     try:
         with pytest.raises(CocycleUnsolvable):

@@ -122,6 +122,54 @@ def test_rank_only_sketched_keeps_no_factor():
         solver.kernel_basis()
 
 
+@pytest.mark.parametrize("desc", [F7, F9], ids=["F7", "F9"])
+@pytest.mark.parametrize("rows,cols,rank", [(12, 300, 12), (12, 300, 7), (40, 90, 40), (5, 5, 5)])
+def test_rank_only_stops_at_full_row_rank(desc, rows, cols, rank):
+    # unsketched, a rank-only factor ends once every row is a pivot row; its
+    # rank and pivot columns are those of the full factor
+    mat = planted(desc, rows, cols, rank, rows + cols)
+    mat[:, : cols // 2] = 0  # the pivots come late, so whole panels are left
+    full, quick = FieldSolver(desc, mat), FieldSolver(desc, mat, rank_only=True)
+    assert quick._sketch is None
+    assert quick.rank == full.rank and np.array_equal(quick.pivot_cols, full.pivot_cols)
+    assert np.array_equal(quick.pivot_rows, full.pivot_rows)
+    for call in (quick.kernel_basis, lambda: quick.solve(np.zeros((rows, desc.m), dtype=np.int64))):
+        with pytest.raises(ValueError, match="rank_only"):
+            call()
+
+
+def test_rank_only_skips_the_panels_after_the_last_pivot(monkeypatch):
+    mat = np.random.default_rng(1).integers(0, 7, size=(10, 640, 1))
+    panels = []
+    real = _linalg._block_substitute
+    monkeypatch.setattr(_linalg, "_block_substitute", lambda *a: panels.append(1) or real(*a))
+    assert FieldSolver(F7, mat, rank_only=True).rank == 10
+    # every row is a pivot row after the first panel of 64 columns
+    assert panels == []
+    FieldSolver(F7, mat)
+    assert len(panels) == 9  # the U rows of each later panel
+
+
+def test_fixed_operands_are_expanded_once(monkeypatch):
+    # over F_{p^m}, m > 1, a CooMatrix and a dense solver keep the regular
+    # representation of their matrix after the first product
+    mat = planted(F9, 20, 12, 8, 2)
+    rng = np.random.default_rng(3)
+    xs = [rng.integers(0, 9, size=(12, 3, 2)).astype(np.int64) for _ in range(3)]
+    want = [ra.tensordot(F9, mat, x, ([1], [0])) for x in xs]
+    coo, solver = CooMatrix.from_dense(mat), FieldSolver(F9, mat)
+    calls = []
+    real = ra.reg_rep
+    monkeypatch.setattr(ra, "reg_rep", lambda desc, arr: calls.append(arr.shape) or real(desc, arr))
+    assert all(np.array_equal(coo.dot(F9, x), w) for x, w in zip(xs, want))
+    assert len(calls) == 1
+    calls.clear()
+    for w in want:
+        got = solver.solve(w)
+        assert got is not None and np.array_equal(solver._times(got), w)
+    assert len(calls) == 1
+
+
 # --- Python-int oracle ---
 
 

@@ -54,7 +54,9 @@ H = hc.generate(name[5:-1] if dual else name, make_ring(p, 1, m))
 ctx = coh.make_context(hc.dual(H) if dual else H)
 t0 = time.perf_counter()
 try:
-    out = {"dims": [coh.cohomology_dim(ctx, n) for n in (0, 1, 2)]}
+    dims = [coh.cohomology_dim(ctx, n) for n in (0, 1, 2)]
+    # every base here is semisimple and cosemisimple, so its cohomology vanishes
+    out = {"dims": dims, "correct": dims == [0, 0, 0]}
 except MemoryError as exc:
     out = {"error": f"MemoryError: {exc}"}
 out["seconds"] = time.perf_counter() - t0
@@ -71,7 +73,7 @@ H = hc.generate(sys.argv[1], make_ring(int(sys.argv[2])))
 t0 = time.perf_counter()
 try:
     st = lf.lift(H, 4, "perturbed:1")
-    out = {"seconds": time.perf_counter() - t0, "certified": not hc.verify_hopf(st.current).failing()}
+    out = {"seconds": time.perf_counter() - t0, "correct": not hc.verify_hopf(st.current).failing()}
 except MemoryError as exc:
     out = {"error": f"MemoryError: {exc}", "seconds": time.perf_counter() - t0}
 print(json.dumps(out))
@@ -117,7 +119,7 @@ def probe(tree, code_text, argv, extra_env, cap_bytes):
     out, err, code, wall, rss = run_child(tree, ["-c", code_text, *argv], extra_env, cap_bytes)
     row = json.loads(out.strip().splitlines()[-1]) if code == 0 else {"error": f"exit {code}: {err[-300:]}"}
     row.update(wall_s=wall, peak_rss_mb=rss)
-    row["correct"] = row.get("dims") == [0, 0, 0] if code_text is PROBE else row.get("certified") is True
+    row.setdefault("correct", False)
     return row
 
 

@@ -112,14 +112,15 @@ class CooMatrix:
     def dot(self, desc, x):
         """self @ x over the field, exact; x is (C, m) or (C, w, m)."""
         q, m = desc.q, desc.m
-        # the expanded values, built at the first product and kept
         kept = self.__dict__.get("_expanded")
-        if kept is None or kept[0] != desc:
+        if kept is None:
             per_row = int(np.bincount(self.rows).max()) if self.rows.size else 0
             dt = _wide_dtype(per_row * m * (q - 1) * (q - 1))
-            kept = (desc, ra.reg_rep(desc, self.vals).astype(dt)[:, None], dt)  # (nnz, 1, m, m)
-            object.__setattr__(self, "_expanded", kept)
-        _, lreg, dt = kept
+            kept = (ra.reg_rep(desc, self.vals).astype(dt)[:, None], dt)  # (nnz, 1, m, m)
+            if m > 1:
+                # over F_{p^m} the regular representation is built once and kept
+                object.__setattr__(self, "_expanded", kept)
+        lreg, dt = kept
         xs = x.reshape(x.shape[0], -1, m)
         # column blocks keep the (nnz, w, m, m) product near 2^22 cells
         step = max(1, (1 << 22) // max(1, self.rows.size * m * m))

@@ -230,14 +230,6 @@ class _ContextCache:
 
         return self.memo(("mult", k, side), build)
 
-    def mult_array(self, k: int, side: str):
-        """mult_operator(k, side) as a dense [out, a, in] array, for the action
-        terms of d_alg and the contraction's el (k <= 2)."""
-        na, nb, m = self.ctx.A.dim, self.ctx.B.dim, self.ctx.ring.m
-        return self.memo(
-            ("mult_array", k, side), lambda: self.mult_operator(k, side).toarray().reshape(nb**k, na, nb**k, m)
-        )
-
     def coaction_operator(self, k: int, side: str):
         """phi(a^(1) products) paired with the legs a^(2) that f eats (left), or
         the mirror image (right): [b, f-leg, a] of shape (nb, na^k, na^k)."""
@@ -279,15 +271,8 @@ def _cache(ctx: ComplexContext) -> _ContextCache:
 
 
 def _action(cc: _ContextCache, f, q: int, side: str):
-    """phi^{q+1}(Delta_{q+1}(x)) acting on f(rest) from the given side: [out, x, rest, batch].
-
-    On B and B^{tensor 2} the dense operator is contracted, which is faster at
-    the sizes of a lift; on B^{tensor 3} and beyond, where it would hold
-    N^{2q+3} cells, the CooMatrix is."""
+    """phi^{q+1}(Delta_{q+1}(x)) acting on f(rest) from the given side: [out, x, rest, batch]."""
     desc = cc.ctx.ring
-    if q < 2:
-        op = cc.mult_array(q + 1, side)
-        return ra.tensordot(desc, op, f, ([2], [0]), cc.expanded(("mult", q + 1, side), op))
     out = cc.mult_operator(q + 1, side).dot(desc, f.reshape(f.shape[0], -1, desc.m))
     return out.reshape((f.shape[0], cc.ctx.A.dim) + f.shape[1:])
 
@@ -627,7 +612,11 @@ def _contraction(ctx: ComplexContext) -> _Contraction:
     def build():
         desc = ctx.ring
         e = _separability_idempotent(ctx)
-        el = {q: ra.tensordot(desc, e, cc.mult_array(q + 1, "left"), ([0], [1])) for q in (0, 1)}
+        el = {}
+        for q in (0, 1):
+            n = ctx.B.dim ** (q + 1)
+            left = cc.mult_operator(q + 1, "left").toarray().reshape(n, ctx.A.dim, n, desc.m)  # [out, a, in]
+            el[q] = ra.tensordot(desc, e, left, ([0], [1]))
         dc_ad = _dc_ad_solver(cc, 2)
         h1 = _reduced_dim(cc, 1)
         if h1:

@@ -163,6 +163,10 @@ def test_fixed_operands_are_expanded_once(monkeypatch):
     monkeypatch.setattr(ra, "reg_rep", lambda desc, arr: calls.append(arr.shape) or real(desc, arr))
     assert all(np.array_equal(coo.dot(F9, x), w) for x, w in zip(xs, want))
     assert len(calls) == 1
+    # over F_p the values are their own representation, and nothing is kept
+    prime = CooMatrix.from_dense(planted(F7, 20, 12, 8, 1))
+    prime.dot(F7, xs[0][..., :1] % 7)
+    assert "_expanded" not in vars(prime)
     calls.clear()
     for w in want:
         got = solver.solve(w)

@@ -20,8 +20,8 @@ the side that runs first:
   verify_hopf), presentation_to_json, verify_hopf and verify_qt (of its
   canonical R) of S3.double/F7, and drinfeld_double(S3/F7), the median of
   five calls in one fresh process per side and repeat;
-- gate (with --gate N): N pairs of `scripts/run_acceptance.py 4`, the
-  acceptance gate's criterion 4, and its seconds.
+- gate (with --gate N): N pairs of one fresh process that runs the
+  acceptance gate's criteria 2 and 4, and the seconds of each.
 
 --repeats 0 skips the steps and the kernels.
 
@@ -141,11 +141,24 @@ def run_steps(tree):
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def run_criterion4(tree):
-    line = next(ln for ln in python(tree, ["scripts/run_acceptance.py", "4"]).splitlines() if "criterion  4" in ln)
-    if not line.startswith("[PASS]"):
-        sys.exit(f"criterion 4 failed in {tree}: {line}")
-    return float(line.split("(", 1)[1].split("s)", 1)[0])
+GATE = r"""
+import json, sys
+from hopflift import acceptance
+
+results = acceptance.run([int(a) for a in sys.argv[1:]], report=lambda line: None)
+print(json.dumps([[r.number, r.passed, r.detail, r.seconds] for r in results]))
+"""
+# criterion 2 calls d_coalg the most, criterion 4 is most of the gate's time
+GATE_CRITERIA = (2, 4)
+
+
+def run_gate(tree):
+    """Seconds of each criterion in GATE_CRITERIA, in one fresh process."""
+    results = json.loads(python(tree, ["-c", GATE, *map(str, GATE_CRITERIA)]).strip().splitlines()[-1])
+    for number, passed, detail, _ in results:
+        if not passed:
+            sys.exit(f"criterion {number} failed in {tree}: {detail}")
+    return {number: seconds for number, _, _, seconds in results}
 
 
 def quartiles(values):
@@ -195,11 +208,13 @@ def main():
             steps[side].append(run_steps(trees[side]))
         print(f"repeat {i + 1}/{args.repeats}: kernels and steps done", flush=True)
 
-    gate = {"parent": [], "change": []}
+    gate = {n: {"parent": [], "change": []} for n in GATE_CRITERIA}
     for i in range(args.gate):
         for side in sides(i):
-            gate[side].append(run_criterion4(trees[side]))
-        print(f"gate pair {i + 1}/{args.gate}: " + json.dumps({s: gate[s][-1] for s in gate}), flush=True)
+            for n, seconds in run_gate(trees[side]).items():
+                gate[n][side].append(seconds)
+        print(f"gate pair {i + 1}/{args.gate}: " + json.dumps({n: {s: gate[n][s][-1] for s in gate[n]} for n in gate}),
+              flush=True)
 
     runs = {w: {"parent": [], "change": []} for w in workloads}
     for i, seed in enumerate(seeds):
@@ -217,7 +232,7 @@ def main():
             f"perfbench/run.py --workload W --seed S at default settings for W in {args.workloads}, seeds "
             f"{args.seeds}; the 20 cli_pipeline commands timed one by one, {args.repeats} passes, and kernels of "
             f"S3.double/F7 in a fresh process, {args.repeats} repeats of a median of five calls (none if 0); "
-            f"criterion 4 of the acceptance gate, {args.gate} pairs. Parent and change run from separate "
+            f"criteria {GATE_CRITERIA} of the acceptance gate, {args.gate} pairs. Parent and change run from separate "
             "checkouts, the side that runs first alternating. Produced by scripts/bench_cli_pipeline.py"
         ),
         "machine": {
@@ -243,7 +258,7 @@ def main():
             raw_kernels_s=kernels,
         )
     if args.gate:
-        record.update(criterion4_s={"summary": paired(gate, "lower"), "runs": gate})
+        record.update({f"criterion{n}_s": {"summary": paired(gate[n], "lower"), "runs": gate[n]} for n in gate})
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

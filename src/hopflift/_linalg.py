@@ -116,10 +116,9 @@ class CooMatrix:
         if kept is None:
             per_row = int(np.bincount(self.rows).max()) if self.rows.size else 0
             dt = _wide_dtype(per_row * m * (q - 1) * (q - 1))
-            kept = (ra.reg_rep(desc, self.vals).astype(dt)[:, None], dt)  # (nnz, 1, m, m)
-            if m > 1:
-                # over F_{p^m} the regular representation is built once and kept
-                object.__setattr__(self, "_expanded", kept)
+            # the regular representation, (nnz, 1, m, m), is built once and kept
+            kept = (ra.reg_rep(desc, self.vals).astype(dt)[:, None], dt)
+            object.__setattr__(self, "_expanded", kept)
         lreg, dt = kept
         xs = x.reshape(x.shape[0], -1, m)
         # column blocks keep the (nnz, w, m, m) product near 2^22 cells

@@ -6,7 +6,13 @@ C^n = sum_{p+q=n} C^{p,q} acts as d_a + (-1)^p d_c.  Sign conventions follow
 the defining formulas verbatim; the bicomplex identities (d_a^2 = d_c^2 = 0,
 d_a d_c = d_c d_a, d_total^2 = 0) are enforced by the test suite on random
 cochains, which is what makes the obstruction calculus of the lifting module
-sound.
+sound.  The bicomplex is self-dual: transposing a cochain identifies
+C^{p,q}(A,B,phi) with C^{q,p}(B*,A*,phi*) and swaps the two differentials, so
+d_c is computed as the transposed d_a of the dual context, whose cache lives
+inside the context's own.  Every context operator (the multiplication
+operators of d_a's action terms, the homotopy of the contraction, ad_k and
+d_c ad_k) is a CooMatrix built from nonzeros, which keeps its prepared values
+after its first product.
 
 Flattened matrices of the total differential are assembled once per
 (context, degree) as sparse CooMatrix and cached with their FieldSolver;
@@ -169,23 +175,30 @@ class _ContextCache:
         desc = ctx.ring
         na, nb = ctx.A.dim, ctx.B.dim
         self.MA = ctx.A.mul.coeffs.reshape(na, na, na, desc.m)
-        self.DA = ctx.A.comul.coeffs.reshape(na, na, na, desc.m)
         self.MB = ctx.B.mul.coeffs.reshape(nb, nb, nb, desc.m)
-        self.DB = ctx.B.comul.coeffs.reshape(nb, nb, nb, desc.m)
         self.F = ctx.phi.map.coeffs  # (nb, na, m)
         self._memo = {}
 
     def memo(self, key, build):
         """build(), computed once per context: the structure operators below,
         the matrices and solvers of d_n, ad_k and d_c ad_k, the contraction
-        data, the expanded operands, and lifting's admission verdict."""
+        data, the dual context's cache, and lifting's admission verdict."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
 
-    def expanded(self, key, arr):
-        """ra.expand of a fixed first operand of tensordot held here, once."""
-        return self.memo(("expanded", key), lambda: ra.expand(self.ctx.ring, arr))
+    def dual(self) -> _ContextCache:
+        """The cache of the dual context (B*, A*, phi*), to which a cochain of
+        C^{p,q} transposes as one of C^{q,p}; held here, not in _CACHE."""
+
+        def build():
+            ctx = self.ctx
+            A, B = hc.dual(ctx.B, verify=False), hc.dual(ctx.A, verify=False)
+            fmap = MultiMap(ctx.ring, 1, 1, A.dim, B.dim, np.ascontiguousarray(np.swapaxes(self.F, 0, 1)))
+            # the dual of a Hopf map is a Hopf map
+            return _ContextCache(ComplexContext(A, B, HopfMorphism(A, B, fmap, verified=True)))
+
+        return self.memo("dual", build)
 
     def e_tensor(self, k: int):
         """phi^{tensor k} o Delta_k: (nb^k, na) coefficient block."""
@@ -230,25 +243,6 @@ class _ContextCache:
 
         return self.memo(("mult", k, side), build)
 
-    def coaction_operator(self, k: int, side: str):
-        """phi(a^(1) products) paired with the legs a^(2) that f eats (left), or
-        the mirror image (right): [b, f-leg, a] of shape (nb, na^k, na^k)."""
-
-        def build():
-            desc = self.ctx.ring
-            na, nb = self.ctx.A.dim, self.ctx.B.dim
-            mk = tc.iterate(self.ctx.A, k, "product")
-            cur = ra.tensordot(desc, self.F, mk.coeffs, ([1], [0]))  # phi o m_k: [b, u1..uk]
-            cur = cur.reshape((nb,) + (na,) * k + (desc.m,))
-            contract_axis = 0 if side == "left" else 1  # which Delta leg phi eats
-            for _ in range(k):
-                cur = ra.tensordot(desc, cur, self.DA, ([1], [contract_axis]))
-            # axes: [b, v1, a1, v2, a2, ...] (left) or [b, u1, a1, ...] (right)
-            perm = [0] + [1 + 2 * t for t in range(k)] + [2 + 2 * t for t in range(k)]
-            return ra.transpose(cur, perm).reshape(nb, na**k, na**k, desc.m)
-
-        return self.memo(("coact", k, side), build)
-
 
 _CACHE: OrderedDict[bytes, _ContextCache] = OrderedDict()
 _CACHE_LIMIT = 8
@@ -291,9 +285,9 @@ def _right_action_term(cc: _ContextCache, f, p: int, q: int):
 def _signed_sum(desc, signed_terms):
     """Sum of sign * term over (sign, term) pairs, reduced mod q once at the end.
 
-    Terms are residues, p + 3 of them for d_alg and q + 3 for d_coalg; while
-    there are at most 16 the running sum of residues below 2^58 stays inside
-    int64, and a larger q is reduced after every term.
+    Terms are residues, p + 3 of them for d_alg; while there are at most 16
+    the running sum of residues below 2^58 stays inside int64, and a larger q
+    is reduced after every term.
     """
     total = None
     for sign, term in signed_terms:
@@ -341,32 +335,18 @@ def d_alg(ctx: ComplexContext, f: MultiMap) -> MultiMap:
     return MultiMap(ctx.ring, p + 2, q + 1, ctx.A.dim, ctx.B.dim, out)
 
 
-def _coaction_term(cc: _ContextCache, f, p: int, q: int, side: str):
-    """phi(a^(1) products) (x) f(a^(2)) (left) or f(a^(1)) (x) phi(a^(2)) (right)."""
-    na, nb = cc.ctx.A.dim, cc.ctx.B.dim
-    k = p + 1
-    op = cc.coaction_operator(k, side)
-    # [b, a, o, batch]
-    t_out = ra.tensordot(cc.ctx.ring, op, f, ([1], [1]), cc.expanded(("coact", k, side), op))
-    t_out = ra.transpose(t_out, (0, 2, 1, 3) if side == "left" else (2, 0, 1, 3))
-    return t_out.reshape((nb ** (q + 2), na**k) + f.shape[2:])
-
-
 def _d_coalg_block(cc: _ContextCache, f, p: int, q: int):
-    """Coalgebra differential of a coefficient block f: (nb^{q+1}, na^{p+1}, batch, m)."""
-    desc = cc.ctx.ring
-    nb = cc.ctx.B.dim
-    f_legs = f.reshape((nb,) * (q + 1) + f.shape[1:])
+    """Coalgebra differential of a coefficient block f: (nb^{q+1}, na^{p+1}, batch, m).
 
-    def terms():
-        yield 1, _coaction_term(cc, f, p, q, "left")
-        for i in range(1, q + 2):
-            term = ra.tensordot(desc, f_legs, cc.DB, ([i - 1], [2]))  # (u,v) appended
-            term = ra.moveaxis(term, [-2, -1], [i - 1, i])
-            yield (-1) ** i, term.reshape((nb ** (q + 2),) + f.shape[1:])
-        yield (-1) ** (q + 2), _coaction_term(cc, f, p, q, "right")
-
-    return _signed_sum(desc, terms())
+    The transposed algebra differential of the dual context, with sign
+    (-1)^{q+1}: the coaction terms of f are the action terms of f^T, since
+    (phi o m_{A,k})^T = phi*^{tensor k} o Delta_{B*,k}, and each Delta_i term
+    is the m_i term of f^T.
+    """
+    out = _d_alg_block(cc.dual(), np.swapaxes(f, 0, 1), q, p)
+    if q % 2 == 0:
+        out = ra.neg(cc.ctx.ring, out)
+    return np.ascontiguousarray(np.swapaxes(out, 0, 1))
 
 
 def d_coalg(ctx: ComplexContext, f: MultiMap) -> MultiMap:
@@ -468,24 +448,23 @@ def _solver_for(ctx: ComplexContext, n: int) -> FieldSolver:
     return _cache(ctx).memo(("d", n), lambda: FieldSolver(ctx.ring, dtotal_matrix(ctx, n)))
 
 
-def solve_coboundary(z: TotalCochain, _cocycle_checked: bool = False) -> TotalCochain | None:
+def solve_coboundary(z: TotalCochain) -> TotalCochain | None:
     """Find x of degree n-1 with d_total(x) = z exactly (None if inconsistent).
 
     The solution is the canonical one (free variables zero) of the flattened
-    linear system, so outputs are deterministic.  _cocycle_checked lets a
-    caller that has already checked closedness (reconcile, lift_morphism)
-    skip the duplicate check.
+    linear system, so outputs are deterministic.  A solution certifies
+    z = d(x), hence d z = 0, so closedness is tested only after a failed
+    solve: a z that is not closed raises NotACocycle.
     """
     ctx, n = z.context, z.degree
     if n < 1:
         raise ArityMismatch("coboundary solving needs degree >= 1")
     if max(ctx.A.dim, ctx.B.dim) > coboundary_budget():
         raise BudgetExceeded(f"dims exceed coboundary budget {coboundary_budget()}")
-    if not _cocycle_checked and not is_cocycle(z):
-        raise NotACocycle("input cochain is not closed")
-    solver = _solver_for(ctx, n - 1)
-    x = solver.solve(vec_cochain(z))
+    x = _solver_for(ctx, n - 1).solve(vec_cochain(z))
     if x is None:
+        if not is_cocycle(z):
+            raise NotACocycle("input cochain is not closed")
         return None
     return unvec_cochain(ctx, n - 1, x)
 
@@ -530,9 +509,7 @@ def _bicomplex_dim(ctx: ComplexContext, n: int) -> int:
 class _Contraction:
     """Per-context data of solve_obstruction (built once, held in _ContextCache)."""
 
-    el: dict  # q -> [b, out, in]: sum_u e[u, b] * (left action of e_u on B^{tensor q+1})
-    ad: CooMatrix  # m |-> ad(m) in C^{0,1}, kept sparse: _ad_matrix(cc, 2)
-    dc_ad: FieldSolver  # m |-> d_c(ad(m)) in C^{0,2}
+    el: dict  # q -> [out, (in, b)]: sum_u e[u, b] * (left action of e_u on B^{tensor q+1})
     free: np.ndarray  # free columns of d_1: the trailing pivots of im d_0
     d0: CooMatrix
     d0_free: FieldSolver  # rows `free` of d_0
@@ -613,11 +590,13 @@ def _contraction(ctx: ComplexContext) -> _Contraction:
         desc = ctx.ring
         e = _separability_idempotent(ctx)
         el = {}
+        na, nz_e = ctx.A.dim, ra.nonzeros(e, [0])  # key u, free b
         for q in (0, 1):
-            n = ctx.B.dim ** (q + 1)
-            left = cc.mult_operator(q + 1, "left").toarray().reshape(n, ctx.A.dim, n, desc.m)  # [out, a, in]
-            el[q] = ra.tensordot(desc, e, left, ([0], [1]))
-        dc_ad = _dc_ad_solver(cc, 2)
+            left = cc.mult_operator(q + 1, "left")  # [(out, u), in]
+            width = left.shape[1] * na
+            nz_left = (left.rows % na, left.rows // na * left.shape[1] + left.cols, left.vals)
+            cells, vals = ra.join(desc, nz_left, nz_e, na, na)  # (out, in, b), ascending
+            el[q] = CooMatrix((left.shape[1], width), cells // width, cells % width, vals)
         h1 = _reduced_dim(cc, 1)
         if h1:
             raise CocycleUnsolvable(f"H^1 = {h1} != 0 on the reduced complex")
@@ -629,7 +608,7 @@ def _contraction(ctx: ComplexContext) -> _Contraction:
         rev = FieldSolver(desc, np.ascontiguousarray(ra.transpose(dense, (1, 0))[:, ::-1]), rank_only=True)
         free = np.sort(dim_c1 - 1 - rev.pivot_cols)
         d0_free = FieldSolver(desc, dense[free])
-        return _Contraction(el, _ad_matrix(cc, 2), dc_ad, free, d0, d0_free, h1, dim_c1 - rev.rank)
+        return _Contraction(el, free, d0, d0_free, h1, dim_c1 - rev.rank)
 
     return cc.memo("contraction", build)
 
@@ -638,8 +617,7 @@ def _homotopy(cc: _ContextCache, con: _Contraction, f: MultiMap, q: int):
     """s: C^{p+1,q} -> C^{p,q}, (s f)(a_1, ...) = sum e1 . f(e2, a_1, ...)."""
     desc = cc.ctx.ring
     na = cc.ctx.A.dim
-    legs = f.coeffs.reshape(f.coeffs.shape[0], na, -1, desc.m)
-    out = ra.tensordot(desc, con.el[q], legs, ([0, 2], [1, 0]), cc.expanded(("el", q), con.el[q]))  # [out, rest]
+    out = con.el[q].dot(desc, f.coeffs.reshape(f.coeffs.shape[0] * na, -1, desc.m))  # [out, rest]
     return MultiMap(desc, f.arity_in - 1, f.arity_out, na, cc.ctx.B.dim, out)
 
 
@@ -666,10 +644,10 @@ def _contract_obstruction(z: TotalCochain) -> TotalCochain | None:
     x10 = _homotopy(cc, con, z.components[(2, 0)], 0)
     x01 = _homotopy(cc, con, z.components[(1, 1)] + d_coalg(ctx, x10), 1).scale(-1)
     resid = z.components[(0, 2)] - d_coalg(ctx, x01)
-    m = con.dc_ad.solve(resid.coeffs.reshape(-1, desc.m))
+    m = _dc_ad_solver(cc, 2).solve(resid.coeffs.reshape(-1, desc.m))
     if m is None:
         return None
-    inner = con.ad.dot(desc, m).reshape(x01.coeffs.shape)
+    inner = _ad_matrix(cc, 2).dot(desc, m).reshape(x01.coeffs.shape)
     x01 = MultiMap(desc, 1, 2, ctx.A.dim, ctx.B.dim, ra.add(desc, x01.coeffs, inner))
     vec = vec_cochain(TotalCochain(ctx, 1, {(1, 0): x10, (0, 1): x01}))
     w = con.d0_free.solve(vec[con.free])

@@ -371,8 +371,7 @@ def _lift_map(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState):
                 (0, 1): MultiMap(fring, 1, 2, na, nb, ((defect_d // pk) % desc.p).reshape(nb * nb, na, fring.m)),
             },
         )
-        # a solution certifies z = d(chi), hence d z = 0: closedness is tested only after a failed solve
-        chi = coh.solve_coboundary(z, _cocycle_checked=True)
+        chi = coh.solve_coboundary(z)
         if chi is None:
             if not coh.is_cocycle(z):
                 raise NotACocycle("morphism defect pair is not a 1-cocycle")

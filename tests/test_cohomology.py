@@ -444,6 +444,52 @@ def test_dc_ad_identity_on_random_elements(make_ctx):
             assert lhs.any() and np.array_equal(lhs, rhs.reshape(lhs.shape))
 
 
+def c3_counit_unit_context():
+    # x |-> eps(x) 1 on C3/F7: not symmetric, so phi* differs from phi
+    C3 = hc.generate("C3", F7)
+    return coh.make_context(C3, C3, hc.make_morphism(C3, C3, tc.compose(C3.unit, C3.counit)))
+
+
+# d_c is the transposed d_a of the dual context (B*, A*, phi*); the inclusion
+# and the counit-unit map are the contexts where phi* is not phi
+D_COALG_CASES = [c for c in SPARSE_AD_CASES if c[0] in ("S3/F7", "D4/F3", "dual(D4)/F5", "C3/F4")] + [
+    ("S3/F5", lambda: coh.make_context(hc.generate("S3", F5))),
+    ("C2.double/F5", lambda: coh.make_context(hc.generate("C2.double", F5))),
+    ("C2-C4", lambda: inclusion_context()),
+    ("C3-C3/F7", c3_counit_unit_context),
+]
+
+
+@pytest.mark.parametrize("make_ctx", [c[1] for c in D_COALG_CASES], ids=[c[0] for c in D_COALG_CASES])
+def test_d_coalg_matches_dense_oracle(make_ctx):
+    ctx = make_ctx()
+    cc, desc = coh._cache(ctx), ctx.ring
+    na, nb = ctx.A.dim, ctx.B.dim
+    checked = 0
+    for p, q in itertools.product(range(3), repeat=2):
+        if nb ** (q + 2) * na ** (p + 1) > 1 << 16:
+            continue
+        f = np.random.default_rng([p, q, na, nb, desc.q]).integers(0, desc.q, size=(nb ** (q + 1), na ** (p + 1), 3, desc.m))
+        got, want = coh._d_coalg_block(cc, f, p, q), dense_d_coalg_block(ctx, f, p, q)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        checked += 1
+    assert checked >= 5
+
+
+def test_dual_context_lives_in_its_parents_cache():
+    # one d_coalg on a fresh context adds one entry to the LRU, not two
+    coh._CACHE.clear()
+    try:
+        ctx = inclusion_context()
+        coh.d_coalg(ctx, coh.random_cochain(ctx, 1, 0).components[(1, 0)])
+        assert list(coh._CACHE) == [ctx.digest()]
+        dual = coh._cache(ctx).dual()
+        assert dual is coh._cache(ctx).dual() and dual.ctx.phi.verified
+        assert (dual.ctx.A.dim, dual.ctx.B.dim) == (ctx.B.dim, ctx.A.dim)
+    finally:
+        coh._CACHE.clear()
+
+
 def test_dimension_8_degree_2_from_sparse_solvers(monkeypatch):
     """cohomology_dim of D4/F3 in degrees 0-2, with the budget raised to 8.
     Every solver of ad_k and d_c ad_k gets a CooMatrix; neither a dense
@@ -476,7 +522,8 @@ def test_dimension_8_degree_2_from_sparse_solvers(monkeypatch):
     assert ad_shapes | dc_ad_shapes <= {shape for _, shape in received}
     assert all(kind is CooMatrix for kind, shape in received if shape in ad_shapes | dc_ad_shapes)
     assert not dc_ad_shapes & set(densified)
-    assert {shape for shape in densified if shape in ad_shapes} <= {(nb * na, nb), (nb**2 * na, nb**2)}
+    # only ad_1, which FieldSolver factors dense for being short; the contraction densifies nothing
+    assert {shape for shape in densified if shape in ad_shapes} <= {(nb * na, nb)}
 
 
 def test_cohomology_dim_takes_the_bicomplex_only_when_a_is_not_semisimple(monkeypatch):
@@ -542,17 +589,58 @@ def dense_ad_matrix(ctx, k):
 
 
 def dense_dc_ad_columns(ctx, k, ad, cols):
-    """Columns cols of m |-> d_c(ad(m)) from B^{(x) k} to C^{0,k}, by d_coalg's block."""
+    """Columns cols of m |-> d_c(ad(m)) from B^{(x) k} to C^{0,k}, by the dense d_c."""
     na, nb, m = ctx.A.dim, ctx.B.dim, ctx.ring.m
     block = np.ascontiguousarray(ad[:, cols]).reshape(nb**k, na, len(cols), m)
-    return coh._d_coalg_block(coh._cache(ctx), block, 0, k - 1).reshape(nb ** (k + 1) * na, len(cols), m)
+    return dense_d_coalg_block(ctx, block, 0, k - 1).reshape(nb ** (k + 1) * na, len(cols), m)
+
+
+def dense_coaction_operator(ctx, k, side):
+    """phi(a^(1) products) paired with the legs a^(2) that f eats (left), or
+    the mirror image (right): [b, f-leg, a] of shape (nb, na^k, na^k)."""
+    desc = ctx.ring
+    na, nb = ctx.A.dim, ctx.B.dim
+    comul = ctx.A.comul.coeffs.reshape(na, na, na, desc.m)
+    mk = tc.iterate(ctx.A, k, "product")
+    cur = ra.tensordot(desc, ctx.phi.map.coeffs, mk.coeffs, ([1], [0]))  # phi o m_k: [b, u1..uk]
+    cur = cur.reshape((nb,) + (na,) * k + (desc.m,))
+    contract_axis = 0 if side == "left" else 1  # which Delta leg phi eats
+    for _ in range(k):
+        cur = ra.tensordot(desc, cur, comul, ([1], [contract_axis]))
+    # axes: [b, v1, a1, v2, a2, ...] (left) or [b, u1, a1, ...] (right)
+    perm = [0] + [1 + 2 * t for t in range(k)] + [2 + 2 * t for t in range(k)]
+    return ra.transpose(cur, perm).reshape(nb, na**k, na**k, desc.m)
+
+
+def dense_d_coalg_block(ctx, f, p, q):
+    """The coalgebra differential of a block f: (nb^{q+1}, na^{p+1}, batch, m),
+    term by term: the two coaction terms through dense operators of
+    nb * na^{2(p+1)} cells, and the Delta_B terms on the legs of f."""
+    desc = ctx.ring
+    na, nb = ctx.A.dim, ctx.B.dim
+    comul = ctx.B.comul.coeffs.reshape(nb, nb, nb, desc.m)
+    f_legs = f.reshape((nb,) * (q + 1) + f.shape[1:])
+
+    def coaction(side):
+        # phi(a^(1) products) (x) f(a^(2)) (left) or f(a^(1)) (x) phi(a^(2)) (right)
+        t = ra.tensordot(desc, dense_coaction_operator(ctx, p + 1, side), f, ([1], [1]))  # [b, a, o, batch]
+        t = ra.transpose(t, (0, 2, 1, 3) if side == "left" else (2, 0, 1, 3))
+        return t.reshape((nb ** (q + 2), na ** (p + 1)) + f.shape[2:])
+
+    terms = [(1, coaction("left"))]
+    for i in range(1, q + 2):
+        t = ra.tensordot(desc, f_legs, comul, ([i - 1], [2]))  # (u, v) appended
+        t = ra.moveaxis(t, [-2, -1], [i - 1, i])
+        terms.append(((-1) ** i, t.reshape((nb ** (q + 2),) + f.shape[1:])))
+    terms.append(((-1) ** (q + 2), coaction("right")))
+    return coh._signed_sum(desc, terms)
 
 
 def dense_hat_differential_matrix(ctx, q):
     """d: B^{(x) q+1} -> B^{(x) q+2} of the augmented coalgebra complex."""
     desc = ctx.ring
     nb = ctx.B.dim
-    cc = coh._cache(ctx)
+    comul = ctx.B.comul.coeffs.reshape(nb, nb, nb, desc.m)
     ub = ctx.B.unit.coeffs.reshape(nb, desc.m)
     k = q + 1
     size_in, size_out = nb**k, nb ** (k + 1)
@@ -561,7 +649,7 @@ def dense_hat_differential_matrix(ctx, q):
     mat = ra.add(desc, mat, ra.kron2(desc, ub.reshape(nb, 1, desc.m), eye))
     for i in range(1, k + 1):
         legs = eye.reshape((nb,) * k + (size_in, desc.m))
-        t = ra.tensordot(desc, legs, cc.DB, ([i - 1], [2]))
+        t = ra.tensordot(desc, legs, comul, ([i - 1], [2]))
         t = ra.moveaxis(t, [-2, -1], [i - 1, i])
         mat = ra.add(desc, mat, ra.scale_int(desc, t.reshape(size_out, size_in, desc.m), (-1) ** i))
     term = ra.kron2(desc, eye, ub.reshape(nb, 1, desc.m))

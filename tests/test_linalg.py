@@ -151,8 +151,8 @@ def test_rank_only_skips_the_panels_after_the_last_pivot(monkeypatch):
 
 
 def test_fixed_operands_are_expanded_once(monkeypatch):
-    # over F_{p^m}, m > 1, a CooMatrix and a dense solver keep the regular
-    # representation of their matrix after the first product
+    # a CooMatrix keeps the regular representation of its values after the
+    # first product, and so does a dense solver over F_{p^m}, m > 1
     mat = planted(F9, 20, 12, 8, 2)
     rng = np.random.default_rng(3)
     xs = [rng.integers(0, 9, size=(12, 3, 2)).astype(np.int64) for _ in range(3)]
@@ -163,10 +163,11 @@ def test_fixed_operands_are_expanded_once(monkeypatch):
     monkeypatch.setattr(ra, "reg_rep", lambda desc, arr: calls.append(arr.shape) or real(desc, arr))
     assert all(np.array_equal(coo.dot(F9, x), w) for x, w in zip(xs, want))
     assert len(calls) == 1
-    # over F_p the values are their own representation, and nothing is kept
+    # over F_p the values, widened for the products, are kept the same way
     prime = CooMatrix.from_dense(planted(F7, 20, 12, 8, 1))
     prime.dot(F7, xs[0][..., :1] % 7)
-    assert "_expanded" not in vars(prime)
+    kept = vars(prime)["_expanded"][0]
+    assert kept.shape == (prime.vals.shape[0], 1, 1, 1) and np.array_equal(kept.ravel(), prime.vals.ravel())
     calls.clear()
     for w in want:
         got = solver.solve(w)

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Cohomology dimensions on the reduced complex, and cold lifts at dimension 16:
-two source checkouts compared.
+"""Cohomology dimensions on the reduced complex, and cold lifts at dimensions 16
+and 36: two source checkouts compared.
 
 Usage:
   python scripts/bench_reduced_cohomology.py --parent DIR [--change DIR] [--repeats 5]
@@ -12,9 +12,12 @@ DIR is a source checkout, e.g. made by `git archive REV | tar -x -C DIR`;
 src/.  Two parts, each of which alternates the side that runs first:
 
 - cohomology: `cohomology_dim` in degrees 0-2 of S3/F7, S3/F25 and
-  C2.double/F5, and of D4/F3, Q8/F7 and dual(D4)/F5 with
-  HOPFLIFT_H2_BUDGET=8; a cold perturbed lift to p^4 of C4.double/F5 and
-  C2xC2.double/F3 with HOPFLIFT_COBOUNDARY_BUDGET=16; and the CLI step
+  C2.double/F5, of D4/F3, Q8/F7 and dual(D4)/F5 with HOPFLIFT_H2_BUDGET=8,
+  and of C4.double/F5 and C2xC2.double/F3 with both budgets at 16; a cold
+  perturbed lift to p^4 of C4.double/F5 and C2xC2.double/F3 with
+  HOPFLIFT_COBOUNDARY_BUDGET=16 and of S3.double/F7 with
+  HOPFLIFT_COBOUNDARY_BUDGET=64, each with the SHA-256 of its lift JSON
+  (without the transcript's wall-clock seconds); and the CLI step
   `hopflift cohomology d2.json --degree 0,1,2 --invariants` of C2.double/F5.
   Each runs in a fresh process pinned to one CPU with one BLAS thread and an
   address-space cap of --cap-gb GB: its in-process seconds, its wall time and
@@ -64,9 +67,10 @@ print(json.dumps(out))
 """
 
 LIFT_PROBE = r"""
-import json, sys, time
+import hashlib, json, sys, time
 from hopflift import hopfcore as hc
 from hopflift import lifting as lf
+from hopflift import serialize as ser
 from hopflift.coeffring import make_ring
 
 H = hc.generate(sys.argv[1], make_ring(int(sys.argv[2])))
@@ -74,6 +78,9 @@ t0 = time.perf_counter()
 try:
     st = lf.lift(H, 4, "perturbed:1")
     out = {"seconds": time.perf_counter() - t0, "correct": not hc.verify_hopf(st.current).failing()}
+    obj = ser.liftstate_to_json(st)
+    obj["transcript"] = [{k: v for k, v in rec.items() if k != "seconds"} for rec in obj["transcript"]]
+    out["sha256"] = hashlib.sha256(ser.dumps(obj).encode()).hexdigest()
 except MemoryError as exc:
     out = {"error": f"MemoryError: {exc}", "seconds": time.perf_counter() - t0}
 print(json.dumps(out))
@@ -82,6 +89,7 @@ print(json.dumps(out))
 # label, probe, its arguments, extra environment
 H2_AT_8 = {"HOPFLIFT_H2_BUDGET": "8"}
 DIM_16 = {"HOPFLIFT_COBOUNDARY_BUDGET": "16"}
+BOTH_16 = {"HOPFLIFT_H2_BUDGET": "16", "HOPFLIFT_COBOUNDARY_BUDGET": "16"}
 CASES = [
     ("S3/F7", PROBE, ["S3", "7", "1"], {}),
     ("S3/F25", PROBE, ["S3", "5", "2"], {}),
@@ -91,6 +99,9 @@ CASES = [
     ("dual(D4)/F5, HOPFLIFT_H2_BUDGET=8", PROBE, ["dual(D4)", "5", "1"], H2_AT_8),
     ("cold lift C4.double/F5 p^4, HOPFLIFT_COBOUNDARY_BUDGET=16", LIFT_PROBE, ["C4.double", "5"], DIM_16),
     ("cold lift C2xC2.double/F3 p^4, HOPFLIFT_COBOUNDARY_BUDGET=16", LIFT_PROBE, ["C2xC2.double", "3"], DIM_16),
+    ("C4.double/F5, both budgets 16", PROBE, ["C4.double", "5", "1"], BOTH_16),
+    ("C2xC2.double/F3, both budgets 16", PROBE, ["C2xC2.double", "3", "1"], BOTH_16),
+    ("cold lift S3.double/F7 p^4, HOPFLIFT_COBOUNDARY_BUDGET=64", LIFT_PROBE, ["S3.double", "7"], {"HOPFLIFT_COBOUNDARY_BUDGET": "64"}),
 ]
 CLI_STEP = "cli: cohomology d2.json --degree 0,1,2 --invariants (C2.double/F5)"
 
@@ -138,12 +149,15 @@ def cli_step(tree, cap_bytes):
 
 
 def summary(rows):
-    """The paired summary of both sides."""
+    """The paired summary of both sides, and the lift digests of each."""
     out = {}
     for key in ("seconds", "wall_s", "peak_rss_mb"):
         series = {side: [r.get(key) for r in runs] for side, runs in rows.items()}
         if None not in series["parent"] + series["change"]:
             out[key] = pipeline.paired(series, "lower")
+    digests = {side: sorted({r["sha256"] for r in runs if "sha256" in r}) for side, runs in rows.items()}
+    if any(digests.values()):
+        out["sha256"] = digests
     return out
 
 
@@ -184,7 +198,7 @@ def main():
 
     record = {
         "what": (
-            f"cohomology_dim in degrees 0-2, cold lifts at dimension 16 and the CLI cohomology step, "
+            f"cohomology_dim in degrees 0-2, cold lifts at dimensions 16 and 36 and the CLI cohomology step, "
             f"{args.repeats} fresh processes per side "
             f"under a {args.cap_gb:g} GB address-space cap; perfbench/run.py --workload W --seed S at default "
             f"settings, seeds {args.seeds}. Parent and change run from separate checkouts, the side that runs "

@@ -7,24 +7,42 @@ Each command runs as `python -m hopflift.cli` in a temporary directory, with
 the checkout's src/ first on PYTHONPATH.  The inputs the README takes as given
 (a morphism C2 -> C4, an R-matrix of C2, a non-Hopf presentation) are written
 first.  `hopflift accept` is left out: the acceptance gate has its own test
-run.  Prints one line per command and exits 1 if any check fails.
+run.  The degree-2 cohomology of C4.double/F5 runs under a 1.5 GB
+address-space cap (RLIMIT_AS) with one BLAS thread, so an allocation of
+gigabytes fails the check.  Prints one line per command and exits 1 if any
+check fails.
 """
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 sys.path.insert(0, SRC)
+CAP_BYTES = 3 << 29  # 1.5 GB
 
 
-def hopflift(workdir, *argv, stdin=None, extra_env=None):
+def hopflift(workdir, *argv, stdin=None, extra_env=None, cap_bytes=None):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
     env.update(extra_env or {})
+    if cap_bytes:
+        # one BLAS thread: each idle thread's stack and buffers count against the cap
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
+
     return subprocess.run(
-        [sys.executable, "-m", "hopflift.cli", *argv], cwd=workdir, env=env, input=stdin, capture_output=True, text=True
+        [sys.executable, "-m", "hopflift.cli", *argv],
+        cwd=workdir,
+        env=env,
+        input=stdin,
+        capture_output=True,
+        text=True,
+        preexec_fn=cap if cap_bytes else None,
     )
 
 
@@ -89,6 +107,15 @@ def main():
         check("gen D4 --p 3 -o d4.json", hopflift(wd, "gen", "D4", "--p", "3", "-o", "d4.json"), 0)
         p = hopflift(wd, "cohomology", "d4.json", "--degree", "2", extra_env={"HOPFLIFT_H2_BUDGET": "8"})
         check("HOPFLIFT_H2_BUDGET=8 cohomology d4.json --degree 2 (H^2 = 0)", p, 0, "H^2 = 0" in p.stdout.splitlines())
+        check("gen C4.double --p 5 -o c4d.json", hopflift(wd, "gen", "C4.double", "--p", "5", "-o", "c4d.json"), 0)
+        budgets = {"HOPFLIFT_H2_BUDGET": "16", "HOPFLIFT_COBOUNDARY_BUDGET": "16"}
+        p = hopflift(wd, "cohomology", "c4d.json", "--degree", "2", extra_env=budgets, cap_bytes=CAP_BYTES)
+        check(
+            "HOPFLIFT_H2_BUDGET=16 HOPFLIFT_COBOUNDARY_BUDGET=16 cohomology c4d.json --degree 2 (H^2 = 0, 1.5 GB cap)",
+            p,
+            0,
+            "H^2 = 0" in p.stdout.splitlines(),
+        )
         check("gen C2 --p 5 -o c2.json", hopflift(wd, "gen", "C2", "--p", "5", "-o", "c2.json"), 0)
         p = hopflift(wd, "lift", "c2.json", "--precision", "4", "--strategy", "perturbed:7", "-o", "lift.json")
         check("lift c2.json --precision 4 --strategy perturbed:7", p, 0)

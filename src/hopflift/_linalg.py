@@ -17,8 +17,11 @@ input row is added into one sketch row with a nonzero F_p coefficient.  The
 sketch's kernel basis K is certified exactly by M.K = 0 on the input, which
 makes ker(P.M) = ker(M); the greedy pivot columns, the kernel basis in RREF
 and the canonical solution depend only on that kernel, so every output is the
-one the unsketched elimination gives.  A failed certificate re-sketches with
-the next seed, and finally factors M itself (P = I) with the same code.
+one the unsketched elimination gives.  The certificate multiplies blocks of
+M's nonzero rows, each product near 2^22 cells, and stops at the first
+nonzero block, so it never writes the whole R x (C - rank) product.  A failed
+certificate re-sketches with the next seed, and finally factors M itself
+(P = I) with the same code.
 Sketch, certificate and residual checks run over F_{p^m} on the unexpanded
 input; only the sketch, or the unsketched input, is expanded to F_p.  Solves
 map the right-hand side through P and keep the exact residual check M.x = b
@@ -38,6 +41,11 @@ _BLOCK = 64
 # rank unlikely, and the exact certificate catches the rest
 _SKETCH_MARGIN = 64
 _SKETCH_SEEDS = (0x5EC7, 0x5EC8)
+# cells of the largest intermediate of a sparse product: CooMatrix.dot's
+# (nnz, w, m, m) block and the (rows, w, m) product of a certificate block
+_BLOCK_CELLS = 1 << 22
+# nonzero rows that bottom_row_basis turns into Python lists at a time
+_ECHELON_ROWS = 256
 
 
 def _exact_dot(a, b, q):
@@ -121,13 +129,83 @@ class CooMatrix:
             object.__setattr__(self, "_expanded", kept)
         lreg, dt = kept
         xs = x.reshape(x.shape[0], -1, m)
-        # column blocks keep the (nnz, w, m, m) product near 2^22 cells
-        step = max(1, (1 << 22) // max(1, self.rows.size * m * m))
+        # column blocks keep the (nnz, w, m, m) product near _BLOCK_CELLS
+        step = max(1, _BLOCK_CELLS // max(1, self.rows.size * m * m))
         out = np.empty((self.shape[0], xs.shape[1], m), dtype=np.int64)
         for w0 in range(0, xs.shape[1], step):
             g = xs[self.cols, w0 : w0 + step].astype(dt)[:, :, None, :]
             out[:, w0 : w0 + step] = _sum_sorted(self.rows, (lreg * g).sum(-1), self.shape[0], q)
         return out.reshape((self.shape[0],) + x.shape[1:])
+
+    def vanishes_on(self, desc, x):
+        """Whether self @ x = 0, exactly.  The nonzero rows, numbered in order,
+        are multiplied in blocks whose product stays near _BLOCK_CELLS cells,
+        up to the first nonzero block; a matrix without nonzeros vanishes at
+        once."""
+        if not self.rows.size:
+            return True
+        # the number of each entry's row among the nonzero rows
+        packed = np.concatenate(([0], np.cumsum(self.rows[1:] != self.rows[:-1])))
+        count = int(packed[-1]) + 1
+        step = max(1, _BLOCK_CELLS // max(1, int(np.prod(x.shape[1:]))))
+        for r0 in range(0, count, step):
+            lo, hi = np.searchsorted(packed, [r0, r0 + step])
+            block = CooMatrix((min(step, count - r0), self.shape[1]), packed[lo:hi] - r0, self.cols[lo:hi], self.vals[lo:hi])
+            if np.any(block.dot(desc, x)):
+                return False
+        return True
+
+
+def bottom_row_basis(desc, mat: CooMatrix) -> np.ndarray:
+    """The greedy row basis of mat over F_{p^m} scanned from its last row up:
+    the ascending indices of the rows outside the span of the rows below them.
+
+    An exact sparse echelon over F_p that visits only the nonzero rows and
+    stops once the basis has one row per column.  Each basis row is kept with
+    its lowest column as pivot and reduces a new row at that column.  Over
+    F_{p^m}, m > 1, it scans the F_p regular representation, whose row (r, j)
+    holds the coefficients of x^j times row r; its greedy rows come in whole
+    blocks (r, 0..m-1), as FieldSolver's pivot columns do.
+    """
+    p, m = desc.q, desc.m
+    basis: dict[int, dict[int, int]] = {}  # pivot column -> row, 1 at the pivot
+
+    def insert(v):
+        """Reduce the row v (column -> value) by the basis; keep what is left."""
+        while v:
+            c = min(v)
+            row = basis.get(c)
+            if row is None:
+                inv = pow(v[c], p - 2, p)
+                basis[c] = {k: x * inv % p for k, x in v.items()}
+                return True
+            f = v[c]
+            for k, x in row.items():
+                y = (v.get(k, 0) - f * x) % p
+                if y:
+                    v[k] = y
+                else:
+                    del v[k]
+        return False
+
+    # first entry of each nonzero row; the rows are read in chunks of
+    # _ECHELON_ROWS from the bottom, each turned into Python lists when reached
+    starts = np.flatnonzero(np.diff(mat.rows, prepend=-1))
+    found, hi = [], mat.rows.size
+    for first in range((starts.size - 1) // _ECHELON_ROWS * _ECHELON_ROWS, -1, -_ECHELON_ROWS):
+        lo = int(starts[first])
+        cols = (mat.cols[lo:hi, None] * m + np.arange(m)).tolist()
+        # reg[k][j][i]: coefficient i of x^j times entry lo + k, at F_p column cols[k][i]
+        reg = ra.reg_rep(desc, mat.vals[lo:hi]).transpose(0, 2, 1).tolist()
+        bounds = (starts[first : first + _ECHELON_ROWS] - lo).tolist() + [hi - lo]
+        for a, b in zip(bounds[-2::-1], bounds[:0:-1]):
+            if len(basis) == mat.shape[1] * m:
+                return np.array(found[::-1], dtype=np.int64)
+            fresh = [insert({c: x for ck, rk in zip(cols[a:b], reg[a:b]) for c, x in zip(ck, rk[j]) if x}) for j in range(m)]
+            if fresh[0]:
+                found.append(int(mat.rows[lo + a]))
+        hi = lo
+    return np.array(found[::-1], dtype=np.int64)
 
 
 def _inv_lower(T, invs, p):
@@ -191,7 +269,7 @@ class FieldSolver:
                 self._sketch = _make_sketch(self.nrows, self.ncols + _SKETCH_MARGIN, desc.q, seed)
                 sk = self._apply_sketch(self.M.rows, self.M.vals, self.M.cols, self.ncols)
                 self._factor(sk.reshape(-1, self.ncols, desc.m))
-                if not np.any(self.M.dot(desc, self._kernel_matrix())):
+                if self.M.vanishes_on(desc, self._kernel_matrix()):
                     break
             else:
                 self._sketch = None

@@ -15,13 +15,17 @@ d_c ad_k) is a CooMatrix built from nonzeros, which keeps its prepared values
 after its first product.
 
 Flattened matrices of the total differential are assembled once per
-(context, degree) as sparse CooMatrix and cached with their FieldSolver;
-components of degree n are ordered (n,0), (n-1,1), ..., (0,n) and vectorized
-row-major (out index major).  Degree-2 coboundaries for the lifting come from
-solve_obstruction, which contracts with the separability idempotent and never
-builds d_1.  For a semisimple A the same contraction reduces cohomology_dim,
-the H^1 certificate and the invariants complex to the complex ad(B^{tensor q+1})
-under d_c, with one cached solver per ad_k and per d_c ad_k.  Both matrices are
+(context, degree) as sparse CooMatrix, joined from the nonzeros of the
+structure operators (each term is one operator tensored with identities), and
+cached with their FieldSolver; components of degree n are ordered (n,0),
+(n-1,1), ..., (0,n) and vectorized row-major (out index major).  Degree-2
+coboundaries for the lifting come from solve_obstruction, which contracts
+with the separability idempotent and never builds d_1; the free columns of
+d_1 are the greedy row basis of d_0 from its last row up, found by a sparse
+echelon of d_0's nonzero rows.  For a semisimple A the same contraction
+reduces cohomology_dim, the H^1 certificate and the invariants complex to the
+complex ad(B^{tensor q+1}) under d_c, with one cached solver per ad_k and per
+d_c ad_k.  Both matrices are
 built from nonzeros and never as dense images: the multiplication operators of
 B^{tensor k} are joins of e_tensor(k) with m_B, and d_c ad_k = ad_{k+1} o d^_k,
 with d^ the differential of the augmented coalgebra complex of B.
@@ -39,7 +43,7 @@ import numpy as np
 from . import _arrays as ra
 from . import hopfcore as hc
 from . import tensorcalc as tc
-from ._linalg import CooMatrix, FieldSolver
+from ._linalg import CooMatrix, FieldSolver, bottom_row_basis
 from .coeffring import RingDescriptor, _inv_coeffs_field
 from .errors import (
     ArityMismatch,
@@ -398,19 +402,43 @@ def unvec_cochain(ctx: ComplexContext, n: int, vec: np.ndarray) -> TotalCochain:
     return TotalCochain(ctx, n, comps)
 
 
-# basis cochains per assembly batch: keeps each image block, the largest
-# intermediate, near 2^22 cells
-_ASSEMBLY_CELLS = 1 << 22
-
-
 def dtotal_matrix(ctx: ComplexContext, n: int) -> CooMatrix:
     """Sparse matrix of d: C^n -> C^{n+1} in the flattened ordering (cached).
 
-    Column j is d_total of the j-th basis cochain; batches of basis cochains go
-    through the differentials at once, on a trailing batch axis.
+    Joined from the nonzeros of the structure operators: on C^{p,q}, d is
+    d_a + (-1)^p d_c, with d_a from _d_alg_entries and d_c the transposed d_a
+    of the dual context on C^{q,p}, with sign (-1)^{q+1}.
     """
     cc = _cache(ctx)
     return cc.memo(("dmat", n), lambda: _assemble(ctx, cc, n))
+
+
+def _kron_entries(desc, sign, left: int, mat: CooMatrix, right: int):
+    """The entries of sign * (I_left (x) mat (x) I_right), unsummed."""
+    lead, tail = np.arange(left)[:, None, None], np.arange(right)
+    rows = ((lead * mat.shape[0] + mat.rows[:, None]) * right + tail).ravel()
+    cols = ((lead * mat.shape[1] + mat.cols[:, None]) * right + tail).ravel()
+    signed = ra.scale_int(desc, mat.vals, sign)[:, None]
+    vals = np.broadcast_to(signed, (left, mat.rows.size, right, desc.m)).reshape(-1, desc.m)
+    return rows, cols, vals
+
+
+def _d_alg_entries(cc: _ContextCache, p: int, q: int):
+    """The entries of d_a: C^{p,q} -> C^{p+1,q}, unsummed, as flat (out, in)
+    indices of the two components: the left action is mult_operator (x) I,
+    each m_i term I (x) m_A^T (x) I, and the right action puts its row
+    (o, rest, x) where the left one has (o, x, rest)."""
+    desc = cc.ctx.ring
+    na, nb = cc.ctx.A.dim, cc.ctx.B.dim
+    rest = na ** (p + 1)
+    m_t = CooMatrix.from_entries(desc, (na * na, na), *ra.nonzeros(cc.MA, [1, 2]))  # m_A^T: [(x, y), t]
+    terms = [_kron_entries(desc, (-1) ** (p + 1), 1, cc.mult_operator(q + 1, "left"), rest)]
+    for i in range(1, p + 2):
+        terms.append(_kron_entries(desc, (-1) ** (p + 1 + i), nb ** (q + 1) * na ** (i - 1), m_t, na ** (p + 1 - i)))
+    rows, cols, vals = _kron_entries(desc, -1, 1, cc.mult_operator(q + 1, "right"), rest)
+    ox, r = np.divmod(rows, rest)
+    terms.append((((ox // na) * rest + r) * na + ox % na, cols, vals))
+    return [np.concatenate(part) for part in zip(*terms)]
 
 
 def _assemble(ctx: ComplexContext, cc: _ContextCache, n: int) -> CooMatrix:
@@ -423,25 +451,20 @@ def _assemble(ctx: ComplexContext, cc: _ContextCache, n: int) -> CooMatrix:
     rows, cols, vals = [], [], []
     col0 = 0
     for p, q, size in space_dims(ctx, n):
-        out_rows = max(nb ** (q + 1) * na ** (p + 2), nb ** (q + 2) * na ** (p + 1))
-        batch = max(1, _ASSEMBLY_CELLS // out_rows)
-        for j0 in range(0, size, batch):
-            width = min(batch, size - j0)
-            basis = np.zeros((size, width, desc.m), dtype=np.int64)
-            basis[j0 + np.arange(width), np.arange(width), 0] = 1
-            f = basis.reshape(nb ** (q + 1), na ** (p + 1), width, desc.m)
-            # d restricted to C^{p,q} is d_a + (-1)^p d_c
-            images = (((p + 1, q), 1, _d_alg_block), ((p, q + 1), (-1) ** p, _d_coalg_block))
-            for comp, sign, block in images:
-                img = block(cc, f, p, q).reshape(-1, width, desc.m)
-                r, c = np.nonzero(np.any(img != 0, axis=-1))
-                rows.append(row_offset[comp] + r)
-                cols.append(col0 + j0 + c)
-                vals.append(ra.scale_int(desc, img[r, c], sign))
+        r, c, v = _d_alg_entries(cc, p, q)
+        rows.append(row_offset[(p + 1, q)] + r)
+        cols.append(col0 + c)
+        vals.append(v)
+        # the dual context's flat index (a, y) of C^{q,p} is (y, a) here
+        r, c, v = _d_alg_entries(cc.dual(), q, p)
+        a, y = np.divmod(r, nb ** (q + 2))
+        rows.append(row_offset[(p, q + 1)] + y * na ** (p + 1) + a)
+        a, x = np.divmod(c, nb ** (q + 1))
+        cols.append(col0 + x * na ** (p + 1) + a)
+        vals.append(ra.scale_int(desc, v, (-1) ** (p + q + 1)))
         col0 += size
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    order = np.lexsort((cols, rows))
-    return CooMatrix((rows_total, col0), rows[order], cols[order], vals[order])
+    shape = (rows_total, col0)
+    return CooMatrix.from_entries(desc, shape, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
 
 
 def _solver_for(ctx: ComplexContext, n: int) -> FieldSolver:
@@ -510,9 +533,9 @@ class _Contraction:
     """Per-context data of solve_obstruction (built once, held in _ContextCache)."""
 
     el: dict  # q -> [out, (in, b)]: sum_u e[u, b] * (left action of e_u on B^{tensor q+1})
-    free: np.ndarray  # free columns of d_1: the trailing pivots of im d_0
+    free: np.ndarray  # free columns of d_1: the greedy row basis of d_0 from its last row up
     d0: CooMatrix
-    d0_free: FieldSolver  # rows `free` of d_0
+    d0_free: FieldSolver  # rows `free` of d_0, from their entries
     h1: int  # dim H^1, computed on the reduced complex
     rank: int  # rank of d_1, which is dim C^1 - rank d_0 once H^1 = 0 is certified
 
@@ -601,14 +624,13 @@ def _contraction(ctx: ComplexContext) -> _Contraction:
         if h1:
             raise CocycleUnsolvable(f"H^1 = {h1} != 0 on the reduced complex")
         # the free columns of d_1 are the last nonzero positions of an echelon
-        # basis of ker d_1 = im d_0: the greedy pivots of d_0^T, columns reversed
+        # basis of ker d_1 = im d_0: the greedy row basis of d_0 from the bottom
         d0 = dtotal_matrix(ctx, 0)
-        dense = d0.toarray()
-        dim_c1 = d0.shape[0]
-        rev = FieldSolver(desc, np.ascontiguousarray(ra.transpose(dense, (1, 0))[:, ::-1]), rank_only=True)
-        free = np.sort(dim_c1 - 1 - rev.pivot_cols)
-        d0_free = FieldSolver(desc, dense[free])
-        return _Contraction(el, free, d0, d0_free, h1, dim_c1 - rev.rank)
+        free = bottom_row_basis(desc, d0)
+        keep = np.isin(d0.rows, free)
+        rows = np.searchsorted(free, d0.rows[keep])
+        d0_free = FieldSolver(desc, CooMatrix((free.size, d0.shape[1]), rows, d0.cols[keep], d0.vals[keep]))
+        return _Contraction(el, free, d0, d0_free, h1, d0.shape[0] - free.size)
 
     return cc.memo("contraction", build)
 
@@ -680,16 +702,8 @@ def _hat_differential_matrix(ctx: ComplexContext, q: int) -> CooMatrix:
     terms = [(1, 1, unit, nb**k)]
     terms += [((-1) ** i, nb ** (i - 1), comul, nb ** (k - i)) for i in range(1, k + 1)]
     terms.append(((-1) ** (k + 1), nb**k, unit, 1))
-    rows, cols, vals = [], [], []
-    for sign, left, mat, right in terms:
-        # the entries of I_left (x) mat (x) I_right
-        lead, tail = np.arange(left)[:, None, None], np.arange(right)
-        rows.append(((lead * mat.shape[0] + mat.rows[:, None]) * right + tail).ravel())
-        cols.append(((lead * mat.shape[1] + mat.cols[:, None]) * right + tail).ravel())
-        signed = ra.scale_int(desc, mat.vals, sign)[:, None]
-        vals.append(np.broadcast_to(signed, (left, mat.rows.size, right, desc.m)).reshape(-1, desc.m))
-    shape = (nb ** (k + 1), nb**k)
-    return CooMatrix.from_entries(desc, shape, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*(_kron_entries(desc, *t) for t in terms)))
+    return CooMatrix.from_entries(desc, (nb ** (k + 1), nb**k), rows, cols, vals)
 
 
 def invariants_complex_dim(ctx: ComplexContext, n: int) -> int:

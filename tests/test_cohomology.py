@@ -243,16 +243,51 @@ def test_sparse_assembly_matches_percolumn_oracle(make_ctx, n):
     assert np.array_equal(order, np.arange(order.size))
 
 
-def test_sparse_assembly_batches_agree(monkeypatch):
-    # one basis cochain per batch gives the same matrix as whole components
-    ctx = coh.make_context(hc.generate("C3", F7))
-    whole = coh.dtotal_matrix(ctx, 1)
-    coh._CACHE.clear()
-    monkeypatch.setattr(coh, "_ASSEMBLY_CELLS", 1)
-    single = coh.dtotal_matrix(ctx, 1)
-    coh._CACHE.clear()
+def dense_assemble(ctx, n, cells=1 << 22):
+    """Matrix of d: C^n -> C^{n+1} from dense images of basis cochains, pushed
+    through _d_alg_block and _d_coalg_block in batches whose image block has
+    about `cells` cells."""
+    cc, desc = coh._cache(ctx), ctx.ring
+    na, nb = ctx.A.dim, ctx.B.dim
+    row_offset, rows_total = {}, 0
+    for p, q, size in coh.space_dims(ctx, n + 1):
+        row_offset[(p, q)] = rows_total
+        rows_total += size
+    rows, cols, vals = [], [], []
+    col0 = 0
+    for p, q, size in coh.space_dims(ctx, n):
+        out_rows = max(nb ** (q + 1) * na ** (p + 2), nb ** (q + 2) * na ** (p + 1))
+        batch = max(1, cells // out_rows)
+        for j0 in range(0, size, batch):
+            width = min(batch, size - j0)
+            basis = np.zeros((size, width, desc.m), dtype=np.int64)
+            basis[j0 + np.arange(width), np.arange(width), 0] = 1
+            f = basis.reshape(nb ** (q + 1), na ** (p + 1), width, desc.m)
+            # d restricted to C^{p,q} is d_a + (-1)^p d_c
+            images = (((p + 1, q), 1, coh._d_alg_block), ((p, q + 1), (-1) ** p, coh._d_coalg_block))
+            for comp, sign, block in images:
+                img = block(cc, f, p, q).reshape(-1, width, desc.m)
+                r, c = np.nonzero(np.any(img != 0, axis=-1))
+                rows.append(row_offset[comp] + r)
+                cols.append(col0 + j0 + c)
+                vals.append(ra.scale_int(desc, img[r, c], sign))
+        col0 += size
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    order = np.lexsort((cols, rows))
+    return CooMatrix((rows_total, col0), rows[order], cols[order], vals[order])
+
+
+def assert_same_coo(got, want):
+    assert got.shape == want.shape
     for field in ("rows", "cols", "vals"):
-        assert np.array_equal(getattr(whole, field), getattr(single, field))
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def test_sparse_assembly_batches_agree():
+    # the dense oracle with one basis cochain per batch gives the assembled matrix
+    ctx = coh.make_context(hc.generate("C3", F7))
+    assert_same_coo(coh.dtotal_matrix(ctx, 1), dense_assemble(ctx, 1, cells=1))
 
 
 # --- coboundary solving ---
@@ -474,6 +509,33 @@ def test_d_coalg_matches_dense_oracle(make_ctx):
         assert got.dtype == want.dtype and np.array_equal(got, want)
         checked += 1
     assert checked >= 5
+
+
+# the assembly joins each term from nonzeros; the dense images of basis
+# cochains through the two block differentials are its oracle
+ASSEMBLY_CASES = [
+    ("S3/F7", lambda: coh.make_context(hc.generate("S3", F7)), (0, 1)),
+    ("D4/F3", lambda: coh.make_context(hc.generate("D4", cr.make_ring(3))), (0,)),
+    ("dual(D4)/F5", lambda: coh.make_context(hc.dual(hc.generate("D4", F5))), (0, 1)),
+    ("C3/F4", lambda: coh.make_context(hc.generate("C3", cr.make_ring(2, 1, 2))), (0, 1, 2)),
+    ("S3/F25", lambda: coh.make_context(hc.generate("S3", cr.make_ring(5, 1, 2))), (0, 1)),
+    ("C2.double/F5", lambda: coh.make_context(hc.generate("C2.double", F5)), (0, 1)),
+    ("C2-C4", lambda: inclusion_context(), (0, 1)),
+    ("C2-dualC2", counit_unit_context, (0, 1, 2)),
+    ("C3-C3/F7", c3_counit_unit_context, (0, 1, 2)),
+    ("C2/F5", lambda: CTX, (2,)),
+    ("C3/F7", lambda: coh.make_context(hc.generate("C3", F7)), (2,)),
+]
+
+
+@pytest.mark.parametrize(
+    "make_ctx,n",
+    [(make, n) for _, make, ns in ASSEMBLY_CASES for n in ns],
+    ids=[f"{label}-n{n}" for label, _, ns in ASSEMBLY_CASES for n in ns],
+)
+def test_dtotal_matrix_matches_dense_assembly(make_ctx, n):
+    ctx = make_ctx()
+    assert_same_coo(coh.dtotal_matrix(ctx, n), dense_assemble(ctx, n))
 
 
 def test_dual_context_lives_in_its_parents_cache():
@@ -765,6 +827,31 @@ def test_solve_obstruction_matches_dense(name, p, m):
     con = coh._contraction(ctx)
     assert con.rank == coh._solver_for(ctx, 1).rank
     assert con.h1 == coh.cohomology_dim(ctx, 1) == 0
+
+
+def dense_bottom_scan(desc, d0):
+    """The greedy rows of d_0 from its last row up, densely: the greedy pivot
+    columns of its reversed transpose."""
+    rev = FieldSolver(desc, np.ascontiguousarray(ra.transpose(d0.toarray(), (1, 0))[:, ::-1]), rank_only=True)
+    return np.sort(d0.shape[0] - 1 - rev.pivot_cols)
+
+
+# the two duals need real reductions in the sparse scan (dependent rows with
+# fill-in), where the group algebras' rows mostly reduce in one step; C3/F4
+# and S3/F25 scan the F_p regular representation
+ROW_BASIS_BASES = CONTRACTION_BASES + [("D4.dual", 5, 1), ("S3.dual", 7, 1), ("S3", 5, 2)]
+
+
+@pytest.mark.parametrize("name,p,m", ROW_BASIS_BASES, ids=[f"{n}/F{p**m}" for n, p, m in ROW_BASIS_BASES])
+def test_d0_free_rows_match_dense_scan(name, p, m):
+    ctx = coh.make_context(hc.generate(name, cr.make_ring(p, 1, m)))
+    con = coh._contraction(ctx)
+    free = dense_bottom_scan(ctx.ring, con.d0)
+    assert np.array_equal(con.free, free) and con.rank == con.d0.shape[0] - free.size
+    want = FieldSolver(ctx.ring, con.d0.toarray()[free])
+    assert np.array_equal(con.d0_free.pivot_cols, want.pivot_cols)
+    assert np.array_equal(con.d0_free.pivot_rows, want.pivot_rows)
+    assert np.array_equal(con.d0_free.M, want.M)
 
 
 def inclusion_context():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hopflift import _arrays as ra
 from hopflift import _linalg
 from hopflift import coeffring as cr
-from hopflift._linalg import CooMatrix, FieldSolver
+from hopflift._linalg import CooMatrix, FieldSolver, bottom_row_basis
 
 F2 = cr.make_ring(2)
 F7 = cr.make_ring(7)
@@ -108,6 +108,66 @@ def test_failed_certificate_falls_back_to_dense(monkeypatch):
     assert_same(desc, solver, dense_solver(desc, mat, monkeypatch), mat, 3)
 
 
+def test_certificate_products_stay_within_one_block(monkeypatch):
+    # 30,000 x 300, every row a copy of one of 10 independent rows: the whole
+    # product with the 290-column kernel would be 8.7 M cells, about two blocks
+    rng = np.random.default_rng(5)
+    rows, cols = 30000, 300
+    dense = np.zeros((10, cols, 1), dtype=np.int64)
+    for i in range(10):
+        dense[i, [30 * i, 30 * i + 7, 30 * i + 13]] = rng.integers(1, 7, size=(3, 1))
+    base = CooMatrix.from_dense(dense)
+    pick = rng.integers(0, 10, size=rows)
+    counts = np.bincount(base.rows, minlength=10)[pick]
+    src = np.concatenate([np.flatnonzero(base.rows == b) for b in pick])
+    mat = CooMatrix((rows, cols), np.repeat(np.arange(rows), counts), base.cols[src], base.vals[src])
+    products, entries = [], []
+    real = CooMatrix.dot
+
+    def spy(self, desc, x):
+        out = real(self, desc, x)
+        products.append(out.size)
+        entries.append(self.rows.size)
+        return out
+
+    monkeypatch.setattr(CooMatrix, "dot", spy)
+    solver = FieldSolver(F7, mat)
+    monkeypatch.undo()
+    assert solver._sketch is not None and solver.rank == 10
+    assert len(products) >= 2 and max(products) <= _linalg._BLOCK_CELLS
+    # the blocks hold every entry once, and their products every row
+    assert sum(entries) == mat.rows.size and sum(products) == rows * (cols - 10)
+    # M has the kernel of its 10 distinct rows
+    want = FieldSolver(F7, base.toarray())
+    assert np.array_equal(solver.pivot_cols, want.pivot_cols)
+    assert all(np.array_equal(a, b) for a, b in zip(solver.kernel_basis(), want.kernel_basis(), strict=True))
+
+
+def test_certificate_without_nonzeros_multiplies_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(CooMatrix, "dot", lambda *a: calls.append(1))
+    empty = np.zeros(0, dtype=np.int64)
+    solver = FieldSolver(F9, CooMatrix((500, 40), empty, empty, np.zeros((0, 2), dtype=np.int64)))
+    assert solver._sketch is not None and solver.rank == 0 and calls == []
+
+
+@pytest.mark.parametrize("bad", [0, 19999])
+def test_certificate_stops_at_the_first_nonzero_block(bad, monkeypatch):
+    # one row misses the kernel of the others: the certificate fails in the
+    # block that holds it, after reading every block before
+    mat = planted(F7, 20000, 30, 4, 8)
+    mat[bad] = 1
+    coo = CooMatrix.from_dense(mat)
+    kernel = np.stack(FieldSolver(F7, np.delete(mat, bad, axis=0)).kernel_basis(), axis=1)
+    calls = []
+    real = CooMatrix.dot
+    monkeypatch.setattr(CooMatrix, "dot", lambda self, desc, x: calls.append(self.shape[0]) or real(self, desc, x))
+    monkeypatch.setattr(_linalg, "_BLOCK_CELLS", 1000 * kernel[0].size)
+    assert not coo.vanishes_on(F7, kernel)
+    nonzero_rows = np.unique(coo.rows).size
+    assert calls == ([1000] if bad == 0 else [1000] * (nonzero_rows // 1000) + [nonzero_rows % 1000])
+
+
 def test_wide_and_square_inputs_are_not_sketched():
     for rows, cols in ((10, 40), (40, 40), (40 + _linalg._SKETCH_MARGIN, 40)):
         mat = planted(F7, rows, cols, 5, rows)
@@ -173,6 +233,37 @@ def test_fixed_operands_are_expanded_once(monkeypatch):
         got = solver.solve(w)
         assert got is not None and np.array_equal(solver._times(got), w)
     assert len(calls) == 1
+
+
+# --- the greedy row basis from the bottom, against the dense reversed-transpose scan ---
+
+
+def dense_bottom_rows(desc, mat):
+    rev = FieldSolver(desc, np.ascontiguousarray(ra.transpose(mat, (1, 0))[:, ::-1]), rank_only=True)
+    return np.sort(mat.shape[0] - 1 - rev.pivot_cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F2, F7, cr.make_ring(P31), F4, F9]), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, None]))
+def test_bottom_row_basis_matches_dense_scan(desc, seed, chunk):
+    # sparse rows of rank < cols, each a combination of one or two of `rank`
+    # sparse base rows or zero, so the scan meets dependent rows and never
+    # reaches a full basis; chunks of 1 or 3 rows put chunk ends inside it
+    rng = np.random.default_rng(seed)
+    cols = int(rng.integers(2, 16))
+    rank = int(rng.integers(1, cols))
+    rows = int(rng.integers(rank, 4 * rank + 8))
+    base = rng.integers(0, desc.q, size=(rank, cols, desc.m)) * (rng.random((rank, cols, 1)) < 0.3)
+    coef = np.zeros((rows, rank, desc.m), dtype=np.int64)
+    for r in range(rows):
+        picked = rng.choice(rank, size=int(rng.integers(0, min(rank, 2) + 1)), replace=False)
+        coef[r, picked] = rng.integers(0, desc.q, size=(picked.size, desc.m))
+    mat = ra.tensordot(desc, coef, base.astype(np.int64), ([1], [0]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_linalg, "_ECHELON_ROWS", chunk or _linalg._ECHELON_ROWS)
+        got = bottom_row_basis(desc, CooMatrix.from_dense(mat))
+    want = dense_bottom_rows(desc, mat)
+    assert np.array_equal(got, want) and got.size < cols
 
 
 # --- Python-int oracle ---

@@ -23,9 +23,12 @@ nonzero block, so it never writes the whole R x (C - rank) product.  A failed
 certificate re-sketches with the next seed, and finally factors M itself
 (P = I) with the same code.
 Sketch, certificate and residual checks run over F_{p^m} on the unexpanded
-input; only the sketch, or the unsketched input, is expanded to F_p.  Solves
-map the right-hand side through P and keep the exact residual check M.x = b
-against the unsketched matrix.
+input; only the sketch, or the unsketched input, is expanded to F_p.  P is
+kept as a row order whose consecutive blocks of k rows are dealt to the k
+sketch rows, with the coefficients in that order: a solve maps its dense
+right-hand side through P by one gather into a zero-padded buffer, a scaling
+and a sum over the blocks, with no sort, and keeps the exact residual check
+M.x = b against the unsketched matrix.
 """
 
 from __future__ import annotations
@@ -234,14 +237,13 @@ def _block_substitute(T, blocks, B, p):
 
 
 def _make_sketch(nrows, k, q, seed):
-    """Row map of a sparse sketch P (k x nrows): row r goes to sketch row
-    bucket[r] with the nonzero F_p coefficient coeff[r].  The rows are dealt
-    round-robin in a seeded random order, so every sketch row gets at most
-    ceil(nrows / k) of them and none stays empty."""
+    """A sparse sketch P (k x nrows) as a row order and coefficients in that
+    order: the rows are dealt round-robin in a seeded random order, so block j
+    of k consecutive rows of order puts its row at position b into sketch row
+    b, with the nonzero F_p coefficient drawn for that position.  Every sketch
+    row gets at most ceil(nrows / k) rows and none stays empty."""
     rng = np.random.default_rng([seed, nrows, k])
-    bucket = np.empty(nrows, dtype=np.int64)
-    bucket[rng.permutation(nrows)] = np.arange(nrows) % k
-    return bucket, rng.integers(1, q, size=nrows)
+    return rng.permutation(nrows), rng.integers(1, q, size=nrows)
 
 
 class FieldSolver:
@@ -265,10 +267,14 @@ class FieldSolver:
         self._m_reg = None  # expand(desc, M) of a dense M, kept once _times needs it
         if self.nrows > self.ncols + _SKETCH_MARGIN:
             self.M = marr if sparse else CooMatrix.from_dense(marr % desc.q)
+            k = self.ncols + _SKETCH_MARGIN
             for seed in _SKETCH_SEEDS:
-                self._sketch = _make_sketch(self.nrows, self.ncols + _SKETCH_MARGIN, desc.q, seed)
-                sk = self._apply_sketch(self.M.rows, self.M.vals, self.M.cols, self.ncols)
-                self._factor(sk.reshape(-1, self.ncols, desc.m))
+                self._sketch = order, coeff = _make_sketch(self.nrows, k, desc.q, seed)
+                at = np.empty_like(order)
+                at[order] = np.arange(self.nrows)  # the position of each row in order
+                at = at[self.M.rows]
+                sk = _scatter(at % k * self.ncols + self.M.cols, coeff[at], self.M.vals, k * self.ncols, desc.q, -(-self.nrows // k))
+                self._factor(sk.reshape(k, self.ncols, desc.m))
                 if self.M.vanishes_on(desc, self._kernel_matrix()):
                     break
             else:
@@ -281,12 +287,18 @@ class FieldSolver:
         if rank_only:
             self._U = None
 
-    def _apply_sketch(self, rows, vals, cols=0, width=1):
-        """P applied to the entries vals at (rows, cols) of an R x width matrix."""
-        bucket, coeff = self._sketch
+    def _sketch_rhs(self, b):
+        """P b for a dense b (R, ..., m): b in the sketch's row order, scaled in a
+        zero-padded buffer of ceil(R / k) blocks of k rows, summed over the blocks."""
+        order, coeff = self._sketch
         k = self.ncols + _SKETCH_MARGIN
-        index = bucket[rows] * width + cols
-        return _scatter(index, coeff[rows], vals, k * width, self.desc.q, -(-self.nrows // k))
+        blocks = -(-self.nrows // k)
+        dt = _wide_dtype(blocks * (self.desc.q - 1) ** 2)
+        buf = np.zeros((blocks * k,) + b.shape[1:], dtype=dt)
+        # mode "wrap" fills out without a buffer; order holds no index to wrap
+        np.take(b.astype(dt, copy=False), order, axis=0, out=buf[: self.nrows], mode="wrap")
+        buf[: self.nrows] *= coeff.reshape((-1,) + (1,) * (b.ndim - 1))
+        return ra.int64_mod(buf.reshape((blocks, k) + b.shape[1:]).sum(axis=0), self.desc.q)
 
     def _factor(self, marr, rank_only=False):
         R, C, m = marr.shape
@@ -415,7 +427,7 @@ class FieldSolver:
         b = rhs % p
         sb = b
         if self._sketch is not None:
-            sb = self._apply_sketch(np.arange(self.nrows), b)
+            sb = self._sketch_rhs(b)
         # over F_p, row (r, i) of the right-hand side is coefficient i of sb[r]
         flat = sb.reshape(sb.shape[0], -1, m).swapaxes(1, 2).reshape(sb.shape[0] * m, -1)
         xp = np.zeros((self.ncols * m, flat.shape[1]), dtype=np.int64)

@@ -9,15 +9,17 @@ cochains, which is what makes the obstruction calculus of the lifting module
 sound.  The bicomplex is self-dual: transposing a cochain identifies
 C^{p,q}(A,B,phi) with C^{q,p}(B*,A*,phi*) and swaps the two differentials, so
 d_c is computed as the transposed d_a of the dual context, whose cache lives
-inside the context's own.  Every context operator (the multiplication
-operators of d_a's action terms, the homotopy of the contraction, ad_k and
+inside the context's own.  d_a is three sparse products: the left and right
+multiplication operators on the out axis of a cochain, and the slot operator
+sum_i (-1)^i I (x) m_A^T (x) I on its input axis.  Every context operator (the
+multiplication and slot operators, the homotopy of the contraction, ad_k and
 d_c ad_k) is a CooMatrix built from nonzeros, which keeps its prepared values
-after its first product.
+after its first product; no per-(p, q) matrix of d_a or d_c is held.
 
 Flattened matrices of the total differential are assembled once per
 (context, degree) as sparse CooMatrix, joined from the nonzeros of the
-structure operators (each term is one operator tensored with identities), and
-cached with their FieldSolver; components of degree n are ordered (n,0),
+structure operators (each term one of d_a's factors tensored with identities),
+and cached with their FieldSolver; components of degree n are ordered (n,0),
 (n-1,1), ..., (0,n) and vectorized row-major (out index major).  Degree-2
 coboundaries for the lifting come from solve_obstruction, which contracts
 with the separability idempotent and never builds d_1; the free columns of
@@ -268,61 +270,48 @@ def _cache(ctx: ComplexContext) -> _ContextCache:
 # the two differentials
 
 
-def _action(cc: _ContextCache, f, q: int, side: str):
-    """phi^{q+1}(Delta_{q+1}(x)) acting on f(rest) from the given side: [out, x, rest, batch]."""
-    desc = cc.ctx.ring
-    out = cc.mult_operator(q + 1, side).dot(desc, f.reshape(f.shape[0], -1, desc.m))
-    return out.reshape((f.shape[0], cc.ctx.A.dim) + f.shape[1:])
+def _slot_operator(cc: _ContextCache, p: int) -> CooMatrix:
+    """sum_i (-1)^i I (x) m_A^T (x) I, i = 1..p+1, with m_A^T feeding input
+    slot i: the (na^{p+2}, na^{p+1}) matrix of the m_i terms of d_a on the
+    input legs, built from nonzeros once per context and p."""
+
+    def build():
+        desc, na = cc.ctx.ring, cc.ctx.A.dim
+        m_t = CooMatrix.from_entries(desc, (na * na, na), *ra.nonzeros(cc.MA, [1, 2]))  # m_A^T: [(x, y), t]
+        terms = [_kron_entries(desc, (-1) ** i, na ** (i - 1), m_t, na ** (p + 1 - i)) for i in range(1, p + 2)]
+        rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+        return CooMatrix.from_entries(desc, (na ** (p + 2), na ** (p + 1)), rows, cols, vals)
+
+    return cc.memo(("slots", p), build)
 
 
-def _left_action_term(cc: _ContextCache, f, p: int, q: int):
-    """x (x) rest |-> phi^{q+1}(Delta_{q+1}(x)) * f(rest) as a legs block."""
-    return _action(cc, f, q, "left").reshape((f.shape[0], cc.ctx.A.dim ** (p + 2)) + f.shape[2:])
+def _d_alg_block(cc: _ContextCache, f, p: int, q: int, sign: int = 1):
+    """sign * the algebra differential of a coefficient block f: (nb^{q+1}, na^{p+1}, batch, m).
 
-
-def _right_action_term(cc: _ContextCache, f, p: int, q: int):
-    """rest (x) x |-> f(rest) * phi^{q+1}(Delta_{q+1}(x)) as a legs block."""
-    cur = ra.moveaxis(_action(cc, f, q, "right"), 1, 2)
-    return cur.reshape((f.shape[0], cc.ctx.A.dim ** (p + 2)) + f.shape[2:])
-
-
-def _signed_sum(desc, signed_terms):
-    """Sum of sign * term over (sign, term) pairs, reduced mod q once at the end.
-
-    Terms are residues, p + 3 of them for d_alg; while there are at most 16
-    the running sum of residues below 2^58 stays inside int64, and a larger q
-    is reduced after every term.
+    d_a = (-1)^{p+1} (left action + m_i terms) - right action: the two
+    multiplication operators on the out axis of f, the slot operator on its
+    input axis.  The first two land at the output's (o, (x, rest)), the right
+    action at (o, (rest, x)); the residues are summed in one buffer, reduced
+    in between when 3q would leave int64.
     """
-    total = None
-    for sign, term in signed_terms:
-        if total is None:
-            total = term.copy() if sign > 0 else -term
-        elif sign > 0:
-            total += term
-        else:
-            total -= term
-        if desc.q > ra._I64_SAFE >> 4:
-            total %= desc.q
-    total %= desc.q
-    return total
-
-
-def _d_alg_block(cc: _ContextCache, f, p: int, q: int):
-    """Algebra differential of a coefficient block f: (nb^{q+1}, na^{p+1}, batch, m)."""
     desc = cc.ctx.ring
-    na, nb = cc.ctx.A.dim, cc.ctx.B.dim
-    f_legs = f.reshape((nb ** (q + 1),) + (na,) * (p + 1) + f.shape[2:])
-
-    def terms():
-        yield (-1) ** (p + 1), _left_action_term(cc, f, p, q)
-        for i in range(1, p + 2):
-            # f o (I^{i-1} (x) m (x) I^{p+1-i}); the product feeds input slot i
-            term = ra.tensordot(desc, f_legs, cc.MA, ([i], [0]))  # legs (x,y) appended
-            term = ra.moveaxis(term, [-2, -1], [i, i + 1])
-            yield (-1) ** (p + 1 + i), term.reshape((nb ** (q + 1), na ** (p + 2)) + f.shape[2:])
-        yield -1, _right_action_term(cc, f, p, q)
-
-    return _signed_sum(desc, terms())
+    na = cc.ctx.A.dim
+    rows, cols, m = f.shape[0], f.shape[1], desc.m
+    on_out = f.reshape(rows, -1, m)
+    out = cc.mult_operator(q + 1, "left").dot(desc, on_out).reshape(rows, na * cols, -1, m)
+    slots = _slot_operator(cc, p).dot(desc, np.swapaxes(f, 0, 1).reshape(cols, -1, m))
+    out += np.swapaxes(slots.reshape(na * cols, rows, -1, m), 0, 1)
+    del slots
+    if desc.q > ra._I64_SAFE >> 2:
+        out %= desc.q
+    right = cc.mult_operator(q + 1, "right").dot(desc, on_out).reshape(rows, na, cols, -1, m)
+    legs = out.reshape(rows, cols, na, -1, m)
+    # p even: -sign (left + slots + right); p odd: sign (left + slots - right)
+    (np.add if p % 2 == 0 else np.subtract)(legs, np.swapaxes(right, 1, 2), out=legs)
+    if (p % 2 == 0) == (sign > 0):
+        np.negative(out, out=out)
+    out %= desc.q
+    return out.reshape((rows, na * cols) + f.shape[2:])
 
 
 def _arities(f: MultiMap):
@@ -347,9 +336,7 @@ def _d_coalg_block(cc: _ContextCache, f, p: int, q: int):
     (phi o m_{A,k})^T = phi*^{tensor k} o Delta_{B*,k}, and each Delta_i term
     is the m_i term of f^T.
     """
-    out = _d_alg_block(cc.dual(), np.swapaxes(f, 0, 1), q, p)
-    if q % 2 == 0:
-        out = ra.neg(cc.ctx.ring, out)
+    out = _d_alg_block(cc.dual(), np.swapaxes(f, 0, 1), q, p, (-1) ** (q + 1))
     return np.ascontiguousarray(np.swapaxes(out, 0, 1))
 
 
@@ -425,16 +412,15 @@ def _kron_entries(desc, sign, left: int, mat: CooMatrix, right: int):
 
 def _d_alg_entries(cc: _ContextCache, p: int, q: int):
     """The entries of d_a: C^{p,q} -> C^{p+1,q}, unsummed, as flat (out, in)
-    indices of the two components: the left action is mult_operator (x) I,
-    each m_i term I (x) m_A^T (x) I, and the right action puts its row
-    (o, rest, x) where the left one has (o, x, rest)."""
+    indices of the two components, those of _d_alg_block's three products:
+    the left action is mult_operator (x) I, the m_i terms I (x) the slot
+    operator, and the right action puts its row (o, rest, x) where the left
+    one has (o, x, rest)."""
     desc = cc.ctx.ring
     na, nb = cc.ctx.A.dim, cc.ctx.B.dim
-    rest = na ** (p + 1)
-    m_t = CooMatrix.from_entries(desc, (na * na, na), *ra.nonzeros(cc.MA, [1, 2]))  # m_A^T: [(x, y), t]
-    terms = [_kron_entries(desc, (-1) ** (p + 1), 1, cc.mult_operator(q + 1, "left"), rest)]
-    for i in range(1, p + 2):
-        terms.append(_kron_entries(desc, (-1) ** (p + 1 + i), nb ** (q + 1) * na ** (i - 1), m_t, na ** (p + 1 - i)))
+    rest, sign = na ** (p + 1), (-1) ** (p + 1)
+    terms = [_kron_entries(desc, sign, 1, cc.mult_operator(q + 1, "left"), rest)]
+    terms.append(_kron_entries(desc, sign, nb ** (q + 1), _slot_operator(cc, p), 1))
     rows, cols, vals = _kron_entries(desc, -1, 1, cc.mult_operator(q + 1, "right"), rest)
     ox, r = np.divmod(rows, rest)
     terms.append((((ox // na) * rest + r) * na + ox % na, cols, vals))

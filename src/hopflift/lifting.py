@@ -24,7 +24,7 @@ from . import _arrays as ra
 from . import cohomology as coh
 from . import hopfcore as hc
 from . import tensorcalc as tc
-from .coeffring import check_modulus, exact_div_p_array, newton_lift
+from .coeffring import check_modulus, newton_lift
 from .errors import (
     AxiomsViolated,
     CoboundaryUnsolvable,
@@ -135,28 +135,29 @@ def obstruction(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> Obstr
     """The degree-2 cochain c = a(m', Delta')/p^n mod p, with its cocycle check.
 
     Components: the (2,0) associativity, (1,1) compatibility and (0,2)
-    coassociativity defects of hc._structure_residuals.
+    coassociativity defects of hc._structure_residuals, each formed in one
+    buffer: subtracted, tested for divisibility (NotDivisible), divided, reduced.
     """
     desc = mul.ring
     n = desc.n - 1
     N = mul.dim_out
+    pn = desc.p**n
     m_legs = mul.coeffs.reshape(N, N, N, desc.m)
     d_legs = comul.coeffs.reshape(N, N, N, desc.m)
-    a1, a3, a2 = (ra.sub(desc, lhs, rhs) for lhs, rhs in hc._structure_residuals(desc, m_legs, d_legs))
-
-    ctx = coh.make_context(base)
     comps = {}
-    for (p, q), arr, ai, ao in (
-        ((2, 0), a1.reshape(N, N**3, desc.m), 3, 1),
-        ((1, 1), a2.reshape(N**2, N**2, desc.m), 2, 2),
-        ((0, 2), a3.reshape(N**3, N, desc.m), 1, 3),
-    ):
-        if n > 0:
-            _, divided = exact_div_p_array(desc, arr, n)
-        else:
-            divided = arr
-        comps[(p, q)] = MultiMap(base.ring, ai, ao, N, N, divided % base.ring.p)
-    return ObstructionReport(coh.TotalCochain(ctx, 2, comps))
+    residuals = hc._structure_residuals(desc, m_legs, d_legs)
+    # in the order of _structure_residuals: associativity, coassociativity, compatibility
+    for (p, q), ai, ao in (((2, 0), 3, 1), ((0, 2), 1, 3), ((1, 1), 2, 2)):
+        lhs, rhs = next(residuals)
+        c = np.empty((N**ao, N**ai, desc.m), dtype=np.int64)
+        np.subtract(lhs, rhs, out=c.reshape(lhs.shape))
+        del lhs, rhs
+        if n and np.any(c % pn):
+            raise NotDivisible(f"tensor not divisible by p^{n}")
+        c //= pn
+        c %= base.ring.p
+        comps[(p, q)] = MultiMap(base.ring, ai, ao, N, N, c)
+    return ObstructionReport(coh.TotalCochain(coh.make_context(base), 2, comps))
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +372,8 @@ def _lift_map(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState):
                 (0, 1): MultiMap(fring, 1, 2, na, nb, ((defect_d // pk) % desc.p).reshape(nb * nb, na, fring.m)),
             },
         )
-        chi = coh.solve_coboundary(z)
+        chi = coh.solve_coboundary(z)  # NotACocycle for a z that is not closed
         if chi is None:
-            if not coh.is_cocycle(z):
-                raise NotACocycle("morphism defect pair is not a 1-cocycle")
             raise CocycleUnsolvable("defect cocycle is not a coboundary; H^1(A,B,phi) = 0 is violated")
         fmap = (f - pk * chi.components[(0, 0)].coeffs) % desc.q
     desc = fring.at_precision(n)

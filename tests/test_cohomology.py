@@ -22,10 +22,12 @@ CTX = coh.make_context(C2)
 
 
 def naive_d_alg(H, f_arr, p, q):
-    """Literal term-by-term evaluation of the algebra differential over F_p."""
+    """Literal term-by-term evaluation of the algebra differential over F_p,
+    in Python ints, so exact at every modulus."""
     N, P = H.dim, H.ring.q
-    mul = H.mul.coeffs[..., 0].reshape(N, N, N)  # [out, x, y]
-    com = H.comul.coeffs[..., 0].reshape(N, N, N)  # [u, v, x]
+    mul = H.mul.coeffs[..., 0].reshape(N, N, N).astype(object)  # [out, x, y]
+    com = H.comul.coeffs[..., 0].reshape(N, N, N).astype(object)  # [u, v, x]
+    f_arr = f_arr.astype(object)
     k = q + 1
 
     def delta_k(x):  # vector over k-fold multi-indices
@@ -43,7 +45,7 @@ def naive_d_alg(H, f_arr, p, q):
         return vec
 
     def tensor_mult(wdict, col):
-        out = np.zeros(N**k, dtype=np.int64)
+        out = np.zeros(N**k, dtype=object)
         for xidx, cw in wdict.items():
             for iflat in range(N**k):
                 ci = col[iflat]
@@ -76,7 +78,7 @@ def naive_d_alg(H, f_arr, p, q):
         flat = 0
         for a in args:
             flat = flat * N + a
-        acc = np.zeros(N**k, dtype=np.int64)
+        acc = np.zeros(N**k, dtype=object)
         # (-1)^{p+1} E(a1) * f(a2..)
         sgn = (-1) ** (p + 1)
         acc = (acc + sgn * tensor_mult(delta_k(args[0]), col_of(f_arr, args[1:]))) % P
@@ -93,7 +95,7 @@ def naive_d_alg(H, f_arr, p, q):
         colf = col_of(f_arr, args[:-1])
         wdict = delta_k(args[-1])
         # f * E: legwise product with f on the left
-        prod = np.zeros(N**k, dtype=np.int64)
+        prod = np.zeros(N**k, dtype=object)
         for xidx, cw in wdict.items():
             for iflat in range(N**k):
                 ci = colf[iflat]
@@ -126,13 +128,25 @@ def test_d_alg_matches_naive_oracle(p, q):
     assert np.array_equal(got.coeffs[..., 0], want)
 
 
-@pytest.mark.parametrize("p,q", [(0, 0), (1, 0), (0, 1), (1, 1)])
-def test_d_alg_matches_naive_oracle_on_noncommutative_b(p, q):
+# 2^62 - 57, the largest prime below 2^62: three residues summed unreduced
+# leave int64, so d_a must reduce between its terms here
+F_BIG = cr.make_ring((1 << 62) - 57)
+
+
+@pytest.mark.parametrize(
+    "p,q,ring",
+    [
+        pytest.param(p, q, ring, id=f"{p}-{q}{label}")
+        for ring, label in ((F5, ""), (F_BIG, "-F(2^62-57)"))
+        for p, q in [(0, 0), (1, 0), (0, 1), (1, 1)]
+    ],
+)
+def test_d_alg_matches_naive_oracle_on_noncommutative_b(p, q, ring):
     # on S3 the left and right action terms differ, unlike on C2
-    S3 = hc.generate("S3", F5)
+    S3 = hc.generate("S3", ring)
     rng = np.random.default_rng(17 + p * 10 + q)
     shape = (6 ** (q + 1), 6 ** (p + 1), 1)
-    f = tc.MultiMap(F5, p + 1, q + 1, 6, 6, np.asarray(rng.integers(0, 5, size=shape), dtype=np.int64))
+    f = tc.MultiMap(ring, p + 1, q + 1, 6, 6, np.asarray(rng.integers(0, ring.q, size=shape), dtype=np.int64))
     got = coh.d_alg(coh.make_context(S3), f)
     assert np.array_equal(got.coeffs[..., 0], naive_d_alg(S3, f.coeffs[..., 0], p, q))
 
@@ -492,6 +506,7 @@ D_COALG_CASES = [c for c in SPARSE_AD_CASES if c[0] in ("S3/F7", "D4/F3", "dual(
     ("C2.double/F5", lambda: coh.make_context(hc.generate("C2.double", F5))),
     ("C2-C4", lambda: inclusion_context()),
     ("C3-C3/F7", c3_counit_unit_context),
+    ("S3/F(2^62-57)", lambda: coh.make_context(hc.generate("S3", F_BIG))),
 ]
 
 
@@ -525,6 +540,7 @@ ASSEMBLY_CASES = [
     ("C3-C3/F7", c3_counit_unit_context, (0, 1, 2)),
     ("C2/F5", lambda: CTX, (2,)),
     ("C3/F7", lambda: coh.make_context(hc.generate("C3", F7)), (2,)),
+    ("S3/F(2^62-57)", lambda: coh.make_context(hc.generate("S3", F_BIG)), (0,)),
 ]
 
 
@@ -695,7 +711,11 @@ def dense_d_coalg_block(ctx, f, p, q):
         t = ra.moveaxis(t, [-2, -1], [i - 1, i])
         terms.append(((-1) ** i, t.reshape((nb ** (q + 2),) + f.shape[1:])))
     terms.append(((-1) ** (q + 2), coaction("right")))
-    return coh._signed_sum(desc, terms)
+    # reduced after every term, so exact in int64 for every q <= 2^62
+    total = 0
+    for sign, term in terms:
+        total = (total + sign * term) % desc.q
+    return total
 
 
 def dense_hat_differential_matrix(ctx, q):

@@ -443,8 +443,9 @@ def _tampered(state, seed):
 
 
 def test_failed_degree1_solve_diagnosed(monkeypatch):
-    """reconcile and lift_morphism test closedness only after a failed solve:
-    a non-closed cochain still raises NotACocycle, a closed one CocycleUnsolvable."""
+    """reconcile and lift_morphism leave the closedness test to solve_coboundary:
+    a non-closed cochain raises NotACocycle there, and a solve that finds no
+    coboundary raises CocycleUnsolvable, also when stubbed for a non-closed one."""
     C4 = hc.generate("C4", F5)
     inc = np.zeros((4, 2, 1), dtype=np.int64)
     inc[0, 0, 0] = 1
@@ -453,12 +454,12 @@ def test_failed_degree1_solve_diagnosed(monkeypatch):
     a, b = lf.lift(C2, 3, "canonical"), lf.lift(C2, 3, "perturbed:7")
     la, lb = lf.lift(C2, 3, "perturbed:1"), lf.lift(C4, 3, "perturbed:2")
     assert a.current != b.current
-    for forced in (False, True):
+    for forced, error in ((False, NotACocycle), (True, CocycleUnsolvable)):
         if forced:
             monkeypatch.setattr(coh, "solve_coboundary", lambda z: None)
-        with pytest.raises(NotACocycle):
+        with pytest.raises(error):
             lf.reconcile(a, _tampered(b, 1))
-        with pytest.raises(NotACocycle):
+        with pytest.raises(error):
             lf.lift_morphism(phi, la, _tampered(lb, 2))
     with pytest.raises(CocycleUnsolvable):
         lf.reconcile(a, b)

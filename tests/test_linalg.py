@@ -94,10 +94,10 @@ def test_failed_certificate_falls_back_to_dense(monkeypatch):
 
     def dropping_sketch(nrows, k, q, seed):
         calls.append(seed)
-        bucket, coeff = real_sketch(nrows, k, q, seed)
+        order, coeff = real_sketch(nrows, k, q, seed)
         coeff = coeff.copy()
-        coeff[0] = 0
-        return bucket, coeff
+        coeff[order == 0] = 0  # row 0's coefficient, wherever the row sits
+        return order, coeff
 
     monkeypatch.setattr(_linalg, "_make_sketch", dropping_sketch)
     solver = FieldSolver(desc, mat)
@@ -106,6 +106,25 @@ def test_failed_certificate_falls_back_to_dense(monkeypatch):
     assert solver._sketch is None
     assert 0 in solver.pivot_cols
     assert_same(desc, solver, dense_solver(desc, mat, monkeypatch), mat, 3)
+
+
+@pytest.mark.parametrize("desc", [F2, F7, cr.make_ring(P31), F4, F9], ids=["F2", "F7", "F(2^31-1)", "F4", "F9"])
+@pytest.mark.parametrize("width", [1, 3])
+def test_sketch_map_matches_scatter(desc, width):
+    # solve maps its right-hand side through the sketch's row order; the
+    # factor maps the entries of M by _scatter at each row's sketch row.  200
+    # rows into k = 69 sketch rows leave the last block of the order partial.
+    rng = np.random.default_rng([desc.q, desc.m, width])
+    rows, k = 200, 5 + _linalg._SKETCH_MARGIN
+    solver = FieldSolver(desc, rng.integers(0, desc.q, size=(rows, 5, desc.m)).astype(np.int64))
+    assert solver._sketch is not None and rows % k
+    order, coeff = solver._sketch
+    at = np.empty_like(order)
+    at[order] = np.arange(rows)
+    b = rng.integers(0, desc.q, size=(rows,) + (width,) * (width > 1) + (desc.m,)).astype(np.int64)
+    want = _linalg._scatter(at % k, coeff[at], b, k, desc.q, -(-rows // k))
+    got = solver._sketch_rhs(b)
+    assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_certificate_products_stay_within_one_block(monkeypatch):

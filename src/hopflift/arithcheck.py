@@ -2,7 +2,8 @@
 characteristic threshold for the semisimple-implies-cosemisimple test.
 
 All computations are over Z (arbitrary precision) or Z[x]/(Phi_r); nothing
-floating-point enters, since every verdict is a divisibility statement.
+floating-point enters, since every verdict is a divisibility statement.  The
+polynomial product, division and gcd are coeffring's, over Z and F_p.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from ._ntheory import totient
-from .coeffring import _poly_gcd
+from .coeffring import _poly_divmod, _poly_gcd, _poly_mul, _poly_trim
 from .errors import DimensionTooSmall, HopfliftError, NonConstantProduct, NotRealAtRoot
 
 
@@ -23,10 +24,7 @@ class IntPolynomial:
 
     @staticmethod
     def of(seq) -> "IntPolynomial":
-        coeffs = [int(c) for c in seq]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return IntPolynomial(tuple(coeffs))
+        return IntPolynomial(tuple(_poly_trim([int(c) for c in seq])))
 
     @property
     def degree(self) -> int:
@@ -36,46 +34,13 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return IntPolynomial.of(out)
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return IntPolynomial.of(out)
-
     def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial.of(out)
+        return IntPolynomial.of(_poly_mul(self.coeffs, other.coeffs))
 
     def divmod_exact_monic(self, g: "IntPolynomial"):
         """Division by a monic g over Z."""
-        rem = list(self.coeffs)
-        dg = g.degree
-        quot = [0] * max(0, len(rem) - dg)
-        for i in range(len(rem) - 1, dg - 1, -1):
-            c = rem[i]
-            if c:
-                quot[i - dg] = c
-                for j in range(dg + 1):
-                    rem[i - dg + j] -= c * g.coeffs[j]
-        return IntPolynomial.of(quot), IntPolynomial.of(rem[:dg])
+        quot, rem = _poly_divmod(self.coeffs, g.coeffs)
+        return IntPolynomial.of(quot), IntPolynomial.of(rem)
 
     def __repr__(self):
         if self.is_zero:
@@ -108,10 +73,11 @@ def cyclotomic(r: int) -> IntPolynomial:
     return quot
 
 
-def _fold_mod_xr1(coeffs, r):
+def _fold_mod_xr1(coeffs, r, l=1):
+    """P(x^l) mod x^r - 1 for P = coeffs, as r coefficients."""
     out = [0] * r
     for i, c in enumerate(coeffs):
-        out[i % r] += c
+        out[i * l % r] += c
     return out
 
 
@@ -139,10 +105,7 @@ def conjugate_product(P, r: int) -> int:
     for l in range(1, (r + 1) // 2):
         if math.gcd(l, r) != 1:
             continue
-        powered = [0] * r
-        for i, c in enumerate(folded):
-            powered[(i * l) % r] += c
-        prod = prod * _mod_phi(powered, phi)
+        prod = prod * _mod_phi(_fold_mod_xr1(folded, r, l), phi)
         prod = _mod_phi(prod.coeffs, phi)
     if prod.degree > 0:
         raise NonConstantProduct(f"conjugate product is not rational: {prod}")

@@ -3,6 +3,11 @@
 GR(p^n, m) is the finite truncation W(F_{p^m})/p^n of the Witt vectors;
 GR(p, m) = F_{p^m} and GR(p^n, 1) = Z/p^n.  Elements are length-m integer
 coefficient vectors of polynomial residues, stored reduced mod (p^n, modulus).
+
+This module is the one home of the exact primitives: the polynomial product
+and division over Z and F_p (which arithcheck uses over Z), and newton_lift,
+the one p-adic refinement, which inverts scalars and matrices (hensel_solve)
+and serves the lift's unit, counit and antipode.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ def check_modulus(p: int, n: int):
         raise UnsupportedModulus(f"modulus {p}^{n} exceeds 2^62")
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p (plain int lists, ascending degree)
+# polynomials over Z (p=None) or F_p: plain int lists, ascending degree
 
 
 def _poly_trim(a):
@@ -44,30 +49,41 @@ def _poly_trim(a):
     return a
 
 
-def _poly_mulmod(a, b, f, p):
-    """a*b mod (f, p) with f monic."""
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
+def _poly_mul(a, b, p=None):
+    """Schoolbook product over Z, reduced mod p at the end when p is given."""
+    if not a or not b:
+        return []
+    res = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_divmod(res, f, p)[1]
+                res[i + j] += ai * bj
+    return _poly_trim(res if p is None else [x % p for x in res])
 
 
-def _poly_divmod(a, f, p):
-    a = [x % p for x in a]
+def _poly_divmod(a, f, p=None):
+    """(quotient, remainder) of a by f over F_p, or over Z (p=None) for a monic f.
+
+    Over F_p only each quotient coefficient is reduced in the loop; the
+    remainder's entries grow by less than p * max|f| per step and are
+    reduced once at the end."""
     df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p)
-    quot = [0] * max(0, len(a) - df)
+    inv_lead = 1 if p is None else pow(f[-1], p - 2, p)
     rem = list(a)
+    quot = [0] * max(0, len(rem) - df)
     for i in range(len(rem) - 1, df - 1, -1):
-        c = rem[i] % p
+        c = rem[i] if p is None else rem[i] * inv_lead % p
         if c:
-            c = c * inv_lead % p
             quot[i - df] = c
             for j in range(df + 1):
-                rem[i - df + j] = (rem[i - df + j] - c * f[j]) % p
-    return _poly_trim(quot), _poly_trim(rem[:df])
+                rem[i - df + j] -= c * f[j]
+    rem = rem[:df]
+    return _poly_trim(quot), _poly_trim(rem if p is None else [x % p for x in rem])
+
+
+def _poly_mulmod(a, b, f, p):
+    """a*b mod (f, p) with f monic."""
+    return _poly_divmod(_poly_mul(a, b, p), f, p)[1]
 
 
 def _poly_powmod(a, e, f, p):
@@ -99,16 +115,6 @@ def _poly_xgcd(a, b, p):
         s0, s1 = s1, _poly_sub(s0, _poly_mul(qpoly, s1, p), p)
         t0, t1 = t1, _poly_sub(t0, _poly_mul(qpoly, t1, p), p)
     return r0, s0, t0
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_trim(res)
 
 
 def _poly_sub(a, b, p):
@@ -400,17 +406,6 @@ def exact_div_p(a: RingElement, k: int) -> RingElement:
     return target.element([c // pk for c in a.coeffs])
 
 
-def exact_div_p_array(desc: RingDescriptor, arr: np.ndarray, k: int):
-    """Array version of exact_div_p; returns (target descriptor, divided array)."""
-    if not 0 < k < desc.n:
-        raise ValueError(f"need 0 < k < {desc.n}")
-    pk = desc.p**k
-    if np.any(arr % pk):
-        raise NotDivisible(f"tensor not divisible by p^{k}")
-    target = desc.at_precision(desc.n - k)
-    return target, (arr // pk) % target.q
-
-
 # ---------------------------------------------------------------------------
 # linear solving (public wrappers; algorithms live in _linalg)
 
@@ -460,8 +455,26 @@ def solve_field(desc: RingDescriptor, matrix, rhs) -> LinearSolution:
     return LinearSolution(particular, kern, solver.rank)
 
 
+def matrix_inverse(desc: RingDescriptor, marr: np.ndarray) -> np.ndarray:
+    """Inverse of a square (N, N, m) matrix over GR(p^n, m): FieldSolver's
+    inverse mod p, then newton_lift with x <- 2x - x a x.  SingularModP when
+    marr is not square or not invertible mod p."""
+    from ._linalg import FieldSolver
+
+    n = marr.shape[0]
+    if marr.shape[1] != n:
+        raise SingularModP(f"matrix of shape {marr.shape[:2]} is not square")
+    fdesc = desc.residue()
+    solver = FieldSolver(fdesc, marr % desc.p)
+    if solver.rank < n:
+        raise SingularModP(f"matrix singular mod {desc.p} (rank {solver.rank} < {n})")
+    a = marr % desc.q
+    x = solver.solve(ra.eye(fdesc, n))
+    return newton_lift(desc, x, 1, lambda x: ra.tensordot(desc, x, ra.tensordot(desc, a, x, ([1], [0])), ([1], [0])))
+
+
 def hensel_solve(desc: RingDescriptor, matrix, rhs) -> list[RingElement]:
-    """Solve M x = rhs over GR(p^n, m) when M is invertible mod p."""
+    """Solve M x = rhs over GR(p^n, m) for a square M invertible mod p."""
     marr = _to_matrix_array(desc, matrix)
     rarr = _to_vector_array(desc, rhs)
     x = hensel_solve_array(desc, marr, rarr)
@@ -469,24 +482,5 @@ def hensel_solve(desc: RingDescriptor, matrix, rhs) -> list[RingElement]:
 
 
 def hensel_solve_array(desc: RingDescriptor, marr: np.ndarray, rarr: np.ndarray) -> np.ndarray:
-    """Array form of hensel_solve; rarr may be (R, m) or (R, w, m)."""
-    from ._linalg import FieldSolver
-
-    ncols = marr.shape[1]
-    solver = FieldSolver(desc.residue(), marr % desc.p)
-    if solver.rank < ncols:
-        raise SingularModP(f"matrix singular mod {desc.p} (rank {solver.rank} < {ncols})")
-    x = np.zeros((ncols,) + rarr.shape[1:], dtype=np.int64)
-    for k in range(desc.n):
-        pk = desc.p**k
-        resid = ra.sub(desc, rarr, ra.tensordot(desc, marr, x, ([1], [0])))
-        if np.any(resid % pk):
-            raise NotDivisible("hensel residual not divisible by p^k; inconsistent input")
-        digit = (resid // pk) % desc.p
-        y = solver.solve(digit)
-        if y is None:
-            raise SingularModP("reduced system inconsistent despite full column rank")
-        x = (x + pk * y) % desc.q
-    if np.any(ra.sub(desc, rarr, ra.tensordot(desc, marr, x, ([1], [0])))):
-        raise SingularModP("hensel solve failed to reach an exact solution")
-    return x
+    """Array form of hensel_solve, x = M^-1 rhs; rarr may be (R, m) or (R, w, m)."""
+    return ra.tensordot(desc, matrix_inverse(desc, marr), rarr, ([1], [0]))

@@ -19,7 +19,7 @@ from . import _arrays as ra
 from . import tensorcalc as tc
 from ._linalg import FieldSolver
 from .catalog import group_table
-from .coeffring import RingDescriptor, RingElement, _inv_coeffs_field, hensel_solve_array
+from .coeffring import RingDescriptor, RingElement, _inv_coeffs_field, matrix_inverse
 from .errors import (
     DescriptorMismatch,
     FieldTooLargeForRootSearch,
@@ -29,6 +29,7 @@ from .errors import (
     NotSplit,
     OrderNotFound,
     SingularAntipode,
+    SingularModP,
     ThetaNotHopfMap,
 )
 from .tensorcalc import MultiMap
@@ -232,15 +233,19 @@ def verify_hopf(H: HopfPresentation) -> AxiomReport:
     checks.append(_residual_check("counit_unit", e1, ra.one_scalar(desc)))
 
     target = ra.elem_mul(desc, U[:, None, :], E[None, :, :])  # [a,x]
-    t1 = ra.tensordot(desc, S, D, ([1], [0]))  # sum_u S[w,u] D[u,v,x] -> [w,v,x]
-    lhs = ra.tensordot(desc, M, t1, ([1, 2], [0, 1]))  # [a,x]
-    checks.append(_residual_check("antipode_left", lhs, target))
-
-    t2 = ra.tensordot(desc, S, D, ([1], [1]))  # sum_v S[w,v] D[u,v,x] -> [w,u,x]
-    rhs = ra.tensordot(desc, M, t2, ([1, 2], [1, 0]))  # [a,x]
-    checks.append(_residual_check("antipode_right", rhs, target))
+    checks.append(_residual_check("antipode_left", _convolution(desc, M, D, S, None), target))
+    checks.append(_residual_check("antipode_right", _convolution(desc, M, D, None, S), target))
 
     return AxiomReport(checks)
+
+
+def _convolution(desc, m_legs, d_legs, f, g):
+    """f * g = m(f (x) g) Delta as a matrix [a, x]; None stands for the identity."""
+    t = d_legs if f is None else ra.tensordot(desc, f, d_legs, ([1], [0]))  # f[w,u] D[u,v,x] -> [w,v,x]
+    if g is None:
+        return ra.tensordot(desc, m_legs, t, ([1, 2], [0, 1]))
+    t = ra.tensordot(desc, g, t, ([1], [1]))  # sum_v g[y,v] t[w,v,x] -> [y,w,x]
+    return ra.tensordot(desc, m_legs, t, ([1, 2], [1, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +316,6 @@ def dual(H: HopfPresentation, verify: bool = True) -> HopfPresentation:
     )
 
 
-def _matrix_inverse(desc, mat):
-    """Inverse of an (n, n, m) matrix over a field or Galois ring."""
-    n = mat.shape[0]
-    eye = ra.eye(desc, n)
-    if desc.is_field:
-        solver = FieldSolver(desc, mat)
-        if solver.rank < n:
-            raise SingularAntipode("matrix not invertible over the field")
-        inv = solver.solve(eye)
-        if inv is None:
-            raise SingularAntipode("matrix not invertible over the field")
-        return inv
-    return hensel_solve_array(desc, mat, eye)
-
-
 def dual_coopposite(H: HopfPresentation, verify: bool = True) -> HopfPresentation:
     """A^{*cop}: the dual algebra with opposite comultiplication and antipode (S*)^{-1}."""
     ring, n = H.ring, H.dim
@@ -333,8 +323,8 @@ def dual_coopposite(H: HopfPresentation, verify: bool = True) -> HopfPresentatio
     cop = d.comul.coeffs.reshape(n, n, n, ring.m)
     cop = np.ascontiguousarray(ra.transpose(cop, (1, 0, 2)).reshape(n * n, n, ring.m))
     try:
-        s_inv = _matrix_inverse(ring, d.antipode.coeffs)
-    except Exception as exc:
+        s_inv = matrix_inverse(ring, d.antipode.coeffs)
+    except SingularModP as exc:
         raise SingularAntipode(f"dual antipode not invertible: {exc}") from exc
     return make_presentation(
         ring,
@@ -359,7 +349,7 @@ def drinfeld_double(H: HopfPresentation):
     desc, N = H.ring, H.dim
     m = desc.m
     M, D, U, E, S = _legs(H)
-    s_inv = _matrix_inverse(desc, H.antipode.coeffs)
+    s_inv = matrix_inverse(desc, H.antipode.coeffs)
     M3 = tc.iterate(H, 3, "product").coeffs.reshape(N, N, N, N, m)  # [k,s,t,u]
     D3 = tc.iterate(H, 3, "coproduct").coeffs.reshape(N, N, N, N, m)  # [j1,j2,j3,j]
 

@@ -178,13 +178,6 @@ def _counit_square(desc, d_legs, e):
     return ra.tensordot(desc, e, ra.tensordot(desc, e, d_legs, ([0], [0])), ([0], [0]))
 
 
-def _convolution(desc, m_legs, d_legs, f, g):
-    """f * g = m(f (x) g) Delta as a matrix [a, x]."""
-    t = ra.tensordot(desc, f, d_legs, ([1], [0]))  # sum_u f[w,u] D[u,v,x] -> [w,v,x]
-    t = ra.tensordot(desc, g, t, ([1], [1]))  # sum_v g[y,v] t[w,v,x] -> [y,w,x]
-    return ra.tensordot(desc, m_legs, t, ([1, 2], [1, 0]))
-
-
 def correct(
     mul: MultiMap,
     comul: MultiMap,
@@ -242,11 +235,10 @@ def solve_antipode(
     N = mul.dim_out
     m_legs = mul.coeffs.reshape(N, N, N, desc.m)
     d_legs = comul.coeffs.reshape(N, N, N, desc.m)
-    eye = ra.eye(desc, N)
     previous = base if previous is None else previous
 
     def sis(s):
-        return _convolution(desc, m_legs, d_legs, _convolution(desc, m_legs, d_legs, s, eye), s)
+        return hc._convolution(desc, m_legs, d_legs, hc._convolution(desc, m_legs, d_legs, s, None), s)
 
     return MultiMap(desc, 1, 1, N, N, newton_lift(desc, previous.antipode.coeffs, previous.ring.n, sis))
 

@@ -159,37 +159,28 @@ def permute(ring: RingDescriptor, dim: int, sigma) -> MultiMap:
 
 
 def iterate(H, q: int, direction: str) -> MultiMap:
-    """Left-nested iterated product m_q or coproduct Delta_q (q = 1 is the identity)."""
+    """Left-nested iterated product m_q or coproduct Delta_q (q = 1 is the identity).
+
+    Delta_k = (Delta tensor I^{k-2}) o Delta_{k-1} expands the first leg.  m_q is
+    the transpose of that iteration for Delta = m^T, since m_k = m_{k-1} o (m
+    tensor I^{k-2}) transposes to it."""
     if q < 1:
         raise ValueError("q must be >= 1")
+    if direction not in ("coproduct", "product"):
+        raise ValueError(f"unknown direction {direction!r}")
+    f = H.comul if direction == "coproduct" else H.mul
+    ring, dim = f.ring, f.dim_in
+    if q == 1:
+        return identity_map(ring, dim)
+    delta = f.coeffs if direction == "coproduct" else np.swapaxes(f.coeffs, 0, 1)
+    dleg = delta.reshape((dim, dim, dim, ring.m))
+    cur = delta
+    for k in range(3, q + 1):
+        prev = cur.reshape((dim, dim ** (k - 2), dim, ring.m))
+        cur = ra.tensordot(ring, dleg, prev, ([2], [0])).reshape(dim**k, dim, ring.m)  # [o1,o2, rest, x]
     if direction == "coproduct":
-        delta = H.comul
-        ring, dim = delta.ring, delta.dim_in
-        if q == 1:
-            return identity_map(ring, dim)
-        cur = delta
-        for k in range(3, q + 1):
-            # Delta_k = (Delta tensor I^{k-2}) o Delta_{k-1}: expand the first leg
-            prev = cur.coeffs.reshape((dim, dim ** (k - 2), dim, ring.m))
-            dleg = delta.coeffs.reshape((dim, dim, dim, ring.m))
-            new = ra.tensordot(ring, dleg, prev, ([2], [0]))  # [o1,o2, rest, x]
-            cur = MultiMap(ring, 1, k, dim, dim, new.reshape(dim**k, dim, ring.m))
-        return cur
-    if direction == "product":
-        mul = H.mul
-        ring, dim = mul.ring, mul.dim_in
-        if q == 1:
-            return identity_map(ring, dim)
-        cur = mul
-        for k in range(3, q + 1):
-            # m_k = m_{k-1} o (m tensor I^{k-2}): expand the first input leg
-            prev = cur.coeffs.reshape((dim, dim, dim ** (k - 2), ring.m))
-            mleg = mul.coeffs.reshape((dim, dim, dim, ring.m))
-            new = ra.tensordot(ring, prev, mleg, ([1], [0]))  # [a, rest, x1, x2]
-            new = ra.transpose(new, (0, 2, 3, 1))  # [a, x1, x2, rest]
-            cur = MultiMap(ring, k, 1, dim, dim, new.reshape(dim, dim**k, ring.m))
-        return cur
-    raise ValueError(f"unknown direction {direction!r}")
+        return MultiMap(ring, 1, q, dim, dim, cur)
+    return MultiMap(ring, q, 1, dim, dim, np.ascontiguousarray(np.swapaxes(cur, 0, 1)))
 
 
 def apply_map(f: MultiMap, vec: np.ndarray) -> np.ndarray:

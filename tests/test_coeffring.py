@@ -40,6 +40,44 @@ def test_default_modulus_for_a_large_prime():
     assert cr.make_ring(2147483647, 1, 2).modulus == (1, 0, 1)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_poly_mul_and_divmod_over_z_and_f_p(data):
+    """Over Z against sympy; over F_p against the Z result reduced mod p,
+    and for a non-monic divisor a = quot * f + rem with deg rem < deg f."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    ints = st.integers(-(2**40), 2**40)
+    a = data.draw(st.lists(ints, max_size=9), label="a")
+    b = data.draw(st.lists(ints, max_size=6), label="b")
+    f = data.draw(st.lists(ints, max_size=5), label="f") + [1]
+    p = data.draw(st.sampled_from([2, 3, 7, 2**31 - 1, 2**61 - 1]), label="p")
+
+    def poly(c):
+        return sympy.Poly(list(reversed(c)) or [0], x, domain="ZZ")
+
+    def coeffs(P):
+        return cr._poly_trim([int(c) for c in reversed(P.all_coeffs())])
+
+    def mod_p(c):
+        return cr._poly_trim([v % p for v in c])
+
+    prod = cr._poly_mul(a, b)
+    assert prod == coeffs(poly(a) * poly(b))
+    quot, rem = cr._poly_divmod(a, f)
+    want_q, want_r = sympy.div(poly(a), poly(f))
+    assert (quot, rem) == (coeffs(want_q), coeffs(want_r))
+
+    assert cr._poly_mul(a, b, p) == mod_p(prod)
+    assert cr._poly_divmod(a, f, p) == (mod_p(quot), mod_p(rem))
+    g = f[:-1] + [data.draw(st.integers(1, p - 1), label="lead")]
+    quot, rem = cr._poly_divmod(a, g, p)
+    assert len(rem) < len(g) and all(0 <= c < p for c in quot + rem)
+    back = cr._poly_mul(quot, g, p)
+    back = back + [0] * (len(a) - len(back))
+    assert mod_p([s + (rem[i] if i < len(rem) else 0) for i, s in enumerate(back)]) == mod_p(a)
+
+
 def test_arith_examples():
     assert cr.arith("mul", Z25.element(7), Z25.element(18)) == Z25.element(1)
     assert cr.arith("add", F5.element(3), F5.element(4)) == F5.element(2)
@@ -128,6 +166,9 @@ def test_hensel_solve_examples():
     assert cr.hensel_solve(Z25, eye, v) == v
     with pytest.raises(SingularModP):
         cr.hensel_solve(Z25, [[5]], [5])
+    # a tall system of full column rank is refused too: M must be square
+    with pytest.raises(SingularModP, match="not square"):
+        cr.hensel_solve(Z25, [[1], [2]], [3, 6])
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,18 +359,18 @@ def test_invert_near_the_modulus_bound(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_exact_div_p_array_near_the_modulus_bound(data):
+def test_exact_div_p_near_the_modulus_bound(data):
     desc = data.draw(st.sampled_from(NEAR_BOUND), label="ring")
     k = data.draw(st.integers(1, desc.n - 1), label="k")
     ys = data.draw(st.lists(ring_elements(desc), min_size=1, max_size=6))
     pk = desc.p**k
-    arr = np.array([[pk * c % desc.q for c in y] for y in ys], dtype=np.int64)
-    target, out = cr.exact_div_p_array(desc, arr, k)
-    assert target == desc.at_precision(desc.n - k)
-    assert out.dtype == np.int64 and out.tolist() == [[c % target.q for c in y] for y in ys]
-    arr[-1, 0] = (arr[-1, 0] + 1) % desc.q
+    arr = [[pk * c % desc.q for c in y] for y in ys]
+    target = desc.at_precision(desc.n - k)
+    for a, y in zip(arr, ys):
+        assert cr.exact_div_p(desc.element(a), k) == target.element([c % target.q for c in y])
+    arr[-1][0] = (arr[-1][0] + 1) % desc.q
     with pytest.raises(NotDivisible):
-        cr.exact_div_p_array(desc, arr, k)
+        cr.exact_div_p(desc.element(arr[-1]), k)
 
 
 @settings(max_examples=40, deadline=None)

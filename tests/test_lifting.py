@@ -149,6 +149,16 @@ class TestLift:
         assert hc.verify_hopf(st.current).all_pass
         assert hc.reduce_presentation(st.current, F7) == base
 
+    @pytest.mark.parametrize("name, p, n", [("C2", 7, 22), ("C3", 2, 62)], ids=["C2/F7^22", "C3/F2^62"])
+    def test_perturbed_lift_at_the_int64_edge(self, name, p, n):
+        # q = 7^22 and 2^62 lie just below MAX_MODULUS: obstruction subtracts,
+        # divides and reduces its defects in place in int64 at every level
+        base = hc.generate(name, cr.make_ring(p))
+        st = lf.lift(base, n, "perturbed:3")
+        assert st.current.verified and st.current.ring.q == p**n
+        assert any(r["correction_applied"] for r in st.transcript)
+        assert hc.reduce_presentation(st.current, base.ring) == base
+
     def test_at_precision_levels_verified(self):
         st = lf.lift(C3_7, 3, "perturbed:1")
         for k in (1, 2, 3):

@@ -534,7 +534,8 @@ def test_extension_field_solver_matches_gauss_jordan(desc, shape, kind, monkeypa
 
 def hensel_oracle(desc, marr, rhs):
     """The unique x with M x = rhs over GR(p^n, m), one p-digit per
-    gauss_jordan_ext solve of the reduced system."""
+    gauss_jordan_ext solve of the reduced system: the digit-by-digit oracle of
+    hensel_solve_array, which applies Newton's inverse of M instead."""
     fdesc = desc.residue()
     oracle = ExtOracle(fdesc, marr % desc.p)
     x = np.zeros((marr.shape[1],) + rhs.shape[1:], dtype=np.int64)

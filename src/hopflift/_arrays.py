@@ -2,11 +2,21 @@
 
 A tensor is an int64 ndarray whose trailing axis has length m (the polynomial
 coordinates of one ring element); every entry lies in [0, p^n).  All kernels
-are exact: contractions run through float64/float32 BLAS only when the worst
-case integer bound fits the mantissa, otherwise through int64 or object paths,
-and large contractions of sparse operands through their nonzeros alone.
+are exact: contractions run through float64 BLAS only when the worst case
+integer bound fits the mantissa (below 2^52), otherwise through int64 or
+object paths, and large contractions of sparse operands through their
+nonzeros alone.
+
+A dense contraction is one np.dot of two 2-D operands.  How the operands are
+transposed and reshaped, and how the product is laid out again, depends only
+on the shapes, the axes and m, so it is planned once per such key (_plan,
+kept in a bounded cache) and each call only transposes, converts, multiplies
+and reshapes.  A float64 product is reduced mod q on the float side before it
+becomes int64 (f64_mod): exact for integers below 2^52 and q <= 2^52, which
+the float64 bound implies.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -95,17 +105,37 @@ def elem_mul(desc, a, b):
         for j in range(m):
             conv[..., i + j] += mul_mod(a[..., i], b[..., j], q)
     conv %= q
-    bound = (2 * m - 1) * (q - 1) * (q - 1)
-    return int64_mod(_raw_tensordot(conv, desc.red_table, ([conv.ndim - 1], [0]), bound), q)
+    dt = _dtype((2 * m - 1) * (q - 1) * (q - 1))
+    r = np.dot(conv.reshape(-1, 2 * m - 1).astype(dt, copy=False), desc.red_table.astype(dt, copy=False))
+    return _mod(r, q).reshape(shape[:-1] + (m,))
 
 
-def _raw_tensordot(a, b, axes, bound):
-    if bound < _F64_SAFE:
-        r = np.tensordot(a.astype(np.float64), b.astype(np.float64), axes)
-        return r.astype(np.int64)
-    if bound < _I64_SAFE:
-        return np.tensordot(a, b, axes)
-    return np.tensordot(a.astype(object), b.astype(object), axes)
+def _dtype(bound):
+    """The dtype whose np.dot is exact for sums of products below bound."""
+    return np.float64 if bound < _F64_SAFE else np.int64 if bound < _I64_SAFE else object
+
+
+def f64_mod(r, q):
+    """r mod q as int64, for a float64 array r of integers in [0, 2^52) and
+    1 <= q <= 2^52; r is reduced in place on the float side.
+
+    Exact: with r = n q + s, 0 <= s < q, fl(r/q) >= n, since r/q >= n and n
+    is a double.  Rounding up to n + 1 would need n + 1 - r/q = (q - s)/q >= 1/q
+    to be at most half the spacing of doubles below n + 1, which is less than
+    (n + 1) 2^-53; but q (n + 1) <= r + q <= 2^53.  So floor(fl(r/q)) = n, and
+    n q <= r and r - n q = s are exact in float64.
+    """
+    t = r / q
+    np.floor(t, out=t)
+    t *= q
+    r -= t
+    del t
+    return r.astype(np.int64)
+
+
+def _mod(r, q):
+    """r mod q as int64 for a product np.dot made in the dtype _dtype chose."""
+    return f64_mod(r, q) if r.dtype == np.float64 else int64_mod(r, q)
 
 
 def expand(desc, a):
@@ -115,12 +145,47 @@ def expand(desc, a):
     return reg_rep(desc, a) if desc.m > 1 else None
 
 
+@functools.lru_cache(maxsize=1024)
+def _plan(ashape, bshape, axes_a, axes_b, m):
+    """How tensordot lays out a contraction of operands of these shapes as one
+    2-D product: the nonnegative contracted axes of a and b, the number k of
+    contracted indices, the transpose and 2-D shape of each operand, the 3-D
+    shape (free a, s, free b) of the product when m > 1 (None when m = 1),
+    and the result shape.
+
+    The first operand is a when m = 1 and its regular representation when
+    m > 1, with axes [logical..., s, t]: coefficient s of a x^t.  Its rows
+    are (free a, s) and its columns (contracted, t); b's rows are
+    (contracted, coefficient) and its columns its free axes.
+    """
+    na, nb = len(ashape) - 1, len(bshape) - 1
+    axa = tuple(ax % na for ax in axes_a)
+    axb = tuple(ax % nb for ax in axes_b)
+    free_a = tuple(ax for ax in range(na) if ax not in axa)
+    free_b = tuple(ax for ax in range(nb) if ax not in axb)
+    k = math.prod(ashape[ax] for ax in axa)
+    rows = math.prod(ashape[ax] for ax in free_a)
+    cols = math.prod(bshape[ax] for ax in free_b)
+    out = tuple(ashape[ax] for ax in free_a) + tuple(bshape[ax] for ax in free_b) + (m,)
+    b_op = (axb + (nb,) + free_b, (k * m, cols))
+    if m == 1:
+        return axa, axb, k, (free_a + axa + (na,), (rows, k)), b_op, None, out
+    return axa, axb, k, (free_a + (na,) + axa + (na + 1,), (rows * m, k * m)), b_op, (rows, m, cols), out
+
+
 def tensordot(desc, a, b, axes, a_reg=None):
     """Contract logical axes ``axes=(axA, axB)``; trailing m axes handled.
 
     Result logical axes are the free axes of ``a`` followed by those of ``b``.
     a_reg, when given, is expand(desc, a), kept by a caller that contracts
     the same a many times.
+
+    A dense contraction is one 2-D product laid out by _plan, which is kept
+    per (shapes, axes, m): a transpose and reshape of each operand, fused with
+    its conversion to the product's dtype, np.dot, and the reduction mod q.
+    The dtype is the first of float64, int64 and object whose sums of k m
+    products of residues, below k m (q-1)^2, are exact; on float64 the
+    product is reduced by f64_mod before it becomes int64.
 
     A contraction of at least _JOIN_MIN_MADDS = 2^22 dense multiply-adds
     (k x output cells x m) counts the nonzeros of both operands; when their
@@ -132,29 +197,30 @@ def tensordot(desc, a, b, axes, a_reg=None):
     break even at 200-500 multiply-adds per pair.  The result is the same
     array on either path.
     """
-    axa = [ax % (a.ndim - 1) for ax in axes[0]]
-    axb = [ax % (b.ndim - 1) for ax in axes[1]]
-    k = 1
-    for ax in axa:
-        k *= a.shape[ax]
+    q, m = desc.q, desc.m
+    axa, axb, k, (perm_a, shape_a), (perm_b, shape_b), split, out = _plan(a.shape, b.shape, tuple(axes[0]), tuple(axes[1]), m)
     # dense multiply-adds: a.size * b.size / (k m); a logical scalar stays dense
-    if a.size * b.size >= _JOIN_MIN_MADDS * k * desc.m and a.ndim > 1 and b.ndim > 1:
+    if a.size * b.size >= _JOIN_MIN_MADDS * k * m and a.ndim > 1 and b.ndim > 1:
         nza, nzb = nonzeros(a, axa), nonzeros(b, axb)
         pairs = int(np.bincount(nza[0], minlength=k) @ np.bincount(nzb[0], minlength=k))
-        if pairs * _JOIN_PAIR_COST * k * desc.m < a.size * b.size:
+        if pairs * _JOIN_PAIR_COST * k * m < a.size * b.size:
             return _join(desc, a, b, axa, axb, k, nza, nzb)
-    q = desc.q
-    if desc.m == 1:
-        bound = k * (q - 1) * (q - 1)
-        r = _raw_tensordot(a[..., 0], b[..., 0], (axa, axb), bound)
-        return int64_mod(r, q)[..., None]
-    # coefficient s of a * b is sum_t (a x^t)_s b_t: only a needs its regular
-    # representation, whose column axis t contracts with b's coefficient axis
-    areg = reg_rep(desc, a) if a_reg is None else a_reg
-    bound = k * desc.m * (q - 1) * (q - 1)
-    r = _raw_tensordot(areg, b, (axa + [areg.ndim - 1], axb + [b.ndim - 1]), bound)
-    # result axes: [a-free..., s, b-free...] -> [a-free..., b-free..., s]
-    return np.ascontiguousarray(np.moveaxis(int64_mod(r, q), a.ndim - 1 - len(axa), -1))
+    dt = _dtype(k * m * (q - 1) * (q - 1))
+    if m > 1:
+        # coefficient s of a * b is sum_t (a x^t)_s b_t: only a needs its
+        # regular representation, whose column axis t contracts with b's
+        # coefficient axis
+        a = reg_rep(desc, a) if a_reg is None else a_reg
+    r = np.dot(
+        a.transpose(perm_a).astype(dt, order="C", copy=False).reshape(shape_a),
+        b.transpose(perm_b).astype(dt, order="C", copy=False).reshape(shape_b),
+    )
+    # the operands are freed before the reduction
+    r = _mod(r, q)
+    if split is not None:
+        # (free a, s, free b) -> (free a, free b, s)
+        r = r.reshape(split).transpose(0, 2, 1)
+    return r.reshape(out)
 
 
 def nonzeros(arr, key_axes):

@@ -59,8 +59,7 @@ def _exact_dot(a, b, q):
         r = np.dot(a.astype(np.float32), b.astype(np.float32))
         return r.astype(np.int64) % q
     if bound < (1 << 52):
-        r = np.dot(a.astype(np.float64), b.astype(np.float64))
-        return r.astype(np.int64) % q
+        return ra.f64_mod(np.dot(a.astype(np.float64), b.astype(np.float64)), q)
     if bound < ra._I64_SAFE:
         return np.dot(a, b) % q
     return ra.int64_mod(np.dot(a.astype(object), b.astype(object)), q)
@@ -121,23 +120,34 @@ class CooMatrix:
         return CooMatrix((self.shape[0], other.shape[1]), cells // other.shape[1], cells % other.shape[1], vals)
 
     def dot(self, desc, x):
-        """self @ x over the field, exact; x is (C, m) or (C, w, m)."""
+        """self @ x over the field, exact; x is (C, m) or (C, w, m).
+
+        The first product keeps what every later one reuses: the values,
+        widened to the dtype whose sums over one row are exact (int64 or
+        object) and, when m > 1, in their regular representation
+        (nnz, 1, m, m); the start of each row's segment of entries; and the
+        distinct rows.  Each column block of x, sized so that the products
+        stay near _BLOCK_CELLS cells, is gathered at the entries' columns,
+        multiplied by the values, summed over each row's segment and reduced
+        mod q.  Over F_p the product is elementwise, (nnz, w, 1).
+        """
         q, m = desc.q, desc.m
-        kept = self.__dict__.get("_expanded")
+        kept = self.__dict__.get("_kept")
         if kept is None:
-            per_row = int(np.bincount(self.rows).max()) if self.rows.size else 0
+            starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+            per_row = int(np.diff(starts, append=self.rows.size).max()) if starts.size else 0
             dt = _wide_dtype(per_row * m * (q - 1) * (q - 1))
-            # the regular representation, (nnz, 1, m, m), is built once and kept
-            kept = (ra.reg_rep(desc, self.vals).astype(dt)[:, None], dt)
-            object.__setattr__(self, "_expanded", kept)
-        lreg, dt = kept
+            vals = (self.vals if m == 1 else ra.reg_rep(desc, self.vals)).astype(dt, copy=False)[:, None]
+            kept = (vals, starts, self.rows[starts])
+            object.__setattr__(self, "_kept", kept)
+        vals, starts, rows = kept
         xs = x.reshape(x.shape[0], -1, m)
-        # column blocks keep the (nnz, w, m, m) product near _BLOCK_CELLS
+        out = np.zeros((self.shape[0], xs.shape[1], m), dtype=np.int64)
         step = max(1, _BLOCK_CELLS // max(1, self.rows.size * m * m))
-        out = np.empty((self.shape[0], xs.shape[1], m), dtype=np.int64)
         for w0 in range(0, xs.shape[1], step):
-            g = xs[self.cols, w0 : w0 + step].astype(dt)[:, :, None, :]
-            out[:, w0 : w0 + step] = _sum_sorted(self.rows, (lreg * g).sum(-1), self.shape[0], q)
+            g = xs[self.cols, w0 : w0 + step].astype(vals.dtype, copy=False)
+            terms = vals * g if m == 1 else (vals * g[:, :, None, :]).sum(-1)
+            out[rows, w0 : w0 + step] = ra.int64_mod(np.add.reduceat(terms, starts, axis=0), q)
         return out.reshape((self.shape[0],) + x.shape[1:])
 
     def vanishes_on(self, desc, x):
@@ -227,11 +237,17 @@ def _inv_lower(T, invs, p):
 
 def _block_substitute(T, blocks, B, p):
     """X with T X = B for a triangular T, given its diagonal blocks
-    (s0, s1, inverse of T[s0:s1, s0:s1]) in solving order.  Rows not yet
-    solved are zero in X, so the whole rows of T can be used."""
+    (s0, s1, inverse of T[s0:s1, s0:s1]) in solving order: downwards when the
+    first block starts at row 0, else upwards.  Each block subtracts the
+    product with the rows already solved, [:s0] going down and [s1:] going
+    up; the first block has none."""
     X = np.zeros_like(B)
+    down = bool(blocks) and blocks[0][0] == 0
     for s0, s1, inv in blocks:
-        acc = (B[s0:s1] - _exact_dot(T[s0:s1], X, p)) % p
+        done = slice(0, s0) if down else slice(s1, len(B))
+        acc = B[s0:s1]
+        if done.stop > done.start:
+            acc = (acc - _exact_dot(T[s0:s1, done], X[done], p)) % p
         X[s0:s1] = _exact_dot(inv, acc, p)
     return X
 

@@ -245,8 +245,8 @@ def test_fixed_operands_are_expanded_once(monkeypatch):
     # over F_p the values, widened for the products, are kept the same way
     prime = CooMatrix.from_dense(planted(F7, 20, 12, 8, 1))
     prime.dot(F7, xs[0][..., :1] % 7)
-    kept = vars(prime)["_expanded"][0]
-    assert kept.shape == (prime.vals.shape[0], 1, 1, 1) and np.array_equal(kept.ravel(), prime.vals.ravel())
+    kept = vars(prime)["_kept"][0]
+    assert kept.shape == (prime.vals.shape[0], 1, 1) and np.array_equal(kept.ravel(), prime.vals.ravel())
     calls.clear()
     for w in want:
         got = solver.solve(w)
@@ -412,6 +412,144 @@ def test_tensordot_extension_matches_oracle(desc, seed):
         assert list(map(int, got[i, k, l])) == want
     # a first operand expanded once by the caller gives the same bits
     assert np.array_equal(ra.tensordot(desc, a, b, ([1], [0]), ra.expand(desc, a)), got)
+
+
+# tensordot's dtype path for each ring, at every contraction of test_tensordot_matches_oracle
+# (k m <= 9 m products per sum); a contraction over zero indices sums nothing
+# and is always float64
+PATH_RINGS = {
+    "F7": (F7, np.float64),
+    "Z/7^10": (cr.make_ring(7, 10), np.int64),
+    "Z/7^12": (cr.make_ring(7, 12), object),
+    "F9": (F9, np.float64),
+    "GR(7^10,2)": (cr.make_ring(7, 10, 2), np.int64),
+    "F_(2^31-1)^2": (cr.make_ring(P31, 1, 2), object),
+    "F8": (cr.make_ring(2, 1, 3), np.float64),
+    "GR(7^10,3)": (cr.make_ring(7, 10, 3), np.int64),
+    "GR(2^40,3)": (cr.make_ring(2, 40, 3), object),
+}
+
+
+@pytest.mark.parametrize("name", PATH_RINGS)
+def test_path_rings_cover_every_dtype_path(name):
+    desc, dt = PATH_RINGS[name]
+    assert all(ra._dtype(k * desc.m * (desc.q - 1) ** 2) is dt for k in range(1, 10))
+
+
+def tensordot_oracle(desc, a, b, axa, axb):
+    """sum over the contracted indices of the ring products, in Python ints."""
+    na, nb = a.ndim - 1, b.ndim - 1
+    axa, axb = [ax % na for ax in axa], [ax % nb for ax in axb]
+    free_a = [ax for ax in range(na) if ax not in axa]
+    free_b = [ax for ax in range(nb) if ax not in axb]
+    ks = [a.shape[ax] for ax in axa]
+    out_shape = [a.shape[ax] for ax in free_a] + [b.shape[ax] for ax in free_b]
+    out = np.zeros(tuple(out_shape) + (desc.m,), dtype=np.int64)
+    for cell in np.ndindex(*out_shape):
+        acc = [0] * desc.m
+        for j in np.ndindex(*ks):
+            ia, ib = [0] * na, [0] * nb
+            for ax, i in zip(free_a + axa, cell[: len(free_a)] + j):
+                ia[ax] = i
+            for ax, i in zip(free_b + axb, cell[len(free_a) :] + j):
+                ib[ax] = i
+            acc = [x + y for x, y in zip(acc, poly_mul_oracle(desc, a[tuple(ia)], b[tuple(ib)]))]
+        out[cell] = [x % desc.q for x in acc]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(PATH_RINGS)), st.data())
+def test_tensordot_matches_oracle(name, data):
+    # random shapes, zero-length axes, logical scalars, multi-axis and empty
+    # contractions, on every dtype path; a second call with the same shapes
+    # and new values reuses the plan of the first
+    desc, _ = PATH_RINGS[name]
+    q, m = desc.q, desc.m
+    na, nb = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    c = data.draw(st.integers(0, min(na, nb, 2)))
+    dims = st.integers(0, 3)
+    ks = data.draw(st.lists(dims, min_size=c, max_size=c))
+    axa = data.draw(st.permutations(range(na)))[:c]
+    axb = data.draw(st.permutations(range(nb)))[:c]
+    shape_a, shape_b = data.draw(st.lists(dims, min_size=na, max_size=na)), data.draw(st.lists(dims, min_size=nb, max_size=nb))
+    for i, k in enumerate(ks):
+        shape_a[axa[i]], shape_b[axb[i]] = k, k
+    if data.draw(st.booleans()):
+        axa, axb = [ax - na for ax in axa], [ax - nb for ax in axb]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for _ in range(2):
+        a = rng.integers(0, q, size=tuple(shape_a) + (m,), dtype=np.int64)
+        b = rng.integers(0, q, size=tuple(shape_b) + (m,), dtype=np.int64)
+        want = tensordot_oracle(desc, a, b, axa, axb)
+        got = ra.tensordot(desc, a, b, (axa, axb))
+        assert got.dtype == np.int64 and got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(ra.tensordot(desc, a, b, (axa, axb), ra.expand(desc, a)), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 7**9, 67108859]), st.data())
+def test_f64_mod_is_exact_below_2_52(q, data):
+    top = (1 << 52) - 1
+    edges = [0, 1, q - 1, q, top, top - top % q, top - top % q - 1]
+    vals = edges + data.draw(st.lists(st.integers(0, top), max_size=50))
+    vals += [n * q + s for n, s in data.draw(st.lists(st.tuples(st.integers(0, top // q), st.sampled_from([0, q - 1])), max_size=20)) if n * q + s <= top]
+    got = ra.f64_mod(np.array(vals, dtype=np.float64), q)
+    assert got.dtype == np.int64 and got.tolist() == [v % q for v in vals]
+
+
+@pytest.mark.parametrize("desc", [F7, F9], ids=["F7", "F9"])
+@pytest.mark.parametrize("case", ["empty", "empty rows", "column blocks"])
+def test_coo_dot_matches_dense_product(desc, case, monkeypatch):
+    rng = np.random.default_rng(5)
+    mat = rng.integers(0, desc.q, size=(30, 12, desc.m)) * (rng.random((30, 12, 1)) < 0.3)
+    if case == "empty":
+        mat[:] = 0
+    else:
+        mat[::3] = 0
+    coo = CooMatrix.from_dense(mat)
+    if case == "column blocks":
+        # about four columns of x per block
+        monkeypatch.setattr(_linalg, "_BLOCK_CELLS", 4 * coo.rows.size * desc.m**2)
+    for shape in ((12, desc.m), (12, 1, desc.m), (12, 17, desc.m), (12, 0, desc.m)):
+        x = rng.integers(0, desc.q, size=shape)
+        assert np.array_equal(coo.dot(desc, x), ra.tensordot(desc, mat, x, ([1], [0])))
+
+
+def old_block_substitute(T, blocks, B, p):
+    """_block_substitute as it was: whole rows of T against an X whose
+    unsolved rows are zero."""
+    X = np.zeros_like(B)
+    for s0, s1, inv in blocks:
+        X[s0:s1] = _linalg._exact_dot(inv, (B[s0:s1] - _linalg._exact_dot(T[s0:s1], X, p)) % p, p)
+    return X
+
+
+@pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+def test_block_substitute_multiplies_only_solved_rows(upper, monkeypatch):
+    p, n, cuts = 7, 10, [(0, 3), (3, 7), (7, 10)]
+    rng = np.random.default_rng(2)
+    T = np.tril(rng.integers(0, p, size=(n, n)), -1) + np.diag(rng.integers(1, p, size=n))
+    if upper:
+        T = T[::-1, ::-1].copy()  # upper triangular; its blocks are solved bottom up
+        blocks = [(s0, s1, _linalg._inv_lower(T[s0:s1, s0:s1][::-1, ::-1], [pow(int(d), p - 2, p) for d in np.diag(T)[s0:s1][::-1]], p)[::-1, ::-1]) for s0, s1 in reversed(cuts)]
+    else:
+        blocks = [(s0, s1, _linalg._inv_lower(T[s0:s1, s0:s1], [pow(int(d), p - 2, p) for d in np.diag(T)[s0:s1]], p)) for s0, s1 in cuts]
+    B = rng.integers(0, p, size=(n, 4))
+    want = old_block_substitute(T, blocks, B, p)
+    shapes = []
+    real = _linalg._exact_dot
+    monkeypatch.setattr(_linalg, "_exact_dot", lambda a, b, q: shapes.append((a.shape, b.shape)) or real(a, b, q))
+    got = _linalg._block_substitute(T, blocks, B, p)
+    assert np.array_equal(got, want) and np.array_equal(real(T, got, p), B)
+    # each block: the product with the rows solved before it (none for the first), then its inverse
+    expected = []
+    for s0, s1, _ in blocks:
+        done = n - s1 if upper else s0
+        if done:
+            expected.append(((s1 - s0, done), (done, 4)))
+        expected.append(((s1 - s0, s1 - s0), (s1 - s0, 4)))
+    assert shapes == expected
 
 
 # --- extension-field oracle: Gauss-Jordan on [M | I] over F_{p^m} ---

@@ -112,7 +112,13 @@ def elem_mul(desc, a, b):
 
 def _dtype(bound):
     """The dtype whose np.dot is exact for sums of products below bound."""
-    return np.float64 if bound < _F64_SAFE else np.int64 if bound < _I64_SAFE else object
+    return np.float64 if bound < _F64_SAFE else _wide_dtype(bound)
+
+
+def _wide_dtype(bound):
+    """The integer dtype whose sums below bound are exact: int64 below 2^62,
+    else object (Python ints)."""
+    return np.int64 if bound < _I64_SAFE else object
 
 
 def f64_mod(r, q):
@@ -245,7 +251,7 @@ def collect(q, cells, vals, count):
     than count times.  Sums in int64 while count (q-1) < 2^62, else as Python
     ints."""
     cells, slot = np.unique(cells, return_inverse=True)
-    sums = np.zeros((cells.size, vals.shape[-1]), dtype=np.int64 if count * (q - 1) < _I64_SAFE else object)
+    sums = np.zeros((cells.size, vals.shape[-1]), dtype=_wide_dtype(count * (q - 1)))
     np.add.at(sums, slot.ravel(), vals.astype(sums.dtype))
     sums = int64_mod(sums, q)
     keep = np.any(sums != 0, axis=1)

@@ -22,13 +22,14 @@ M's nonzero rows, each product near 2^22 cells, and stops at the first
 nonzero block, so it never writes the whole R x (C - rank) product.  A failed
 certificate re-sketches with the next seed, and finally factors M itself
 (P = I) with the same code.
-Sketch, certificate and residual checks run over F_{p^m} on the unexpanded
-input; only the sketch, or the unsketched input, is expanded to F_p.  P is
-kept as a row order whose consecutive blocks of k rows are dealt to the k
-sketch rows, with the coefficients in that order: a solve maps its dense
-right-hand side through P by one gather into a zero-padded buffer, a scaling
-and a sum over the blocks, with no sort, and keeps the exact residual check
-M.x = b against the unsketched matrix.
+The solver keeps its input in one form, a CooMatrix M, whether it was given
+dense or sparse: the sketch is summed from M's entries, the certificate and
+the residual check multiply M over F_{p^m}, and only the sketch, or M itself
+when unsketched, is expanded to F_p.  P is kept as a row order whose
+consecutive blocks of k rows are dealt to the k sketch rows, with the
+coefficients in that order: a solve maps its dense right-hand side through P
+by one gather into a zero-padded buffer, a scaling and a sum over the blocks,
+with no sort, and keeps the exact residual check M.x = b.
 """
 
 from __future__ import annotations
@@ -44,48 +45,19 @@ _BLOCK = 64
 # rank unlikely, and the exact certificate catches the rest
 _SKETCH_MARGIN = 64
 _SKETCH_SEEDS = (0x5EC7, 0x5EC8)
-# cells of the largest intermediate of a sparse product: CooMatrix.dot's
-# (nnz, w, m, m) block and the (rows, w, m) product of a certificate block
+# the size of a sparse product's blocks: a column block keeps entries x w x
+# m x m near it, and a certificate's row block keeps rows x w x m near it
 _BLOCK_CELLS = 1 << 22
 # nonzero rows that bottom_row_basis turns into Python lists at a time
 _ECHELON_ROWS = 256
 
 
 def _exact_dot(a, b, q):
-    """a @ b for matrices of nonnegative ints < q, reduced mod q, exact."""
+    """a @ b for matrices of nonnegative ints < q, reduced mod q, exact: in the
+    dtype _arrays chooses for sums of k (q-1)^2."""
     k = a.shape[-1] if a.ndim > 1 else a.shape[0]
-    bound = k * (q - 1) * (q - 1)
-    if bound < (1 << 24):
-        r = np.dot(a.astype(np.float32), b.astype(np.float32))
-        return r.astype(np.int64) % q
-    if bound < (1 << 52):
-        return ra.f64_mod(np.dot(a.astype(np.float64), b.astype(np.float64)), q)
-    if bound < ra._I64_SAFE:
-        return np.dot(a, b) % q
-    return ra.int64_mod(np.dot(a.astype(object), b.astype(object)), q)
-
-
-def _wide_dtype(bound):
-    """int64 when sums of products stay below _exact_dot's int64 bound, else object."""
-    return np.int64 if bound < ra._I64_SAFE else object
-
-
-def _sum_sorted(idx, terms, n_out, q):
-    """out[i] = sum of terms[j] over idx[j] == i, mod q, as int64; idx is sorted."""
-    out = np.zeros((n_out,) + terms.shape[1:], dtype=np.int64)
-    if idx.size:
-        starts = np.flatnonzero(np.concatenate(([True], idx[1:] != idx[:-1])))
-        out[idx[starts]] = ra.int64_mod(np.add.reduceat(terms, starts, axis=0), q)
-    return out
-
-
-def _scatter(index, coeff, vals, n_out, q, count):
-    """out[index[i]] += coeff[i] * vals[i] over F_q, exact; coeff are F_p
-    scalars and no index occurs more than count times."""
-    dt = _wide_dtype(count * (q - 1) * (q - 1))
-    terms = coeff.astype(dt).reshape((-1,) + (1,) * (vals.ndim - 1)) * vals.astype(dt)
-    order = np.argsort(index, kind="stable")
-    return _sum_sorted(index[order], terms[order], n_out, q)
+    dt = ra._dtype(k * (q - 1) * (q - 1))
+    return ra._mod(np.dot(a.astype(dt, copy=False), b.astype(dt, copy=False)), q)
 
 
 @dataclass(frozen=True)
@@ -119,54 +91,66 @@ class CooMatrix:
         cells, vals = ra.join(desc, nz_self, nz_other, self.shape[1], other.shape[1])
         return CooMatrix((self.shape[0], other.shape[1]), cells // other.shape[1], cells % other.shape[1], vals)
 
-    def dot(self, desc, x):
-        """self @ x over the field, exact; x is (C, m) or (C, w, m).
-
-        The first product keeps what every later one reuses: the values,
-        widened to the dtype whose sums over one row are exact (int64 or
-        object) and, when m > 1, in their regular representation
-        (nnz, 1, m, m); the start of each row's segment of entries; and the
-        distinct rows.  Each column block of x, sized so that the products
-        stay near _BLOCK_CELLS cells, is gathered at the entries' columns,
-        multiplied by the values, summed over each row's segment and reduced
-        mod q.  Over F_p the product is elementwise, (nnz, w, 1).
-        """
-        q, m = desc.q, desc.m
+    def _segments(self, desc):
+        """What every product reuses, computed once: the values, widened to
+        the dtype whose sums over one row are exact (int64 or object) and, when
+        m > 1, in their regular representation (nnz, 1, m, m); the bounds of
+        the rows' segments of entries (each start, then nnz); and the distinct
+        rows."""
         kept = self.__dict__.get("_kept")
         if kept is None:
-            starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
-            per_row = int(np.diff(starts, append=self.rows.size).max()) if starts.size else 0
-            dt = _wide_dtype(per_row * m * (q - 1) * (q - 1))
-            vals = (self.vals if m == 1 else ra.reg_rep(desc, self.vals)).astype(dt, copy=False)[:, None]
-            kept = (vals, starts, self.rows[starts])
+            bounds = np.append(np.flatnonzero(np.diff(self.rows, prepend=-1)), self.rows.size)
+            per_row = int(np.diff(bounds).max()) if bounds.size > 1 else 0
+            dt = ra._wide_dtype(per_row * desc.m * (desc.q - 1) ** 2)
+            vals = (self.vals if desc.m == 1 else ra.reg_rep(desc, self.vals)).astype(dt, copy=False)[:, None]
+            kept = (vals, bounds, self.rows[bounds[:-1]])
             object.__setattr__(self, "_kept", kept)
-        vals, starts, rows = kept
-        xs = x.reshape(x.shape[0], -1, m)
-        out = np.zeros((self.shape[0], xs.shape[1], m), dtype=np.int64)
-        step = max(1, _BLOCK_CELLS // max(1, self.rows.size * m * m))
+        return kept
+
+    def _products(self, desc, s0, s1, xs):
+        """The distinct rows s0..s1-1 (numbered in order) times xs (C, w, m),
+        exact, one column block at a time: yields each block's first column
+        and its reduced (s1 - s0, block, m) product.  A block has as many
+        columns as keep entries x block x m x m near _BLOCK_CELLS; the
+        entries' values times xs gathered at their columns, (entries, block,
+        m) terms, are summed over each row's segment.  Over F_p the product
+        is elementwise."""
+        vals, bounds, _ = self._segments(desc)
+        lo, hi = int(bounds[s0]), int(bounds[s1])
+        cols, vals, starts = self.cols[lo:hi], vals[lo:hi], bounds[s0:s1] - lo
+        step = max(1, _BLOCK_CELLS // max(1, (hi - lo) * desc.m * desc.m))
         for w0 in range(0, xs.shape[1], step):
-            g = xs[self.cols, w0 : w0 + step].astype(vals.dtype, copy=False)
-            terms = vals * g if m == 1 else (vals * g[:, :, None, :]).sum(-1)
-            out[rows, w0 : w0 + step] = ra.int64_mod(np.add.reduceat(terms, starts, axis=0), q)
+            g = xs[cols, w0 : w0 + step].astype(vals.dtype, copy=False)
+            if desc.m == 1:
+                terms = vals * g
+            else:
+                # coefficient s is sum_t (v x^t)_s g_t, added one t at a time
+                # so that no (entries, block, m, m) product is written
+                terms = vals[..., 0] * g[:, :, None, 0]
+                for t in range(1, desc.m):
+                    terms += vals[..., t] * g[:, :, None, t]
+            yield w0, ra.int64_mod(np.add.reduceat(terms, starts, axis=0), desc.q)
+
+    def dot(self, desc, x):
+        """self @ x over the field, exact; x is (C, m) or (C, w, m): all the
+        distinct rows at once, by column blocks."""
+        rows = self._segments(desc)[2]
+        xs = x.reshape(x.shape[0], -1, desc.m)
+        out = np.zeros((self.shape[0], xs.shape[1], desc.m), dtype=np.int64)
+        for w0, prod in self._products(desc, 0, rows.size, xs):
+            out[rows, w0 : w0 + prod.shape[1]] = prod
         return out.reshape((self.shape[0],) + x.shape[1:])
 
     def vanishes_on(self, desc, x):
-        """Whether self @ x = 0, exactly.  The nonzero rows, numbered in order,
-        are multiplied in blocks whose product stays near _BLOCK_CELLS cells,
-        up to the first nonzero block; a matrix without nonzeros vanishes at
-        once."""
-        if not self.rows.size:
-            return True
-        # the number of each entry's row among the nonzero rows
-        packed = np.concatenate(([0], np.cumsum(self.rows[1:] != self.rows[:-1])))
-        count = int(packed[-1]) + 1
+        """Whether self @ x = 0, exactly.  The distinct rows are multiplied in
+        blocks of _BLOCK_CELLS // (w m) rows, each by column blocks sized as
+        in dot, up to the first nonzero product; a matrix without nonzeros
+        vanishes at once."""
+        count = self._segments(desc)[2].size
+        xs = x.reshape(x.shape[0], -1, desc.m)
         step = max(1, _BLOCK_CELLS // max(1, int(np.prod(x.shape[1:]))))
-        for r0 in range(0, count, step):
-            lo, hi = np.searchsorted(packed, [r0, r0 + step])
-            block = CooMatrix((min(step, count - r0), self.shape[1]), packed[lo:hi] - r0, self.cols[lo:hi], self.vals[lo:hi])
-            if np.any(block.dot(desc, x)):
-                return False
-        return True
+        blocks = (self._products(desc, r0, min(count, r0 + step), xs) for r0 in range(0, count, step))
+        return not any(np.any(prod) for block in blocks for _, prod in block)
 
 
 def bottom_row_basis(desc, mat: CooMatrix) -> np.ndarray:
@@ -223,15 +207,15 @@ def bottom_row_basis(desc, mat: CooMatrix) -> np.ndarray:
 
 def _inv_lower(T, invs, p):
     """Inverse over F_p of the lower triangular T whose diagonal has inverses invs
-    (the diagonal of T itself is not read)."""
+    (the diagonal of T itself is not read).  Row i of the inverse X is
+    invs[i] (e_i - T[i, :i] X[:i]), so below the diagonal it is S[i, :i] X[:i]
+    for S = -diag(invs) T, which is scaled once for all rows."""
     n = len(invs)
-    out = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        row = np.zeros(n, dtype=np.int64)
-        row[i] = 1
-        if i:
-            row[:i] = (-_exact_dot(T[i, :i], out[:i, :i], p)) % p
-        out[i] = ra.mul_mod(int(invs[i]), row, p)
+    invs = np.asarray(invs, dtype=np.int64)
+    S = (-ra.mul_mod(invs[:, None], np.tril(T, -1), p)) % p
+    out = np.diag(invs)
+    for i in range(1, n):
+        out[i, :i] = _exact_dot(S[i, :i], out[:i, :i], p)
     return out
 
 
@@ -265,12 +249,13 @@ def _make_sketch(nrows, k, q, seed):
 class FieldSolver:
     """Echelon factorization of a matrix over a field descriptor (n == 1).
 
-    ``marr`` is a dense (R, C, m) array or a CooMatrix.  ``rank`` and
-    ``pivot_cols`` are over F_{p^m}.  ``pivot_rows`` index the rows (r, i) of
-    the factored F_p matrix: the regular representation of the input, or of
-    the sketch when the input was sketched (the input itself when m == 1).
-    A rank_only solver keeps just these; its solve and kernel_basis raise
-    ValueError.
+    ``marr`` is a dense (R, C, m) array or a CooMatrix; either is kept as the
+    CooMatrix ``M``, reduced mod q, which the certificate and the residual
+    check multiply.  ``rank`` and ``pivot_cols`` are over F_{p^m}.
+    ``pivot_rows`` index the rows (r, i) of the factored F_p matrix: the
+    regular representation of the input, or of the sketch when the input was
+    sketched (the input itself when m == 1).  A rank_only solver keeps just
+    these; its solve and kernel_basis raise ValueError.
     """
 
     def __init__(self, desc, marr, rank_only: bool = False):
@@ -278,28 +263,27 @@ class FieldSolver:
             raise ValueError("FieldSolver needs a field descriptor")
         self.desc = desc
         self.nrows, self.ncols = marr.shape[0], marr.shape[1]
-        sparse = isinstance(marr, CooMatrix)
+        self.M = marr if isinstance(marr, CooMatrix) else CooMatrix.from_dense(marr % desc.q)
         self._sketch = None
-        self._m_reg = None  # expand(desc, M) of a dense M, kept once _times needs it
         if self.nrows > self.ncols + _SKETCH_MARGIN:
-            self.M = marr if sparse else CooMatrix.from_dense(marr % desc.q)
             k = self.ncols + _SKETCH_MARGIN
             for seed in _SKETCH_SEEDS:
                 self._sketch = order, coeff = _make_sketch(self.nrows, k, desc.q, seed)
                 at = np.empty_like(order)
                 at[order] = np.arange(self.nrows)  # the position of each row in order
                 at = at[self.M.rows]
-                sk = _scatter(at % k * self.ncols + self.M.cols, coeff[at], self.M.vals, k * self.ncols, desc.q, -(-self.nrows // k))
+                terms = ra.mul_mod(coeff[at][:, None], self.M.vals, desc.q)
+                cells, sums = ra.collect(desc.q, at % k * self.ncols + self.M.cols, terms, -(-self.nrows // k))
+                sk = np.zeros((k * self.ncols, desc.m), dtype=np.int64)
+                sk[cells] = sums
                 self._factor(sk.reshape(k, self.ncols, desc.m))
                 if self.M.vanishes_on(desc, self._kernel_matrix()):
                     break
             else:
                 self._sketch = None
-                self._factor(self.M.toarray())
-        else:
-            self.M = marr.toarray() if sparse else marr % desc.q
+        if self._sketch is None:
             # without a sketch to certify, a rank needs no factor beyond the last pivot
-            self._factor(self.M, rank_only)
+            self._factor(self.M.toarray(), rank_only)
         if rank_only:
             self._U = None
 
@@ -309,7 +293,7 @@ class FieldSolver:
         order, coeff = self._sketch
         k = self.ncols + _SKETCH_MARGIN
         blocks = -(-self.nrows // k)
-        dt = _wide_dtype(blocks * (self.desc.q - 1) ** 2)
+        dt = ra._wide_dtype(blocks * (self.desc.q - 1) ** 2)
         buf = np.zeros((blocks * k,) + b.shape[1:], dtype=dt)
         # mode "wrap" fills out without a buffer; order holds no index to wrap
         np.take(b.astype(dt, copy=False), order, axis=0, out=buf[: self.nrows], mode="wrap")
@@ -419,18 +403,6 @@ class FieldSolver:
             K[self._pcols] = (-xp) % p
         return np.ascontiguousarray(K.reshape(self.ncols, m, free.size).swapaxes(1, 2))
 
-    def _times(self, x):
-        """M @ x against the unsketched input, exact."""
-        desc = self.desc
-        if isinstance(self.M, CooMatrix):
-            return self.M.dot(desc, x)
-        if desc.m == 1:
-            flat = x.reshape(self.ncols, -1)
-            return _exact_dot(self.M[..., 0], flat, desc.q).reshape((self.nrows,) + x.shape[1:])
-        if self._m_reg is None:
-            self._m_reg = ra.expand(desc, self.M)
-        return ra.tensordot(desc, self.M, x, ([1], [0]), self._m_reg)
-
     def solve(self, rhs: np.ndarray):
         """Canonical particular solution (free variables zero) or None.
 
@@ -453,7 +425,7 @@ class FieldSolver:
             xp[self._pcols] = _block_substitute(self._Upc, self._ublocks, beta, p)
         x = np.ascontiguousarray(xp.reshape(self.ncols, m, -1).swapaxes(1, 2))
         x = x.reshape((self.ncols,) + rhs.shape[1:])
-        if np.any(self._times(x) != b):
+        if np.any(self.M.dot(self.desc, x) != b):
             return None
         return x
 

@@ -801,11 +801,7 @@ def verify_qt(H: HopfPresentation, R: MultiMap) -> RMatrix:
         lr1 = ra.tensordot(desc, M, r2, ([1], [0]))  # [a,w,v]
         lmat = ra.tensordot(desc, lr1, M, ([2], [1]))  # [a,w,b,z]
         lmat = ra.transpose(lmat, (0, 2, 1, 3)).reshape(N * N, N * N, m)
-        if desc.is_field:
-            invertible = FieldSolver(desc, lmat, rank_only=True).rank == N * N
-        else:
-            invertible = FieldSolver(desc.residue(), lmat % desc.p, rank_only=True).rank == N * N
-        if not invertible:
+        if FieldSolver(desc.residue(), lmat % desc.p, rank_only=True).rank < N * N:
             failures.append("invertibility")
 
     qt = not failures

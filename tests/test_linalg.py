@@ -23,6 +23,7 @@ F9 = cr.make_ring(3, 1, 2)
 P31 = 2147483647  # 2^31 - 1: (p - 1)^2 just below 2^62, the int64 side
 P31_UP = 2147483659  # smallest prime above 2^31: object side
 P32 = 4294967291  # largest prime below 2^32
+P62 = (1 << 62) - 57  # largest prime below 2^62: sums of two residues need Python ints
 
 
 def planted(desc, rows, cols, rank, seed):
@@ -35,6 +36,20 @@ def planted(desc, rows, cols, rank, seed):
     dup = rng.choice(rows, size=rows // 5, replace=False)
     mat[dup] = mat[rng.integers(0, rows, size=dup.size)]
     return mat
+
+
+def _scatter(index, coeff, vals, n_out, q, count):
+    """out[index[i]] += coeff[i] * vals[i] over F_q, exact; coeff are F_p
+    scalars and no index occurs more than count times."""
+    dt = ra._wide_dtype(count * (q - 1) * (q - 1))
+    terms = coeff.astype(dt).reshape((-1,) + (1,) * (vals.ndim - 1)) * vals.astype(dt)
+    order = np.argsort(index, kind="stable")
+    idx, terms = index[order], terms[order]
+    out = np.zeros((n_out,) + terms.shape[1:], dtype=np.int64)
+    if idx.size:
+        starts = np.flatnonzero(np.concatenate(([True], idx[1:] != idx[:-1])))
+        out[idx[starts]] = ra.int64_mod(np.add.reduceat(terms, starts, axis=0), q)
+    return out
 
 
 def dense_solver(desc, mat, monkeypatch):
@@ -108,11 +123,15 @@ def test_failed_certificate_falls_back_to_dense(monkeypatch):
     assert_same(desc, solver, dense_solver(desc, mat, monkeypatch), mat, 3)
 
 
-@pytest.mark.parametrize("desc", [F2, F7, cr.make_ring(P31), F4, F9], ids=["F2", "F7", "F(2^31-1)", "F4", "F9"])
+@pytest.mark.parametrize(
+    "desc",
+    [F2, F7, cr.make_ring(P31), cr.make_ring(P62), F4, F9],
+    ids=["F2", "F7", "F(2^31-1)", "F(2^62-57)", "F4", "F9"],
+)
 @pytest.mark.parametrize("width", [1, 3])
 def test_sketch_map_matches_scatter(desc, width):
     # solve maps its right-hand side through the sketch's row order; the
-    # factor maps the entries of M by _scatter at each row's sketch row.  200
+    # factor sums the entries of M at each row's sketch row, as _scatter does.  200
     # rows into k = 69 sketch rows leave the last block of the order partial.
     rng = np.random.default_rng([desc.q, desc.m, width])
     rows, k = 200, 5 + _linalg._SKETCH_MARGIN
@@ -122,7 +141,7 @@ def test_sketch_map_matches_scatter(desc, width):
     at = np.empty_like(order)
     at[order] = np.arange(rows)
     b = rng.integers(0, desc.q, size=(rows,) + (width,) * (width > 1) + (desc.m,)).astype(np.int64)
-    want = _linalg._scatter(at % k, coeff[at], b, k, desc.q, -(-rows // k))
+    want = _scatter(at % k, coeff[at], b, k, desc.q, -(-rows // k))
     got = solver._sketch_rhs(b)
     assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
 
@@ -141,15 +160,16 @@ def test_certificate_products_stay_within_one_block(monkeypatch):
     src = np.concatenate([np.flatnonzero(base.rows == b) for b in pick])
     mat = CooMatrix((rows, cols), np.repeat(np.arange(rows), counts), base.cols[src], base.vals[src])
     products, entries = [], []
-    real = CooMatrix.dot
+    real = CooMatrix._products
 
-    def spy(self, desc, x):
-        out = real(self, desc, x)
-        products.append(out.size)
-        entries.append(self.rows.size)
-        return out
+    def spy(self, desc, s0, s1, xs):
+        bounds = self._segments(desc)[1]
+        entries.append(int(bounds[s1] - bounds[s0]))
+        for w0, out in real(self, desc, s0, s1, xs):
+            products.append(out.size)
+            yield w0, out
 
-    monkeypatch.setattr(CooMatrix, "dot", spy)
+    monkeypatch.setattr(CooMatrix, "_products", spy)
     solver = FieldSolver(F7, mat)
     monkeypatch.undo()
     assert solver._sketch is not None and solver.rank == 10
@@ -164,7 +184,7 @@ def test_certificate_products_stay_within_one_block(monkeypatch):
 
 def test_certificate_without_nonzeros_multiplies_nothing(monkeypatch):
     calls = []
-    monkeypatch.setattr(CooMatrix, "dot", lambda *a: calls.append(1))
+    monkeypatch.setattr(CooMatrix, "_products", lambda *a: calls.append(1) or iter(()))
     empty = np.zeros(0, dtype=np.int64)
     solver = FieldSolver(F9, CooMatrix((500, 40), empty, empty, np.zeros((0, 2), dtype=np.int64)))
     assert solver._sketch is not None and solver.rank == 0 and calls == []
@@ -179,8 +199,8 @@ def test_certificate_stops_at_the_first_nonzero_block(bad, monkeypatch):
     coo = CooMatrix.from_dense(mat)
     kernel = np.stack(FieldSolver(F7, np.delete(mat, bad, axis=0)).kernel_basis(), axis=1)
     calls = []
-    real = CooMatrix.dot
-    monkeypatch.setattr(CooMatrix, "dot", lambda self, desc, x: calls.append(self.shape[0]) or real(self, desc, x))
+    real = CooMatrix._products
+    monkeypatch.setattr(CooMatrix, "_products", lambda self, desc, s0, s1, xs: calls.append(s1 - s0) or real(self, desc, s0, s1, xs))
     monkeypatch.setattr(_linalg, "_BLOCK_CELLS", 1000 * kernel[0].size)
     assert not coo.vanishes_on(F7, kernel)
     nonzero_rows = np.unique(coo.rows).size
@@ -250,7 +270,7 @@ def test_fixed_operands_are_expanded_once(monkeypatch):
     calls.clear()
     for w in want:
         got = solver.solve(w)
-        assert got is not None and np.array_equal(solver._times(got), w)
+        assert got is not None and np.array_equal(solver.M.dot(F9, got), w)
     assert len(calls) == 1
 
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Cohomology dimensions on the reduced complex, and cold lifts at dimensions 16
-and 36: two source checkouts compared.
+"""Cohomology dimensions on the reduced complex, cold lifts at dimensions 16 and
+36, and the solver builds at dimensions 36 and 64: two source checkouts
+compared.
 
 Usage:
   python scripts/bench_reduced_cohomology.py --parent DIR [--change DIR] [--repeats 5]
@@ -18,7 +19,12 @@ src/.  Two parts, each of which alternates the side that runs first:
   HOPFLIFT_COBOUNDARY_BUDGET=16 and of S3.double/F7 with
   HOPFLIFT_COBOUNDARY_BUDGET=64, each with the SHA-256 of its lift JSON
   (without the transcript's wall-clock seconds); and the CLI step
-  `hopflift cohomology d2.json --degree 0,1,2 --invariants` of C2.double/F5.
+  `hopflift cohomology d2.json --degree 0,1,2 --invariants` of C2.double/F5;
+  and the solver layer of D(S3)/F7 and D(D4)/F3 with
+  HOPFLIFT_COBOUNDARY_BUDGET=64: the FieldSolver builds of d_c ad_2 and ad_2
+  (those of _dc_ad_solver(cc, 2) and _ad_solver(cc, 2)) and of the
+  contraction's d0_free, each on its matrix built first and untimed, with the
+  rise of the peak RSS over the peak before the build.
   Each runs in a fresh process pinned to one CPU with one BLAS thread and an
   address-space cap of --cap-gb GB: its in-process seconds, its wall time and
   its peak RSS.  A run that fails records its exception instead of its
@@ -86,6 +92,33 @@ except MemoryError as exc:
 print(json.dumps(out))
 """
 
+LAYER_PROBE = r"""
+import json, resource, sys, time
+import numpy as np
+from hopflift import cohomology as coh
+from hopflift import hopfcore as hc
+from hopflift.coeffring import make_ring
+
+ctx = coh.make_context(hc.generate(sys.argv[1], make_ring(int(sys.argv[2]))))
+layer = sys.argv[3]
+if layer == "d0_free":
+    # the rows of d_0 that _contraction factors: its greedy row basis from the bottom
+    d0 = coh.dtotal_matrix(ctx, 0)
+    free = coh.bottom_row_basis(ctx.ring, d0)
+    keep = np.isin(d0.rows, free)
+    mat = coh.CooMatrix((free.size, d0.shape[1]), np.searchsorted(free, d0.rows[keep]), d0.cols[keep], d0.vals[keep])
+else:
+    mat = {"d_c ad_2": coh._dc_ad_matrix, "ad_2": coh._ad_matrix}[layer](coh._cache(ctx), 2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+t0 = time.perf_counter()
+try:
+    out = {"rank": coh.FieldSolver(ctx.ring, mat).rank, "correct": True}
+except MemoryError as exc:
+    out = {"error": f"MemoryError: {exc}"}
+out.update(seconds=time.perf_counter() - t0, rss_before_mb=before, shape=list(mat.shape), nnz=int(mat.rows.size))
+print(json.dumps(out))
+"""
+
 # label, probe, its arguments, extra environment
 H2_AT_8 = {"HOPFLIFT_H2_BUDGET": "8"}
 DIM_16 = {"HOPFLIFT_COBOUNDARY_BUDGET": "16"}
@@ -102,6 +135,10 @@ CASES = [
     ("C4.double/F5, both budgets 16", PROBE, ["C4.double", "5", "1"], BOTH_16),
     ("C2xC2.double/F3, both budgets 16", PROBE, ["C2xC2.double", "3", "1"], BOTH_16),
     ("cold lift S3.double/F7 p^4, HOPFLIFT_COBOUNDARY_BUDGET=64", LIFT_PROBE, ["S3.double", "7"], {"HOPFLIFT_COBOUNDARY_BUDGET": "64"}),
+] + [
+    (f"{layer} solver build, {label}, HOPFLIFT_COBOUNDARY_BUDGET=64", LAYER_PROBE, [name, p, layer], {"HOPFLIFT_COBOUNDARY_BUDGET": "64"})
+    for label, name, p in (("D(S3)/F7", "S3.double", "7"), ("D(D4)/F3", "D4.double", "3"))
+    for layer in ("d_c ad_2", "ad_2", "d0_free")
 ]
 CLI_STEP = "cli: cohomology d2.json --degree 0,1,2 --invariants (C2.double/F5)"
 
@@ -130,6 +167,8 @@ def probe(tree, code_text, argv, extra_env, cap_bytes):
     out, err, code, wall, rss = run_child(tree, ["-c", code_text, *argv], extra_env, cap_bytes)
     row = json.loads(out.strip().splitlines()[-1]) if code == 0 else {"error": f"exit {code}: {err[-300:]}"}
     row.update(wall_s=wall, peak_rss_mb=rss)
+    if "rss_before_mb" in row:
+        row["rise_mb"] = rss - row["rss_before_mb"]
     row.setdefault("correct", False)
     return row
 
@@ -149,15 +188,16 @@ def cli_step(tree, cap_bytes):
 
 
 def summary(rows):
-    """The paired summary of both sides, and the lift digests of each."""
+    """The paired summary of both sides, and the lift digests and solver ranks of each."""
     out = {}
-    for key in ("seconds", "wall_s", "peak_rss_mb"):
+    for key in ("seconds", "wall_s", "peak_rss_mb", "rise_mb"):
         series = {side: [r.get(key) for r in runs] for side, runs in rows.items()}
         if None not in series["parent"] + series["change"]:
             out[key] = pipeline.paired(series, "lower")
-    digests = {side: sorted({r["sha256"] for r in runs if "sha256" in r}) for side, runs in rows.items()}
-    if any(digests.values()):
-        out["sha256"] = digests
+    for key in ("sha256", "rank"):
+        found = {side: sorted({r[key] for r in runs if key in r}) for side, runs in rows.items()}
+        if any(found.values()):
+            out[key] = found
     return out
 
 
@@ -198,7 +238,8 @@ def main():
 
     record = {
         "what": (
-            f"cohomology_dim in degrees 0-2, cold lifts at dimensions 16 and 36 and the CLI cohomology step, "
+            f"cohomology_dim in degrees 0-2, cold lifts at dimensions 16 and 36, the CLI cohomology step and the "
+            f"solver builds of d_c ad_2, ad_2 and d0_free at dimensions 36 and 64, "
             f"{args.repeats} fresh processes per side "
             f"under a {args.cap_gb:g} GB address-space cap; perfbench/run.py --workload W --seed S at default "
             f"settings, seeds {args.seeds}. Parent and change run from separate checkouts, the side that runs "

@@ -7,12 +7,15 @@ Each command runs as `python -m hopflift.cli` in a temporary directory, with
 the checkout's src/ first on PYTHONPATH.  The inputs the README takes as given
 (a morphism C2 -> C4, an R-matrix of C2, a non-Hopf presentation) are written
 first.  `hopflift accept` is left out: the acceptance gate has its own test
-run.  The degree-2 cohomology of C4.double/F5 runs under a 1.5 GB
-address-space cap (RLIMIT_AS) with one BLAS thread, so an allocation of
-gigabytes fails the check.  Prints one line per command and exits 1 if any
+run.  The degree-2 cohomology of C4.double/F5 and the perturbed lift of
+S3.double/F7 (dimension 36) run under a 1.5 GB address-space cap (RLIMIT_AS)
+with one BLAS thread, so an allocation of gigabytes fails the check; the
+lift's JSON, without the transcript's wall-clock seconds, must have the
+SHA-256 LIFT_S3D_SHA256.  Prints one line per command and exits 1 if any
 check fails.
 """
 
+import hashlib
 import json
 import os
 import resource
@@ -23,6 +26,7 @@ import tempfile
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 sys.path.insert(0, SRC)
 CAP_BYTES = 3 << 29  # 1.5 GB
+LIFT_S3D_SHA256 = "a1a00442d486003394e57641b3630ab67d73264d68143c3f1e62ac3f1ed04516"
 
 
 def hopflift(workdir, *argv, stdin=None, extra_env=None, cap_bytes=None):
@@ -76,6 +80,15 @@ def is_identity_mod_5(path):
     return all(c[0] % 5 == (i == j) for i, row in enumerate(eta) for j, c in enumerate(row))
 
 
+def lift_digest(path):
+    """SHA-256 of a lift JSON without the transcript's wall-clock seconds."""
+    from hopflift import serialize as ser
+
+    obj = json.load(open(path))
+    obj["transcript"] = [{k: v for k, v in rec.items() if k != "seconds"} for rec in obj["transcript"]]
+    return hashlib.sha256(ser.dumps(obj).encode()).hexdigest()
+
+
 def main():
     failures = 0
 
@@ -115,6 +128,16 @@ def main():
             p,
             0,
             "H^2 = 0" in p.stdout.splitlines(),
+        )
+        check("gen S3.double --p 7 -o s3d.json", hopflift(wd, "gen", "S3.double", "--p", "7", "-o", "s3d.json"), 0)
+        argv = ["lift", "s3d.json", "--precision", "4", "--strategy", "perturbed:1", "-o", "s3dlift.json"]
+        p = hopflift(wd, *argv, extra_env={"HOPFLIFT_COBOUNDARY_BUDGET": "64"}, cap_bytes=CAP_BYTES)
+        digest_ok = p.returncode == 0 and lift_digest(os.path.join(wd, "s3dlift.json")) == LIFT_S3D_SHA256
+        check(
+            "HOPFLIFT_COBOUNDARY_BUDGET=64 lift s3d.json --precision 4 --strategy perturbed:1 (SHA-256 a1a00442..., 1.5 GB cap)",
+            p,
+            0,
+            digest_ok,
         )
         check("gen C2 --p 5 -o c2.json", hopflift(wd, "gen", "C2", "--p", "5", "-o", "c2.json"), 0)
         p = hopflift(wd, "lift", "c2.json", "--precision", "4", "--strategy", "perturbed:7", "-o", "lift.json")

@@ -11,29 +11,21 @@ for each pivot column c over F_{p^m}; its canonical kernel vectors at the
 free columns (f, 0) and its canonical solutions are those over F_{p^m},
 written in coefficients.
 
-A tall input (more than _SKETCH_MARGIN rows beyond its column count) is
-factored through a sparse row sketch P.M with cols + _SKETCH_MARGIN rows: each
-input row is added into one sketch row with a nonzero F_p coefficient.  The
-sketch's kernel basis K is certified exactly by M.K = 0 on the input, which
-makes ker(P.M) = ker(M); the greedy pivot columns, the kernel basis in RREF
-and the canonical solution depend only on that kernel, so every output is the
-one the unsketched elimination gives.  The certificate multiplies blocks of
-M's nonzero rows, each product near 2^22 cells, and stops at the first
-nonzero block, so it never writes the whole R x (C - rank) product.  A failed
-certificate re-sketches with the next seed, and finally factors M itself
-(P = I) with the same code.
-The solver keeps its input in one form, a CooMatrix M, whether it was given
-dense or sparse: the sketch is summed from M's entries, the certificate and
-the residual check multiply M over F_{p^m}, and only the sketch, or M itself
-when unsketched, is expanded to F_p.  P is kept as a row order whose
-consecutive blocks of k rows are dealt to the k sketch rows, with the
-coefficients in that order: a solve maps its dense right-hand side through P
-by one gather into a zero-padded buffer, a scaling and a sum over the blocks,
-with no sort, and keeps the exact residual check M.x = b.
+The input, kept as one CooMatrix M, is factored in small dense pieces with
+every output unchanged.  A row equal to an earlier one is eliminated by it
+and never becomes a pivot row, so only the distinct nonzero rows are kept.
+Their entries join the columns into connected components (Pothen and Fan,
+ACM TOMS 16(4), 1990), and the greedy column basis of a direct sum is the
+union of its summands', each with its own pivot rows.  So the components,
+by first column, are packed into groups of at most _BLOCK columns (a wider
+component is a group of its own), and each group's rows are expanded to F_p
+and factored alone.  A solve gathers its right-hand side at the groups'
+pivot rows and checks M.x = b exactly on the whole input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +33,8 @@ import numpy as np
 from . import _arrays as ra
 
 _BLOCK = 64
-# spare sketch rows beyond the column count: they make a sketch that loses
-# rank unlikely, and the exact certificate catches the rest
-_SKETCH_MARGIN = 64
-_SKETCH_SEEDS = (0x5EC7, 0x5EC8)
-# the size of a sparse product's blocks: a column block keeps entries x w x
-# m x m near it, and a certificate's row block keeps rows x w x m near it
+# the size of a sparse product's column blocks: each keeps entries x block x
+# m x m near it
 _BLOCK_CELLS = 1 << 22
 # nonzero rows that bottom_row_basis turns into Python lists at a time
 _ECHELON_ROWS = 256
@@ -91,36 +79,27 @@ class CooMatrix:
         cells, vals = ra.join(desc, nz_self, nz_other, self.shape[1], other.shape[1])
         return CooMatrix((self.shape[0], other.shape[1]), cells // other.shape[1], cells % other.shape[1], vals)
 
-    def _segments(self, desc):
-        """What every product reuses, computed once: the values, widened to
-        the dtype whose sums over one row are exact (int64 or object) and, when
-        m > 1, in their regular representation (nnz, 1, m, m); the bounds of
-        the rows' segments of entries (each start, then nnz); and the distinct
-        rows."""
-        kept = self.__dict__.get("_kept")
-        if kept is None:
+    def dot(self, desc, x):
+        """self @ x over the field, exact; x is (C, m) or (C, w, m).  The values
+        are prepared once and kept: widened to the dtype whose sums over one
+        row are exact (int64 or object) and, when m > 1, in their regular
+        representation (nnz, 1, m, m).  Then all the nonzero rows at once, one
+        column block of x at a time: a block has as many columns as keep
+        entries x block x m x m near _BLOCK_CELLS; the entries' values times x
+        gathered at their columns, (entries, block, m) terms, are summed over
+        each row's segment.  Over F_p the product is elementwise."""
+        if "_kept" not in self.__dict__:
             bounds = np.append(np.flatnonzero(np.diff(self.rows, prepend=-1)), self.rows.size)
             per_row = int(np.diff(bounds).max()) if bounds.size > 1 else 0
             dt = ra._wide_dtype(per_row * desc.m * (desc.q - 1) ** 2)
             vals = (self.vals if desc.m == 1 else ra.reg_rep(desc, self.vals)).astype(dt, copy=False)[:, None]
-            kept = (vals, bounds, self.rows[bounds[:-1]])
-            object.__setattr__(self, "_kept", kept)
-        return kept
-
-    def _products(self, desc, s0, s1, xs):
-        """The distinct rows s0..s1-1 (numbered in order) times xs (C, w, m),
-        exact, one column block at a time: yields each block's first column
-        and its reduced (s1 - s0, block, m) product.  A block has as many
-        columns as keep entries x block x m x m near _BLOCK_CELLS; the
-        entries' values times xs gathered at their columns, (entries, block,
-        m) terms, are summed over each row's segment.  Over F_p the product
-        is elementwise."""
-        vals, bounds, _ = self._segments(desc)
-        lo, hi = int(bounds[s0]), int(bounds[s1])
-        cols, vals, starts = self.cols[lo:hi], vals[lo:hi], bounds[s0:s1] - lo
-        step = max(1, _BLOCK_CELLS // max(1, (hi - lo) * desc.m * desc.m))
+            object.__setattr__(self, "_kept", (vals, bounds, self.rows[bounds[:-1]]))
+        vals, bounds, rows = self._kept
+        xs = x.reshape(x.shape[0], math.prod(x.shape[1:-1]), desc.m)
+        out = np.zeros((self.shape[0], xs.shape[1], desc.m), dtype=np.int64)
+        step = max(1, _BLOCK_CELLS // max(1, self.rows.size * desc.m * desc.m))
         for w0 in range(0, xs.shape[1], step):
-            g = xs[cols, w0 : w0 + step].astype(vals.dtype, copy=False)
+            g = xs[self.cols, w0 : w0 + step].astype(vals.dtype, copy=False)
             if desc.m == 1:
                 terms = vals * g
             else:
@@ -129,28 +108,8 @@ class CooMatrix:
                 terms = vals[..., 0] * g[:, :, None, 0]
                 for t in range(1, desc.m):
                     terms += vals[..., t] * g[:, :, None, t]
-            yield w0, ra.int64_mod(np.add.reduceat(terms, starts, axis=0), desc.q)
-
-    def dot(self, desc, x):
-        """self @ x over the field, exact; x is (C, m) or (C, w, m): all the
-        distinct rows at once, by column blocks."""
-        rows = self._segments(desc)[2]
-        xs = x.reshape(x.shape[0], -1, desc.m)
-        out = np.zeros((self.shape[0], xs.shape[1], desc.m), dtype=np.int64)
-        for w0, prod in self._products(desc, 0, rows.size, xs):
-            out[rows, w0 : w0 + prod.shape[1]] = prod
+            out[rows, w0 : w0 + step] = ra.int64_mod(np.add.reduceat(terms, bounds[:-1], axis=0), desc.q)
         return out.reshape((self.shape[0],) + x.shape[1:])
-
-    def vanishes_on(self, desc, x):
-        """Whether self @ x = 0, exactly.  The distinct rows are multiplied in
-        blocks of _BLOCK_CELLS // (w m) rows, each by column blocks sized as
-        in dot, up to the first nonzero product; a matrix without nonzeros
-        vanishes at once."""
-        count = self._segments(desc)[2].size
-        xs = x.reshape(x.shape[0], -1, desc.m)
-        step = max(1, _BLOCK_CELLS // max(1, int(np.prod(x.shape[1:]))))
-        blocks = (self._products(desc, r0, min(count, r0 + step), xs) for r0 in range(0, count, step))
-        return not any(np.any(prod) for block in blocks for _, prod in block)
 
 
 def bottom_row_basis(desc, mat: CooMatrix) -> np.ndarray:
@@ -236,94 +195,84 @@ def _block_substitute(T, blocks, B, p):
     return X
 
 
-def _make_sketch(nrows, k, q, seed):
-    """A sparse sketch P (k x nrows) as a row order and coefficients in that
-    order: the rows are dealt round-robin in a seeded random order, so block j
-    of k consecutive rows of order puts its row at position b into sketch row
-    b, with the nonzero F_p coefficient drawn for that position.  Every sketch
-    row gets at most ceil(nrows / k) rows and none stays empty."""
-    rng = np.random.default_rng([seed, nrows, k])
-    return rng.permutation(nrows), rng.integers(1, q, size=nrows)
+def _distinct_rows(mat: CooMatrix) -> np.ndarray:
+    """A mask of mat's entries that keeps each nonzero row unless it equals an
+    earlier row.  A row is dropped when its entries equal those of the
+    earliest row with its fingerprint: a splitmix64 hash of each entry's
+    column and coefficients, summed over the row with wrap-around.  A
+    fingerprint shared by unequal rows only keeps a repeated row."""
+    starts = np.flatnonzero(np.diff(mat.rows, prepend=-1))
+    lens = np.diff(np.append(starts, mat.rows.size))
+    h = mat.cols.astype(np.uint64)
+    for j in range(mat.vals.shape[1]):
+        h = h * np.uint64(0x9E3779B97F4A7C15) + mat.vals[:, j].astype(np.uint64)
+    for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 1)):  # splitmix64's finalizer
+        h = (h ^ (h >> np.uint64(shift))) * np.uint64(mul)
+    key = np.add.reduceat(h, starts)
+    order = np.argsort(key, kind="stable")
+    fresh = np.diff(key[order], prepend=key[order][:1] + np.uint64(1)) != 0
+    first = order[fresh][np.cumsum(fresh) - 1]  # the earliest row of each row's fingerprint
+    same = (first != order) & (lens[first] == lens[order])
+    rows, firsts, n = order[same], first[same], lens[order[same]]
+    ramp = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    a, b = np.repeat(starts[rows], n) + ramp, np.repeat(starts[firsts], n) + ramp
+    equal = (mat.cols[a] == mat.cols[b]) & np.all(mat.vals[a] == mat.vals[b], axis=1)
+    drop = np.zeros(starts.size, dtype=bool)
+    drop[rows[np.logical_and.reduceat(equal, np.cumsum(n) - n)]] = True
+    return np.repeat(~drop, lens)
 
 
-class FieldSolver:
-    """Echelon factorization of a matrix over a field descriptor (n == 1).
+def _components(ncols, rows, cols) -> np.ndarray:
+    """The first column of each column's connected component, where the
+    entries of each row (rows ascending) join their columns.  Label
+    propagation: each row's least label is hooked under the labels of its
+    columns (np.minimum.at), then pointer jumping, until no row spans two
+    labels."""
+    label = np.arange(ncols)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    lens = np.diff(np.append(starts, rows.size))
+    while True:
+        at = label[cols]
+        new = label.copy()
+        np.minimum.at(new, at, np.repeat(np.minimum.reduceat(at, starts), lens))
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
-    ``marr`` is a dense (R, C, m) array or a CooMatrix; either is kept as the
-    CooMatrix ``M``, reduced mod q, which the certificate and the residual
-    check multiply.  ``rank`` and ``pivot_cols`` are over F_{p^m}.
-    ``pivot_rows`` index the rows (r, i) of the factored F_p matrix: the
-    regular representation of the input, or of the sketch when the input was
-    sketched (the input itself when m == 1).  A rank_only solver keeps just
-    these; its solve and kernel_basis raise ValueError.
-    """
 
-    def __init__(self, desc, marr, rank_only: bool = False):
-        if not desc.is_field:
-            raise ValueError("FieldSolver needs a field descriptor")
-        self.desc = desc
-        self.nrows, self.ncols = marr.shape[0], marr.shape[1]
-        self.M = marr if isinstance(marr, CooMatrix) else CooMatrix.from_dense(marr % desc.q)
-        self._sketch = None
-        if self.nrows > self.ncols + _SKETCH_MARGIN:
-            k = self.ncols + _SKETCH_MARGIN
-            for seed in _SKETCH_SEEDS:
-                self._sketch = order, coeff = _make_sketch(self.nrows, k, desc.q, seed)
-                at = np.empty_like(order)
-                at[order] = np.arange(self.nrows)  # the position of each row in order
-                at = at[self.M.rows]
-                terms = ra.mul_mod(coeff[at][:, None], self.M.vals, desc.q)
-                cells, sums = ra.collect(desc.q, at % k * self.ncols + self.M.cols, terms, -(-self.nrows // k))
-                sk = np.zeros((k * self.ncols, desc.m), dtype=np.int64)
-                sk[cells] = sums
-                self._factor(sk.reshape(k, self.ncols, desc.m))
-                if self.M.vanishes_on(desc, self._kernel_matrix()):
-                    break
-            else:
-                self._sketch = None
-        if self._sketch is None:
-            # without a sketch to certify, a rank needs no factor beyond the last pivot
-            self._factor(self.M.toarray(), rank_only)
-        if rank_only:
-            self._U = None
+def _pack(label) -> np.ndarray:
+    """Each column's group: the components (label: each column's first
+    column), by first column, packed into groups of at most _BLOCK columns; a
+    wider component is a group of its own."""
+    firsts = np.flatnonzero(label == np.arange(label.size))
+    group, g, width = np.empty(label.size, dtype=np.int64), -1, _BLOCK
+    for first, size in zip(firsts.tolist(), np.bincount(label)[firsts].tolist()):
+        if width + size > _BLOCK:
+            g, width = g + 1, 0
+        group[first] = g
+        width += size
+    return group[label]
 
-    def _sketch_rhs(self, b):
-        """P b for a dense b (R, ..., m): b in the sketch's row order, scaled in a
-        zero-padded buffer of ceil(R / k) blocks of k rows, summed over the blocks."""
-        order, coeff = self._sketch
-        k = self.ncols + _SKETCH_MARGIN
-        blocks = -(-self.nrows // k)
-        dt = ra._wide_dtype(blocks * (self.desc.q - 1) ** 2)
-        buf = np.zeros((blocks * k,) + b.shape[1:], dtype=dt)
-        # mode "wrap" fills out without a buffer; order holds no index to wrap
-        np.take(b.astype(dt, copy=False), order, axis=0, out=buf[: self.nrows], mode="wrap")
-        buf[: self.nrows] *= coeff.reshape((-1,) + (1,) * (b.ndim - 1))
-        return ra.int64_mod(buf.reshape((blocks, k) + b.shape[1:]).sum(axis=0), self.desc.q)
 
-    def _factor(self, marr, rank_only=False):
-        R, C, m = marr.shape
-        if m == 1:
-            self._factor_prime(marr[..., 0], rank_only)
-        else:
-            # the F_p matrix: entry ((r, i), (c, j)) is coefficient i of marr[r, c] x^j
-            self._factor_prime(ra.reg_rep(self.desc, marr).transpose(0, 2, 1, 3).reshape(R * m, C * m), rank_only)
-        # pivot column c over F_{p^m} is the F_p pivot block (c, 0..m-1)
-        self.pivot_cols = self._pcols[::m] // m
-        self.rank = len(self.pivot_cols)
+class _Echelon:
+    """The greedy echelon factor over F_p of one dense (R, C, m) block, in its
+    own row and column numbers: over F_p, row (r, i) and column (c, j) of the
+    regular representation (the block itself when m == 1).  rank_only stops
+    once every row is a pivot row and keeps only the pivots."""
 
-    def _factor_prime(self, M0, rank_only=False):
-        """Factor M0 over F_p; rank_only stops once every row is a pivot row
-        and keeps only the pivots and the lower factor."""
-        p = self.desc.q
-        R, C = M0.shape
+    def __init__(self, desc, block, rank_only):
+        p, m = desc.q, desc.m
+        R, C = block.shape[0] * m, block.shape[1] * m
+        # the F_p matrix: entry ((r, i), (c, j)) is coefficient i of block[r, c] x^j
+        M0 = block[..., 0] if m == 1 else ra.reg_rep(desc, block).transpose(0, 2, 1, 3).reshape(R, C)
         maxr = min(R, C)
         Lam = np.zeros((R, maxr), dtype=np.int64)
         Lpp = np.zeros((maxr, maxr), dtype=np.int64)  # Lam rows of the pivot rows
         U = np.zeros((maxr, C), dtype=np.int64)
         unused = np.ones(R, dtype=bool)
-        pivot_rows: list[int] = []
-        pivot_cols: list[int] = []
-        invs: list[int] = []
+        pivot_rows, pivot_cols, invs = [], [], []
         # the pivots found in each panel form one block of the triangular factors
         tblocks = []
         # within a panel, reductions mod p are deferred when the bound
@@ -376,32 +325,60 @@ class FieldSolver:
             if t > t0:
                 tblocks.append((t0, t, _inv_lower(Lpp[t0:t, t0:t], invs[t0:t], p)))
         self.pivot_rows = np.array(pivot_rows, dtype=np.int64)
-        self._pcols = np.array(pivot_cols, dtype=np.int64)
-        self._Lpp = Lpp[:t, :t]
-        self._tblocks = tblocks
+        self.pcols = np.array(pivot_cols, dtype=np.int64)
         if rank_only:
             return
-        self._U = U[:t]
-        self._Upc = U[:t][:, self._pcols]
+        self.Lpp, self.tblocks = Lpp[:t, :t], tblocks
+        self.U = U[:t]
+        self.Upc = self.U[:, self.pcols]
         # Upc is unit upper triangular: reversing both axes makes it lower
-        self._ublocks = [
-            (s0, s1, _inv_lower(self._Upc[s0:s1, s0:s1][::-1, ::-1], [1] * (s1 - s0), p)[::-1, ::-1])
+        self.ublocks = [
+            (s0, s1, _inv_lower(self.Upc[s0:s1, s0:s1][::-1, ::-1], [1] * (s1 - s0), p)[::-1, ::-1])
             for s0, s1, _ in reversed(tblocks)
         ]
 
-    def _kernel_matrix(self):
-        """Canonical kernel basis as the columns of a (C, C - rank, m) array."""
-        if self._U is None:
-            raise ValueError("factorization was rank_only")
-        m, p = self.desc.m, self.desc.q
-        free = np.setdiff1d(np.arange(self.ncols), self.pivot_cols)
-        # the kernel vector at free column f is the F_p one at free column (f, 0)
-        K = np.zeros((self.ncols * m, free.size), dtype=np.int64)
-        K[free * m, np.arange(free.size)] = 1
-        if self.rank and free.size:
-            xp = _block_substitute(self._Upc, self._ublocks, self._U[:, free * m], p)
-            K[self._pcols] = (-xp) % p
-        return np.ascontiguousarray(K.reshape(self.ncols, m, free.size).swapaxes(1, 2))
+
+class FieldSolver:
+    """Echelon factorization of a matrix over a field descriptor (n == 1).
+
+    ``marr`` is a dense (R, C, m) array or a CooMatrix, kept as the CooMatrix
+    ``M`` reduced mod q.  ``rank`` and ``pivot_cols`` are over F_{p^m};
+    ``pivot_rows`` are the rows (r, i) = r m + i of the input's F_p regular
+    representation, in the order of their pivot columns.  A rank_only solver
+    keeps just these; its solve and kernel_basis raise ValueError.
+    """
+
+    def __init__(self, desc, marr, rank_only: bool = False):
+        if not desc.is_field:
+            raise ValueError("FieldSolver needs a field descriptor")
+        self.desc, self.rank_only = desc, rank_only
+        self.nrows, self.ncols = marr.shape[0], marr.shape[1]
+        self.M = marr if isinstance(marr, CooMatrix) else CooMatrix.from_dense(marr % desc.q)
+        m, C = desc.m, self.ncols
+        keep = _distinct_rows(self.M)
+        rows, cols, vals = self.M.rows[keep], self.M.cols[keep], self.M.vals[keep]
+        group = np.zeros(C, dtype=np.int64) if C <= _BLOCK else _pack(_components(C, rows, cols))
+        # the columns and the entries of each group, in input order within it
+        ngroups, egroup = int(group.max(initial=0)) + 1, group[cols]
+        col_groups = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group, minlength=ngroups))[:-1])
+        ent_groups = np.split(np.argsort(egroup, kind="stable"), np.cumsum(np.bincount(egroup, minlength=ngroups))[:-1])
+        local = np.empty(C, dtype=np.int64)  # each column's place in its group
+        # per group: its pivot rows and pivot columns over F_p in input numbers, its columns, its factor
+        self._groups = []
+        for gcols, ent in zip(col_groups, ent_groups):
+            local[gcols] = np.arange(gcols.size)
+            grows, at = np.unique(rows[ent], return_inverse=True)
+            block = np.zeros((grows.size, gcols.size, m), dtype=np.int64)
+            block[at, local[cols[ent]]] = vals[ent]
+            ech = _Echelon(desc, block, rank_only)
+            prows = grows[ech.pivot_rows // m] * m + ech.pivot_rows % m
+            self._groups.append((prows, gcols[ech.pcols // m] * m + ech.pcols % m, gcols, ech))
+        pcols = np.concatenate([g[1] for g in self._groups])
+        order = np.argsort(pcols, kind="stable")
+        self.pivot_rows = np.concatenate([g[0] for g in self._groups])[order]
+        # pivot column c over F_{p^m} is the F_p pivot block (c, 0..m-1)
+        self.pivot_cols = pcols[order][::m] // m
+        self.rank = len(self.pivot_cols)
 
     def solve(self, rhs: np.ndarray):
         """Canonical particular solution (free variables zero) or None.
@@ -409,21 +386,20 @@ class FieldSolver:
         rhs has physical shape (R, m) or (R, w, m); the result matches with R
         replaced by the column count.
         """
-        if self._U is None:
+        if self.rank_only:
             raise ValueError("factorization was rank_only")
         p, m = self.desc.q, self.desc.m
         b = rhs % p
-        sb = b
-        if self._sketch is not None:
-            sb = self._sketch_rhs(b)
-        # over F_p, row (r, i) of the right-hand side is coefficient i of sb[r]
-        flat = sb.reshape(sb.shape[0], -1, m).swapaxes(1, 2).reshape(sb.shape[0] * m, -1)
-        xp = np.zeros((self.ncols * m, flat.shape[1]), dtype=np.int64)
-        if self.rank:
-            # T beta = b on the pivot rows, Upc xp = beta
-            beta = _block_substitute(self._Lpp, self._tblocks, flat[self.pivot_rows], p)
-            xp[self._pcols] = _block_substitute(self._Upc, self._ublocks, beta, p)
-        x = np.ascontiguousarray(xp.reshape(self.ncols, m, -1).swapaxes(1, 2))
+        w = math.prod(rhs.shape[1:-1])
+        bw = b.reshape(b.shape[0], w, m)
+        xp = np.zeros((self.ncols * m, w), dtype=np.int64)
+        for prows, pcols, _, ech in self._groups:
+            if pcols.size:
+                # over F_p, row (r, i) of the right-hand side is coefficient i
+                # of b[r]; T beta = b on the pivot rows, Upc xp = beta
+                beta = _block_substitute(ech.Lpp, ech.tblocks, bw[prows // m, :, prows % m], p)
+                xp[pcols] = _block_substitute(ech.Upc, ech.ublocks, beta, p)
+        x = np.ascontiguousarray(xp.reshape(self.ncols, m, w).swapaxes(1, 2))
         x = x.reshape((self.ncols,) + rhs.shape[1:])
         if np.any(self.M.dot(self.desc, x) != b):
             return None
@@ -431,5 +407,17 @@ class FieldSolver:
 
     def kernel_basis(self):
         """Canonical kernel basis (one vector per free column, ascending)."""
-        K = self._kernel_matrix()
-        return [np.ascontiguousarray(K[:, j]) for j in range(K.shape[1])]
+        if self.rank_only:
+            raise ValueError("factorization was rank_only")
+        m, p = self.desc.m, self.desc.q
+        free = np.setdiff1d(np.arange(self.ncols), self.pivot_cols)
+        # the kernel vector at free column f is the F_p one at free column (f, 0)
+        K = np.zeros((self.ncols * m, free.size), dtype=np.int64)
+        K[free * m, np.arange(free.size)] = 1
+        for _, pcols, gcols, ech in self._groups:
+            gfree = np.setdiff1d(np.arange(gcols.size), ech.pcols[::m] // m)
+            if pcols.size and gfree.size:
+                xp = _block_substitute(ech.Upc, ech.ublocks, ech.U[:, gfree * m], p)
+                K[np.ix_(pcols, np.searchsorted(free, gcols[gfree]))] = (-xp) % p
+        K = K.reshape(self.ncols, m, free.size).swapaxes(1, 2)
+        return [np.ascontiguousarray(K[:, j]) for j in range(free.size)]

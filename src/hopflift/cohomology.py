@@ -187,8 +187,9 @@ class _ContextCache:
 
     def memo(self, key, build):
         """build(), computed once per context: the structure operators below,
-        the matrices and solvers of d_n, ad_k and d_c ad_k, the contraction
-        data, the dual context's cache, and lifting's admission verdict."""
+        the matrices and solvers of d_n, ad_k and d_c ad_k, the separability
+        idempotent, the contraction data, the dual context's cache, and
+        lifting's admission verdict."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -486,8 +487,7 @@ def cohomology_dim(ctx: ComplexContext, n: int) -> int:
     limit = h2_budget() if n == 2 else coboundary_budget()
     if max(ctx.A.dim, ctx.B.dim) > limit:
         raise BudgetExceeded(f"dims exceed budget {limit} for degree {n}")
-    if hc.is_semisimple(ctx.A):
-        _separability_idempotent(ctx)
+    if _separability_idempotent(_cache(ctx)) is not None:
         return _reduced_dim(_cache(ctx), n)
     return _bicomplex_dim(ctx, n)
 
@@ -526,25 +526,30 @@ class _Contraction:
     rank: int  # rank of d_1, which is dim C^1 - rank d_0 once H^1 = 0 is certified
 
 
-def _separability_idempotent(ctx: ComplexContext):
-    """e[u, b] with e = sum e_u (x) e_b, certified by m(e) = 1 and
-    (a (x) 1) e = e (1 (x) a) for every basis element a."""
-    A, desc = ctx.A, ctx.ring
-    M, D, U, E, S = hc._legs(A)
-    lam = hc.integral(A, "left")[0]  # the left integrals form a line
-    eps = ra.tensordot(desc, E, lam, ([0], [0]))
-    if not np.any(eps):
-        raise InternalAxiomFailure("eps vanishes on the left integrals: A is not semisimple")
-    lam = ra.elem_mul(desc, lam, _inv_coeffs_field(desc, eps)[None, :])
-    dlam = ra.tensordot(desc, D, lam, ([2], [0]))  # [u, v]
-    e = ra.tensordot(desc, dlam, S, ([1], [1]))  # [u, b]
-    if np.any(ra.sub(desc, ra.tensordot(desc, M, e, ([1, 2], [0, 1])), U)):
-        raise InternalAxiomFailure("separability idempotent: m(e) != 1")
-    left = ra.transpose(ra.tensordot(desc, M, e, ([2], [0])), (1, 0, 2))  # (a e1) (x) e2: [a, x, b]
-    right = ra.transpose(ra.tensordot(desc, e, M, ([1], [1])), (2, 0, 1))  # e1 (x) (e2 a): [a, u, y]
-    if np.any(ra.sub(desc, left, right)):
-        raise InternalAxiomFailure("separability idempotent: (a (x) 1) e != e (1 (x) a)")
-    return e
+def _separability_idempotent(cc: _ContextCache):
+    """e[u, b] with e = sum e_u (x) e_b, once per context, certified by m(e) = 1
+    and (a (x) 1) e = e (1 (x) a) for every basis element a; None when eps
+    vanishes on the left integrals, that is, when A is not semisimple."""
+
+    def build():
+        A, desc = cc.ctx.A, cc.ctx.ring
+        M, D, U, E, S = hc._legs(A)
+        lam = hc.integral(A, "left")[0]  # the left integrals form a line
+        eps = ra.tensordot(desc, E, lam, ([0], [0]))
+        if not np.any(eps):
+            return None
+        lam = ra.elem_mul(desc, lam, _inv_coeffs_field(desc, eps)[None, :])
+        dlam = ra.tensordot(desc, D, lam, ([2], [0]))  # [u, v]
+        e = ra.tensordot(desc, dlam, S, ([1], [1]))  # [u, b]
+        if np.any(ra.sub(desc, ra.tensordot(desc, M, e, ([1, 2], [0, 1])), U)):
+            raise InternalAxiomFailure("separability idempotent: m(e) != 1")
+        left = ra.transpose(ra.tensordot(desc, M, e, ([2], [0])), (1, 0, 2))  # (a e1) (x) e2: [a, x, b]
+        right = ra.transpose(ra.tensordot(desc, e, M, ([1], [1])), (2, 0, 1))  # e1 (x) (e2 a): [a, u, y]
+        if np.any(ra.sub(desc, left, right)):
+            raise InternalAxiomFailure("separability idempotent: (a (x) 1) e != e (1 (x) a)")
+        return e
+
+    return cc.memo("idempotent", build)
 
 
 def _ad_matrix(cc: _ContextCache, k: int) -> CooMatrix:
@@ -597,7 +602,9 @@ def _contraction(ctx: ComplexContext) -> _Contraction:
 
     def build():
         desc = ctx.ring
-        e = _separability_idempotent(ctx)
+        e = _separability_idempotent(cc)
+        if e is None:
+            raise InternalAxiomFailure("eps vanishes on the left integrals: A is not semisimple")
         el = {}
         na, nz_e = ctx.A.dim, ra.nonzeros(e, [0])  # key u, free b
         for q in (0, 1):

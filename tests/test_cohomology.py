@@ -600,8 +600,8 @@ def test_dimension_8_degree_2_from_sparse_solvers(monkeypatch):
     assert ad_shapes | dc_ad_shapes <= {shape for _, shape in received}
     assert all(kind is CooMatrix for kind, shape in received if shape in ad_shapes | dc_ad_shapes)
     assert not dc_ad_shapes & set(densified)
-    # only ad_1, which FieldSolver factors dense for being short; the contraction densifies nothing
-    assert {shape for shape in densified if shape in ad_shapes} <= {(nb * na, nb)}
+    # neither the solvers, which factor distinct rows by groups, nor the contraction densify an ad_k
+    assert not {shape for shape in densified if shape in ad_shapes}
 
 
 def test_cohomology_dim_takes_the_bicomplex_only_when_a_is_not_semisimple(monkeypatch):
@@ -909,6 +909,26 @@ def test_tampered_idempotent_raises(monkeypatch):
     try:
         with pytest.raises(InternalAxiomFailure, match="separability idempotent"):
             coh._contraction(coh.make_context(H))
+    finally:
+        coh._CACHE.clear()
+
+
+def test_separability_idempotent_is_built_once_per_context(monkeypatch):
+    # cohomology_dim in degrees 0-2 and the contraction share one idempotent,
+    # and so one integral; a non-semisimple A has none, and no contraction
+    calls = []
+    real = hc.integral
+    monkeypatch.setattr(hc, "integral", lambda A, side="left": calls.append(side) or real(A, side))
+    coh._CACHE.clear()
+    try:
+        s3 = coh.make_context(hc.generate("S3", F7))
+        assert [coh.cohomology_dim(s3, n) for n in (0, 1, 2)] == [0, 0, 0]
+        coh._contraction(s3)
+        assert calls == ["left"]
+        c3 = coh.make_context(hc.generate("C3", cr.make_ring(3)))
+        assert coh._separability_idempotent(coh._cache(c3)) is None
+        with pytest.raises(InternalAxiomFailure, match="not semisimple"):
+            coh._contraction(c3)
     finally:
         coh._CACHE.clear()
 

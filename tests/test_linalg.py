@@ -1,9 +1,10 @@
-"""FieldSolver's sketched path and the exact kernels at large moduli.
+"""FieldSolver against dense eliminations, and the exact kernels at large moduli.
 
-Oracles: the same elimination on the unsketched matrix (P = I), plain
-Gauss-Jordan elimination in Python ints, and over F_{p^m} a Gauss-Jordan
-elimination on [M | I] in the extension field itself, which FieldSolver's
-F_p elimination of the regular representation must match bit for bit.
+Oracles: Gauss-Jordan elimination over F_p of the regular representation,
+written here in numpy and Python ints, which FieldSolver's grouped factor of
+the distinct rows must match bit for bit; plain Gauss-Jordan elimination in
+Python ints; and over F_{p^m} a Gauss-Jordan elimination on [M | I] in the
+extension field itself.
 """
 
 import numpy as np
@@ -38,117 +39,216 @@ def planted(desc, rows, cols, rank, seed):
     return mat
 
 
-def _scatter(index, coeff, vals, n_out, q, count):
-    """out[index[i]] += coeff[i] * vals[i] over F_q, exact; coeff are F_p
-    scalars and no index occurs more than count times."""
-    dt = ra._wide_dtype(count * (q - 1) * (q - 1))
-    terms = coeff.astype(dt).reshape((-1,) + (1,) * (vals.ndim - 1)) * vals.astype(dt)
-    order = np.argsort(index, kind="stable")
-    idx, terms = index[order], terms[order]
-    out = np.zeros((n_out,) + terms.shape[1:], dtype=np.int64)
-    if idx.size:
-        starts = np.flatnonzero(np.concatenate(([True], idx[1:] != idx[:-1])))
-        out[idx[starts]] = ra.int64_mod(np.add.reduceat(terms, starts, axis=0), q)
+def regular_fp(desc, mat):
+    """The F_p matrix of mat's regular representation, from Python-int
+    polynomial products: entry ((r, i), (c, j)) is coefficient i of
+    mat[r, c] x^j."""
+    R, C, m = mat.shape
+    out = np.zeros((R * m, C * m), dtype=np.int64)
+    for r, c in zip(*np.nonzero(np.any(mat != 0, axis=-1))):
+        for j in range(m):
+            out[r * m : r * m + m, c * m + j] = poly_mul_oracle(desc, mat[r, c], [int(t == j) for t in range(m)])
     return out
 
 
-def dense_solver(desc, mat, monkeypatch):
-    """The same elimination without a sketch: no seed certifies, so P = I."""
-    with monkeypatch.context() as mp:
-        mp.setattr(_linalg, "_SKETCH_SEEDS", ())
-        return FieldSolver(desc, mat)
+class DenseOracle:
+    """Gauss-Jordan over F_p on [A | I], A the F_p matrix of the regular
+    representation of the whole input: columns left to right, the first unused
+    row in input order as pivot, row operations in int64 (p < 2^31), the
+    solution's products in Python ints.  Gives FieldSolver's outputs as its
+    docstring states them."""
+
+    def __init__(self, desc, mat):
+        p, m = desc.q, desc.m
+        self.desc, self.mat = desc, mat % p
+        A = regular_fp(desc, self.mat)
+        R, C = A.shape
+        W = np.concatenate([A, np.eye(R, dtype=np.int64)], axis=1)
+        unused = np.ones(R, dtype=bool)
+        rows, cols = [], []
+        for c in range(C):
+            cand = np.flatnonzero((W[:, c] != 0) & unused)
+            if cand.size == 0:
+                continue
+            r = int(cand[0])
+            W[r] = W[r] * pow(int(W[r, c]), p - 2, p) % p
+            f = W[:, c].copy()
+            f[r] = 0
+            W = (W - np.outer(f, W[r]) % p) % p
+            unused[r] = False
+            rows.append(r)
+            cols.append(c)
+        self.A, self.pcols = A, np.array(cols, dtype=np.int64)
+        # the F_p pivot columns come in whole blocks (c, 0..m-1)
+        assert np.array_equal(self.pcols, np.repeat(self.pcols[::m], m) + np.tile(np.arange(m), len(cols) // m))
+        self.pivot_rows, self.pivot_cols = np.array(rows, dtype=np.int64), self.pcols[::m] // m
+        self.rank = len(self.pivot_cols)
+        self.rref, self.E = W[rows, :C], W[rows, C:]
+
+    def kernel_basis(self):
+        p, m = self.desc.q, self.desc.m
+        C = self.mat.shape[1]
+        out = []
+        for f in np.setdiff1d(np.arange(C), self.pivot_cols):
+            vec = np.zeros(C * m, dtype=np.int64)
+            vec[f * m] = 1
+            vec[self.pcols] = -self.rref[:, f * m] % p
+            out.append(vec.reshape(C, m))
+        return out
+
+    def solve(self, rhs):
+        p, m = self.desc.q, self.desc.m
+        R, C = self.mat.shape[:2]
+        w = int(np.prod(rhs.shape[1:-1]))
+        b = (rhs % p).reshape(R, w, m).swapaxes(1, 2).reshape(R * m, w).astype(object)
+        x = np.zeros((C * m, w), dtype=object)
+        x[self.pcols] = self.E.astype(object).dot(b) % p
+        if np.any(self.A.astype(object).dot(x) % p != b):
+            return None
+        return np.ascontiguousarray(x.astype(np.int64).reshape(C, m, w).swapaxes(1, 2)).reshape((C,) + rhs.shape[1:])
 
 
-def assert_same(desc, sketched, dense, mat, seed):
-    assert sketched.rank == dense.rank
-    assert np.array_equal(sketched.pivot_cols, dense.pivot_cols)
-    got, want = sketched.kernel_basis(), dense.kernel_basis()
-    assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
-    rng = np.random.default_rng(seed + 1)
-    x0 = rng.integers(0, desc.q, size=(mat.shape[1], 3, desc.m)).astype(np.int64)
+def assert_matches_dense_oracle(desc, solver, oracle):
+    assert solver.rank == oracle.rank
+    assert np.array_equal(solver.pivot_cols, oracle.pivot_cols)
+    assert np.array_equal(solver.pivot_rows, oracle.pivot_rows)
+    if solver.rank_only:
+        return
+    got, want = solver.kernel_basis(), oracle.kernel_basis()
+    assert len(got) == len(want) and all(g.dtype == np.int64 and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def block_matrix(desc, rng, kind):
+    """A block-diagonal matrix of planted blocks and chains, with zero rows and
+    columns added, some nonzero rows repeated and the rows and columns shuffled:
+    no nonzeros ("empty"), one block ("one"), a few small blocks ("blocks"),
+    or small blocks over more than 64 columns, so that several groups form
+    ("wide")."""
+    q, m = desc.q, desc.m
+    small = lambda: (int(rng.integers(1, 8)), int(rng.integers(1, 12)))  # noqa: E731
+    shapes = {"empty": [], "one": [(int(rng.integers(1, 25)), int(rng.integers(1, 25)))]}.get(kind)
+    if shapes is None:
+        shapes = [small() for _ in range(int(rng.integers(2, 6)))]
+        while kind == "wide" and sum(c for _, c in shapes) <= 64:
+            shapes.append(small())
+    R = sum(r for r, _ in shapes) + int(rng.integers(0, 4))
+    # a chain of r rows takes r + 1 columns; the rest are zero columns
+    C = sum(max(c, r + 1) for r, c in shapes) + int(rng.integers(0, 4))
+    C += int(rng.integers(0, 70)) if kind == "empty" else 0
+    mat = np.zeros((R, C, m), dtype=np.int64)
+    r0 = c0 = 0
+    for r, c in shapes:
+        if rng.random() < 0.3:
+            # a chain: row i joins columns i and i + 1, so that a component
+            # spans many rows
+            c = r + 1
+            block = np.zeros((r, c, m), dtype=np.int64)
+            block[np.arange(r), np.arange(r)] = block[np.arange(r), np.arange(1, c)] = 1
+            block *= rng.integers(0, q, size=(r, c, m))
+        else:
+            rank = int(rng.integers(1, min(r, c) + 1))
+            a = rng.integers(0, q, size=(r, rank, m)).astype(np.int64)
+            b = rng.integers(0, q, size=(rank, c, m)).astype(np.int64)
+            block = ra.tensordot(desc, a, b, ([1], [0]))
+        mat[r0 : r0 + r, c0 : c0 + c] = block
+        r0, c0 = r0 + r, c0 + c
+    nonzero = np.flatnonzero(np.any(mat != 0, axis=(1, 2)))
+    if nonzero.size:
+        mat = np.concatenate([mat, mat[rng.choice(nonzero, size=int(rng.integers(1, 6)))]])
+    return mat[rng.permutation(mat.shape[0])][:, rng.permutation(C)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([F2, F7, cr.make_ring(P31), F4, F9]),
+    st.sampled_from(["empty", "one", "blocks", "wide"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_grouped_factor_matches_dense_oracle(desc, kind, seed):
+    rng = np.random.default_rng(seed)
+    mat = block_matrix(desc, rng, kind)
+    oracle = DenseOracle(desc, mat)
+    for marr in (mat, CooMatrix.from_dense(mat)):
+        solver = FieldSolver(desc, marr)
+        assert_matches_dense_oracle(desc, solver, oracle)
+        assert_matches_dense_oracle(desc, FieldSolver(desc, marr, rank_only=True), oracle)
+    if kind == "wide":
+        assert len(solver._groups) > 1
+    R, C = mat.shape[:2]
+    x0 = rng.integers(0, desc.q, size=(C, 2, desc.m)).astype(np.int64)
     consistent = ra.tensordot(desc, mat, x0, ([1], [0]))
     for rhs in (consistent, consistent[:, 0], np.zeros_like(consistent)):
-        a, b = sketched.solve(rhs), dense.solve(rhs)
-        assert a is not None and np.array_equal(a, b)
-    # a tall matrix misses almost every random right-hand side
-    misses = 0
-    for t in range(3):
-        rhs = rng.integers(0, desc.q, size=(mat.shape[0], desc.m)).astype(np.int64)
-        a, b = sketched.solve(rhs), dense.solve(rhs)
-        assert (a is None) == (b is None)
-        assert a is None or np.array_equal(a, b)
-        misses += a is None
-    assert misses
+        got, want = solver.solve(rhs), oracle.solve(rhs)
+        assert got is not None and want is not None
+        assert got.shape == want.shape and np.array_equal(got, want)
+    # a right-hand side that differs only on a row repeating an earlier one,
+    # which the factor drops
+    repeats = [r for r in range(R) if np.any(mat[r]) and any(np.array_equal(mat[r], mat[s]) for s in range(r))]
+    if repeats:
+        bad = consistent[:, 0].copy()
+        bad[repeats[-1], 0] = (bad[repeats[-1], 0] + 1) % desc.q
+        assert solver.solve(bad) is None and oracle.solve(bad) is None
+
+
+def test_distinct_rows_keep_the_first_of_each_repeat():
+    mat = np.zeros((7, 4, 1), dtype=np.int64)
+    mat[[0, 2, 5], 1] = 3  # rows 0, 2 and 5 are equal
+    mat[[1, 4], 0] = 1
+    mat[[1, 4], 3] = 2  # rows 1 and 4 are equal
+    mat[6, [0, 3]] = 1  # row 6 has row 1's columns and other values
+    coo = CooMatrix.from_dense(mat)
+    keep = _linalg._distinct_rows(coo)
+    assert np.unique(coo.rows[keep]).tolist() == [0, 1, 6]
+
+
+def test_components_label_each_column_by_its_first_column():
+    # rows join columns 5-2, 2-7, 0-3 and 3-6-1; column 4 has no entries
+    pairs = [(0, 5), (0, 2), (1, 2), (1, 7), (2, 0), (2, 3), (3, 3), (3, 6), (3, 1)]
+    rows, cols = (np.array(v) for v in zip(*pairs))
+    assert _linalg._components(8, rows, cols).tolist() == [0, 0, 2, 0, 4, 2, 0, 2]
+
+
+def test_components_pack_by_first_column_into_groups():
+    # components of widths 40, 30, 20, 70 and 4 (by first column) pack as
+    # [40], [30, 20], [70], [4]
+    widths = [40, 30, 20, 70, 4]
+    label = np.repeat(np.cumsum([0] + widths[:-1]), widths)
+    assert _linalg._pack(label).tolist() == [0] * 40 + [1] * 50 + [2] * 70 + [3] * 4
 
 
 @pytest.mark.parametrize("desc", [F2, F7, F4, F9], ids=["F2", "F7", "F4", "F9"])
 @pytest.mark.parametrize("seed", range(4))
-def test_sketched_matches_dense(desc, seed, monkeypatch):
+def test_sketched_matches_dense(desc, seed):
+    # a tall input (more than 64 rows beyond its columns), with zero and
+    # repeated rows, equals the dense elimination of the whole input
     rng = np.random.default_rng([seed, desc.q, desc.m])
     cols = int(rng.integers(1, 30))
-    rows = cols + _linalg._SKETCH_MARGIN + int(rng.integers(1, 120))
+    rows = cols + 64 + int(rng.integers(1, 120))
     rank = int(rng.integers(0, cols + 1))
     mat = planted(desc, rows, cols, rank, seed)
-    sketched = FieldSolver(desc, mat)
-    assert sketched._sketch is not None, "a tall input must take the sketched path"
-    assert_same(desc, sketched, dense_solver(desc, mat, monkeypatch), mat, seed)
+    solver, oracle = FieldSolver(desc, mat), DenseOracle(desc, mat)
+    assert_matches_dense_oracle(desc, solver, oracle)
+    x0 = rng.integers(0, desc.q, size=(cols, 3, desc.m)).astype(np.int64)
+    consistent = ra.tensordot(desc, mat, x0, ([1], [0]))
+    for rhs in (consistent, consistent[:, 0], np.zeros_like(consistent)):
+        a, b = solver.solve(rhs), oracle.solve(rhs)
+        assert a is not None and np.array_equal(a, b)
+    # a tall matrix misses almost every random right-hand side
+    misses = 0
+    for _ in range(3):
+        rhs = rng.integers(0, desc.q, size=(rows, desc.m)).astype(np.int64)
+        a, b = solver.solve(rhs), oracle.solve(rhs)
+        assert (a is None) == (b is None)
+        assert a is None or np.array_equal(a, b)
+        misses += a is None
+    assert misses
     # a CooMatrix input gives the same answers as its dense form
-    coo = FieldSolver(desc, CooMatrix.from_dense(mat))
-    assert coo.rank == sketched.rank and np.array_equal(coo.pivot_cols, sketched.pivot_cols)
+    assert_matches_dense_oracle(desc, FieldSolver(desc, CooMatrix.from_dense(mat)), oracle)
 
 
-def test_failed_certificate_falls_back_to_dense(monkeypatch):
-    # row 0 is the only row with an entry in column 0; a sketch that drops it
-    # loses that pivot, so ker(P.M) contains e_0 and M.e_0 != 0 fails the check
-    desc = F7
-    mat = planted(desc, 120, 10, 10, 3)
-    mat[:, 0] = 0
-    mat[0, 0] = 1
-    real_sketch = _linalg._make_sketch
-    calls = []
-
-    def dropping_sketch(nrows, k, q, seed):
-        calls.append(seed)
-        order, coeff = real_sketch(nrows, k, q, seed)
-        coeff = coeff.copy()
-        coeff[order == 0] = 0  # row 0's coefficient, wherever the row sits
-        return order, coeff
-
-    monkeypatch.setattr(_linalg, "_make_sketch", dropping_sketch)
-    solver = FieldSolver(desc, mat)
-    monkeypatch.undo()
-    assert calls == list(_linalg._SKETCH_SEEDS)
-    assert solver._sketch is None
-    assert 0 in solver.pivot_cols
-    assert_same(desc, solver, dense_solver(desc, mat, monkeypatch), mat, 3)
-
-
-@pytest.mark.parametrize(
-    "desc",
-    [F2, F7, cr.make_ring(P31), cr.make_ring(P62), F4, F9],
-    ids=["F2", "F7", "F(2^31-1)", "F(2^62-57)", "F4", "F9"],
-)
-@pytest.mark.parametrize("width", [1, 3])
-def test_sketch_map_matches_scatter(desc, width):
-    # solve maps its right-hand side through the sketch's row order; the
-    # factor sums the entries of M at each row's sketch row, as _scatter does.  200
-    # rows into k = 69 sketch rows leave the last block of the order partial.
-    rng = np.random.default_rng([desc.q, desc.m, width])
-    rows, k = 200, 5 + _linalg._SKETCH_MARGIN
-    solver = FieldSolver(desc, rng.integers(0, desc.q, size=(rows, 5, desc.m)).astype(np.int64))
-    assert solver._sketch is not None and rows % k
-    order, coeff = solver._sketch
-    at = np.empty_like(order)
-    at[order] = np.arange(rows)
-    b = rng.integers(0, desc.q, size=(rows,) + (width,) * (width > 1) + (desc.m,)).astype(np.int64)
-    want = _scatter(at % k, coeff[at], b, k, desc.q, -(-rows // k))
-    got = solver._sketch_rhs(b)
-    assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
-
-
-def test_certificate_products_stay_within_one_block(monkeypatch):
-    # 30,000 x 300, every row a copy of one of 10 independent rows: the whole
-    # product with the 290-column kernel would be 8.7 M cells, about two blocks
+def test_only_distinct_rows_are_factored(monkeypatch):
+    # 30,000 x 300, every row a copy of one of 10 independent rows in 10
+    # components: the factored blocks hold 10 rows in all
     rng = np.random.default_rng(5)
     rows, cols = 30000, 300
     dense = np.zeros((10, cols, 1), dtype=np.int64)
@@ -159,64 +259,46 @@ def test_certificate_products_stay_within_one_block(monkeypatch):
     counts = np.bincount(base.rows, minlength=10)[pick]
     src = np.concatenate([np.flatnonzero(base.rows == b) for b in pick])
     mat = CooMatrix((rows, cols), np.repeat(np.arange(rows), counts), base.cols[src], base.vals[src])
-    products, entries = [], []
-    real = CooMatrix._products
+    blocks = []
+    real = _linalg._Echelon.__init__
 
-    def spy(self, desc, s0, s1, xs):
-        bounds = self._segments(desc)[1]
-        entries.append(int(bounds[s1] - bounds[s0]))
-        for w0, out in real(self, desc, s0, s1, xs):
-            products.append(out.size)
-            yield w0, out
+    def spy(self, desc, block, rank_only):
+        blocks.append(block.shape)
+        real(self, desc, block, rank_only)
 
-    monkeypatch.setattr(CooMatrix, "_products", spy)
+    monkeypatch.setattr(_linalg._Echelon, "__init__", spy)
     solver = FieldSolver(F7, mat)
     monkeypatch.undo()
-    assert solver._sketch is not None and solver.rank == 10
-    assert len(products) >= 2 and max(products) <= _linalg._BLOCK_CELLS
-    # the blocks hold every entry once, and their products every row
-    assert sum(entries) == mat.rows.size and sum(products) == rows * (cols - 10)
-    # M has the kernel of its 10 distinct rows
+    assert solver.rank == 10 and sum(r for r, _, _ in blocks) == 10
+    assert len(blocks) == len(solver._groups) > 1 and max(c for _, c, _ in blocks) <= _linalg._BLOCK
+    # the first occurrence of each distinct row is its pivot row
+    firsts = np.sort(np.unique(pick, return_index=True)[1])
+    assert np.array_equal(np.sort(solver.pivot_rows), firsts)
     want = FieldSolver(F7, base.toarray())
     assert np.array_equal(solver.pivot_cols, want.pivot_cols)
     assert all(np.array_equal(a, b) for a, b in zip(solver.kernel_basis(), want.kernel_basis(), strict=True))
 
 
-def test_certificate_without_nonzeros_multiplies_nothing(monkeypatch):
-    calls = []
-    monkeypatch.setattr(CooMatrix, "_products", lambda *a: calls.append(1) or iter(()))
-    empty = np.zeros(0, dtype=np.int64)
-    solver = FieldSolver(F9, CooMatrix((500, 40), empty, empty, np.zeros((0, 2), dtype=np.int64)))
-    assert solver._sketch is not None and solver.rank == 0 and calls == []
+def test_wide_and_square_inputs_are_not_sketched(monkeypatch):
+    # no shape draws random numbers: tall, square and wide inputs, dense or
+    # sparse, factor and solve deterministically
+    mats = [planted(F7, rows, cols, 5, rows) for rows, cols in ((10, 40), (40, 40), (200, 40), (30, 130))]
 
+    def drawn(*args, **kwargs):
+        raise AssertionError("FieldSolver drew random numbers")
 
-@pytest.mark.parametrize("bad", [0, 19999])
-def test_certificate_stops_at_the_first_nonzero_block(bad, monkeypatch):
-    # one row misses the kernel of the others: the certificate fails in the
-    # block that holds it, after reading every block before
-    mat = planted(F7, 20000, 30, 4, 8)
-    mat[bad] = 1
-    coo = CooMatrix.from_dense(mat)
-    kernel = np.stack(FieldSolver(F7, np.delete(mat, bad, axis=0)).kernel_basis(), axis=1)
-    calls = []
-    real = CooMatrix._products
-    monkeypatch.setattr(CooMatrix, "_products", lambda self, desc, s0, s1, xs: calls.append(s1 - s0) or real(self, desc, s0, s1, xs))
-    monkeypatch.setattr(_linalg, "_BLOCK_CELLS", 1000 * kernel[0].size)
-    assert not coo.vanishes_on(F7, kernel)
-    nonzero_rows = np.unique(coo.rows).size
-    assert calls == ([1000] if bad == 0 else [1000] * (nonzero_rows // 1000) + [nonzero_rows % 1000])
-
-
-def test_wide_and_square_inputs_are_not_sketched():
-    for rows, cols in ((10, 40), (40, 40), (40 + _linalg._SKETCH_MARGIN, 40)):
-        mat = planted(F7, rows, cols, 5, rows)
-        assert FieldSolver(F7, mat)._sketch is None
+    monkeypatch.setattr(np.random, "default_rng", drawn)
+    for mat in mats:
+        for marr in (mat, CooMatrix.from_dense(mat)):
+            solver = FieldSolver(F7, marr)
+            assert solver.solve(np.zeros((mat.shape[0], 1), dtype=np.int64)) is not None
 
 
 def test_rank_only_sketched_keeps_no_factor():
+    # a tall rank-only input keeps its pivots and no factor to solve with
     mat = planted(F7, 200, 20, 12, 5)
     solver = FieldSolver(F7, mat, rank_only=True)
-    assert solver.rank == 12 and solver._U is None
+    assert solver.rank == 12 and all(not hasattr(g[3], "U") for g in solver._groups)
     with pytest.raises(ValueError):
         solver.kernel_basis()
 
@@ -224,12 +306,11 @@ def test_rank_only_sketched_keeps_no_factor():
 @pytest.mark.parametrize("desc", [F7, F9], ids=["F7", "F9"])
 @pytest.mark.parametrize("rows,cols,rank", [(12, 300, 12), (12, 300, 7), (40, 90, 40), (5, 5, 5)])
 def test_rank_only_stops_at_full_row_rank(desc, rows, cols, rank):
-    # unsketched, a rank-only factor ends once every row is a pivot row; its
-    # rank and pivot columns are those of the full factor
+    # a rank-only factor ends once every row is a pivot row; its rank, pivot
+    # columns and pivot rows are those of the full factor
     mat = planted(desc, rows, cols, rank, rows + cols)
     mat[:, : cols // 2] = 0  # the pivots come late, so whole panels are left
     full, quick = FieldSolver(desc, mat), FieldSolver(desc, mat, rank_only=True)
-    assert quick._sketch is None
     assert quick.rank == full.rank and np.array_equal(quick.pivot_cols, full.pivot_cols)
     assert np.array_equal(quick.pivot_rows, full.pivot_rows)
     for call in (quick.kernel_basis, lambda: quick.solve(np.zeros((rows, desc.m), dtype=np.int64))):
@@ -634,8 +715,8 @@ F25 = cr.make_ring(5, 1, 2)
 # F_{p^2} at p = 2^31 + 11, x^2 + 1 irreducible as p = 3 mod 4: the object-dtype side
 F_P31_UP_2 = cr.make_ring(P31_UP, 1, 2, modulus=[1, 0, 1])
 EXT_FIELDS = [F4, F8, F9, F25, F_P31_UP_2]
-# (rows, cols): wide, square, tall but not sketched, tall and sketched
-EXT_SHAPES = [(5, 14), (12, 12), (30, 9), (9 + _linalg._SKETCH_MARGIN + 40, 9)]
+# (rows, cols): wide, square, tall, and more than 64 rows beyond its columns
+EXT_SHAPES = [(5, 14), (12, 12), (30, 9), (113, 9)]
 
 
 def ext_matrix(desc, rows, cols, kind, seed):
@@ -671,23 +752,14 @@ def assert_matches_ext_oracle(desc, solver, oracle, seed):
 @pytest.mark.parametrize("desc", EXT_FIELDS, ids=["F4", "F8", "F9", "F25", "F_P31_UP_2"])
 @pytest.mark.parametrize("shape", EXT_SHAPES, ids=["wide", "square", "tall", "sketched"])
 @pytest.mark.parametrize("kind", ["zero", "full", "deficient"])
-def test_extension_field_solver_matches_gauss_jordan(desc, shape, kind, monkeypatch):
+def test_extension_field_solver_matches_gauss_jordan(desc, shape, kind):
     rows, cols = shape
     seed = rows * 31 + cols + desc.p * desc.m
     mat = ext_matrix(desc, rows, cols, kind, seed)
     oracle = ExtOracle(desc, mat)
     assert oracle.rank == {"zero": 0, "full": min(rows, cols)}.get(kind, oracle.rank)
-    solver = FieldSolver(desc, mat)
-    assert (solver._sketch is not None) == (rows > cols + _linalg._SKETCH_MARGIN)
-    assert_matches_ext_oracle(desc, solver, oracle, seed)
+    assert_matches_ext_oracle(desc, FieldSolver(desc, mat), oracle, seed)
     assert_matches_ext_oracle(desc, FieldSolver(desc, CooMatrix.from_dense(mat)), oracle, seed)
-    # the failed-certificate fallback: no seed certifies, so the input itself is factored
-    with monkeypatch.context() as mp:
-        mp.setattr(_linalg, "_SKETCH_SEEDS", ())
-        for marr in (mat, CooMatrix.from_dense(mat)):
-            solver = FieldSolver(desc, marr)
-            assert solver._sketch is None
-            assert_matches_ext_oracle(desc, solver, oracle, seed)
 
 
 def hensel_oracle(desc, marr, rhs):

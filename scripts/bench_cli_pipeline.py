@@ -18,8 +18,11 @@ the side that runs first:
   in --repeats passes and its median;
 - kernels: grouplikes, presentation_from_json (with and without its
   verify_hopf), presentation_to_json, verify_hopf and verify_qt (of its
-  canonical R) of S3.double/F7, and drinfeld_double(S3/F7), the median of
-  five calls in one fresh process per side and repeat;
+  canonical R) of S3.double/F7, and drinfeld_double(S3/F7); and the
+  FieldSolver builds of a cold perturbed lift to p^4 of D4/F3, D4.dual/F5
+  and Q8/F7, each distinct input once, labelled by the function that built
+  it (integral, _ad_solver, _dc_ad_solver, _contraction) and its shape: the
+  median of five calls each, in one fresh process per side and repeat;
 - gate (with --gate N): N pairs of one fresh process that runs the
   acceptance gate's criteria 2 and 4, and the seconds of each.
 
@@ -48,8 +51,11 @@ WORKLOADS = ("cli_pipeline", "lift_cold", "lift_warm")
 METRICS = {"ops_per_s": "higher", "op_s.p50": "lower", "setup_s": "lower", "peak_rss_mb": "lower"}
 
 KERNELS = r"""
-import json, statistics, time
+import hashlib, json, statistics, time, traceback
+from hopflift import _linalg
+from hopflift import cohomology as coh
 from hopflift import hopfcore as hc
+from hopflift import lifting as lf
 from hopflift import serialize as ser
 from hopflift.coeffring import make_ring
 
@@ -67,7 +73,39 @@ def median_s(fn, k=5):
     return statistics.median(times)
 
 
+# label -> (desc, input, rank_only) of each distinct FieldSolver input of a
+# cold perturbed lift to p^4 of name/F_p, in the order first built
+def solver_builds(name, p):
+    builds, seen, real = {}, set(), _linalg.FieldSolver.__init__
+
+    def record(self, desc, marr, rank_only=False):
+        coo = marr if isinstance(marr, _linalg.CooMatrix) else _linalg.CooMatrix.from_dense(marr % desc.q)
+        key = hashlib.sha256(b"".join(a.tobytes() for a in (coo.rows, coo.cols, coo.vals))).hexdigest()
+        if key not in seen:
+            seen.add(key)
+            # the innermost caller that is not a memo or its builder
+            role = next(f.name for f in traceback.extract_stack()[-2::-1] if f.name not in ("<lambda>", "memo", "build"))
+            label = f"FieldSolver({name}/F{p}: {role} {marr.shape[0]}x{marr.shape[1]}"
+            same = sum(k.startswith(label) for k in builds)
+            builds[label + (f" #{same + 1})" if same else ")")] = (desc, marr, rank_only)
+        real(self, desc, marr, rank_only)
+
+    coh._CACHE.clear()
+    _linalg.FieldSolver.__init__ = record
+    try:
+        lf.lift(hc.generate(name, make_ring(p)), 4, "perturbed:1")
+    finally:
+        _linalg.FieldSolver.__init__ = real
+    return builds
+
+
+solvers = {}
+for name, p in (("D4", 3), ("D4.dual", 5), ("Q8", 7)):
+    for label, (desc, marr, rank_only) in solver_builds(name, p).items():
+        solvers[label] = median_s(lambda: _linalg.FieldSolver(desc, marr, rank_only))
+
 print(json.dumps({
+    **solvers,
     "grouplikes(S3.double/F7)": median_s(lambda: hc.grouplikes(H)),
     "presentation_from_json(S3.double/F7, verify=False)": median_s(lambda: ser.presentation_from_json(obj, verify=False)),
     "presentation_from_json(S3.double/F7)": median_s(lambda: ser.presentation_from_json(obj)),
@@ -174,7 +212,7 @@ def paired(runs, better):
         "parent_median": statistics.median(parent),
         "parent_quartiles": quartiles(parent) if len(parent) > 1 else None,
         "change_median": statistics.median(change),
-        "ratio": statistics.median(change) / statistics.median(parent),
+        "ratio": statistics.median(change) / statistics.median(parent) if statistics.median(parent) else None,
         "change_better_pairs": f"{wins}/{len(parent)}",
     }
 

@@ -5,7 +5,7 @@ compared.
 
 Usage:
   python scripts/bench_reduced_cohomology.py --parent DIR [--change DIR] [--repeats 5]
-                                             [--seeds 1001-1006] [--cap-gb 4]
+                                             [--seeds 1001-1006] [--cap-gb 4] [--cases TEXT]
                                              [--out BENCH_reduced_cohomology.json]
 
 DIR is a source checkout, e.g. made by `git archive REV | tar -x -C DIR`;
@@ -31,6 +31,9 @@ src/.  Two parts, each of which alternates the side that runs first:
   result.
 - workloads: `perfbench/run.py --workload W --seed S` at default settings,
   for the three workloads and every seed, as in scripts/bench_cli_pipeline.py.
+
+--cases TEXT runs only the probes whose label contains TEXT (e.g. "solver
+build"), and then no CLI step and no workloads.
 
 Writes every raw run, the medians, the parent's quartiles and the number of
 pairs in which the change did better to --out.
@@ -208,6 +211,7 @@ def main():
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seeds", default="1001-1006")
     ap.add_argument("--cap-gb", type=float, default=4.0)
+    ap.add_argument("--cases", default=None)
     ap.add_argument("--out", default=os.path.join(HERE, "BENCH_reduced_cohomology.json"))
     args = ap.parse_args()
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -216,18 +220,21 @@ def main():
     cap = int(args.cap_gb * (1 << 30))
     lo, hi = (int(s) for s in args.seeds.split("-"))
 
-    labels = [label for label, *_ in CASES] + [CLI_STEP]
+    cases = [case for case in CASES if args.cases is None or args.cases in case[0]]
+    labels = [label for label, *_ in cases] + ([CLI_STEP] if args.cases is None else [])
     runs = {label: {"parent": [], "change": []} for label in labels}
     for i in range(args.repeats):
         for side in pipeline.sides(i):
-            for label, code_text, argv, env in CASES:
+            for label, code_text, argv, env in cases:
                 runs[label][side].append(probe(trees[side], code_text, argv, env, cap))
-            runs[CLI_STEP][side].append(cli_step(trees[side], cap))
+            if args.cases is None:
+                runs[CLI_STEP][side].append(cli_step(trees[side], cap))
         print(f"repeat {i + 1}/{args.repeats}: cohomology probes done", flush=True)
 
-    workloads = {w: {"parent": [], "change": []} for w in pipeline.WORKLOADS}
+    names = pipeline.WORKLOADS if args.cases is None else ()
+    workloads = {w: {"parent": [], "change": []} for w in names}
     for i, seed in enumerate(range(lo, hi + 1)):
-        for name in pipeline.WORKLOADS:
+        for name in names:
             for side in pipeline.sides(i):
                 row = pipeline.run_workload(trees[side], name, seed)
                 workloads[name][side].append({"seed": seed, "first": pipeline.sides(i)[0], **row})
@@ -239,7 +246,8 @@ def main():
     record = {
         "what": (
             f"cohomology_dim in degrees 0-2, cold lifts at dimensions 16 and 36, the CLI cohomology step and the "
-            f"solver builds of d_c ad_2, ad_2 and d0_free at dimensions 36 and 64, "
+            f"solver builds of d_c ad_2, ad_2 and d0_free at dimensions 36 and 64"
+            f"{'' if args.cases is None else f' (only those labelled *{args.cases}*, no CLI step, no workloads)'}, "
             f"{args.repeats} fresh processes per side "
             f"under a {args.cap_gb:g} GB address-space cap; perfbench/run.py --workload W --seed S at default "
             f"settings, seeds {args.seeds}. Parent and change run from separate checkouts, the side that runs "
@@ -260,7 +268,7 @@ def main():
                 "summary": {k: pipeline.paired(series(workloads[name], k), b) for k, b in pipeline.METRICS.items()},
                 "all_correct": all(r["correct"] for side in workloads[name].values() for r in side),
             }
-            for name in pipeline.WORKLOADS
+            for name in names
         },
     }
     with open(args.out, "w") as fh:

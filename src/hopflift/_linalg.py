@@ -19,8 +19,10 @@ ACM TOMS 16(4), 1990), and the greedy column basis of a direct sum is the
 union of its summands', each with its own pivot rows.  So the components,
 by first column, are packed into groups of at most _BLOCK columns (a wider
 component is a group of its own), and each group's rows are expanded to F_p
-and factored alone.  A solve gathers its right-hand side at the groups'
-pivot rows and checks M.x = b exactly on the whole input.
+and factored alone, its components in rounds: round s pivots the s-th column
+of each at once, an order that keeps each summand's column order and so the
+greedy basis.  A solve gathers its right-hand side at the groups' pivot rows
+and checks M.x = b exactly on the whole input.
 """
 
 from __future__ import annotations
@@ -164,17 +166,19 @@ def bottom_row_basis(desc, mat: CooMatrix) -> np.ndarray:
     return np.array(found[::-1], dtype=np.int64)
 
 
-def _inv_lower(T, invs, p):
+def _inv_lower(T, invs, p, cuts=None):
     """Inverse over F_p of the lower triangular T whose diagonal has inverses invs
-    (the diagonal of T itself is not read).  Row i of the inverse X is
-    invs[i] (e_i - T[i, :i] X[:i]), so below the diagonal it is S[i, :i] X[:i]
-    for S = -diag(invs) T, which is scaled once for all rows."""
-    n = len(invs)
+    (the diagonal of T itself is not read) and whose diagonal blocks between
+    the cuts (0, ..., n; by default at every row) are diagonal.  Row i of the
+    inverse X is invs[i] (e_i - T[i, :s0] X[:s0]) in the block s0:s1, so below
+    the diagonal the block is S[s0:s1, :s0] X[:s0, :s0] for S = -diag(invs) T,
+    which is scaled once for all rows."""
     invs = np.asarray(invs, dtype=np.int64)
     S = (-ra.mul_mod(invs[:, None], np.tril(T, -1), p)) % p
     out = np.diag(invs)
-    for i in range(1, n):
-        out[i, :i] = _exact_dot(S[i, :i], out[:i, :i], p)
+    cuts = range(len(invs) + 1) if cuts is None else cuts
+    for s0, s1 in zip(cuts[1:-1], cuts[2:]):
+        out[s0:s1, :s0] = _exact_dot(S[s0:s1, :s0], out[:s0, :s0], p)
     return out
 
 
@@ -259,26 +263,33 @@ def _pack(label) -> np.ndarray:
 class _Echelon:
     """The greedy echelon factor over F_p of one dense (R, C, m) block, in its
     own row and column numbers: over F_p, row (r, i) and column (c, j) of the
-    regular representation (the block itself when m == 1).  rank_only stops
-    once every row is a pivot row and keeps only the pivots."""
+    regular representation (the block itself when m == 1), in the connected
+    components label gives.  rank_only stops once every row is a pivot row
+    and keeps only the pivots.  A panel of _BLOCK columns pivots in rounds,
+    round s taking the s-th column of each component there.  Components share
+    no rows or columns, so a round's pivots are independent: one search, one
+    rank-k update, and Lpp and Upc are diagonal within a round, which
+    _inv_lower inverts at once.  rounds counts the searches."""
 
-    def __init__(self, desc, block, rank_only):
+    def __init__(self, desc, block, rank_only, label):
         p, m = desc.q, desc.m
         R, C = block.shape[0] * m, block.shape[1] * m
         # the F_p matrix: entry ((r, i), (c, j)) is coefficient i of block[r, c] x^j
         M0 = block[..., 0] if m == 1 else ra.reg_rep(desc, block).transpose(0, 2, 1, 3).reshape(R, C)
+        label = np.repeat(label, m)
         maxr = min(R, C)
         Lam = np.zeros((R, maxr), dtype=np.int64)
         Lpp = np.zeros((maxr, maxr), dtype=np.int64)  # Lam rows of the pivot rows
         U = np.zeros((maxr, C), dtype=np.int64)
         unused = np.ones(R, dtype=bool)
         pivot_rows, pivot_cols, invs = [], [], []
-        # the pivots found in each panel form one block of the triangular factors
-        tblocks = []
-        # within a panel, reductions mod p are deferred when the bound
-        # _BLOCK * (p-1)^2 + p stays well inside int64
-        defer = p < (1 << 27)
-        t = 0
+        # each panel's pivots form one block of the triangular factors, cut at its rounds
+        tblocks, panel_cuts = [], []
+        # a panel's entries are reduced mod p only when read: each of its at
+        # most _BLOCK pivots subtracts products below (p-1)^2, so they are
+        # exact in the dtype _arrays chooses for _BLOCK (p-1)^2 + p
+        dt = ra._dtype(_BLOCK * (p - 1) ** 2 + p)
+        t = self.rounds = 0
         for c0 in range(0, C, _BLOCK):
             if rank_only and t == R:
                 break
@@ -287,7 +298,7 @@ class _Echelon:
             # then one bulk update of the panel for the unused rows; the rows
             # of used ones are never read and stay zero.
             rows = np.flatnonzero(unused)
-            Wp = np.zeros((R, c1 - c0), dtype=np.int64)
+            Wp = np.zeros((R, c1 - c0), dtype=dt)
             if t:
                 Urows = _block_substitute(Lpp[:t, :t], tblocks, M0[pivot_rows, c0:c1], p)
                 U[:t, c0:c1] = Urows
@@ -297,33 +308,39 @@ class _Echelon:
             if not Wp.any():
                 # no unused row has a nonzero here: the panel has no pivot
                 continue
-            t0 = t
-            for j in range(c1 - c0):
-                col = Wp[:, j] % p
-                cand = np.flatnonzero((col != 0) & unused)
-                if cand.size == 0:
+            t0, cuts = t, [0]
+            # each column's place among its component's columns in the panel;
+            # round s takes the columns at place s
+            lp, at = label[c0:c1], np.arange(c1 - c0)
+            place = ((lp[:, None] == lp) & (at[:, None] > at)).sum(axis=1)
+            order, ends = np.argsort(place, kind="stable"), np.cumsum(np.bincount(place)).tolist()
+            for b0, b1 in zip([0] + ends, ends):
+                self.rounds += 1
+                js = order[b0:b1]
+                cols = Wp[:, js] % p
+                # the first unused row with a nonzero in each column: used rows are zero mod p
+                hit = cols != 0
+                found = np.flatnonzero(hit.any(axis=0))
+                if found.size == 0:
                     continue
-                r = int(cand[0])
-                inv = pow(int(col[r]), p - 2, p)
-                urow = ra.mul_mod(inv, Wp[r] % p, p)
-                lam = col
-                lam[~unused] = 0
-                lam[r] = 0
-                if np.any(lam):
-                    if defer:
-                        Wp -= np.outer(lam, urow)
-                    else:
-                        Wp = (Wp - ra.mul_mod(lam[:, None], urow[None, :], p)) % p
-                U[t, c0:c1] = urow
-                Lam[:, t] = lam
-                Lpp[t] = Lam[r]
-                unused[r] = False
-                pivot_rows.append(r)
-                pivot_cols.append(c0 + j)
-                invs.append(inv)
-                t += 1
+                k, rs, lam = found.size, hit.argmax(axis=0)[found], cols[:, found]
+                inv = [pow(int(v), p - 2, p) for v in cols[rs, found].tolist()]
+                urows = ra.mul_mod(np.array(inv, dtype=np.int64)[:, None], Wp[rs] % p, p)
+                # every row loses its multiple of the round's pivot rows, which become zero mod p
+                Wp -= np.dot(lam, urows)
+                U[t : t + k, c0:c1] = urows
+                Lam[:, t : t + k] = lam
+                pivot_rows.extend(rs.tolist())
+                pivot_cols.extend((c0 + js[found]).tolist())
+                invs.extend(inv)
+                t += k
+                cuts.append(t - t0)
             if t > t0:
-                tblocks.append((t0, t, _inv_lower(Lpp[t0:t, t0:t], invs[t0:t], p)))
+                # a pivot row's Lam row is complete once it is a pivot row
+                Lpp[t0:t] = Lam[pivot_rows[t0:t]]
+                unused[pivot_rows[t0:t]] = False
+                tblocks.append((t0, t, _inv_lower(Lpp[t0:t, t0:t], invs[t0:t], p, cuts)))
+                panel_cuts.append(cuts)
         self.pivot_rows = np.array(pivot_rows, dtype=np.int64)
         self.pcols = np.array(pivot_cols, dtype=np.int64)
         if rank_only:
@@ -331,10 +348,10 @@ class _Echelon:
         self.Lpp, self.tblocks = Lpp[:t, :t], tblocks
         self.U = U[:t]
         self.Upc = self.U[:, self.pcols]
-        # Upc is unit upper triangular: reversing both axes makes it lower
+        # Upc is unit upper triangular: reversing both axes (and the rounds) makes it lower
         self.ublocks = [
-            (s0, s1, _inv_lower(self.Upc[s0:s1, s0:s1][::-1, ::-1], [1] * (s1 - s0), p)[::-1, ::-1])
-            for s0, s1, _ in reversed(tblocks)
+            (s0, s1, _inv_lower(self.Upc[s0:s1, s0:s1][::-1, ::-1], [1] * (s1 - s0), p, [s1 - s0 - c for c in cuts[::-1]])[::-1, ::-1])
+            for (s0, s1, _), cuts in zip(reversed(tblocks), reversed(panel_cuts))
         ]
 
 
@@ -357,7 +374,8 @@ class FieldSolver:
         m, C = desc.m, self.ncols
         keep = _distinct_rows(self.M)
         rows, cols, vals = self.M.rows[keep], self.M.cols[keep], self.M.vals[keep]
-        group = np.zeros(C, dtype=np.int64) if C <= _BLOCK else _pack(_components(C, rows, cols))
+        label = _components(C, rows, cols)
+        group = np.zeros(C, dtype=np.int64) if C <= _BLOCK else _pack(label)
         # the columns and the entries of each group, in input order within it
         ngroups, egroup = int(group.max(initial=0)) + 1, group[cols]
         col_groups = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group, minlength=ngroups))[:-1])
@@ -370,7 +388,7 @@ class FieldSolver:
             grows, at = np.unique(rows[ent], return_inverse=True)
             block = np.zeros((grows.size, gcols.size, m), dtype=np.int64)
             block[at, local[cols[ent]]] = vals[ent]
-            ech = _Echelon(desc, block, rank_only)
+            ech = _Echelon(desc, block, rank_only, label[gcols])
             prows = grows[ech.pivot_rows // m] * m + ech.pivot_rows % m
             self._groups.append((prows, gcols[ech.pcols // m] * m + ech.pcols % m, gcols, ech))
         pcols = np.concatenate([g[1] for g in self._groups])
@@ -415,7 +433,7 @@ class FieldSolver:
         K = np.zeros((self.ncols * m, free.size), dtype=np.int64)
         K[free * m, np.arange(free.size)] = 1
         for _, pcols, gcols, ech in self._groups:
-            gfree = np.setdiff1d(np.arange(gcols.size), ech.pcols[::m] // m)
+            gfree = np.setdiff1d(np.arange(gcols.size), ech.pcols // m)
             if pcols.size and gfree.size:
                 xp = _block_substitute(ech.Upc, ech.ublocks, ech.U[:, gfree * m], p)
                 K[np.ix_(pcols, np.searchsorted(free, gcols[gfree]))] = (-xp) % p

@@ -102,7 +102,8 @@ def _admit_base(base: HopfPresentation):
             raise AxiomsViolated(f"base fails the Hopf axioms {', '.join(failing)}")
     if not base.verified or not base.ring.is_field:
         raise NotSemisimpleOrCosemisimple("base must be a VERIFIED presentation over F_q")
-    if not _base_cache(base).memo("admitted", lambda: hc.is_semisimple(base) and hc.is_cosemisimple(base)):
+    cache = _base_cache(base)  # A is semisimple when it has the separability idempotent the contraction uses
+    if not cache.memo("admitted", lambda: coh._separability_idempotent(cache) is not None and hc.is_cosemisimple(base)):
         raise NotSemisimpleOrCosemisimple(
             "vanishing of the obstruction cohomology needs a semisimple and cosemisimple base"
         )

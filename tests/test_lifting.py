@@ -43,6 +43,23 @@ class TestInitialLift:
         with pytest.raises(NotSemisimpleOrCosemisimple):
             lf.initial_lift(hc.generate("C3", cr.make_ring(3)))
 
+    def test_rejects_non_cosemisimple(self):
+        # the functions on C3 over F3 form a semisimple algebra that is not cosemisimple
+        with pytest.raises(NotSemisimpleOrCosemisimple):
+            lf.initial_lift(hc.dual(hc.generate("C3", cr.make_ring(3))))
+
+    def test_cold_lift_factors_each_integral_once(self, monkeypatch):
+        # admission decides semisimplicity by the separability idempotent the
+        # contraction keeps: a cold lift factors the left integrals of A and
+        # of its dual once each
+        base = hc.generate("D4", cr.make_ring(3))
+        monkeypatch.setattr(coh, "_CACHE", type(coh._CACHE)())
+        calls = []
+        real = hc.integral
+        monkeypatch.setattr(hc, "integral", lambda H, side="left": calls.append(H) or real(H, side))
+        lf.lift(base, 4, "perturbed:1")
+        assert calls == [base, hc.dual(base)]
+
 
 class TestObstruction:
     def test_canonical_obstruction_zero(self):

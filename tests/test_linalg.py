@@ -122,12 +122,16 @@ def block_matrix(desc, rng, kind):
     """A block-diagonal matrix of planted blocks and chains, with zero rows and
     columns added, some nonzero rows repeated and the rows and columns shuffled:
     no nonzeros ("empty"), one block ("one"), a few small blocks ("blocks"),
-    or small blocks over more than 64 columns, so that several groups form
-    ("wide")."""
+    small blocks over more than 64 columns, so that several groups form
+    ("wide"), or many blocks of 1-6 columns in one group ("narrow")."""
     q, m = desc.q, desc.m
     small = lambda: (int(rng.integers(1, 8)), int(rng.integers(1, 12)))  # noqa: E731
-    shapes = {"empty": [], "one": [(int(rng.integers(1, 25)), int(rng.integers(1, 25)))]}.get(kind)
-    if shapes is None:
+    shapes = {"empty": [], "one": [(int(rng.integers(1, 25)), int(rng.integers(1, 25)))], "narrow": []}.get(kind)
+    if kind == "narrow":
+        # at most 60 columns: each block, chain or planted, spans at most 6
+        while sum(max(c, r + 1) for r, c in shapes) <= 54:
+            shapes.append((int(rng.integers(1, 6)), int(rng.integers(1, 7))))
+    elif shapes is None:
         shapes = [small() for _ in range(int(rng.integers(2, 6)))]
         while kind == "wide" and sum(c for _, c in shapes) <= 64:
             shapes.append(small())
@@ -161,7 +165,7 @@ def block_matrix(desc, rng, kind):
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([F2, F7, cr.make_ring(P31), F4, F9]),
-    st.sampled_from(["empty", "one", "blocks", "wide"]),
+    st.sampled_from(["empty", "one", "blocks", "wide", "narrow"]),
     st.integers(0, 2**32 - 1),
 )
 def test_grouped_factor_matches_dense_oracle(desc, kind, seed):
@@ -174,6 +178,8 @@ def test_grouped_factor_matches_dense_oracle(desc, kind, seed):
         assert_matches_dense_oracle(desc, FieldSolver(desc, marr, rank_only=True), oracle)
     if kind == "wide":
         assert len(solver._groups) > 1
+    if kind == "narrow":
+        assert len(solver._groups) == 1
     R, C = mat.shape[:2]
     x0 = rng.integers(0, desc.q, size=(C, 2, desc.m)).astype(np.int64)
     consistent = ra.tensordot(desc, mat, x0, ([1], [0]))
@@ -262,9 +268,9 @@ def test_only_distinct_rows_are_factored(monkeypatch):
     blocks = []
     real = _linalg._Echelon.__init__
 
-    def spy(self, desc, block, rank_only):
+    def spy(self, desc, block, rank_only, label):
         blocks.append(block.shape)
-        real(self, desc, block, rank_only)
+        real(self, desc, block, rank_only, label)
 
     monkeypatch.setattr(_linalg._Echelon, "__init__", spy)
     solver = FieldSolver(F7, mat)
@@ -277,6 +283,53 @@ def test_only_distinct_rows_are_factored(monkeypatch):
     want = FieldSolver(F7, base.toarray())
     assert np.array_equal(solver.pivot_cols, want.pivot_cols)
     assert all(np.array_equal(a, b) for a, b in zip(solver.kernel_basis(), want.kernel_basis(), strict=True))
+
+
+@pytest.mark.parametrize(
+    "desc,widths,rounds",
+    # over F9 a column is two over F_p: 128 columns make two panels of 32
+    # components, two columns wide each
+    [(F7, [1] * 64, 1), (F9, [1] * 64, 4), (F7, [1, 4, 6], 6), (F9, [1, 4, 6], 12)],
+    ids=["F7-64x1", "F9-64x1", "F7-1-4-6", "F9-1-4-6"],
+)
+def test_components_pivot_in_rounds(desc, widths, rounds):
+    # invertible blocks on the diagonal, shuffled: one group, whose panels
+    # pivot the s-th column of every component in round s
+    rng = np.random.default_rng(len(widths))
+    n, m = sum(widths), desc.m
+    mat = np.zeros((n, n, m), dtype=np.int64)
+    for w, c0 in zip(widths, np.cumsum([0] + widths[:-1])):
+        # unit lower times upper with a nonzero diagonal in F_p
+        lower = rng.integers(0, desc.q, size=(w, w, m)) * np.tril(np.ones((w, w), dtype=np.int64), -1)[..., None]
+        upper = rng.integers(0, desc.q, size=(w, w, m)) * np.triu(np.ones((w, w), dtype=np.int64), 1)[..., None]
+        lower[np.arange(w), np.arange(w), 0] = 1
+        upper[np.arange(w), np.arange(w), 0] = rng.integers(1, desc.q, size=w)
+        mat[c0 : c0 + w, c0 : c0 + w] = ra.tensordot(desc, lower, upper, ([1], [0]))
+    mat = mat[rng.permutation(n)][:, rng.permutation(n)]
+    solver = FieldSolver(desc, mat)
+    assert len(solver._groups) == 1 and solver._groups[0][3].rounds == rounds and solver.rank == n
+    assert_matches_dense_oracle(desc, solver, DenseOracle(desc, mat))
+
+
+def test_inv_lower_by_rounds_matches_row_by_row(monkeypatch):
+    # a lower triangular T whose diagonal blocks between the cuts are diagonal:
+    # the inverse by rounds, one product per round after the first, is the
+    # row-by-row inverse
+    p, cuts = 7, [0, 3, 4, 9, 10, 16]
+    rng = np.random.default_rng(4)
+    n = cuts[-1]
+    T = np.tril(rng.integers(0, p, size=(n, n)), -1)
+    for s0, s1 in zip(cuts, cuts[1:]):
+        T[s0:s1, s0:s1] = 0
+    diag = rng.integers(1, p, size=n)
+    invs = [pow(int(d), p - 2, p) for d in diag]
+    want = _linalg._inv_lower(T, invs, p)
+    assert np.array_equal(_linalg._exact_dot(T + np.diag(diag), want, p), np.eye(n, dtype=np.int64))
+    calls = []
+    real = _linalg._exact_dot
+    monkeypatch.setattr(_linalg, "_exact_dot", lambda a, b, q: calls.append(a.shape) or real(a, b, q))
+    assert np.array_equal(_linalg._inv_lower(T, invs, p, cuts), want)
+    assert calls == [(s1 - s0, s0) for s0, s1 in zip(cuts[1:-1], cuts[2:])]
 
 
 def test_wide_and_square_inputs_are_not_sketched(monkeypatch):

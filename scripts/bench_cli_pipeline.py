@@ -14,8 +14,9 @@ the side that runs first:
   for the three workloads and every seed, run from each checkout;
 - steps: the 20 commands of the cli_pipeline workload, each one
   `python -m hopflift.cli` with the benchmark's environment (one BLAS thread,
-  PYTHONDONTWRITEBYTECODE=1, pinned to one CPU); the wall time of every step
-  in --repeats passes and its median;
+  PYTHONDONTWRITEBYTECODE=1, pinned to one CPU); the wall time and the peak
+  RSS (the child's ru_maxrss, from os.wait4) of every step in --repeats
+  passes and their medians;
 - kernels: grouplikes, presentation_from_json (with and without its
   verify_hopf), presentation_to_json, verify_hopf and verify_qt (of its
   canonical R) of S3.double/F7, and drinfeld_double(S3/F7); and the
@@ -162,19 +163,20 @@ def run_workload(tree, name, seed):
 
 
 def run_steps(tree):
-    """Wall seconds of each cli_pipeline command, in pipeline order."""
+    """Wall seconds and peak RSS (MB) of each cli_pipeline command, in pipeline order."""
     workdir = tempfile.mkdtemp(prefix="bench-steps-")
     try:
         steps = json.loads(python(tree, ["-c", STEPS, workdir]))
-        times = {}
+        times, peaks = {}, {}
         for label, argv, code in steps:
             t0 = time.perf_counter()
-            proc = subprocess.run([sys.executable, "-m", "hopflift.cli", *argv], cwd=workdir, env=bench_env(tree),
-                                  capture_output=True, preexec_fn=pinned())
-            times[label] = time.perf_counter() - t0
-            if proc.returncode != code:
-                sys.exit(f"{label} in {tree} exited {proc.returncode}, expected {code}")
-        return times
+            proc = subprocess.Popen([sys.executable, "-m", "hopflift.cli", *argv], cwd=workdir, env=bench_env(tree),
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, preexec_fn=pinned())
+            _, status, usage = os.wait4(proc.pid, 0)
+            times[label], peaks[label] = time.perf_counter() - t0, usage.ru_maxrss / 1024
+            if os.waitstatus_to_exitcode(status) != code:
+                sys.exit(f"{label} in {tree} exited {os.waitstatus_to_exitcode(status)}, expected {code}")
+        return times, peaks
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -240,10 +242,13 @@ def main():
 
     kernels = {"parent": [], "change": []}
     steps = {"parent": [], "change": []}
+    steps_rss = {"parent": [], "change": []}
     for i in range(args.repeats):
         for side in sides(i):
             kernels[side].append(json.loads(python(trees[side], ["-c", KERNELS]).strip().splitlines()[-1]))
-            steps[side].append(run_steps(trees[side]))
+            times, peaks = run_steps(trees[side])
+            steps[side].append(times)
+            steps_rss[side].append(peaks)
         print(f"repeat {i + 1}/{args.repeats}: kernels and steps done", flush=True)
 
     gate = {n: {"parent": [], "change": []} for n in GATE_CRITERIA}
@@ -268,8 +273,8 @@ def main():
     record = {
         "what": (
             f"perfbench/run.py --workload W --seed S at default settings for W in {args.workloads}, seeds "
-            f"{args.seeds}; the 20 cli_pipeline commands timed one by one, {args.repeats} passes, and kernels of "
-            f"S3.double/F7 in a fresh process, {args.repeats} repeats of a median of five calls (none if 0); "
+            f"{args.seeds}; the 20 cli_pipeline commands timed one by one with their peak RSS, {args.repeats} passes, "
+            f"and kernels of S3.double/F7 in a fresh process, {args.repeats} repeats of a median of five calls (none if 0); "
             f"criteria {GATE_CRITERIA} of the acceptance gate, {args.gate} pairs. Parent and change run from separate "
             "checkouts, the side that runs first alternating. Produced by scripts/bench_cli_pipeline.py"
         ),
@@ -291,8 +296,10 @@ def main():
         record.update(
             steps_s={label: paired(series(steps, label), "lower") for label in steps["change"][0]},
             steps_total_s=paired({s: [sum(p.values()) for p in steps[s]] for s in steps}, "lower"),
+            steps_peak_rss_mb={label: paired(series(steps_rss, label), "lower") for label in steps_rss["change"][0]},
             kernels_s={key: paired(series(kernels, key), "lower") for key in kernels["change"][0]},
             raw_steps_s=steps,
+            raw_steps_peak_rss_mb=steps_rss,
             raw_kernels_s=kernels,
         )
     if args.gate:

@@ -24,7 +24,8 @@ src/.  Two parts, each of which alternates the side that runs first:
   HOPFLIFT_COBOUNDARY_BUDGET=64: the FieldSolver builds of d_c ad_2 and ad_2
   (those of _dc_ad_solver(cc, 2) and _ad_solver(cc, 2)) and of the
   contraction's d0_free, each on its matrix built first and untimed, with the
-  rise of the peak RSS over the peak before the build.
+  rise of the peak RSS over the peak before the build; and the certified
+  generation of D4.double/F3 (dimension 64), verify_hopf of D(D4) included.
   Each runs in a fresh process pinned to one CPU with one BLAS thread and an
   address-space cap of --cap-gb GB: its in-process seconds, its wall time and
   its peak RSS.  A run that fails records its exception instead of its
@@ -33,7 +34,8 @@ src/.  Two parts, each of which alternates the side that runs first:
   for the three workloads and every seed, as in scripts/bench_cli_pipeline.py.
 
 --cases TEXT runs only the probes whose label contains TEXT (e.g. "solver
-build"), and then no CLI step and no workloads.
+build"; several texts separated by "|"), and then no CLI step and no
+workloads.
 
 Writes every raw run, the medians, the parent's quartiles and the number of
 pairs in which the change did better to --out.
@@ -122,6 +124,16 @@ out.update(seconds=time.perf_counter() - t0, rss_before_mb=before, shape=list(ma
 print(json.dumps(out))
 """
 
+GEN_PROBE = r"""
+import json, sys, time
+from hopflift import hopfcore as hc
+from hopflift.coeffring import make_ring
+
+t0 = time.perf_counter()
+H = hc.generate(sys.argv[1], make_ring(int(sys.argv[2])))
+print(json.dumps({"seconds": time.perf_counter() - t0, "correct": H.verified}))
+"""
+
 # label, probe, its arguments, extra environment
 H2_AT_8 = {"HOPFLIFT_H2_BUDGET": "8"}
 DIM_16 = {"HOPFLIFT_COBOUNDARY_BUDGET": "16"}
@@ -142,7 +154,7 @@ CASES = [
     (f"{layer} solver build, {label}, HOPFLIFT_COBOUNDARY_BUDGET=64", LAYER_PROBE, [name, p, layer], {"HOPFLIFT_COBOUNDARY_BUDGET": "64"})
     for label, name, p in (("D(S3)/F7", "S3.double", "7"), ("D(D4)/F3", "D4.double", "3"))
     for layer in ("d_c ad_2", "ad_2", "d0_free")
-]
+] + [("generate D4.double/F3", GEN_PROBE, ["D4.double", "3"], {})]
 CLI_STEP = "cli: cohomology d2.json --degree 0,1,2 --invariants (C2.double/F5)"
 
 
@@ -220,7 +232,7 @@ def main():
     cap = int(args.cap_gb * (1 << 30))
     lo, hi = (int(s) for s in args.seeds.split("-"))
 
-    cases = [case for case in CASES if args.cases is None or args.cases in case[0]]
+    cases = [case for case in CASES if args.cases is None or any(t in case[0] for t in args.cases.split("|"))]
     labels = [label for label, *_ in cases] + ([CLI_STEP] if args.cases is None else [])
     runs = {label: {"parent": [], "change": []} for label in labels}
     for i in range(args.repeats):
@@ -246,7 +258,7 @@ def main():
     record = {
         "what": (
             f"cohomology_dim in degrees 0-2, cold lifts at dimensions 16 and 36, the CLI cohomology step and the "
-            f"solver builds of d_c ad_2, ad_2 and d0_free at dimensions 36 and 64"
+            f"solver builds of d_c ad_2, ad_2 and d0_free at dimensions 36 and 64, and generate(D4.double/F3)"
             f"{'' if args.cases is None else f' (only those labelled *{args.cases}*, no CLI step, no workloads)'}, "
             f"{args.repeats} fresh processes per side "
             f"under a {args.cap_gb:g} GB address-space cap; perfbench/run.py --workload W --seed S at default "

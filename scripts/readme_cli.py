@@ -11,10 +11,12 @@ run.  The degree-2 cohomology of C4.double/F5 and the perturbed lift of
 S3.double/F7 (dimension 36) run under a 1.5 GB address-space cap (RLIMIT_AS)
 with one BLAS thread, so an allocation of gigabytes fails the check; the
 lift's JSON, without the transcript's wall-clock seconds, must have the
-SHA-256 LIFT_S3D_SHA256.  Prints one line per command and exits 1 if any
-check fails.
+SHA-256 LIFT_S3D_SHA256.  Prints one line per checked command, with its
+peak RSS (the child's ru_maxrss, from os.wait4), and exits 1 if any check
+fails.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -23,7 +25,8 @@ import subprocess
 import sys
 import tempfile
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
 sys.path.insert(0, SRC)
 CAP_BYTES = 3 << 29  # 1.5 GB
 LIFT_S3D_SHA256 = "a1a00442d486003394e57641b3630ab67d73264d68143c3f1e62ac3f1ed04516"
@@ -39,15 +42,27 @@ def hopflift(workdir, *argv, stdin=None, extra_env=None, cap_bytes=None):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
 
-    return subprocess.run(
-        [sys.executable, "-m", "hopflift.cli", *argv],
-        cwd=workdir,
-        env=env,
-        input=stdin,
-        capture_output=True,
-        text=True,
-        preexec_fn=cap if cap_bytes else None,
-    )
+    argv = [sys.executable, "-m", "hopflift.cli", *argv]
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(argv, cwd=workdir, env=env, stdin=subprocess.PIPE, stdout=out, stderr=err, text=True,
+                                preexec_fn=cap if cap_bytes else None)
+        with contextlib.suppress(BrokenPipeError):  # a command that exits before reading its input
+            proc.stdin.write(stdin or "")
+            proc.stdin.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        out.seek(0)
+        err.seek(0)
+        done = subprocess.CompletedProcess(argv, os.waitstatus_to_exitcode(status), out.read(), err.read())
+    done.peak_rss_mb = usage.ru_maxrss / 1024
+    return done
+
+
+def in_child(name, *args):
+    """name(*args), a function of this file, run in a fresh interpreter; its
+    printed result.  This process imports neither numpy nor hopflift: a child's
+    ru_maxrss counts the peak of the process that forked it."""
+    code = f"import sys; sys.path.insert(0, {HERE!r}); import readme_cli; print(readme_cli.{name}(*sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, check=True).stdout.strip()
 
 
 def write_inputs(workdir):
@@ -96,12 +111,12 @@ def main():
         nonlocal failures
         good = proc.returncode == code and ok
         failures += not good
-        print(f"{'ok  ' if good else 'FAIL'} {label}: exit {proc.returncode} (documented {code})")
+        print(f"{'ok  ' if good else 'FAIL'} {label}: exit {proc.returncode} (documented {code}), peak {proc.peak_rss_mb:.1f} MB")
         if not good:
             print(f"     stdout {proc.stdout[-300:]!r}\n     stderr {proc.stderr[-300:]!r}")
 
     with tempfile.TemporaryDirectory() as wd:
-        write_inputs(wd)
+        in_child("write_inputs", wd)
         s3 = hopflift(wd, "gen", "S3", "--p", "7").stdout
         p = hopflift(wd, "validate", stdin=s3)
         check("gen S3 --p 7 | validate", p, 0, "FAIL" not in p.stdout)
@@ -132,7 +147,7 @@ def main():
         check("gen S3.double --p 7 -o s3d.json", hopflift(wd, "gen", "S3.double", "--p", "7", "-o", "s3d.json"), 0)
         argv = ["lift", "s3d.json", "--precision", "4", "--strategy", "perturbed:1", "-o", "s3dlift.json"]
         p = hopflift(wd, *argv, extra_env={"HOPFLIFT_COBOUNDARY_BUDGET": "64"}, cap_bytes=CAP_BYTES)
-        digest_ok = p.returncode == 0 and lift_digest(os.path.join(wd, "s3dlift.json")) == LIFT_S3D_SHA256
+        digest_ok = p.returncode == 0 and in_child("lift_digest", os.path.join(wd, "s3dlift.json")) == LIFT_S3D_SHA256
         check(
             "HOPFLIFT_COBOUNDARY_BUDGET=64 lift s3d.json --precision 4 --strategy perturbed:1 (SHA-256 a1a00442..., 1.5 GB cap)",
             p,

@@ -207,10 +207,12 @@ def tensordot(desc, a, b, axes, a_reg=None):
     axa, axb, k, (perm_a, shape_a), (perm_b, shape_b), split, out = _plan(a.shape, b.shape, tuple(axes[0]), tuple(axes[1]), m)
     # dense multiply-adds: a.size * b.size / (k m); a logical scalar stays dense
     if a.size * b.size >= _JOIN_MIN_MADDS * k * m and a.ndim > 1 and b.ndim > 1:
-        nza, nzb = nonzeros(a, axa), nonzeros(b, axb)
-        pairs = int(np.bincount(nza[0], minlength=k) @ np.bincount(nzb[0], minlength=k))
-        if pairs * _JOIN_PAIR_COST * k * m < a.size * b.size:
-            return _join(desc, a, b, axa, axb, k, nza, nzb)
+        # join when pairs * cost < dense; the pairs are at most nnz(a) nnz(b),
+        # and counted per key only when that bound does not decide
+        cost, dense = _JOIN_PAIR_COST * k * m, a.size * b.size
+        bound = np.count_nonzero(a) * np.count_nonzero(b)
+        if bound * cost < dense or int(key_counts(a, axa) @ key_counts(b, axb)) * cost < dense:
+            return _join(desc, a, b, axa, axb, k)
     dt = _dtype(k * m * (q - 1) * (q - 1))
     if m > 1:
         # coefficient s of a * b is sum_t (a x^t)_s b_t: only a needs its
@@ -227,6 +229,14 @@ def tensordot(desc, a, b, axes, a_reg=None):
         # (free a, s, free b) -> (free a, free b, s)
         r = r.reshape(split).transpose(0, 2, 1)
     return r.reshape(out)
+
+
+def key_counts(arr, key_axes):
+    """np.bincount of nonzeros(arr, key_axes)'s keys, without listing the nonzeros."""
+    mask = arr[..., 0] != 0 if arr.shape[-1] == 1 else np.any(arr != 0, axis=-1)
+    counts = np.count_nonzero(mask, axis=tuple(ax for ax in range(mask.ndim) if ax not in key_axes))
+    order = sorted(key_axes)
+    return np.asarray(counts).transpose([order.index(ax) for ax in key_axes]).ravel()
 
 
 def nonzeros(arr, key_axes):
@@ -280,16 +290,13 @@ def join(desc, nza, nzb, k, nfree_b):
     return collect(q, fa[ia] * nfree_b + fb[ib], prods, k)
 
 
-def _join(desc, a, b, axa, axb, k, nza=None, nzb=None):
-    """tensordot from the nonzeros of a and b (their nonzeros(), when already
-    counted), given the nonnegative contracted axes and the number k of
-    contracted indices: join() written into the dense, reduced, contiguous
-    int64 array of the BLAS path."""
+def _join(desc, a, b, axa, axb, k):
+    """tensordot from the nonzeros of a and b, given the nonnegative
+    contracted axes and the number k of contracted indices: join() written
+    into the dense, reduced, contiguous int64 array of the BLAS path."""
     free_a = [n for ax, n in enumerate(a.shape[:-1]) if ax not in axa]
     free_b = [n for ax, n in enumerate(b.shape[:-1]) if ax not in axb]
-    nza = nonzeros(a, axa) if nza is None else nza
-    nzb = nonzeros(b, axb) if nzb is None else nzb
-    cells, vals = join(desc, nza, nzb, k, math.prod(free_b))
+    cells, vals = join(desc, nonzeros(a, axa), nonzeros(b, axb), k, math.prod(free_b))
     out = np.zeros((math.prod(free_a + free_b), desc.m), dtype=np.int64)
     out[cells] = vals
     return out.reshape(tuple(free_a + free_b) + (desc.m,))

@@ -37,7 +37,8 @@ def _write(obj, out):
 def _load_presentation(path, verify=True):
     from . import serialize as ser
 
-    return ser.presentation_from_json(_read_json(path), verify=verify)
+    H = ser.presentation_from_json(_read_json(path), verify=False)
+    return ser.verified(H) if verify else H  # verified once the parsed JSON is freed
 
 
 def cmd_gen(args):

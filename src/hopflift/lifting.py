@@ -136,8 +136,9 @@ def obstruction(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> Obstr
     """The degree-2 cochain c = a(m', Delta')/p^n mod p, with its cocycle check.
 
     Components: the (2,0) associativity, (1,1) compatibility and (0,2)
-    coassociativity defects of hc._structure_residuals, each formed in one
-    buffer: subtracted, tested for divisibility (NotDivisible), divided, reduced.
+    coassociativity defects of hc._structure_residuals, each written into one
+    buffer a block at a time: subtracted into its slices, tested for
+    divisibility (NotDivisible), divided, reduced.
     """
     desc = mul.ring
     n = desc.n - 1
@@ -148,15 +149,15 @@ def obstruction(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> Obstr
     comps = {}
     residuals = hc._structure_residuals(desc, m_legs, d_legs)
     # in the order of _structure_residuals: associativity, coassociativity, compatibility
-    for (p, q), ai, ao in (((2, 0), 3, 1), ((0, 2), 1, 3), ((1, 1), 2, 2)):
-        lhs, rhs = next(residuals)
+    for ((p, q), ai, ao), blocks in zip((((2, 0), 3, 1), ((0, 2), 1, 3), ((1, 1), 2, 2)), residuals):
         c = np.empty((N**ao, N**ai, desc.m), dtype=np.int64)
-        np.subtract(lhs, rhs, out=c.reshape(lhs.shape))
-        del lhs, rhs
-        if n and np.any(c % pn):
-            raise NotDivisible(f"tensor not divisible by p^{n}")
-        c //= pn
-        c %= base.ring.p
+        for lead, lhs, rhs in blocks:
+            block = np.subtract(lhs, rhs, out=c.reshape(N, N, N, N, desc.m)[lead])
+            del lhs, rhs
+            if n and np.any(block % pn):
+                raise NotDivisible(f"tensor not divisible by p^{n}")
+            block //= pn
+            block %= base.ring.p
         comps[(p, q)] = MultiMap(base.ring, ai, ao, N, N, c)
     return ObstructionReport(coh.TotalCochain(coh.make_context(base), 2, comps))
 

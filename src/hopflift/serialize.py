@@ -126,11 +126,12 @@ def presentation_from_json(obj, path="", verify=True) -> HopfPresentation:
         MultiMap(ring, 1, 0, n, n, counit_tab.reshape(1, n, m)),
         MultiMap(ring, 1, 1, n, n, np.ascontiguousarray(s_tab.transpose(1, 0, 2))),
     )
-    if verify:
-        report = hc.verify_hopf(pres)
-        if report.all_pass:
-            pres = hc.HopfPresentation(ring, n, *pres.tensors(), verified=True)
-    return pres
+    return verified(pres) if verify else pres
+
+
+def verified(pres: HopfPresentation) -> HopfPresentation:
+    """pres marked VERIFIED when verify_hopf passes, else pres as it is."""
+    return HopfPresentation(pres.ring, pres.dim, *pres.tensors(), verified=True) if hc.verify_hopf(pres).all_pass else pres
 
 
 def multimap_to_json(mm: MultiMap) -> dict:

@@ -439,6 +439,39 @@ def test_bottom_row_basis_matches_dense_scan(desc, seed, chunk):
     assert np.array_equal(got, want) and got.size < cols
 
 
+def reversed_pivot_rows(desc, mat):
+    """R - 1 - pivot_rows // m, ascending, of FieldSolver on mat with its rows
+    reversed: the pivot rows of a column-greedy elimination among its first k
+    rows are those of its first k rows alone, in any column order."""
+    rev = FieldSolver(desc, np.ascontiguousarray(mat[::-1]), rank_only=True)
+    return np.unique(mat.shape[0] - 1 - rev.pivot_rows // desc.m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F2, F7, F4, F9]), st.integers(0, 2**32 - 1))
+def test_bottom_row_basis_is_the_reversed_pivot_rows(desc, seed):
+    # planted low rank with zero and repeated rows, in any order of the columns
+    rng = np.random.default_rng(seed)
+    cols = int(rng.integers(1, 12))
+    rows = int(rng.integers(0, 30))
+    mat = planted(desc, rows, cols, int(rng.integers(1, cols + 1)), seed) if rows else ra.zeros(desc, (0, cols))
+    got = bottom_row_basis(desc, CooMatrix.from_dense(mat))
+    assert np.array_equal(got, reversed_pivot_rows(desc, mat))
+    assert np.array_equal(got, reversed_pivot_rows(desc, mat[:, rng.permutation(cols)]))
+
+
+@pytest.mark.parametrize(
+    "name,ring", [("D4", cr.make_ring(3)), ("D4.dual", cr.make_ring(5)), ("Q8", F7), ("S3", F7), ("C3", F4), ("S3", cr.make_ring(5, 1, 2)), ("C4.double", cr.make_ring(5))]
+)
+def test_bottom_row_basis_of_d0_is_the_reversed_pivot_rows(name, ring):
+    from hopflift import cohomology as coh
+    from hopflift import hopfcore as hc
+
+    d0 = coh.dtotal_matrix(coh.make_context(hc.generate(name, ring)), 0)
+    got = bottom_row_basis(ring, d0)
+    assert got.size and np.array_equal(got, reversed_pivot_rows(ring, d0.toarray()))
+
+
 # --- Python-int oracle ---
 
 

@@ -6,6 +6,8 @@ certifies invertibility by (S (x) id)(R) R = 1 (x) 1 and ranks the left
 multiplication matrix of R only when that fails; the rank is the oracle.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,18 @@ def test_outer_product_and_dispatch(monkeypatch):
     for axes, want in zip((([], []), ([2], [0])), expected):
         assert np.array_equal(ra.tensordot(desc, a, b, axes), want)
     assert len(calls) == 2
+
+
+def test_key_counts_match_bincount_of_nonzeros():
+    """The per-key counts that decide the join, for every ordered choice of key axes."""
+    rng = np.random.default_rng(5)
+    for m in (1, 2):
+        for shape in ((3, 4, 2), (2, 0, 3), (5,), (2, 3, 4, 2)):
+            arr = (rng.random(shape + (m,)) < 0.3).astype(np.int64)
+            for n in range(len(shape) + 1):
+                for keys in itertools.permutations(range(len(shape)), n):
+                    k = int(np.prod([shape[ax] for ax in keys]))
+                    assert np.array_equal(ra.key_counts(arr, keys), np.bincount(ra.nonzeros(arr, keys)[0], minlength=k))
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,8 +18,11 @@ the side that runs first:
   RSS (the child's ru_maxrss, from os.wait4) of every step in --repeats
   passes and their medians;
 - kernels: grouplikes, presentation_from_json (with and without its
-  verify_hopf), presentation_to_json, verify_hopf and verify_qt (of its
-  canonical R) of S3.double/F7, and drinfeld_double(S3/F7); and the
+  verify_hopf), presentation_to_json, verify_hopf, verify_qt (of its
+  canonical R), dual_coopposite and lift_rmatrix (of its canonical R,
+  through its canonical lift to p^4, made untimed with
+  HOPFLIFT_COBOUNDARY_BUDGET=64) of S3.double/F7, drinfeld_double(S3/F7) and
+  generate("S3.dual", F7); and the
   FieldSolver builds of a cold perturbed lift to p^4 of D4/F3, D4.dual/F5
   and Q8/F7, each distinct input once, labelled by the function that built
   it (integral, _ad_solver, _dc_ad_solver, _contraction) and its shape: the
@@ -52,7 +55,7 @@ WORKLOADS = ("cli_pipeline", "lift_cold", "lift_warm")
 METRICS = {"ops_per_s": "higher", "op_s.p50": "lower", "setup_s": "lower", "peak_rss_mb": "lower"}
 
 KERNELS = r"""
-import hashlib, json, statistics, time, traceback
+import hashlib, json, os, statistics, time, traceback
 from hopflift import _linalg
 from hopflift import cohomology as coh
 from hopflift import hopfcore as hc
@@ -105,6 +108,9 @@ for name, p in (("D4", 3), ("D4.dual", 5), ("Q8", 7)):
     for label, (desc, marr, rank_only) in solver_builds(name, p).items():
         solvers[label] = median_s(lambda: _linalg.FieldSolver(desc, marr, rank_only))
 
+os.environ["HOPFLIFT_COBOUNDARY_BUDGET"] = "64"  # coboundary solves at dimension 36
+canonical = lf.lift(H, 4)
+
 print(json.dumps({
     **solvers,
     "grouplikes(S3.double/F7)": median_s(lambda: hc.grouplikes(H)),
@@ -114,6 +120,9 @@ print(json.dumps({
     "drinfeld_double(S3/F7)": median_s(lambda: hc.drinfeld_double(S3)),
     "verify_hopf(S3.double/F7)": median_s(lambda: hc.verify_hopf(H)),
     "verify_qt(S3.double/F7)": median_s(lambda: hc.verify_qt(H, R.R)),
+    "dual_coopposite(S3.double/F7)": median_s(lambda: hc.dual_coopposite(H)),
+    'generate("S3.dual", F7)': median_s(lambda: hc.generate("S3.dual", make_ring(7))),
+    "lift_rmatrix(S3.double/F7, canonical p^4)": median_s(lambda: lf.lift_rmatrix(H, R, canonical)),
 }))
 """
 

@@ -24,8 +24,11 @@ src/.  Two parts, each of which alternates the side that runs first:
   HOPFLIFT_COBOUNDARY_BUDGET=64: the FieldSolver builds of d_c ad_2 and ad_2
   (those of _dc_ad_solver(cc, 2) and _ad_solver(cc, 2)) and of the
   contraction's d0_free, each on its matrix built first and untimed, with the
-  rise of the peak RSS over the peak before the build; and the certified
-  generation of D4.double/F3 (dimension 64), verify_hopf of D(D4) included.
+  rise of the peak RSS over the peak before the build; the certified
+  generation of D4.double/F3 (dimension 64), verify_hopf of D(D4) included;
+  and lift_rmatrix of D(S3)/F7's canonical R through its perturbed lift to
+  p^4 (made untimed, HOPFLIFT_COBOUNDARY_BUDGET=64), with the SHA-256 of the
+  lifted R-matrix JSON.
   Each runs in a fresh process pinned to one CPU with one BLAS thread and an
   address-space cap of --cap-gb GB: its in-process seconds, its wall time and
   its peak RSS.  A run that fails records its exception instead of its
@@ -134,6 +137,25 @@ H = hc.generate(sys.argv[1], make_ring(int(sys.argv[2])))
 print(json.dumps({"seconds": time.perf_counter() - t0, "correct": H.verified}))
 """
 
+RMATRIX_PROBE = r"""
+import hashlib, json, sys, time
+from hopflift import hopfcore as hc
+from hopflift import lifting as lf
+from hopflift import serialize as ser
+from hopflift.coeffring import make_ring
+
+H, R = hc.drinfeld_double(hc.generate(sys.argv[1], make_ring(int(sys.argv[2]))))
+st = lf.lift(H, 4, sys.argv[3])
+t0 = time.perf_counter()
+try:
+    out_r = lf.lift_rmatrix(H, R, st)
+    out = {"seconds": time.perf_counter() - t0, "correct": out_r.quasitriangular}
+    out["sha256"] = hashlib.sha256(ser.dumps(ser.rmatrix_to_json(st.current, out_r.R)).encode()).hexdigest()
+except MemoryError as exc:
+    out = {"error": f"MemoryError: {exc}", "seconds": time.perf_counter() - t0}
+print(json.dumps(out))
+"""
+
 # label, probe, its arguments, extra environment
 H2_AT_8 = {"HOPFLIFT_H2_BUDGET": "8"}
 DIM_16 = {"HOPFLIFT_COBOUNDARY_BUDGET": "16"}
@@ -154,7 +176,11 @@ CASES = [
     (f"{layer} solver build, {label}, HOPFLIFT_COBOUNDARY_BUDGET=64", LAYER_PROBE, [name, p, layer], {"HOPFLIFT_COBOUNDARY_BUDGET": "64"})
     for label, name, p in (("D(S3)/F7", "S3.double", "7"), ("D(D4)/F3", "D4.double", "3"))
     for layer in ("d_c ad_2", "ad_2", "d0_free")
-] + [("generate D4.double/F3", GEN_PROBE, ["D4.double", "3"], {})]
+] + [
+    ("generate D4.double/F3", GEN_PROBE, ["D4.double", "3"], {}),
+    ("lift_rmatrix S3.double/F7 perturbed:1 p^4, HOPFLIFT_COBOUNDARY_BUDGET=64", RMATRIX_PROBE, ["S3", "7", "perturbed:1"],
+     {"HOPFLIFT_COBOUNDARY_BUDGET": "64"}),
+]
 CLI_STEP = "cli: cohomology d2.json --degree 0,1,2 --invariants (C2.double/F5)"
 
 
@@ -258,7 +284,8 @@ def main():
     record = {
         "what": (
             f"cohomology_dim in degrees 0-2, cold lifts at dimensions 16 and 36, the CLI cohomology step and the "
-            f"solver builds of d_c ad_2, ad_2 and d0_free at dimensions 36 and 64, and generate(D4.double/F3)"
+            f"solver builds of d_c ad_2, ad_2 and d0_free at dimensions 36 and 64, generate(D4.double/F3) and "
+            f"lift_rmatrix of D(S3)/F7 through its perturbed p^4 lift"
             f"{'' if args.cases is None else f' (only those labelled *{args.cases}*, no CLI step, no workloads)'}, "
             f"{args.repeats} fresh processes per side "
             f"under a {args.cap_gb:g} GB address-space cap; perfbench/run.py --workload W --seed S at default "

@@ -186,6 +186,14 @@ def main():
             p.stdout == ""
             and p.stderr.strip() == "AxiomsViolated: base fails the Hopf axioms antipode_left, antipode_right",
         )
+        p = hopflift(wd, "dual", "broken.json")
+        check(
+            "dual broken.json (InternalAxiomFailure, no dual)",
+            p,
+            1,
+            p.stdout == ""
+            and p.stderr.strip() == "InternalAxiomFailure: presentation fails axioms: ['antipode_left', 'antipode_right']",
+        )
     print(f"{failures} checks failed" if failures else "all checks passed")
     return 1 if failures else 0
 

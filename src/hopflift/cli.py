@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 
-from .errors import HopfliftError, SchemaViolation, UnsupportedModulus
+from .errors import HopfliftError, InternalAxiomFailure, SchemaViolation, UnsupportedModulus
 
 
 def _read_json(path):
@@ -34,11 +35,14 @@ def _write(obj, out):
             fh.write(text + "\n")
 
 
-def _load_presentation(path, verify=True):
+def _load_presentation(path):
+    from . import hopfcore as hc
     from . import serialize as ser
 
     H = ser.presentation_from_json(_read_json(path), verify=False)
-    return ser.verified(H) if verify else H  # verified once the parsed JSON is freed
+    with suppress(InternalAxiomFailure):  # verified once the parsed JSON is freed; one that fails stays unmarked
+        H = hc.verified(H)
+    return H
 
 
 def cmd_gen(args):
@@ -54,8 +58,9 @@ def cmd_gen(args):
 
 def cmd_validate(args):
     from . import hopfcore as hc
+    from . import serialize as ser
 
-    H = _load_presentation(args.file, verify=False)
+    H = ser.presentation_from_json(_read_json(args.file), verify=False)
     report = hc.verify_hopf(H)
     if args.json:
         payload = {
@@ -212,7 +217,7 @@ def cmd_dual(args):
     from . import serialize as ser
 
     H = _load_presentation(args.file)
-    _write(ser.presentation_to_json(hc.dual(H)), args.output)
+    _write(ser.presentation_to_json(hc.dual(hc.verified(H))), args.output)
     return 0
 
 

@@ -284,9 +284,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def is_unit(self) -> bool:
-        return any(c % self.ring.p for c in self.coeffs)
-
     def _bin(self, other, fn):
         if not isinstance(other, RingElement):
             other = self.ring.element(other)
@@ -386,12 +383,6 @@ def digit_lift(a: RingElement, target: RingDescriptor) -> RingElement:
     if target.n < a.ring.n or not a.ring.lift_compatible(target):
         raise DescriptorMismatch(f"cannot digit-lift {a.ring} into {target}")
     return target.element(list(a.coeffs))
-
-
-def reduce_element(a: RingElement, target: RingDescriptor) -> RingElement:
-    if target.n > a.ring.n or not a.ring.lift_compatible(target):
-        raise DescriptorMismatch(f"cannot reduce {a.ring} into {target}")
-    return target.element([c % target.q for c in a.coeffs])
 
 
 def exact_div_p(a: RingElement, k: int) -> RingElement:

@@ -200,7 +200,7 @@ class _ContextCache:
 
         def build():
             ctx = self.ctx
-            A, B = hc.dual(ctx.B, verify=False), hc.dual(ctx.A, verify=False)
+            A, B = hc.dual(ctx.B), hc.dual(ctx.A)
             fmap = MultiMap(ctx.ring, 1, 1, A.dim, B.dim, np.ascontiguousarray(np.swapaxes(self.F, 0, 1)))
             # the dual of a Hopf map is a Hopf map
             return _ContextCache(ComplexContext(A, B, HopfMorphism(A, B, fmap, verified=True)))

@@ -112,14 +112,23 @@ class HopfPresentation:
         return f"<{tag}HopfPresentation dim {self.dim} over {self.ring}>"
 
 
-def make_presentation(ring, mul, unit, comul, counit, antipode, verify=True) -> HopfPresentation:
-    H = HopfPresentation(ring, mul.dim_out, mul, unit, comul, counit, antipode)
-    if verify:
-        report = verify_hopf(H)
-        if not report.all_pass:
-            raise InternalAxiomFailure(f"presentation fails axioms: {report.failing()}")
-        H = HopfPresentation(ring, H.dim, *H.tensors(), verified=True)
-    return H
+def make_presentation(ring, mul, unit, comul, counit, antipode) -> HopfPresentation:
+    return verified(HopfPresentation(ring, mul.dim_out, mul, unit, comul, counit, antipode))
+
+
+def verified(H: HopfPresentation) -> HopfPresentation:
+    """H marked VERIFIED: H itself when it is marked, else a marked copy once
+    verify_hopf passes on it; InternalAxiomFailure names the failing axioms
+    otherwise.  This is the one certificate of a presentation.  The mark has
+    one other source: dual, dual_coopposite and reduce_presentation carry
+    their input's, as the axioms of what they derive are those of the input
+    transposed or reduced."""
+    if H.verified:
+        return H
+    failing = verify_hopf(H).failing()
+    if failing:
+        raise InternalAxiomFailure(f"presentation fails axioms: {failing}")
+    return HopfPresentation(H.ring, H.dim, *H.tensors(), verified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -342,40 +351,32 @@ def group_algebra(ring: RingDescriptor, table) -> HopfPresentation:
     )
 
 
-def dual(H: HopfPresentation, verify: bool = True) -> HopfPresentation:
-    """Transpose all structure tensors; dual(dual(H)) == H exactly."""
+def dual(H: HopfPresentation) -> HopfPresentation:
+    """Transpose all structure tensors; dual(dual(H)) == H exactly.  VERIFIED
+    when H is, with nothing checked: each axiom of the dual is one of H's
+    transposed."""
     ring, n = H.ring, H.dim
-    sw = lambda mm: np.ascontiguousarray(np.swapaxes(mm.coeffs, 0, 1))
-    return make_presentation(
-        ring,
-        MultiMap(ring, 2, 1, n, n, sw(H.comul)),
-        MultiMap(ring, 0, 1, n, n, sw(H.counit)),
-        MultiMap(ring, 1, 2, n, n, sw(H.mul)),
-        MultiMap(ring, 1, 0, n, n, sw(H.unit)),
-        MultiMap(ring, 1, 1, n, n, sw(H.antipode)),
-        verify=verify,
-    )
+    sw = lambda mm: MultiMap(ring, mm.arity_out, mm.arity_in, n, n, np.ascontiguousarray(np.swapaxes(mm.coeffs, 0, 1)))
+    return HopfPresentation(ring, n, sw(H.comul), sw(H.counit), sw(H.mul), sw(H.unit), sw(H.antipode), verified=H.verified)
 
 
-def dual_coopposite(H: HopfPresentation, verify: bool = True) -> HopfPresentation:
-    """A^{*cop}: the dual algebra with opposite comultiplication and antipode (S*)^{-1}."""
+def dual_coopposite(H: HopfPresentation) -> HopfPresentation:
+    """A^{*cop}: the dual algebra with opposite comultiplication and antipode
+    (S*)^{-1}, VERIFIED when H is.  Its axioms are the dual's with the legs of
+    the comultiplication swapped, given an exact inverse of S*; that is the one
+    fact checked, S* (S*)^{-1} = I, an N^3 product (InternalAxiomFailure if it
+    fails, SingularAntipode if S* is not invertible)."""
     ring, n = H.ring, H.dim
-    d = dual(H, verify=False)
+    d = dual(H)
     cop = d.comul.coeffs.reshape(n, n, n, ring.m)
     cop = np.ascontiguousarray(ra.transpose(cop, (1, 0, 2)).reshape(n * n, n, ring.m))
     try:
         s_inv = matrix_inverse(ring, d.antipode.coeffs)
     except SingularModP as exc:
         raise SingularAntipode(f"dual antipode not invertible: {exc}") from exc
-    return make_presentation(
-        ring,
-        d.mul,
-        d.unit,
-        MultiMap(ring, 1, 2, n, n, cop),
-        d.counit,
-        MultiMap(ring, 1, 1, n, n, s_inv),
-        verify=verify,
-    )
+    if not np.array_equal(ra.tensordot(ring, d.antipode.coeffs, s_inv, ([1], [0])), ra.eye(ring, n)):
+        raise InternalAxiomFailure("dual antipode times its computed inverse is not the identity")
+    return replace(d, comul=MultiMap(ring, 1, 2, n, n, cop), antipode=MultiMap(ring, 1, 1, n, n, s_inv))
 
 
 def drinfeld_double(H: HopfPresentation):
@@ -544,7 +545,7 @@ def is_semisimple(H: HopfPresentation) -> bool:
 
 
 def is_cosemisimple(H: HopfPresentation) -> bool:
-    return is_semisimple(dual(H, verify=False))
+    return is_semisimple(dual(H))
 
 
 def is_commutative(H: HopfPresentation) -> bool:
@@ -866,11 +867,13 @@ def drinfeld_u(H: HopfPresentation, R: MultiMap):
 
 
 def theta(H: HopfPresentation, R: MultiMap) -> HopfMorphism:
-    """theta_R: A^{*cop} -> A, f |-> (f (x) I)(R); a Hopf map for quasitriangular R."""
+    """theta_R: A^{*cop} -> A, f |-> (f (x) I)(R); a Hopf map for quasitriangular R.
+    H passes through verified, so an unverified H that fails the axioms raises
+    InternalAxiomFailure, and A^{*cop} is VERIFIED by derivation."""
     desc, N = H.ring, H.dim
     r2 = R.coeffs.reshape(N, N, desc.m)
     themap = MultiMap(desc, 1, 1, N, N, np.ascontiguousarray(ra.transpose(r2, (1, 0))))
-    src = dual_coopposite(H, verify=True)
+    src = dual_coopposite(verified(H))
     phi = HopfMorphism(src, H, themap)
     fails = morphism_failures(phi)
     if fails:
@@ -941,8 +944,8 @@ def generate(name: str, ring: RingDescriptor):
     return H
 
 
-def reduce_presentation(H: HopfPresentation, target: RingDescriptor, verify: bool = False) -> HopfPresentation:
+def reduce_presentation(H: HopfPresentation, target: RingDescriptor) -> HopfPresentation:
+    """H mod target.q, VERIFIED when H is: reduction is a ring map, so it keeps
+    every axiom."""
     maps = [tc.map_reduce_precision(t, target) for t in H.tensors()]
-    return make_presentation(target, *maps, verify=verify) if verify else HopfPresentation(
-        target, H.dim, *maps, verified=False
-    )
+    return HopfPresentation(target, H.dim, *maps, verified=H.verified)

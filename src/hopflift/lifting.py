@@ -430,9 +430,10 @@ def lift_morphism(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState) -> Ho
 
 
 def dualcop_state(state: LiftState) -> LiftState:
-    """The dual-co-opposite lift: dualcop commutes with reduction mod p^k."""
-    base = hc.dual_coopposite(state.base)
-    current = hc.dual_coopposite(state.current)
+    """The dual-co-opposite lift: dualcop commutes with reduction mod p^k.  Base
+    and current pass through hc.verified; the results are VERIFIED by derivation."""
+    base = hc.dual_coopposite(hc.verified(state.base))
+    current = hc.dual_coopposite(hc.verified(state.current))
     return LiftState(base, state.precision, current, [])
 
 

@@ -183,11 +183,6 @@ def iterate(H, q: int, direction: str) -> MultiMap:
     return MultiMap(ring, q, 1, dim, dim, np.ascontiguousarray(np.swapaxes(cur, 0, 1)))
 
 
-def apply_map(f: MultiMap, vec: np.ndarray) -> np.ndarray:
-    """Apply to a coefficient column of shape (dim_in^arity_in, m)."""
-    return ra.tensordot(f.ring, f.coeffs, vec, ([1], [0]))
-
-
 def map_reduce_precision(f: MultiMap, target: RingDescriptor) -> MultiMap:
     if not f.ring.lift_compatible(target) or target.n > f.ring.n:
         raise DescriptorMismatch(f"cannot reduce {f.ring} to {target}")

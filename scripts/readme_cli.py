@@ -135,6 +135,10 @@ def main():
         check("gen D4 --p 3 -o d4.json", hopflift(wd, "gen", "D4", "--p", "3", "-o", "d4.json"), 0)
         p = hopflift(wd, "cohomology", "d4.json", "--degree", "2", extra_env={"HOPFLIFT_H2_BUDGET": "8"})
         check("HOPFLIFT_H2_BUDGET=8 cohomology d4.json --degree 2 (H^2 = 0)", p, 0, "H^2 = 0" in p.stdout.splitlines())
+        check("gen S3 --p 3 -o s3f3.json", hopflift(wd, "gen", "S3", "--p", "3", "-o", "s3f3.json"), 0)
+        p = hopflift(wd, "cohomology", "s3f3.json", "--degree", "0,1,2")
+        dims_ok = p.stdout.splitlines() == ["H^0 = 0", "H^1 = 0", "H^2 = 0"]
+        check("cohomology s3f3.json --degree 0,1,2 (H^2 = 0, by the dual context)", p, 0, dims_ok)
         check("gen C4.double --p 5 -o c4d.json", hopflift(wd, "gen", "C4.double", "--p", "5", "-o", "c4d.json"), 0)
         budgets = {"HOPFLIFT_H2_BUDGET": "16", "HOPFLIFT_COBOUNDARY_BUDGET": "16"}
         p = hopflift(wd, "cohomology", "c4d.json", "--degree", "2", extra_env=budgets, cap_bytes=CAP_BYTES)

@@ -45,6 +45,14 @@ def _load_presentation(path):
     return H
 
 
+def _axioms_violated(H):
+    """Refuse a presentation _load_presentation left unmarked: exit 1, stdout empty."""
+    from . import hopfcore as hc
+
+    print(f"axioms violated: {', '.join(hc.verify_hopf(H).failing())}", file=sys.stderr)
+    return 1
+
+
 def cmd_gen(args):
     from . import hopfcore as hc
     from . import serialize as ser
@@ -86,9 +94,7 @@ def cmd_analyze(args):
         print("analyze requires a presentation over a field (n = 1)", file=sys.stderr)
         return 2
     if not H.verified:
-        # no predicate of a Hopf algebra means anything for this input
-        print(f"axioms violated: {', '.join(hc.verify_hopf(H).failing())}", file=sys.stderr)
-        return 1
+        return _axioms_violated(H)
     rep = hc.analyze(H)
     payload = {
         "semisimple": rep.semisimple,
@@ -125,6 +131,8 @@ def cmd_cohomology(args):
 
     H = _load_presentation(args.file)
     ctx = coh.make_context(H)
+    if not H.verified:
+        return _axioms_violated(H)
     if args.cocycle:
         z = ser.cochain_from_json(_read_json(args.cocycle), ctx)
         closed = coh.is_cocycle(z)

@@ -275,11 +275,6 @@ class RingElement:
     def as_array(self) -> np.ndarray:
         return np.array(self.coeffs, dtype=np.int64)
 
-    def as_int(self) -> int:
-        if self.ring.m != 1:
-            raise ValueError("as_int only for m == 1")
-        return self.coeffs[0]
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -27,10 +27,11 @@ d_1 are the greedy row basis of d_0 from its last row up, found by a sparse
 echelon of d_0's nonzero rows.  For a semisimple A the same contraction
 reduces cohomology_dim, the H^1 certificate and the invariants complex to the
 complex ad(B^{tensor q+1}) under d_c, with one cached solver per ad_k and per
-d_c ad_k.  Both matrices are
-built from nonzeros and never as dense images: the multiplication operators of
-B^{tensor k} are joins of e_tensor(k) with m_B, and d_c ad_k = ad_{k+1} o d^_k,
-with d^ the differential of the augmented coalgebra complex of B.
+d_c ad_k (cohomology_dim takes the dual context's when only B is cosemisimple).
+Both matrices are built from nonzeros and never as dense images: the
+multiplication operators of B^{tensor k} are joins of e_tensor(k) with m_B, and
+d_c ad_k = ad_{k+1} o d^_k, with d^ the differential of the augmented
+coalgebra complex of B.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from . import _arrays as ra
 from . import hopfcore as hc
 from . import tensorcalc as tc
 from ._linalg import CooMatrix, FieldSolver, bottom_row_basis
-from .coeffring import RingDescriptor, _inv_coeffs_field
+from .coeffring import RingDescriptor
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -480,15 +481,18 @@ def solve_coboundary(z: TotalCochain) -> TotalCochain | None:
 
 
 def cohomology_dim(ctx: ComplexContext, n: int) -> int:
-    """dim H^n for n = 0..2, exactly: on the reduced complex when A is semisimple
-    (its separability idempotent certified), else on the whole bicomplex."""
+    """dim H^n for n = 0..2, exactly: on the reduced complex when A is semisimple, else on
+    that of the dual context (B*, A*, phi*), same H^n, when B is cosemisimple, else on the bicomplex."""
     if n < 0 or n > 2:
         raise BudgetExceeded("only degrees 0..2 are supported")
     limit = h2_budget() if n == 2 else coboundary_budget()
     if max(ctx.A.dim, ctx.B.dim) > limit:
         raise BudgetExceeded(f"dims exceed budget {limit} for degree {n}")
-    if _separability_idempotent(_cache(ctx)) is not None:
-        return _reduced_dim(_cache(ctx), n)
+    cc = _cache(ctx)
+    if _separability_idempotent(cc) is None:
+        cc = cc.dual()  # B is cosemisimple when B* has the idempotent
+    if _separability_idempotent(cc) is not None:
+        return _reduced_dim(cc, n)
     return _bicomplex_dim(ctx, n)
 
 
@@ -522,34 +526,12 @@ class _Contraction:
     free: np.ndarray  # free columns of d_1: the greedy row basis of d_0 from its last row up
     d0: CooMatrix
     d0_free: FieldSolver  # rows `free` of d_0, from their entries
-    h1: int  # dim H^1, computed on the reduced complex
     rank: int  # rank of d_1, which is dim C^1 - rank d_0 once H^1 = 0 is certified
 
 
 def _separability_idempotent(cc: _ContextCache):
-    """e[u, b] with e = sum e_u (x) e_b, once per context, certified by m(e) = 1
-    and (a (x) 1) e = e (1 (x) a) for every basis element a; None when eps
-    vanishes on the left integrals, that is, when A is not semisimple."""
-
-    def build():
-        A, desc = cc.ctx.A, cc.ctx.ring
-        M, D, U, E, S = hc._legs(A)
-        lam = hc.integral(A, "left")[0]  # the left integrals form a line
-        eps = ra.tensordot(desc, E, lam, ([0], [0]))
-        if not np.any(eps):
-            return None
-        lam = ra.elem_mul(desc, lam, _inv_coeffs_field(desc, eps)[None, :])
-        dlam = ra.tensordot(desc, D, lam, ([2], [0]))  # [u, v]
-        e = ra.tensordot(desc, dlam, S, ([1], [1]))  # [u, b]
-        if np.any(ra.sub(desc, ra.tensordot(desc, M, e, ([1, 2], [0, 1])), U)):
-            raise InternalAxiomFailure("separability idempotent: m(e) != 1")
-        left = ra.transpose(ra.tensordot(desc, M, e, ([2], [0])), (1, 0, 2))  # (a e1) (x) e2: [a, x, b]
-        right = ra.transpose(ra.tensordot(desc, e, M, ([1], [1])), (2, 0, 1))  # e1 (x) (e2 a): [a, u, y]
-        if np.any(ra.sub(desc, left, right)):
-            raise InternalAxiomFailure("separability idempotent: (a (x) 1) e != e (1 (x) a)")
-        return e
-
-    return cc.memo("idempotent", build)
+    """hc.separability_idempotent of the context's A, once per context."""
+    return cc.memo("idempotent", lambda: hc.separability_idempotent(cc.ctx.A))
 
 
 def _ad_matrix(cc: _ContextCache, k: int) -> CooMatrix:
@@ -623,7 +605,7 @@ def _contraction(ctx: ComplexContext) -> _Contraction:
         keep = np.isin(d0.rows, free)
         rows = np.searchsorted(free, d0.rows[keep])
         d0_free = FieldSolver(desc, CooMatrix((free.size, d0.shape[1]), rows, d0.cols[keep], d0.vals[keep]))
-        return _Contraction(el, free, d0, d0_free, h1, d0.shape[0] - free.size)
+        return _Contraction(el, free, d0, d0_free, d0.shape[0] - free.size)
 
     return cc.memo("contraction", build)
 

@@ -127,7 +127,9 @@ def verified(H: HopfPresentation) -> HopfPresentation:
         return H
     failing = verify_hopf(H).failing()
     if failing:
-        raise InternalAxiomFailure(f"presentation fails axioms: {failing}")
+        error = InternalAxiomFailure(f"presentation fails axioms: {failing}")
+        error.failing = failing  # for callers that word their own refusal
+        raise error
     return HopfPresentation(H.ring, H.dim, *H.tensors(), verified=True)
 
 
@@ -534,14 +536,34 @@ def integral(H: HopfPresentation, side: str = "left"):
     return solver.kernel_basis()
 
 
-def is_semisimple(H: HopfPresentation) -> bool:
-    """Maschke certificate: a left integral with eps(Lambda) != 0 exists."""
+def separability_idempotent(H: HopfPresentation):
+    """Maschke's test, certified: e[u, b], e = L_(1) (x) S(L_(2)) for the left
+    integral with eps(L) = 1, checked by m(e) = 1 and (a (x) 1) e = e (1 (x) a);
+    None when eps vanishes on the left integrals (H is not semisimple).
+    InternalAxiomFailure when they are no line or e fails a check."""
     desc = H.ring
-    E = H.counit.coeffs.reshape(H.dim, desc.m)
-    for vec in integral(H, "left"):
-        if np.any(ra.tensordot(desc, E, vec, ([0], [0]))):
-            return True
-    return False
+    M, D, U, E, S = _legs(H)
+    lams = integral(H, "left")
+    if len(lams) != 1:
+        raise InternalAxiomFailure(f"the left integrals form a space of dimension {len(lams)}, not a line")
+    eps = ra.tensordot(desc, E, lams[0], ([0], [0]))
+    if not np.any(eps):
+        return None
+    lam = ra.elem_mul(desc, lams[0], _inv_coeffs_field(desc, eps)[None, :])
+    dlam = ra.tensordot(desc, D, lam, ([2], [0]))  # [u, v]
+    e = ra.tensordot(desc, dlam, S, ([1], [1]))  # [u, b]
+    if np.any(ra.sub(desc, ra.tensordot(desc, M, e, ([1, 2], [0, 1])), U)):
+        raise InternalAxiomFailure("separability idempotent: m(e) != 1")
+    left = ra.transpose(ra.tensordot(desc, M, e, ([2], [0])), (1, 0, 2))  # (a e1) (x) e2: [a, x, b]
+    right = ra.transpose(ra.tensordot(desc, e, M, ([1], [1])), (2, 0, 1))  # e1 (x) (e2 a): [a, u, y]
+    if np.any(ra.sub(desc, left, right)):
+        raise InternalAxiomFailure("separability idempotent: (a (x) 1) e != e (1 (x) a)")
+    return e
+
+
+def is_semisimple(H: HopfPresentation) -> bool:
+    """Maschke: H is semisimple when its separability idempotent exists."""
+    return separability_idempotent(H) is not None
 
 
 def is_cosemisimple(H: HopfPresentation) -> bool:
@@ -907,10 +929,10 @@ class AnalysisReport:
     central_grouplikes: list
 
 
-def analyze(H: HopfPresentation, with_grouplikes: bool = True) -> AnalysisReport:
+def analyze(H: HopfPresentation) -> AnalysisReport:
     desc = H.ring
     order, sq_order = antipode_orders(H)
-    glikes = grouplikes(H) if with_grouplikes else []
+    glikes = grouplikes(H)
     central = [g for g in glikes if _is_central(H, g)]
     return AnalysisReport(
         semisimple=is_semisimple(H),

@@ -90,23 +90,20 @@ def parse_strategy(strategy):
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _base_cache(base: HopfPresentation):
-    """The context cache of base: per-base facts of the lifting are kept there."""
-    return coh._cache(coh.make_context(base))
-
-
-def _admit_base(base: HopfPresentation):
-    if not base.verified:
-        failing = hc.verify_hopf(base).failing()
-        if failing:
-            raise AxiomsViolated(f"base fails the Hopf axioms {', '.join(failing)}")
-    if not base.verified or not base.ring.is_field:
-        raise NotSemisimpleOrCosemisimple("base must be a VERIFIED presentation over F_q")
-    cache = _base_cache(base)  # A is semisimple when it has the separability idempotent the contraction uses
-    if not cache.memo("admitted", lambda: coh._separability_idempotent(cache) is not None and hc.is_cosemisimple(base)):
+def _admit_base(base: HopfPresentation) -> HopfPresentation:
+    """base marked VERIFIED, once admitted: over a field, semisimple and cosemisimple."""
+    try:
+        base = hc.verified(base)
+    except InternalAxiomFailure as exc:
+        raise AxiomsViolated(f"base fails the Hopf axioms {', '.join(exc.failing)}") from exc
+    if not base.ring.is_field:
+        raise NotSemisimpleOrCosemisimple("base must be a presentation over F_q")
+    cache = coh._cache(coh.make_context(base))  # the contraction reads A's idempotent from it
+    if not cache.memo("admitted", lambda: all(coh._separability_idempotent(c) is not None for c in (cache, cache.dual()))):
         raise NotSemisimpleOrCosemisimple(
             "vanishing of the obstruction cohomology needs a semisimple and cosemisimple base"
         )
+    return base
 
 
 def _raw_extension(current: HopfPresentation, strategy, level: int):
@@ -128,7 +125,7 @@ def _raw_extension(current: HopfPresentation, strategy, level: int):
 
 def initial_lift(base: HopfPresentation, strategy="canonical"):
     """Raw (m', Delta') over GR(p^2, m) extending the base structure."""
-    _admit_base(base)
+    base = _admit_base(base)
     return _raw_extension(base, strategy, 1)
 
 
@@ -290,7 +287,7 @@ def lift(base: HopfPresentation, n: int, strategy="canonical") -> LiftState:
     then certified with its own report, to raise its stage's exception.
     """
     check_modulus(base.ring.p, n)
-    _admit_base(base)
+    base = _admit_base(base)
     if n < 1:
         raise ValueError("precision must be >= 1")
     current, report = base, None

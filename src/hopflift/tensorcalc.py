@@ -37,11 +37,6 @@ class MultiMap:
             raise ValueError("map has distinct source and target dimensions")
         return self.dim_in
 
-    def legs(self) -> np.ndarray:
-        """View with one axis per tensor leg (out legs first), plus the m axis."""
-        shape = (self.dim_out,) * self.arity_out + (self.dim_in,) * self.arity_in + (self.ring.m,)
-        return self.coeffs.reshape(shape)
-
     def entry(self, out_idx, in_idx) -> RingElement:
         o = _flatten_index(out_idx, self.dim_out, self.arity_out)
         i = _flatten_index(in_idx, self.dim_in, self.arity_in)

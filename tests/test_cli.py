@@ -233,6 +233,23 @@ def test_analyze_refuses_non_hopf_input(tmp_path, capsys, key, index, value, fai
     "key,index,value,failing",
     [
         ("S", (1, 1), [0], "antipode_left, antipode_right"),
+        ("m", (1, 1), [[0], [2]], "delta_multiplicative, counit_multiplicative, antipode_left, antipode_right"),
+    ],
+    ids=["S(g) = 0", "g g = 2 g"],
+)
+@pytest.mark.parametrize("extra", [("--degree", "0,1,2"), ("--degree", "1", "--json")])
+def test_cohomology_refuses_non_hopf_input(tmp_path, capsys, key, index, value, failing, extra):
+    # g g = 2 g has no nonzero left integral; the CLI refuses before any Maschke test
+    path = _broken_presentation(tmp_path, capsys, key, index, value)
+    code, out, err = run(capsys, "cohomology", str(path), *extra)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.strip() == "axioms violated: " + failing
+
+
+@pytest.mark.parametrize(
+    "key,index,value,failing",
+    [
+        ("S", (1, 1), [0], "antipode_left, antipode_right"),
         ("m", (1, 1, 0), [2], "delta_multiplicative, counit_multiplicative, antipode_left, antipode_right"),
     ],
     ids=["S(g) = 0", "g g = 2"],

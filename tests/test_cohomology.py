@@ -367,10 +367,10 @@ def test_h0_tangent_space_statement():
 
 
 def test_budget_exceeded():
-    big = hc.generate("D4", F5)  # dim 8 > default H2 budget 6
-    ctx = coh.make_context(big)
-    with pytest.raises(BudgetExceeded):
-        coh.cohomology_dim(ctx, 2)
+    # dim 8 > default H2 budget 6, on the reduced complex of A (F5) and of the dual context (F2)
+    for big in (hc.generate("D4", F5), hc.generate("D4", cr.make_ring(2))):
+        with pytest.raises(BudgetExceeded):
+            coh.cohomology_dim(coh.make_context(big), 2)
 
 
 # --- the reduced complex against the dense bicomplex, rank by rank ---
@@ -604,17 +604,82 @@ def test_dimension_8_degree_2_from_sparse_solvers(monkeypatch):
     assert not {shape for shape in densified if shape in ad_shapes}
 
 
-def test_cohomology_dim_takes_the_bicomplex_only_when_a_is_not_semisimple(monkeypatch):
+def counit_unit_map_context(a, b, p):
+    """k[a] -> k[b] (or its dual, b ending in ".dual"), x |-> eps(x) 1, over F_p."""
+    A, B = hc.generate(a, cr.make_ring(p)), hc.generate(b, cr.make_ring(p))
+    phi = np.outer(B.unit.coeffs[..., 0], A.counit.coeffs[..., 0])[..., None]  # [b, a]
+    return coh.make_context(A, B, hc.make_morphism(A, B, tc.MultiMap(A.ring, 1, 1, A.dim, B.dim, phi)))
+
+
+def test_cohomology_dim_takes_the_bicomplex_only_when_neither_side_is_separable(monkeypatch):
     calls = []
     real = coh.dtotal_matrix
     monkeypatch.setattr(coh, "dtotal_matrix", lambda ctx, n: calls.append(n) or real(ctx, n))
-    s3 = coh.make_context(hc.generate("S3", F7))
-    assert [coh.cohomology_dim(s3, n) for n in (0, 1, 2)] == [0, 0, 0]
+    monkeypatch.setenv(coh.H2_BUDGET_ENV, "8")
+    # A semisimple, or (p | |G|) only B cosemisimple: a reduced complex, no d_total
+    for name, p in [("S3", 7), ("S3", 3), ("S3", 2), ("C6", 3), ("C3", 3), ("D4", 2)]:
+        ctx = coh.make_context(hc.generate(name, cr.make_ring(p)))
+        assert [coh.cohomology_dim(ctx, n) for n in (0, 1, 2)] == [0, 0, 0]
     assert calls == []
-    c3 = coh.make_context(hc.generate("C3", cr.make_ring(3)))  # p | |G|: not semisimple
-    assert not hc.is_semisimple(c3.A)
-    assert [coh.cohomology_dim(c3, n) for n in (0, 1, 2)] == [0, 0, 0]
-    assert set(calls) == {0, 1, 2}
+    # k[G] -> k^G by the counit and unit, p | |G|: neither A nor B separable, and H != 0
+    for a, b, p in [("C2", "C2.dual", 2), ("C3", "C3.dual", 3)]:
+        ctx = counit_unit_map_context(a, b, p)
+        assert not hc.is_semisimple(ctx.A) and not hc.is_cosemisimple(ctx.B)
+        assert [coh.cohomology_dim(ctx, n) for n in (0, 1, 2)] == [1, 2, 3]
+        assert set(calls) == {0, 1, 2}
+        calls.clear()
+
+
+# p | |G|: A = B = k[G] is not semisimple but cosemisimple, so cohomology_dim
+# takes the dual context's reduced complex; (name, p, top degree compared),
+# the bicomplex's H^2 of D4/F2 and Q8/F2 being too slow for this suite
+DUAL_ROUTE_CASES = [("S3", 2, 2), ("S3", 3, 2), ("C4", 2, 2), ("C6", 3, 2), ("C2xC2", 2, 2), ("D4", 2, 1), ("Q8", 2, 1)]
+
+
+@pytest.mark.parametrize(
+    "make_ctx,top",
+    [(lambda name=name, p=p: coh.make_context(hc.generate(name, cr.make_ring(p))), top) for name, p, top in DUAL_ROUTE_CASES]
+    + [(lambda: counit_unit_map_context("C2", "C4", 2), 2)],
+    ids=[f"{name}/F{p}" for name, p, _ in DUAL_ROUTE_CASES] + ["C2-C4/F2"],
+)
+def test_dual_route_matches_bicomplex(make_ctx, top):
+    ctx = make_ctx()
+    cc = coh._cache(ctx)
+    assert coh._separability_idempotent(cc) is None
+    assert coh._separability_idempotent(cc.dual()) is not None
+    for n in range(top + 1):
+        assert coh.cohomology_dim(ctx, n) == coh._bicomplex_dim(ctx, n)
+
+
+def maschke_oracle(H):
+    """The Maschke loop that is_semisimple used to be: some left integral has eps != 0."""
+    E = H.counit.coeffs.reshape(H.dim, H.ring.m)
+    return any(np.any(ra.tensordot(H.ring, E, vec, ([0], [0]))) for vec in hc.integral(H, "left"))
+
+
+def test_semisimplicity_matches_maschke_oracle():
+    from hopflift.acceptance import full_corpus
+
+    groups = [hc.generate(name, cr.make_ring(p)) for name, p, _ in DUAL_ROUTE_CASES] + [hc.generate("C3", cr.make_ring(3))]
+    presentations = [H for _, H in full_corpus(max_double_dim=16)] + groups + [hc.dual(H) for H in groups]
+    verdicts = set()
+    for H in presentations:
+        verdict = (hc.is_semisimple(H), hc.is_cosemisimple(H))
+        assert verdict == (maschke_oracle(H), maschke_oracle(hc.dual(H)))
+        verdicts.add(verdict)
+    assert verdicts == {(True, True), (False, True), (True, False)}
+
+
+def test_separability_idempotent_refuses_a_non_hopf_presentation():
+    # g g = 2 g leaves C2/F5 with no nonzero left integral
+    mul = C2.mul.coeffs.copy()
+    mul[:, 3, 0] = [0, 2]
+    broken = hc.HopfPresentation(F5, 2, tc.MultiMap(F5, 2, 1, 2, 2, mul), *C2.tensors()[1:])
+    assert len(hc.integral(broken, "left")) == 0
+    with pytest.raises(InternalAxiomFailure, match="not a line"):
+        hc.separability_idempotent(broken)
+    with pytest.raises(InternalAxiomFailure):
+        coh.cohomology_dim(coh.make_context(broken), 0)
 
 
 # --- invariants complex (Eq 1.3 cross-check) ---
@@ -846,7 +911,7 @@ def test_solve_obstruction_matches_dense(name, p, m):
         assert np.array_equal(coh.vec_cochain(got), coh.vec_cochain(want))
     con = coh._contraction(ctx)
     assert con.rank == coh._solver_for(ctx, 1).rank
-    assert con.h1 == coh.cohomology_dim(ctx, 1) == 0
+    assert coh.cohomology_dim(ctx, 1) == 0
 
 
 def dense_bottom_scan(desc, d0):

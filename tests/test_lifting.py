@@ -441,22 +441,25 @@ def test_standalone_stages_refine_from_the_base(name, p, m):
 
 
 def test_admission_verdict_cached_per_context(monkeypatch):
+    # admission reads the separability idempotents of the base and of its dual,
+    # once per context, and never builds a fresh dual through is_cosemisimple
     base = hc.generate("C3", F7)
     calls = []
-    real = hc.is_cosemisimple
+    real = hc.separability_idempotent
 
     def spy(H):
         calls.append(H)
         return real(H)
 
     coh._CACHE.clear()
-    monkeypatch.setattr(hc, "is_cosemisimple", spy)
+    monkeypatch.setattr(hc, "separability_idempotent", spy)
+    monkeypatch.setattr(hc, "is_cosemisimple", lambda H: pytest.fail("admission called is_cosemisimple"))
     lf.lift(base, 2)
     lf.lift(base, 3, "perturbed:1")
-    assert len(calls) == 1
+    assert calls == [base, hc.dual(base)]
     coh._CACHE.clear()
     lf.lift(base, 2)
-    assert len(calls) == 2
+    assert len(calls) == 4
     coh._CACHE.clear()
 
 
@@ -503,9 +506,25 @@ def test_admit_base_names_failing_axioms():
     with pytest.raises(AxiomsViolated, match="^base fails the Hopf axioms antipode_left, antipode_right$"):
         lf.lift(broken, 3)
     assert issubclass(AxiomsViolated, NotSemisimpleOrCosemisimple)
-    # an unverified base that passes every axiom keeps the refusal it had
-    with pytest.raises(NotSemisimpleOrCosemisimple, match="VERIFIED") as exc:
-        lf.lift(hc.HopfPresentation(F5, 2, *C2.tensors()), 3)
+
+
+def test_admit_base_marks_an_unverified_base(monkeypatch):
+    # an unverified base that passes every axiom is verified once, and lifted;
+    # the other verify_hopf is the lift's certificate over GR(5^3)
+    calls = []
+    real = hc.verify_hopf
+    monkeypatch.setattr(hc, "verify_hopf", lambda H: calls.append(H) or real(H))
+    unmarked = hc.HopfPresentation(F5, 2, *C2.tensors())
+    state = lf.lift(unmarked, 3, "perturbed:2")
+    monkeypatch.setattr(hc, "verify_hopf", real)
+    assert [H for H in calls if H.ring == F5] == [unmarked] and len(calls) == 2 and state.base.verified
+    want = lf.lift(C2, 3, "perturbed:2")
+    assert state.current == want.current and state.current.verified
+    phi = hc.identity_morphism(C2)
+    assert lf.lift_morphism(phi, lf.lift(unmarked, 3), want).map == lf.lift_morphism(phi, lf.lift(C2, 3), want).map
+    # a base over GR(p^n), n > 1, is refused with the type it had
+    with pytest.raises(NotSemisimpleOrCosemisimple, match="over F_q") as exc:
+        lf.lift(want.current, 3)
     assert type(exc.value) is NotSemisimpleOrCosemisimple
 
 

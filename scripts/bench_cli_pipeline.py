@@ -25,7 +25,7 @@ the side that runs first:
   generate("S3.dual", F7); and the
   FieldSolver builds of a cold perturbed lift to p^4 of D4/F3, D4.dual/F5
   and Q8/F7, each distinct input once, labelled by the function that built
-  it (integral, _ad_solver, _dc_ad_solver, _contraction) and its shape: the
+  it (integral, twice, and _contraction) and its shape: the
   median of five calls each, in one fresh process per side and repeat;
 - gate (with --gate N): N pairs of one fresh process that runs the
   acceptance gate's criteria 2 and 4, and the seconds of each.

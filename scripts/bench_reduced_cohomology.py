@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Cohomology dimensions on the reduced complex, cold lifts at dimensions 16 and
-36, and the solver builds at dimensions 36 and 64: two source checkouts
-compared.
+"""Cohomology dimensions on the reduced complex, cold lifts at dimensions 16,
+36 and 64, and the solver builds at dimensions 36 and 64: two source
+checkouts compared.
 
 Usage:
   python scripts/bench_reduced_cohomology.py --parent DIR [--change DIR] [--repeats 5]
@@ -19,13 +19,15 @@ src/.  Two parts, each of which alternates the side that runs first:
   perturbed lift to p^4 of C4.double/F5 and C2xC2.double/F3 with
   HOPFLIFT_COBOUNDARY_BUDGET=16 and of S3.double/F7 with
   HOPFLIFT_COBOUNDARY_BUDGET=64, each with the SHA-256 of its lift JSON
-  (without the transcript's wall-clock seconds); and the CLI step
+  (without the transcript's wall-clock seconds), and the same of D4.double/F3
+  and Q8.double/F3 (dimension 64); and the CLI step
   `hopflift cohomology d2.json --degree 0,1,2 --invariants` of C2.double/F5;
   and the solver layer of D(S3)/F7 and D(D4)/F3 with
   HOPFLIFT_COBOUNDARY_BUDGET=64: the FieldSolver builds of d_c ad_2 and ad_2
-  (those of _dc_ad_solver(cc, 2) and _ad_solver(cc, 2)) and of the
-  contraction's d0_free, each on its matrix built first and untimed, with the
-  rise of the peak RSS over the peak before the build; the certified
+  (those of _dc_ad_solver(cc, 2) and _ad_solver(cc, 2), which cohomology_dim
+  reads in degree 1 and a lift does not) and of the contraction's d0_free,
+  each on its matrix built first and untimed, with the rise of the peak RSS
+  over the peak before the build; the certified
   generation of D4.double/F3 (dimension 64), verify_hopf of D(D4) included;
   and lift_rmatrix of D(S3)/F7's canonical R through its perturbed lift to
   p^4 (made untimed, HOPFLIFT_COBOUNDARY_BUDGET=64), with the SHA-256 of the
@@ -178,7 +180,9 @@ CASES = [
     ("cold lift C2xC2.double/F3 p^4, HOPFLIFT_COBOUNDARY_BUDGET=16", LIFT_PROBE, ["C2xC2.double", "3"], DIM_16),
     ("C4.double/F5, both budgets 16", PROBE, ["C4.double", "5", "1"], BOTH_16),
     ("C2xC2.double/F3, both budgets 16", PROBE, ["C2xC2.double", "3", "1"], BOTH_16),
-    ("cold lift S3.double/F7 p^4, HOPFLIFT_COBOUNDARY_BUDGET=64", LIFT_PROBE, ["S3.double", "7"], {"HOPFLIFT_COBOUNDARY_BUDGET": "64"}),
+] + [
+    (f"cold lift {name}/F{p} p^4, HOPFLIFT_COBOUNDARY_BUDGET=64", LIFT_PROBE, [name, p], {"HOPFLIFT_COBOUNDARY_BUDGET": "64"})
+    for name, p in (("S3.double", "7"), ("D4.double", "3"), ("Q8.double", "3"))
 ] + [
     (f"{layer} solver build, {label}, HOPFLIFT_COBOUNDARY_BUDGET=64", LAYER_PROBE, [name, p, layer], {"HOPFLIFT_COBOUNDARY_BUDGET": "64"})
     for label, name, p in (("D(S3)/F7", "S3.double", "7"), ("D(D4)/F3", "D4.double", "3"))
@@ -290,7 +294,7 @@ def main():
 
     record = {
         "what": (
-            f"cohomology_dim in degrees 0-2 (group algebras with p dividing |G| included), cold lifts at dimensions 16 and 36, the CLI cohomology step and the "
+            f"cohomology_dim in degrees 0-2 (group algebras with p dividing |G| included), cold lifts at dimensions 16, 36 and 64, the CLI cohomology step and the "
             f"solver builds of d_c ad_2, ad_2 and d0_free at dimensions 36 and 64, generate(D4.double/F3) and "
             f"lift_rmatrix of D(S3)/F7 through its perturbed p^4 lift"
             f"{'' if args.cases is None else f' (only those labelled *{args.cases}*, no CLI step, no workloads)'}, "

@@ -121,22 +121,27 @@ def _wide_dtype(bound):
     return np.int64 if bound < _I64_SAFE else object
 
 
-def f64_mod(r, q):
-    """r mod q as int64, for a float64 array r of integers in [0, 2^52) and
-    1 <= q <= 2^52; r is reduced in place on the float side.
+def f64_reduce(r, q):
+    """r mod q, in place and as float64, for a float64 array r of integers
+    with |r| < 2^52 and 1 <= q <= 2^52: r - floor(r/q) q.
 
-    Exact: with r = n q + s, 0 <= s < q, fl(r/q) >= n, since r/q >= n and n
-    is a double.  Rounding up to n + 1 would need n + 1 - r/q = (q - s)/q >= 1/q
-    to be at most half the spacing of doubles below n + 1, which is less than
-    (n + 1) 2^-53; but q (n + 1) <= r + q <= 2^53.  So floor(fl(r/q)) = n, and
-    n q <= r and r - n q = s are exact in float64.
+    Exact: write r = n q + s, 0 <= s < q.  n is a double (|n| <= |r|), so
+    fl(r/q) >= n, with equality when s = 0.  For s > 0, rounding up to n + 1
+    needs n + 1 - r/q = (q - s)/q >= 1/q to be at most half the spacing of
+    doubles in [n, n + 1], at most M 2^-53 with M = max(|n|, |n + 1|).  But
+    M q < 2^53: M q = (n + 1) q <= r + q for r >= 0, |n| q = |r| + s for r < 0.
+    So floor(fl(r/q)) = n, and n q and r - n q = s are exact in float64.
     """
     t = r / q
     np.floor(t, out=t)
     t *= q
     r -= t
-    del t
-    return r.astype(np.int64)
+    return r
+
+
+def f64_mod(r, q):
+    """f64_reduce(r, q) as int64."""
+    return f64_reduce(r, q).astype(np.int64)
 
 
 def _mod(r, q):

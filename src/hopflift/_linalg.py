@@ -289,6 +289,7 @@ class _Echelon:
         # most _BLOCK pivots subtracts products below (p-1)^2, so they are
         # exact in the dtype _arrays chooses for _BLOCK (p-1)^2 + p
         dt = ra._dtype(_BLOCK * (p - 1) ** 2 + p)
+        reduce_copy = ra.f64_reduce if dt is np.float64 else np.remainder  # on copies of panel entries
         t = self.rounds = 0
         for c0 in range(0, C, _BLOCK):
             if rank_only and t == R:
@@ -317,7 +318,7 @@ class _Echelon:
             for b0, b1 in zip([0] + ends, ends):
                 self.rounds += 1
                 js = order[b0:b1]
-                cols = Wp[:, js] % p
+                cols = reduce_copy(Wp[:, js], p)
                 # the first unused row with a nonzero in each column: used rows are zero mod p
                 hit = cols != 0
                 found = np.flatnonzero(hit.any(axis=0))
@@ -325,7 +326,7 @@ class _Echelon:
                     continue
                 k, rs, lam = found.size, hit.argmax(axis=0)[found], cols[:, found]
                 inv = [pow(int(v), p - 2, p) for v in cols[rs, found].tolist()]
-                urows = ra.mul_mod(np.array(inv, dtype=np.int64)[:, None], Wp[rs] % p, p)
+                urows = ra.mul_mod(np.array(inv, dtype=np.int64)[:, None], reduce_copy(Wp[rs], p), p)
                 # every row loses its multiple of the round's pivot rows, which become zero mod p
                 Wp -= np.dot(lam, urows)
                 U[t : t + k, c0:c1] = urows

@@ -12,7 +12,7 @@ d_c is computed as the transposed d_a of the dual context, whose cache lives
 inside the context's own.  d_a is three sparse products: the left and right
 multiplication operators on the out axis of a cochain, and the slot operator
 sum_i (-1)^i I (x) m_A^T (x) I on its input axis.  Every context operator (the
-multiplication and slot operators, the homotopy of the contraction, ad_k and
+multiplication and slot operators, the homotopies of the contraction, ad_k and
 d_c ad_k) is a CooMatrix built from nonzeros, which keeps its prepared values
 after its first product; no per-(p, q) matrix of d_a or d_c is held.
 
@@ -22,12 +22,14 @@ structure operators (each term one of d_a's factors tensored with identities),
 and cached with their FieldSolver; components of degree n are ordered (n,0),
 (n-1,1), ..., (0,n) and vectorized row-major (out index major).  Degree-2
 coboundaries for the lifting come from solve_obstruction, which contracts
-with the separability idempotent and never builds d_1; the free columns of
-d_1 are the greedy row basis of d_0 from its last row up, found by a sparse
-echelon of d_0's nonzero rows.  For a semisimple A the same contraction
-reduces cohomology_dim, the H^1 certificate and the invariants complex to the
-complex ad(B^{tensor q+1}) under d_c, with one cached solver per ad_k and per
-d_c ad_k (cohomology_dim takes the dual context's when only B is cosemisimple).
+the rows with A's separability idempotent and the columns with B*'s (the
+dual context's, through the self-duality), and never builds d_1: Thm 1.2
+with both idempotents certified is its H^1 = 0.  The free columns of d_1 are
+the greedy row basis of d_0 from its last row up, found by a sparse echelon
+of d_0's nonzero rows.  For a semisimple A the row contraction alone reduces
+cohomology_dim and the invariants complex to the complex ad(B^{tensor q+1})
+under d_c, with one cached solver per ad_k and per d_c ad_k (cohomology_dim
+takes the dual context's when only B is cosemisimple).
 Both matrices are built from nonzeros and never as dense images: the
 multiplication operators of B^{tensor k} are joins of e_tensor(k) with m_B, and
 d_c ad_k = ad_{k+1} o d^_k, with d^ the differential of the augmented
@@ -189,8 +191,8 @@ class _ContextCache:
     def memo(self, key, build):
         """build(), computed once per context: the structure operators below,
         the matrices and solvers of d_n, ad_k and d_c ad_k, the separability
-        idempotent, the contraction data, the dual context's cache, and
-        lifting's admission verdict."""
+        idempotent and its homotopy, the contraction data, the dual context's
+        cache, and lifting's admission verdict."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -514,19 +516,18 @@ def _bicomplex_dim(ctx: ComplexContext, n: int) -> int:
 # A normalized left integral L of A gives the separability idempotent
 # e = sum L_(1) (x) S(L_(2)), and (s f)(a_1, ...) = sum e1 . f(e2, a_1, ...)
 # contracts the Hochschild rows: d_a s + s d_a = +-id on C^{p,q} for p >= 1.
-# What survives is C^{0,q} modulo inner derivations ad(m) = [-, m], so a
-# degree-2 coboundary needs only one small solve, in m, on B^{tensor 2}.
+# B*'s contracts the columns through the self-duality, so a degree-2
+# coboundary needs no solve beyond the projection along im d_0.
 
 
 @dataclass
 class _Contraction:
     """Per-context data of solve_obstruction (built once, held in _ContextCache)."""
 
-    el: dict  # q -> [out, (in, b)]: sum_u e[u, b] * (left action of e_u on B^{tensor q+1})
     free: np.ndarray  # free columns of d_1: the greedy row basis of d_0 from its last row up
     d0: CooMatrix
     d0_free: FieldSolver  # rows `free` of d_0, from their entries
-    rank: int  # rank of d_1, which is dim C^1 - rank d_0 once H^1 = 0 is certified
+    rank: int  # rank of d_1, which is dim C^1 - rank d_0 since H^1 = 0
 
 
 def _separability_idempotent(cc: _ContextCache):
@@ -577,27 +578,19 @@ def _reduced_dim(cc: _ContextCache, n: int) -> int:
 def _contraction(ctx: ComplexContext) -> _Contraction:
     """Build (once per context) and certify the data of solve_obstruction.
 
-    Raises InternalAxiomFailure when the idempotent fails its identities and
-    CocycleUnsolvable when H^1 != 0 on the reduced complex (_reduced_dim).
+    Reads A's idempotent and B*'s (cc.dual()'s); both certified give H^1 = 0
+    by Thm 1.2, on which the free columns of d_1 rest.  Raises
+    InternalAxiomFailure when A is not semisimple or an idempotent fails its
+    identities, CocycleUnsolvable when B is not cosemisimple.
     """
     cc = _cache(ctx)
 
     def build():
         desc = ctx.ring
-        e = _separability_idempotent(cc)
-        if e is None:
+        if _separability_idempotent(cc) is None:
             raise InternalAxiomFailure("eps vanishes on the left integrals: A is not semisimple")
-        el = {}
-        na, nz_e = ctx.A.dim, ra.nonzeros(e, [0])  # key u, free b
-        for q in (0, 1):
-            left = cc.mult_operator(q + 1, "left")  # [(out, u), in]
-            width = left.shape[1] * na
-            nz_left = (left.rows % na, left.rows // na * left.shape[1] + left.cols, left.vals)
-            cells, vals = ra.join(desc, nz_left, nz_e, na, na)  # (out, in, b), ascending
-            el[q] = CooMatrix((left.shape[1], width), cells // width, cells % width, vals)
-        h1 = _reduced_dim(cc, 1)
-        if h1:
-            raise CocycleUnsolvable(f"H^1 = {h1} != 0 on the reduced complex")
+        if _separability_idempotent(cc.dual()) is None:
+            raise CocycleUnsolvable("B is not cosemisimple: eps vanishes on the left integrals of B*")
         # the free columns of d_1 are the last nonzero positions of an echelon
         # basis of ker d_1 = im d_0: the greedy row basis of d_0 from the bottom
         d0 = dtotal_matrix(ctx, 0)
@@ -605,62 +598,79 @@ def _contraction(ctx: ComplexContext) -> _Contraction:
         keep = np.isin(d0.rows, free)
         rows = np.searchsorted(free, d0.rows[keep])
         d0_free = FieldSolver(desc, CooMatrix((free.size, d0.shape[1]), rows, d0.cols[keep], d0.vals[keep]))
-        return _Contraction(el, free, d0, d0_free, d0.shape[0] - free.size)
+        return _Contraction(free, d0, d0_free, d0.shape[0] - free.size)
 
     return cc.memo("contraction", build)
 
 
-def _homotopy(cc: _ContextCache, con: _Contraction, f: MultiMap, q: int):
-    """s: C^{p+1,q} -> C^{p,q}, (s f)(a_1, ...) = sum e1 . f(e2, a_1, ...)."""
-    desc = cc.ctx.ring
-    na = cc.ctx.A.dim
-    out = con.el[q].dot(desc, f.coeffs.reshape(f.coeffs.shape[0] * na, -1, desc.m))  # [out, rest]
-    return MultiMap(desc, f.arity_in - 1, f.arity_out, na, cc.ctx.B.dim, out)
+def _homotopy(cc: _ContextCache, q: int, block):
+    """s: C^{p+1,q} -> C^{p,q} of cc's context, (s f)(a_1, ...) = sum e1 . f(e2, a_1, ...), on a
+    block (nb^{q+1}, na^{p+2}, m), by the [out, (in, b)] matrix of sum_u e[u, b] * (left action of
+    e_u on B^{tensor q+1}), joined from nonzeros once per context (A's cache or the dual's)."""
+    desc, na = cc.ctx.ring, cc.ctx.A.dim
+
+    def build():
+        nz_e = ra.nonzeros(_separability_idempotent(cc), [0])  # key u, free b
+        left = cc.mult_operator(q + 1, "left")  # [(out, u), in]
+        width = left.shape[1] * na
+        nz_left = (left.rows % na, left.rows // na * left.shape[1] + left.cols, left.vals)
+        cells, vals = ra.join(desc, nz_left, nz_e, na, na)  # (out, in, b), ascending
+        return CooMatrix((left.shape[1], width), cells // width, cells % width, vals)
+
+    return cc.memo(("homotopy", q), build).dot(desc, block.reshape(block.shape[0] * na, -1, desc.m))
 
 
-def _contract_obstruction(z: TotalCochain) -> TotalCochain | None:
+def _contract_obstruction(z: TotalCochain) -> TotalCochain:
     """The canonical x with d_total(x) = z for a degree-2 cocycle z, unchecked.
 
-    The same answer as solve_coboundary(z), free variables zero, obtained by
-    contraction instead of a factorization of d_1:
-      x10 = s(c20), x01' = -s(c11 + d_c x10), then x01 = x01' + ad(m) with
-      d_c(ad(m)) = c02 - d_c x01' solved on B^{tensor 2};
-    then x loses its component in im d_0 = ker d_1 along the free columns of
-    d_1.  None when one of the two small solves has no solution; for a z that
-    is not a cocycle the result is otherwise meaningless, so a caller must
-    certify it (solve_obstruction checks d_total(x) = z, lifting.lift checks
-    the axioms of its final presentation).
+    The same answer as solve_coboundary(z), free variables zero, by the two
+    contractions of Thm 1.2 instead of a factorization of d_1.  For
+    z = (c20, c11, c02), d x = z reads c20 = d_a x10, c11 = d_a x01 - d_c x10
+    and c02 = d_c x01.  A's homotopy s meets the first two with x10 = s(c20)
+    and x01' = -s(c11 + d_c x10).  The column homotopy (t f) = s_{B*}(f^T)^T,
+    the dual context's s on the transposed cochain, has d_c t + t d_c = id on
+    C^{p,q} for q >= 1 and t d_a = d_a t.  The residual r = c02 - d_c x01' is
+    d_c-closed (d_c c02 = 0) and d_a-closed (d_a c02 = d_c c11 = d_c d_a x01'
+    = d_a d_c x01'), so x01 = x01' + t(r) has d_c x01 = d_c x01' + r - t d_c r
+    = c02 and d_a x01 = d_a x01' + t d_a r = d_a x01'.  This exact x then loses
+    its component in im d_0 = ker d_1 along the free columns of d_1, which
+    leaves the free-variables-zero solution.  For a z that is not a cocycle
+    the result is meaningless, so a caller must certify it (solve_obstruction
+    checks d_total(x) = z, lifting.lift the axioms of its final presentation).
     """
     ctx = z.context
-    if z.degree != 2:
-        raise ArityMismatch("solve_obstruction needs a degree-2 cochain")
     if max(ctx.A.dim, ctx.B.dim) > coboundary_budget():
         raise BudgetExceeded(f"dims exceed coboundary budget {coboundary_budget()}")
-    desc = ctx.ring
+    desc, na, nb = ctx.ring, ctx.A.dim, ctx.B.dim
     cc, con = _cache(ctx), _contraction(ctx)
-    x10 = _homotopy(cc, con, z.components[(2, 0)], 0)
-    x01 = _homotopy(cc, con, z.components[(1, 1)] + d_coalg(ctx, x10), 1).scale(-1)
-    resid = z.components[(0, 2)] - d_coalg(ctx, x01)
-    m = _dc_ad_solver(cc, 2).solve(resid.coeffs.reshape(-1, desc.m))
-    if m is None:
-        return None
-    inner = _ad_matrix(cc, 2).dot(desc, m).reshape(x01.coeffs.shape)
-    x01 = MultiMap(desc, 1, 2, ctx.A.dim, ctx.B.dim, ra.add(desc, x01.coeffs, inner))
+    c = z.components
+    x10 = MultiMap(desc, 2, 1, na, nb, _homotopy(cc, 0, c[(2, 0)].coeffs))
+    x01 = MultiMap(desc, 1, 2, na, nb, _homotopy(cc, 1, (c[(1, 1)] + d_coalg(ctx, x10)).coeffs)).scale(-1)
+    resid = c[(0, 2)] - d_coalg(ctx, x01)
+    t_resid = _homotopy(cc.dual(), 0, np.swapaxes(resid.coeffs, 0, 1))  # t(r)^T: (na, nb^2, m)
+    x01 = MultiMap(desc, 1, 2, na, nb, ra.add(desc, x01.coeffs, np.swapaxes(t_resid, 0, 1)))
     vec = vec_cochain(TotalCochain(ctx, 1, {(1, 0): x10, (0, 1): x01}))
+    # d0_free's rows are independent, so every right-hand side has a solution
     w = con.d0_free.solve(vec[con.free])
-    if w is None:
-        return None
     return unvec_cochain(ctx, 1, ra.sub(desc, vec, con.d0.dot(desc, w)))
 
 
 def solve_obstruction(z: TotalCochain) -> TotalCochain | None:
-    """The canonical x with d_total(x) = z for a degree-2 z, or None.
+    """The canonical x with d_total(x) = z for a degree-2 z, or None (z not a cocycle).
 
     The contraction of _contract_obstruction, certified by the exact check
-    d_total(x) = z: a non-cocycle z gives None.
+    d_total(x) = z; solve_coboundary for a context that lacks either idempotent.
     """
+    if z.degree != 2:
+        raise ArityMismatch("solve_obstruction needs a degree-2 cochain")
+    cc = _cache(z.context)
+    if any(_separability_idempotent(side) is None for side in (cc, cc.dual())):
+        try:
+            return solve_coboundary(z)
+        except NotACocycle:
+            return None
     x = _contract_obstruction(z)
-    return x if x is not None and d_total(x) == z else None
+    return x if d_total(x) == z else None
 
 
 # ---------------------------------------------------------------------------

@@ -520,8 +520,8 @@ def compose_morphisms(psi: HopfMorphism, phi: HopfMorphism) -> HopfMorphism:
 # integrals, semisimplicity, structural flags
 
 
-def integral(H: HopfPresentation, side: str = "left"):
-    """Basis of the space {L : aL = eps(a) L for all a} (or the right version)."""
+def integral(H: HopfPresentation):
+    """Basis of the space of left integrals {L : aL = eps(a) L for all a}."""
     if not H.ring.is_field:
         raise DescriptorMismatch("integrals are computed over the residue field")
     desc, N = H.ring, H.dim
@@ -529,9 +529,8 @@ def integral(H: HopfPresentation, side: str = "left"):
     rows = ra.zeros(desc, (N * N, N))
     eye = ra.eye(desc, N)
     for i in range(N):
-        act = M[:, i, :, :] if side == "left" else M[:, :, i, :]
         scaled = ra.elem_mul(desc, E[i], eye)
-        rows[i * N : (i + 1) * N] = ra.sub(desc, act, scaled)
+        rows[i * N : (i + 1) * N] = ra.sub(desc, M[:, i, :, :], scaled)
     solver = FieldSolver(desc, rows)
     return solver.kernel_basis()
 
@@ -543,7 +542,7 @@ def separability_idempotent(H: HopfPresentation):
     InternalAxiomFailure when they are no line or e fails a check."""
     desc = H.ring
     M, D, U, E, S = _legs(H)
-    lams = integral(H, "left")
+    lams = integral(H)
     if len(lams) != 1:
         raise InternalAxiomFailure(f"the left integrals form a space of dimension {len(lams)}, not a line")
     eps = ra.tensordot(desc, E, lams[0], ([0], [0]))

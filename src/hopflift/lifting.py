@@ -2,10 +2,10 @@
 
 Each level digit-lifts the current structure, measures the failure of the
 bialgebra axioms (an exact degree-2 cochain after division by p^k), kills it
-with a coboundary over the residue field (contracted with the base's
-separability idempotent, no factorization of d_1), then recovers unit, counit
-and antipode, which the corrected pair determines, by one Newton step each
-from those of the level below (no linear solve).  A level changes only digit
+with a coboundary over the residue field (contracted with the separability
+idempotents of the base and of its dual, no factorization of d_1), then
+recovers unit, counit and antipode, which the corrected pair determines, by
+one Newton step each from those of the level below (no linear solve).  A level changes only digit
 k of the pair, which fixes the other three tensors, so one verify_hopf of the
 final presentation, with its reduction mod p, certifies the whole lift.
 Morphisms lift digit by digit from degree-1 coboundary solves, with one
@@ -98,7 +98,7 @@ def _admit_base(base: HopfPresentation) -> HopfPresentation:
         raise AxiomsViolated(f"base fails the Hopf axioms {', '.join(exc.failing)}") from exc
     if not base.ring.is_field:
         raise NotSemisimpleOrCosemisimple("base must be a presentation over F_q")
-    cache = coh._cache(coh.make_context(base))  # the contraction reads A's idempotent from it
+    cache = coh._cache(coh.make_context(base))  # the contraction reads both idempotents from it
     if not cache.memo("admitted", lambda: all(coh._separability_idempotent(c) is not None for c in (cache, cache.dual()))):
         raise NotSemisimpleOrCosemisimple(
             "vanishing of the obstruction cohomology needs a semisimple and cosemisimple base"
@@ -199,10 +199,6 @@ def correct(
         mul2, comul2 = mul, comul
     else:
         x = coh._contract_obstruction(report.c)
-        if x is None:
-            if not report.cocycle_ok:
-                raise NotACocycle("obstruction cochain is not closed")
-            raise CoboundaryUnsolvable("obstruction is not a coboundary; H^2(A) = 0 is violated")
         mu = x.components[(1, 0)]
         delta = x.components[(0, 1)]
         pn = desc.p**n

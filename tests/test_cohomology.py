@@ -654,7 +654,7 @@ def test_dual_route_matches_bicomplex(make_ctx, top):
 def maschke_oracle(H):
     """The Maschke loop that is_semisimple used to be: some left integral has eps != 0."""
     E = H.counit.coeffs.reshape(H.dim, H.ring.m)
-    return any(np.any(ra.tensordot(H.ring, E, vec, ([0], [0]))) for vec in hc.integral(H, "left"))
+    return any(np.any(ra.tensordot(H.ring, E, vec, ([0], [0]))) for vec in hc.integral(H))
 
 
 def test_semisimplicity_matches_maschke_oracle():
@@ -675,7 +675,7 @@ def test_separability_idempotent_refuses_a_non_hopf_presentation():
     mul = C2.mul.coeffs.copy()
     mul[:, 3, 0] = [0, 2]
     broken = hc.HopfPresentation(F5, 2, tc.MultiMap(F5, 2, 1, 2, 2, mul), *C2.tensors()[1:])
-    assert len(hc.integral(broken, "left")) == 0
+    assert len(hc.integral(broken)) == 0
     with pytest.raises(InternalAxiomFailure, match="not a line"):
         hc.separability_idempotent(broken)
     with pytest.raises(InternalAxiomFailure):
@@ -893,7 +893,20 @@ CONTRACTION_BASES = [
 ]
 
 
-@pytest.mark.parametrize("name,p,m", CONTRACTION_BASES, ids=[f"{n}/F{p**m}" for n, p, m in CONTRACTION_BASES])
+# B* != A on the duals, whose B is commutative (there the solution does not
+# depend on t); D4/F5, Q8/F3 and S3/F25 need t on a noncommutative B, and
+# S3/F25 and S3.dual/F25 run it over F_{p^2}
+OBSTRUCTION_BASES = CONTRACTION_BASES + [
+    ("S3.dual", 7, 1),
+    ("D4.dual", 5, 1),
+    ("S3", 5, 2),
+    ("Q8", 3, 1),
+    ("D4", 5, 1),
+    ("S3.dual", 5, 2),
+]
+
+
+@pytest.mark.parametrize("name,p,m", OBSTRUCTION_BASES, ids=[f"{n}/F{p**m}" for n, p, m in OBSTRUCTION_BASES])
 def test_solve_obstruction_matches_dense(name, p, m):
     from hopflift import lifting as lf
 
@@ -911,7 +924,53 @@ def test_solve_obstruction_matches_dense(name, p, m):
         assert np.array_equal(coh.vec_cochain(got), coh.vec_cochain(want))
     con = coh._contraction(ctx)
     assert con.rank == coh._solver_for(ctx, 1).rank
-    assert coh.cohomology_dim(ctx, 1) == 0
+    # the H^1 = 0 of Thm 1.2, which the contraction no longer certifies itself:
+    # rank(ad_2) - rank(d_c ad_2) - rank(d_c ad_1) on the reduced complex
+    assert coh._reduced_dim(coh._cache(ctx), 1) == 0
+
+
+def column_homotopy(ctx, f):
+    """t f = s_{B*}(f^T)^T: C^{p,q+1} -> C^{p,q}, the dual context's row homotopy on the transposed cochain."""
+    dual = coh._cache(ctx).dual()
+    out = coh._homotopy(dual, f.arity_in - 1, np.swapaxes(f.coeffs, 0, 1))
+    return tc.MultiMap(ctx.ring, f.arity_in, f.arity_out - 1, ctx.A.dim, ctx.B.dim, np.swapaxes(out, 0, 1))
+
+
+HOMOTOPY_BASES = [("S3", 7, 1), ("D4", 3, 1), ("Q8", 7, 1), ("S3.dual", 7, 1), ("C2.double", 5, 1), ("C3", 2, 2), ("S3", 5, 2)]
+
+
+@pytest.mark.parametrize("name,p,m", HOMOTOPY_BASES, ids=[f"{n}/F{p**m}" for n, p, m in HOMOTOPY_BASES])
+def test_column_homotopy_contracts_d_coalg(name, p, m):
+    # the two identities behind the last column of _contract_obstruction:
+    # d_c t + t d_c = id on C^{p,q}, q >= 1, and t d_a = d_a t
+    ctx = coh.make_context(hc.generate(name, cr.make_ring(p, 1, m)))
+    for seed, (pp, qq) in enumerate([(0, 1), (0, 2), (1, 1)]):
+        f = coh.random_cochain(ctx, pp + qq, seed).components[(pp, qq)]
+        assert coh.d_coalg(ctx, column_homotopy(ctx, f)) + column_homotopy(ctx, coh.d_coalg(ctx, f)) == f
+    for seed, (pp, qq) in enumerate([(0, 1), (0, 2)], start=3):
+        f = coh.random_cochain(ctx, pp + qq, seed).components[(pp, qq)]
+        assert coh.d_alg(ctx, column_homotopy(ctx, f)) == column_homotopy(ctx, coh.d_alg(ctx, f))
+
+
+def test_one_sided_context_routes_to_solve_coboundary():
+    # k[C2] -> k^{C3} over F3: A is semisimple, B is not cosemisimple, and
+    # H^0..2 = 0, so every degree-2 cocycle is a coboundary that the
+    # contraction cannot reach
+    from hopflift.errors import CocycleUnsolvable
+
+    ctx = counit_unit_map_context("C2", "C3.dual", 3)
+    cc = coh._cache(ctx)
+    assert coh._separability_idempotent(cc) is not None and coh._separability_idempotent(cc.dual()) is None
+    assert [coh.cohomology_dim(ctx, n) for n in (0, 1, 2)] == [0, 0, 0]
+    for seed in range(3):
+        z = coh.d_total(coh.random_cochain(ctx, 1, seed))
+        got, want = coh.solve_obstruction(z), coh.solve_coboundary(z)
+        assert got is not None and np.array_equal(coh.vec_cochain(got), coh.vec_cochain(want))
+    z = coh.random_cochain(ctx, 2, 5)
+    assert not coh.is_cocycle(z)
+    assert coh.solve_obstruction(z) is None
+    with pytest.raises(CocycleUnsolvable, match="B is not cosemisimple"):
+        coh._contraction(ctx)
 
 
 def dense_bottom_scan(desc, d0):
@@ -969,7 +1028,7 @@ def test_tampered_idempotent_raises(monkeypatch):
 
     H = hc.generate("C2xC2", F5)
     unit = H.unit.coeffs.reshape(H.dim, 1)
-    monkeypatch.setattr(hc, "integral", lambda A, side="left": [unit])
+    monkeypatch.setattr(hc, "integral", lambda A: [unit])
     coh._CACHE.clear()
     try:
         with pytest.raises(InternalAxiomFailure, match="separability idempotent"):
@@ -979,17 +1038,20 @@ def test_tampered_idempotent_raises(monkeypatch):
 
 
 def test_separability_idempotent_is_built_once_per_context(monkeypatch):
-    # cohomology_dim in degrees 0-2 and the contraction share one idempotent,
-    # and so one integral; a non-semisimple A has none, and no contraction
+    # cohomology_dim in degrees 0-2 and the contraction share A's idempotent,
+    # and the contraction reads B*'s too: one integral of each; a
+    # non-semisimple A has none, and no contraction
     calls = []
     real = hc.integral
-    monkeypatch.setattr(hc, "integral", lambda A, side="left": calls.append(side) or real(A, side))
+    monkeypatch.setattr(hc, "integral", lambda A: calls.append(A) or real(A))
     coh._CACHE.clear()
     try:
-        s3 = coh.make_context(hc.generate("S3", F7))
+        S3 = hc.generate("S3", F7)
+        s3 = coh.make_context(S3)
         assert [coh.cohomology_dim(s3, n) for n in (0, 1, 2)] == [0, 0, 0]
         coh._contraction(s3)
-        assert calls == ["left"]
+        coh._contraction(s3)
+        assert calls == [S3, hc.dual(S3)]
         c3 = coh.make_context(hc.generate("C3", cr.make_ring(3)))
         assert coh._separability_idempotent(coh._cache(c3)) is None
         with pytest.raises(InternalAxiomFailure, match="not semisimple"):
@@ -998,21 +1060,15 @@ def test_separability_idempotent_is_built_once_per_context(monkeypatch):
         coh._CACHE.clear()
 
 
-def test_failed_h1_certificate_raises(monkeypatch):
-    # a zero d_c on B (x) B leaves every inner derivation of B (x) B a cocycle
-    # (S3 is not commutative, so there are nonzero inner derivations)
-    from hopflift.errors import CocycleUnsolvable
-
-    real = coh._dc_ad_matrix
-
-    def zero_on_b2(cc, k):
-        mat = real(cc, k)
-        return mat if k != 2 else CooMatrix(mat.shape, mat.rows[:0], mat.cols[:0], mat.vals[:0])
-
-    monkeypatch.setattr(coh, "_dc_ad_matrix", zero_on_b2)
+def test_tampered_dual_idempotent_raises(monkeypatch):
+    # the B-side mirror of test_tampered_idempotent_raises: B*'s unit is no
+    # integral, and e = 1 (x) 1 is not central in the commutative, non-scalar B*
+    S3 = hc.generate("S3", F7)
+    real = hc.integral
+    monkeypatch.setattr(hc, "integral", lambda H: real(H) if H == S3 else [H.unit.coeffs.reshape(H.dim, 1)])
     coh._CACHE.clear()
     try:
-        with pytest.raises(CocycleUnsolvable):
-            coh._contraction(coh.make_context(hc.generate("S3", F7)))
+        with pytest.raises(InternalAxiomFailure, match="separability idempotent"):
+            coh._contraction(coh.make_context(S3))
     finally:
         coh._CACHE.clear()

@@ -138,19 +138,19 @@ class TestAntipodeAndTrace:
 
 class TestIntegralsAndSemisimplicity:
     def test_integral_c2(self):
-        basis = hc.integral(hc.generate("C2", F5), "left")
+        basis = hc.integral(hc.generate("C2", F5))
         assert len(basis) == 1
         v = basis[0].reshape(-1)
         assert v[0] == v[1] != 0  # span{1 + g}
 
     def test_integral_c3_f3(self):
-        basis = hc.integral(hc.generate("C3", F3), "left")
+        basis = hc.integral(hc.generate("C3", F3))
         assert len(basis) == 1
         assert basis[0].reshape(-1).tolist() == [1, 1, 1]
 
     def test_integral_dual(self):
         d = hc.dual(hc.generate("C2", F5))
-        basis = hc.integral(d, "left")
+        basis = hc.integral(d)
         assert len(basis) == 1
         # left integral of Fun(C2) is the delta function at the identity
         assert basis[0][:, 0].tolist() in ([1, 0], [0, 1])

@@ -77,8 +77,8 @@ def _unclosed(report, components):
     ids=["certificate-fails", "contraction-fails"],
 )
 def test_unclosed_obstruction_raises_not_a_cocycle(monkeypatch, components):
-    # noise in c20 alone leaves the contraction solvable, so the certificate
-    # catches it; noise everywhere makes the contraction's own solve fail
+    # the contraction solves nothing that can fail, so the certificate catches
+    # both: noise in c20 alone, and noise in every component
     def wrap(real):
         return lambda mul, comul, base: _unclosed(real(mul, comul, base), components)
 

@@ -56,9 +56,30 @@ class TestInitialLift:
         monkeypatch.setattr(coh, "_CACHE", type(coh._CACHE)())
         calls = []
         real = hc.integral
-        monkeypatch.setattr(hc, "integral", lambda H, side="left": calls.append(H) or real(H, side))
+        monkeypatch.setattr(hc, "integral", lambda H: calls.append(H) or real(H))
         lf.lift(base, 4, "perturbed:1")
         assert calls == [base, hc.dual(base)]
+
+    def test_cold_lift_makes_three_factorizations(self, monkeypatch):
+        # both idempotents contract the obstruction, so a cold lift factors the
+        # two integrals and the free rows of d_0, and nothing of the reduced complex
+        from hopflift import _linalg
+
+        monkeypatch.setattr(coh, "_CACHE", type(coh._CACHE)())
+        shapes = []
+        real = _linalg.FieldSolver.__init__
+
+        def record(self, desc, marr, rank_only=False):
+            shapes.append(marr.shape[:2])
+            real(self, desc, marr, rank_only)
+
+        monkeypatch.setattr(_linalg.FieldSolver, "__init__", record)
+        for name in ("_dc_ad_solver", "_ad_solver", "_dc_ad_matrix", "_reduced_dim"):
+            monkeypatch.setattr(coh, name, lambda *args, name=name: pytest.fail(f"a lift called {name}"))
+        state = lf.lift(hc.generate("D4", cr.make_ring(3)), 4, "perturbed:1")
+        assert state.transcript[0]["correction_applied"]
+        con = coh._contraction(coh.make_context(state.base))
+        assert shapes == [(64, 8), (64, 8), (con.free.size, con.d0.shape[1])]
 
 
 class TestObstruction:

@@ -685,6 +685,22 @@ def test_f64_mod_is_exact_below_2_52(q, data):
     assert got.dtype == np.int64 and got.tolist() == [v % q for v in vals]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 7, 3**20, 7**9, 67108859, (1 << 52) - 1]), st.data())
+def test_f64_reduce_matches_python_mod_at_the_bound(q, data):
+    # both signs, as an echelon panel holds them: |r| < 2^52, at the bound and
+    # at multiples of q and their neighbours
+    top = (1 << 52) - 1
+    edges = [0, 1, q - 1, q, q + 1, top, top - top % q, top - top % q - 1, top - top % q + 1]
+    vals = edges + data.draw(st.lists(st.integers(0, top), max_size=50))
+    vals += [n * q + s for n, s in data.draw(st.lists(st.tuples(st.integers(0, top // q), st.sampled_from([-1, 0, 1])), max_size=20))]
+    vals = [v for v in vals if v <= top]
+    vals += [-v for v in vals]
+    arr = np.array(vals, dtype=np.float64)
+    got = ra.f64_reduce(arr, q)
+    assert got is arr and got.dtype == np.float64 and [int(v) for v in got.tolist()] == [v % q for v in vals]
+
+
 @pytest.mark.parametrize("desc", [F7, F9], ids=["F7", "F9"])
 @pytest.mark.parametrize("case", ["empty", "empty rows", "column blocks"])
 def test_coo_dot_matches_dense_product(desc, case, monkeypatch):

@@ -31,7 +31,9 @@ src/.  Two parts, each of which alternates the side that runs first:
   generation of D4.double/F3 (dimension 64), verify_hopf of D(D4) included;
   and lift_rmatrix of D(S3)/F7's canonical R through its perturbed lift to
   p^4 (made untimed, HOPFLIFT_COBOUNDARY_BUDGET=64), with the SHA-256 of the
-  lifted R-matrix JSON.
+  lifted R-matrix JSON; and reconcile of D(S3)/F7's canonical and
+  perturbed:1 lifts to p^4 (made untimed, HOPFLIFT_COBOUNDARY_BUDGET=64),
+  with the SHA-256 of eta's JSON as `hopflift reconcile` writes it.
   Each runs in a fresh process pinned to one CPU with one BLAS thread and an
   address-space cap of --cap-gb GB: its in-process seconds, its wall time and
   its peak RSS.  A run that fails records its exception instead of its
@@ -161,6 +163,27 @@ except MemoryError as exc:
 print(json.dumps(out))
 """
 
+RECONCILE_PROBE = r"""
+import hashlib, json, sys, time
+import numpy as np
+from hopflift import hopfcore as hc
+from hopflift import lifting as lf
+from hopflift import serialize as ser
+from hopflift.coeffring import make_ring
+
+p = int(sys.argv[2])
+H = hc.generate(sys.argv[1], make_ring(p))
+canonical, perturbed = lf.lift(H, 4), lf.lift(H, 4, sys.argv[3])
+t0 = time.perf_counter()
+try:
+    eta = lf.reconcile(canonical, perturbed)
+    out = {"seconds": time.perf_counter() - t0, "correct": np.array_equal(eta.coeffs[..., 0] % p, np.eye(H.dim, dtype=np.int64))}
+    out["sha256"] = hashlib.sha256(ser.dumps({"eta": eta.coeffs.transpose(1, 0, 2).tolist()}).encode()).hexdigest()
+except MemoryError as exc:
+    out = {"error": f"MemoryError: {exc}", "seconds": time.perf_counter() - t0}
+print(json.dumps(out))
+"""
+
 # label, probe, its arguments, extra environment
 H2_AT_8 = {"HOPFLIFT_H2_BUDGET": "8"}
 DIM_16 = {"HOPFLIFT_COBOUNDARY_BUDGET": "16"}
@@ -190,6 +213,8 @@ CASES = [
 ] + [
     ("generate D4.double/F3", GEN_PROBE, ["D4.double", "3"], {}),
     ("lift_rmatrix S3.double/F7 perturbed:1 p^4, HOPFLIFT_COBOUNDARY_BUDGET=64", RMATRIX_PROBE, ["S3", "7", "perturbed:1"],
+     {"HOPFLIFT_COBOUNDARY_BUDGET": "64"}),
+    ("reconcile S3.double/F7 perturbed:1 p^4, HOPFLIFT_COBOUNDARY_BUDGET=64", RECONCILE_PROBE, ["S3.double", "7", "perturbed:1"],
      {"HOPFLIFT_COBOUNDARY_BUDGET": "64"}),
 ]
 CLI_STEP = "cli: cohomology d2.json --degree 0,1,2 --invariants (C2.double/F5)"
@@ -296,7 +321,7 @@ def main():
         "what": (
             f"cohomology_dim in degrees 0-2 (group algebras with p dividing |G| included), cold lifts at dimensions 16, 36 and 64, the CLI cohomology step and the "
             f"solver builds of d_c ad_2, ad_2 and d0_free at dimensions 36 and 64, generate(D4.double/F3) and "
-            f"lift_rmatrix of D(S3)/F7 through its perturbed p^4 lift"
+            f"lift_rmatrix of D(S3)/F7 through its perturbed p^4 lift, reconcile of D(S3)/F7's canonical and perturbed p^4 lifts"
             f"{'' if args.cases is None else f' (only those labelled *{args.cases}*, no CLI step, no workloads)'}, "
             f"{args.repeats} fresh processes per side "
             f"under a {args.cap_gb:g} GB address-space cap; perfbench/run.py --workload W --seed S at default "

@@ -20,13 +20,14 @@ Flattened matrices of the total differential are assembled once per
 (context, degree) as sparse CooMatrix, joined from the nonzeros of the
 structure operators (each term one of d_a's factors tensored with identities),
 and cached with their FieldSolver; components of degree n are ordered (n,0),
-(n-1,1), ..., (0,n) and vectorized row-major (out index major).  Degree-2
-coboundaries for the lifting come from solve_obstruction, which contracts
-the rows with A's separability idempotent and the columns with B*'s (the
-dual context's, through the self-duality), and never builds d_1: Thm 1.2
-with both idempotents certified is its H^1 = 0.  The free columns of d_1 are
-the greedy row basis of d_0 from its last row up, found by a sparse echelon
-of d_0's nonzero rows.  For a semisimple A the row contraction alone reduces
+(n-1,1), ..., (0,n) and vectorized row-major (out index major).  The
+lifting's coboundaries, of degree 1 (maps) and 2 (structures), come from
+_contract_obstruction, which contracts the rows with A's separability
+idempotent and the columns with B*'s (the dual context's, through the
+self-duality): Thm 1.2 with both certified is H^0 = H^1 = 0.  It builds no
+d_1, and no d_0 in degree 1; in degree 2 the free columns of d_1 are the
+greedy row basis of d_0 from its last row up.  solve_coboundary is its
+oracle.  For a semisimple A the row contraction alone reduces
 cohomology_dim and the invariants complex to the complex ad(B^{tensor q+1})
 under d_c, with one cached solver per ad_k and per d_c ad_k (cohomology_dim
 takes the dual context's when only B is cosemisimple).
@@ -41,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,10 +54,10 @@ from .coeffring import RingDescriptor
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
-    CocycleUnsolvable,
     DescriptorMismatch,
     InternalAxiomFailure,
     NotACocycle,
+    NotSemisimpleOrCosemisimple,
 )
 from .hopfcore import HopfMorphism, HopfPresentation
 from .tensorcalc import MultiMap
@@ -191,8 +192,8 @@ class _ContextCache:
     def memo(self, key, build):
         """build(), computed once per context: the structure operators below,
         the matrices and solvers of d_n, ad_k and d_c ad_k, the separability
-        idempotent and its homotopy, the contraction data, the dual context's
-        cache, and lifting's admission verdict."""
+        idempotent and its homotopy, the contraction data and the dual
+        context's cache."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -511,18 +512,18 @@ def _bicomplex_dim(ctx: ComplexContext, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# degree-2 coboundaries by contraction (the lifting path)
+# coboundaries of degrees 1 and 2 by contraction (the lifting path)
 #
 # A normalized left integral L of A gives the separability idempotent
 # e = sum L_(1) (x) S(L_(2)), and (s f)(a_1, ...) = sum e1 . f(e2, a_1, ...)
 # contracts the Hochschild rows: d_a s + s d_a = +-id on C^{p,q} for p >= 1.
-# B*'s contracts the columns through the self-duality, so a degree-2
-# coboundary needs no solve beyond the projection along im d_0.
+# B*'s contracts the columns through the self-duality, so a coboundary needs
+# no solve beyond, in degree 2, the projection along im d_0.
 
 
 @dataclass
 class _Contraction:
-    """Per-context data of solve_obstruction (built once, held in _ContextCache)."""
+    """The degree-2 projection of _contract_obstruction (built once per context, held in _ContextCache)."""
 
     free: np.ndarray  # free columns of d_1: the greedy row basis of d_0 from its last row up
     d0: CooMatrix
@@ -533,6 +534,15 @@ class _Contraction:
 def _separability_idempotent(cc: _ContextCache):
     """hc.separability_idempotent of the context's A, once per context."""
     return cc.memo("idempotent", lambda: hc.separability_idempotent(cc.ctx.A))
+
+
+def _require_idempotents(cc: _ContextCache) -> None:
+    """Refuse, naming the side, a context that lacks A's idempotent or B*'s:
+    the two contractions of Thm 1.2."""
+    if _separability_idempotent(cc) is None:
+        raise NotSemisimpleOrCosemisimple("A is not semisimple: eps vanishes on the left integrals of A")
+    if _separability_idempotent(cc.dual()) is None:
+        raise NotSemisimpleOrCosemisimple("B is not cosemisimple: eps vanishes on the left integrals of B*")
 
 
 def _ad_matrix(cc: _ContextCache, k: int) -> CooMatrix:
@@ -576,21 +586,16 @@ def _reduced_dim(cc: _ContextCache, n: int) -> int:
 
 
 def _contraction(ctx: ComplexContext) -> _Contraction:
-    """Build (once per context) and certify the data of solve_obstruction.
+    """Build (once per context) the degree-2 projection of _contract_obstruction.
 
-    Reads A's idempotent and B*'s (cc.dual()'s); both certified give H^1 = 0
-    by Thm 1.2, on which the free columns of d_1 rest.  Raises
-    InternalAxiomFailure when A is not semisimple or an idempotent fails its
-    identities, CocycleUnsolvable when B is not cosemisimple.
+    The free columns of d_1 rest on H^1 = 0, which is Thm 1.2 with both
+    idempotents certified (_require_idempotents).
     """
     cc = _cache(ctx)
 
     def build():
         desc = ctx.ring
-        if _separability_idempotent(cc) is None:
-            raise InternalAxiomFailure("eps vanishes on the left integrals: A is not semisimple")
-        if _separability_idempotent(cc.dual()) is None:
-            raise CocycleUnsolvable("B is not cosemisimple: eps vanishes on the left integrals of B*")
+        _require_idempotents(cc)
         # the free columns of d_1 are the last nonzero positions of an echelon
         # basis of ker d_1 = im d_0: the greedy row basis of d_0 from the bottom
         d0 = dtotal_matrix(ctx, 0)
@@ -621,56 +626,46 @@ def _homotopy(cc: _ContextCache, q: int, block):
 
 
 def _contract_obstruction(z: TotalCochain) -> TotalCochain:
-    """The canonical x with d_total(x) = z for a degree-2 cocycle z, unchecked.
+    """The canonical x with d_total(x) = z for a cocycle z of degree 1 or 2, unchecked.
 
-    The same answer as solve_coboundary(z), free variables zero, by the two
-    contractions of Thm 1.2 instead of a factorization of d_1.  For
-    z = (c20, c11, c02), d x = z reads c20 = d_a x10, c11 = d_a x01 - d_c x10
-    and c02 = d_c x01.  A's homotopy s meets the first two with x10 = s(c20)
-    and x01' = -s(c11 + d_c x10).  The column homotopy (t f) = s_{B*}(f^T)^T,
-    the dual context's s on the transposed cochain, has d_c t + t d_c = id on
-    C^{p,q} for q >= 1 and t d_a = d_a t.  The residual r = c02 - d_c x01' is
-    d_c-closed (d_c c02 = 0) and d_a-closed (d_a c02 = d_c c11 = d_c d_a x01'
-    = d_a d_c x01'), so x01 = x01' + t(r) has d_c x01 = d_c x01' + r - t d_c r
-    = c02 and d_a x01 = d_a x01' + t d_a r = d_a x01'.  This exact x then loses
-    its component in im d_0 = ker d_1 along the free columns of d_1, which
-    leaves the free-variables-zero solution.  For a z that is not a cocycle
-    the result is meaningless, so a caller must certify it (solve_obstruction
-    checks d_total(x) = z, lifting.lift the axioms of its final presentation).
+    solve_coboundary(z), free variables zero, by the two contractions of
+    Thm 1.2 instead of a factorization of d_{n-1}.  For p >= 1, d x = z reads
+    c_{p,q} = d_a x_{p-1,q} + (-1)^p d_c x_{p,q-1}, so A's homotopy s meets
+    the columns p = n..1 with y_{p-1,q} = (-1)^p x_{p-1,q} = s(c_{p,q} + d_c y_{p,q-1}).
+    The column homotopy (t f) = s_{B*}(f^T)^T, the dual context's s on the
+    transposed cochain, has d_c t + t d_c = id on C^{p,q} for q >= 1 and
+    t d_a = d_a t.  The residual r = c_{0,n} - d_c x' of the last column is
+    d_c-closed and d_a-closed (d_a c_{0,n} = d_c c_{1,n-1} = d_c d_a x'), so
+    x_{0,n-1} = x' + t(r) has d_c x = d_c x' + r - t d_c r = c_{0,n} and
+    d_a x = d_a x'.  In degree 1, H^0 = 0 makes this x the only solution; in
+    degree 2 it loses its component in im d_0 = ker d_1 along the free
+    columns of d_1.  For a z that is not a cocycle the result is meaningless:
+    lifting.lift certifies it by the axioms of its final presentation,
+    lifting._lift_map by the next level's divisibility and morphism_failures.
     """
-    ctx = z.context
+    ctx, n = z.context, z.degree
+    if n not in (1, 2):
+        raise ArityMismatch("the contraction solves degrees 1 and 2")
     if max(ctx.A.dim, ctx.B.dim) > coboundary_budget():
         raise BudgetExceeded(f"dims exceed coboundary budget {coboundary_budget()}")
     desc, na, nb = ctx.ring, ctx.A.dim, ctx.B.dim
-    cc, con = _cache(ctx), _contraction(ctx)
-    c = z.components
-    x10 = MultiMap(desc, 2, 1, na, nb, _homotopy(cc, 0, c[(2, 0)].coeffs))
-    x01 = MultiMap(desc, 1, 2, na, nb, _homotopy(cc, 1, (c[(1, 1)] + d_coalg(ctx, x10)).coeffs)).scale(-1)
-    resid = c[(0, 2)] - d_coalg(ctx, x01)
-    t_resid = _homotopy(cc.dual(), 0, np.swapaxes(resid.coeffs, 0, 1))  # t(r)^T: (na, nb^2, m)
-    x01 = MultiMap(desc, 1, 2, na, nb, ra.add(desc, x01.coeffs, np.swapaxes(t_resid, 0, 1)))
-    vec = vec_cochain(TotalCochain(ctx, 1, {(1, 0): x10, (0, 1): x01}))
+    cc = _cache(ctx)
+    _require_idempotents(cc)
+    c, x, y = z.components, {}, None
+    for p in range(n, 0, -1):  # y holds c_{p,q} + d_c y_{p,q-1}, freed once s has read it
+        y = c[(p, n - p)] if y is None else c[(p, n - p)] + d_coalg(ctx, y)
+        y = MultiMap(desc, p, n - p + 1, na, nb, _homotopy(cc, n - p, y.coeffs))
+        x[(p - 1, n - p)] = -y if p % 2 else y
+    resid = c[(0, n)] + d_coalg(ctx, y)  # r = c_{0,n} - d_c x', x' = -y
+    t_resid = _homotopy(cc.dual(), 0, np.swapaxes(resid.coeffs, 0, 1))  # t(r)^T: (na, nb^n, m)
+    x[(0, n - 1)] += MultiMap(desc, 1, n, na, nb, np.swapaxes(t_resid, 0, 1))
+    if n == 1:
+        return TotalCochain(ctx, 0, x)
+    con = _contraction(ctx)
+    vec = vec_cochain(TotalCochain(ctx, 1, x))
     # d0_free's rows are independent, so every right-hand side has a solution
     w = con.d0_free.solve(vec[con.free])
     return unvec_cochain(ctx, 1, ra.sub(desc, vec, con.d0.dot(desc, w)))
-
-
-def solve_obstruction(z: TotalCochain) -> TotalCochain | None:
-    """The canonical x with d_total(x) = z for a degree-2 z, or None (z not a cocycle).
-
-    The contraction of _contract_obstruction, certified by the exact check
-    d_total(x) = z; solve_coboundary for a context that lacks either idempotent.
-    """
-    if z.degree != 2:
-        raise ArityMismatch("solve_obstruction needs a degree-2 cochain")
-    cc = _cache(z.context)
-    if any(_separability_idempotent(side) is None for side in (cc, cc.dual())):
-        try:
-            return solve_coboundary(z)
-        except NotACocycle:
-            return None
-    x = _contract_obstruction(z)
-    return x if d_total(x) == z else None
 
 
 # ---------------------------------------------------------------------------

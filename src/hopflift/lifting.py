@@ -8,7 +8,7 @@ recovers unit, counit and antipode, which the corrected pair determines, by
 one Newton step each from those of the level below (no linear solve).  A level changes only digit
 k of the pair, which fixes the other three tensors, so one verify_hopf of the
 final presentation, with its reduction mod p, certifies the whole lift.
-Morphisms lift digit by digit from degree-1 coboundary solves, with one
+Morphisms lift digit by digit by the same contraction in degree 1, with one
 certificate per lifted map; reconciling two lifts of one base is the lift of
 its identity morphism, and R-matrices lift through their theta morphism.
 """
@@ -98,11 +98,7 @@ def _admit_base(base: HopfPresentation) -> HopfPresentation:
         raise AxiomsViolated(f"base fails the Hopf axioms {', '.join(exc.failing)}") from exc
     if not base.ring.is_field:
         raise NotSemisimpleOrCosemisimple("base must be a presentation over F_q")
-    cache = coh._cache(coh.make_context(base))  # the contraction reads both idempotents from it
-    if not cache.memo("admitted", lambda: all(coh._separability_idempotent(c) is not None for c in (cache, cache.dual()))):
-        raise NotSemisimpleOrCosemisimple(
-            "vanishing of the obstruction cohomology needs a semisimple and cosemisimple base"
-        )
+    coh._require_idempotents(coh._cache(coh.make_context(base)))  # the contraction reads both from this cache
     return base
 
 
@@ -320,19 +316,28 @@ def lift(base: HopfPresentation, n: int, strategy="canonical") -> LiftState:
 # lifting maps: morphisms, reconciliation (the identity) and R-matrices
 
 
+def _defect_error(z: coh.TotalCochain) -> Exception:
+    """The exception of a solved map level that fails its certificate, as _certificate_error's."""
+    if not coh.is_cocycle(z):
+        return NotACocycle("morphism defect cochain is not closed")
+    return CocycleUnsolvable("defect cocycle is not a coboundary; H^1(A,B,phi) = 0 is violated")
+
+
 def _lift_map(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState):
     """The map lift_a.current -> lift_b.current reducing to phi, one digit per
     level, with its certificate.
 
     Level k digit-lifts the map, divides its multiplicative and
     comultiplicative defects by p^k (NotDivisible if they are not), and
-    subtracts p^k times the coboundary solution chi of that defect pair, so
-    it changes digit k only; a zero defect pair has chi = 0 and solves
-    nothing.  The final map reduced mod p^(k+1) is therefore the map of level
-    k, and one morphism_failures of the final map, with its reduction to phi,
-    certifies every level.  Returns the map and the names of the failed
-    checks ("reduction" for the reduction to phi).
+    subtracts p^k times their unchecked contraction chi, so it changes digit
+    k only; a zero defect pair has chi = 0 and solves nothing.  An exact chi
+    is what makes the next level's defects divisible and the final map
+    (co)multiplicative, so those tests certify each solved level, and one
+    that fails raises _defect_error of its defect.  Returns the map and the
+    names of the failed checks ("reduction" for the reduction to phi).
     """
+    for state in (lift_a, lift_b):
+        _admit_base(state.base)  # the contraction needs both idempotents
     n = lift_a.precision
     na, nb = phi.source.dim, phi.target.dim
     fring = lift_a.base.ring
@@ -340,6 +345,7 @@ def _lift_map(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState):
     fmap = phi.map.coeffs
     # only mul and comul enter the defects: their legs are reduced per level
     legs = hc._legs(lift_a.current)[:2] + hc._legs(lift_b.current)[:2]
+    solved = None  # the last solved level's defect: a zero defect pair leaves the map exact
     for k in range(1, n):
         desc = fring.at_precision(k + 1)
         f = fmap % desc.q  # digit lift
@@ -347,25 +353,24 @@ def _lift_map(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState):
         defect_m, defect_d = (ra.sub(desc, lhs, rhs) for lhs, rhs in sides)
         pk = desc.p**k
         if np.any(defect_m % pk) or np.any(defect_d % pk):
+            if solved is not None:
+                raise _defect_error(solved)
             raise NotDivisible(f"morphism defect not divisible by p^{k}")
         if not (defect_m.any() or defect_d.any()):
             fmap = f
             continue
-        z = coh.TotalCochain(
-            ctx,
-            1,
-            {
-                (1, 0): MultiMap(fring, 2, 1, na, nb, ((defect_m // pk) % desc.p).reshape(nb, na * na, fring.m)),
-                (0, 1): MultiMap(fring, 1, 2, na, nb, ((defect_d // pk) % desc.p).reshape(nb * nb, na, fring.m)),
-            },
-        )
-        chi = coh.solve_coboundary(z)  # NotACocycle for a z that is not closed
-        if chi is None:
-            raise CocycleUnsolvable("defect cocycle is not a coboundary; H^1(A,B,phi) = 0 is violated")
+        comps = {
+            (1, 0): MultiMap(fring, 2, 1, na, nb, ((defect_m // pk) % desc.p).reshape(nb, na * na, fring.m)),
+            (0, 1): MultiMap(fring, 1, 2, na, nb, ((defect_d // pk) % desc.p).reshape(nb * nb, na, fring.m)),
+        }
+        solved = coh.TotalCochain(ctx, 1, comps)
+        chi = coh._contract_obstruction(solved)
         fmap = (f - pk * chi.components[(0, 0)].coeffs) % desc.q
     desc = fring.at_precision(n)
     out = MultiMap(desc, 1, 1, na, nb, fmap % desc.q)
     fails = hc.morphism_failures(HopfMorphism(lift_a.current, lift_b.current, out))
+    if solved is not None and {"multiplicative", "comultiplicative"}.intersection(fails):
+        raise _defect_error(solved)
     if np.any(ra.sub(fring, out.coeffs % fring.p, phi.map.coeffs)):
         fails.append("reduction")
     return out, fails
@@ -374,11 +379,11 @@ def _lift_map(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState):
 def reconcile(s1: LiftState, s2: LiftState) -> MultiMap:
     """Exact Hopf isomorphism eta: s1.current -> s2.current with eta = id mod p.
 
-    eta is the lift of the identity morphism of the base (uniqueness of lifts
-    is the H^1 = 0 case of lifting morphisms).  A map that is I mod p is
-    invertible, so no inverse is formed; besides the map lift's certificate,
-    eta is checked to intertwine the antipodes.  Every failure after the
-    cocycle solves raises InternalAxiomFailure.
+    eta is the lift of the identity morphism of the admitted base (uniqueness
+    of lifts is the H^1 = 0 case of lifting morphisms).  A map that is I mod p
+    is invertible, so no inverse is formed; besides the map lift's
+    certificate, eta is checked to intertwine the antipodes.  Every other
+    failure after the level solves raises InternalAxiomFailure.
     """
     if s1.base != s2.base or s1.precision != s2.precision:
         raise DifferentBaseOrPrecision("reconcile needs the same base and precision")
@@ -399,9 +404,10 @@ def reconcile(s1: LiftState, s2: LiftState) -> MultiMap:
 def lift_morphism(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState) -> HopfMorphism:
     """The unique Hopf morphism between the lifts reducing to phi mod p.
 
-    A failed certificate raises PostAxiomFailure for the (co)multiplicative
-    checks, else UnitCompatibilityFailure for the (co)unit ones (never
-    silently repaired), else InternalAxiomFailure for the reduction to phi.
+    A failed certificate raises _defect_error's exception for a solved
+    level, else PostAxiomFailure for the (co)multiplicative checks, else
+    UnitCompatibilityFailure for the (co)unit ones (never silently
+    repaired), else InternalAxiomFailure for the reduction to phi.
     """
     if not phi.verified:
         raise InternalAxiomFailure("phi must be VERIFIED")
@@ -409,8 +415,6 @@ def lift_morphism(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState) -> Ho
         raise DifferentBaseOrPrecision("phi must connect the two lift bases")
     if lift_a.precision != lift_b.precision:
         raise DifferentBaseOrPrecision("lift states must share the precision")
-    for state in (lift_a, lift_b):
-        _admit_base(state.base)
     out, fails = _lift_map(phi, lift_a, lift_b)
     for names, error in (
         ({"multiplicative", "comultiplicative"}, PostAxiomFailure),

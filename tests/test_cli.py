@@ -87,6 +87,20 @@ def test_lift_reconcile_flow(tmp_path, capsys):
     assert eta["eta"][0][0][0] % 5 == 1 and eta["eta"][0][1][0] % 5 == 0
 
 
+def test_reconcile_refuses_a_base_that_is_not_semisimple(tmp_path, capsys):
+    from hopflift import hopfcore as hc
+    from hopflift import lifting as lf
+    from hopflift import serialize as ser
+    from hopflift.coeffring import make_ring
+
+    state = lf.LiftState(hc.generate("C3", make_ring(3)), 2, hc.generate("C3", make_ring(3, 2)), [])
+    path = tmp_path / "c3lift.json"
+    path.write_text(ser.dumps(ser.liftstate_to_json(state)))
+    code, out, err = run(capsys, "reconcile", str(path), str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("NotSemisimpleOrCosemisimple: A is not semisimple") and "Traceback" not in err
+
+
 def test_lift_map_flow(tmp_path, capsys):
     import numpy as np
 

@@ -9,7 +9,7 @@ from hopflift import cohomology as coh
 from hopflift import hopfcore as hc
 from hopflift import tensorcalc as tc
 from hopflift._linalg import CooMatrix, FieldSolver
-from hopflift.errors import BudgetExceeded, InternalAxiomFailure, NotACocycle
+from hopflift.errors import ArityMismatch, BudgetExceeded, InternalAxiomFailure, NotACocycle, NotSemisimpleOrCosemisimple
 
 F5 = cr.make_ring(5)
 F7 = cr.make_ring(7)
@@ -881,7 +881,7 @@ def test_invariants_complex_checks_that_images_are_invariant(monkeypatch):
         coh._CACHE.clear()
 
 
-# --- degree-2 solve by contraction (the lifting path) against the dense oracle ---
+# --- solves of degrees 1 and 2 by contraction (the lifting path) against the dense oracle ---
 
 CONTRACTION_BASES = [
     ("D4", 3, 1),
@@ -906,6 +906,14 @@ OBSTRUCTION_BASES = CONTRACTION_BASES + [
 ]
 
 
+def assert_contracts_to_dense(z, x=None):
+    """_contract_obstruction(z) is solve_coboundary(z) bit for bit (and x, when given)."""
+    got, want = coh.vec_cochain(coh._contract_obstruction(z)), coh.vec_cochain(coh.solve_coboundary(z))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if x is not None:
+        assert np.array_equal(got, coh.vec_cochain(x))
+
+
 @pytest.mark.parametrize("name,p,m", OBSTRUCTION_BASES, ids=[f"{n}/F{p**m}" for n, p, m in OBSTRUCTION_BASES])
 def test_solve_obstruction_matches_dense(name, p, m):
     from hopflift import lifting as lf
@@ -918,10 +926,7 @@ def test_solve_obstruction_matches_dense(name, p, m):
         targets.append(lf.obstruction(mul, comul, base).c)
     targets += [coh.d_total(coh.random_cochain(ctx, 1, seed)) for seed in (4, 5)]
     for z in targets:
-        got = coh.solve_obstruction(z)
-        want = coh.solve_coboundary(z)
-        assert got is not None and want is not None
-        assert np.array_equal(coh.vec_cochain(got), coh.vec_cochain(want))
+        assert_contracts_to_dense(z)
     con = coh._contraction(ctx)
     assert con.rank == coh._solver_for(ctx, 1).rank
     # the H^1 = 0 of Thm 1.2, which the contraction no longer certifies itself:
@@ -952,24 +957,21 @@ def test_column_homotopy_contracts_d_coalg(name, p, m):
         assert coh.d_alg(ctx, column_homotopy(ctx, f)) == column_homotopy(ctx, coh.d_alg(ctx, f))
 
 
-def test_one_sided_context_routes_to_solve_coboundary():
+def test_one_sided_context_is_refused():
     # k[C2] -> k^{C3} over F3: A is semisimple, B is not cosemisimple, and
-    # H^0..2 = 0, so every degree-2 cocycle is a coboundary that the
-    # contraction cannot reach
-    from hopflift.errors import CocycleUnsolvable
-
+    # H^0..2 = 0; the dense solve reaches every coboundary, the contraction
+    # (which lifting's admission keeps from such a context) refuses them
     ctx = counit_unit_map_context("C2", "C3.dual", 3)
     cc = coh._cache(ctx)
     assert coh._separability_idempotent(cc) is not None and coh._separability_idempotent(cc.dual()) is None
     assert [coh.cohomology_dim(ctx, n) for n in (0, 1, 2)] == [0, 0, 0]
-    for seed in range(3):
-        z = coh.d_total(coh.random_cochain(ctx, 1, seed))
-        got, want = coh.solve_obstruction(z), coh.solve_coboundary(z)
-        assert got is not None and np.array_equal(coh.vec_cochain(got), coh.vec_cochain(want))
-    z = coh.random_cochain(ctx, 2, 5)
-    assert not coh.is_cocycle(z)
-    assert coh.solve_obstruction(z) is None
-    with pytest.raises(CocycleUnsolvable, match="B is not cosemisimple"):
+    for n in (1, 2):
+        x = coh.random_cochain(ctx, n - 1, n)
+        z = coh.d_total(x)
+        assert coh.d_total(coh.solve_coboundary(z)) == z
+        with pytest.raises(NotSemisimpleOrCosemisimple, match="B is not cosemisimple"):
+            coh._contract_obstruction(z)
+    with pytest.raises(NotSemisimpleOrCosemisimple, match="B is not cosemisimple"):
         coh._contraction(ctx)
 
 
@@ -1010,16 +1012,49 @@ def test_solve_obstruction_nonidentity_phi(make_ctx):
     # the idempotent lives in A and acts on B through phi
     ctx = make_ctx()
     for seed in range(3):
-        z = coh.d_total(coh.random_cochain(ctx, 1, seed))
-        got, want = coh.solve_obstruction(z), coh.solve_coboundary(z)
-        assert got is not None and np.array_equal(coh.vec_cochain(got), coh.vec_cochain(want))
+        assert_contracts_to_dense(coh.d_total(coh.random_cochain(ctx, 1, seed)))
     assert coh._contraction(ctx).rank == coh._solver_for(ctx, 1).rank
 
 
-def test_solve_obstruction_noncocycle_gives_none():
-    z = coh.random_cochain(CTX, 2, 5)
+# degree 1, the map lifts: H^0 = 0 makes d_0 injective, so the contraction of
+# d_0(x) is x itself; over F_p and F_{p^2}, with phi = id and phi != id
+DEGREE1_CONTEXTS = {
+    "C2/F5": lambda: CTX,
+    "S3/F7": lambda: coh.make_context(hc.generate("S3", F7)),
+    "D4/F3": lambda: coh.make_context(hc.generate("D4", cr.make_ring(3))),
+    "Q8/F7": lambda: coh.make_context(hc.generate("Q8", F7)),
+    "S3.dual/F7": lambda: coh.make_context(hc.generate("S3.dual", F7)),
+    "D4.dual/F5": lambda: coh.make_context(hc.generate("D4.dual", F5)),
+    "C2.double/F5": lambda: coh.make_context(hc.generate("C2.double", F5)),
+    "C3/F4": lambda: coh.make_context(hc.generate("C3", cr.make_ring(2, 1, 2))),
+    "S3/F25": lambda: coh.make_context(hc.generate("S3", cr.make_ring(5, 1, 2))),
+    "C2-dualC2": counit_unit_context,
+    "C2-C4": inclusion_context,
+}
+
+
+@pytest.mark.parametrize("label", sorted(DEGREE1_CONTEXTS))
+def test_degree1_contraction_matches_dense(label):
+    ctx = DEGREE1_CONTEXTS[label]()
+    for seed in range(3):
+        x = coh.random_cochain(ctx, 0, seed)
+        assert_contracts_to_dense(coh.d_total(x), x)
+    assert_contracts_to_dense(coh.zero_cochain(ctx, 1), coh.zero_cochain(ctx, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_contract_obstruction_of_noncocycle_fails_the_check(n):
+    # unchecked: a z that is not closed has no solution, and d_total of what
+    # the contraction returns differs from z, which the lift certificates see
+    z = coh.random_cochain(CTX, n, 5)
     assert not coh.is_cocycle(z)
-    assert coh.solve_obstruction(z) is None
+    assert coh.d_total(coh._contract_obstruction(z)) != z
+
+
+def test_contraction_solves_degrees_1_and_2_only():
+    for n in (0, 3):
+        with pytest.raises(ArityMismatch):
+            coh._contract_obstruction(coh.zero_cochain(CTX, n))
 
 
 def test_tampered_idempotent_raises(monkeypatch):
@@ -1054,7 +1089,7 @@ def test_separability_idempotent_is_built_once_per_context(monkeypatch):
         assert calls == [S3, hc.dual(S3)]
         c3 = coh.make_context(hc.generate("C3", cr.make_ring(3)))
         assert coh._separability_idempotent(coh._cache(c3)) is None
-        with pytest.raises(InternalAxiomFailure, match="not semisimple"):
+        with pytest.raises(NotSemisimpleOrCosemisimple, match="A is not semisimple"):
             coh._contraction(c3)
     finally:
         coh._CACHE.clear()

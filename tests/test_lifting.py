@@ -380,9 +380,10 @@ def _solver_builders(monkeypatch):
 
 def test_hensel_systems_factored_once_per_base(monkeypatch):
     """No lift stage factors a system of its own: unit, counit and antipode
-    come from Newton steps.  A cold lift, and the first reconcile (its d_0),
-    build only cohomology's solvers and those of the admission verdict; then
-    a warm lift and two reconciles build none."""
+    come from Newton steps.  A cold lift builds only cohomology's solvers and
+    those of the admission verdict; then a reconcile, which contracts with
+    the idempotents the lift built, a warm lift and two more reconciles build
+    none."""
     base = hc.generate("D4", cr.make_ring(3))
     coh._CACHE.clear()
     builders = _solver_builders(monkeypatch)
@@ -390,8 +391,7 @@ def test_hensel_systems_factored_once_per_base(monkeypatch):
     assert "cohomology" in builders and set(builders) <= {"cohomology", "admission"}
     builders.clear()
     lf.reconcile(cold, lf.lift(base, 4, "perturbed:2"))
-    assert set(builders) == {"cohomology"}
-    builders.clear()
+    assert builders == []
     warm = lf.lift(base, 4, "perturbed:3")
     lf.reconcile(cold, warm)
     lf.reconcile(warm, cold)
@@ -494,9 +494,10 @@ def _tampered(state, seed):
 
 
 def test_failed_degree1_solve_diagnosed(monkeypatch):
-    """reconcile and lift_morphism leave the closedness test to solve_coboundary:
-    a non-closed cochain raises NotACocycle there, and a solve that finds no
-    coboundary raises CocycleUnsolvable, also when stubbed for a non-closed one."""
+    """reconcile and lift_morphism certify each contracted level by the next
+    level's divisibility and the last by morphism_failures; a level that fails
+    has its defect tested for closedness: a non-closed one raises NotACocycle,
+    and a wrong contraction of a closed one raises CocycleUnsolvable."""
     C4 = hc.generate("C4", F5)
     inc = np.zeros((4, 2, 1), dtype=np.int64)
     inc[0, 0, 0] = 1
@@ -505,17 +506,70 @@ def test_failed_degree1_solve_diagnosed(monkeypatch):
     a, b = lf.lift(C2, 3, "canonical"), lf.lift(C2, 3, "perturbed:7")
     la, lb = lf.lift(C2, 3, "perturbed:1"), lf.lift(C4, 3, "perturbed:2")
     assert a.current != b.current
-    for forced, error in ((False, NotACocycle), (True, CocycleUnsolvable)):
-        if forced:
-            monkeypatch.setattr(coh, "solve_coboundary", lambda z: None)
-        with pytest.raises(error):
-            lf.reconcile(a, _tampered(b, 1))
-        with pytest.raises(error):
-            lf.lift_morphism(phi, la, _tampered(lb, 2))
-    with pytest.raises(CocycleUnsolvable):
-        lf.reconcile(a, b)
-    with pytest.raises(CocycleUnsolvable):
-        lf.lift_morphism(phi, la, lb)
+    with pytest.raises(NotACocycle):
+        lf.reconcile(a, _tampered(b, 1))
+    with pytest.raises(NotACocycle):
+        lf.lift_morphism(phi, la, _tampered(lb, 2))
+    # 2 chi = -chi over F5 is wrong for every nonzero defect, at an inner level
+    # (the next one is not divisible) and at the last (not multiplicative)
+    real = coh._contract_obstruction
+    for wrong_at in (1, 2):
+        calls = []
+
+        def wrong(z, wrong_at=wrong_at, calls=calls):
+            calls.append(None)
+            return real(z).scale(2) if len(calls) == wrong_at else real(z)
+
+        monkeypatch.setattr(coh, "_contract_obstruction", wrong)
+        with pytest.raises(CocycleUnsolvable):
+            lf.reconcile(a, b)
+        assert len(calls) == wrong_at
+        del calls[:]
+        with pytest.raises(CocycleUnsolvable):
+            lf.lift_morphism(phi, la, lb)
+        assert len(calls) == wrong_at
+
+
+def test_warm_map_lifts_assemble_and_factor_nothing(monkeypatch):
+    """Map lifts contract with the two idempotents: no map lift assembles a
+    d_total matrix, and once their contexts are warm, reconcile and
+    lift_morphism build no FieldSolver."""
+    C4 = hc.generate("C4", F5)
+    inc = np.zeros((4, 2, 1), dtype=np.int64)
+    inc[0, 0, 0] = inc[2, 1, 0] = 1
+    phi = hc.make_morphism(C2, C4, tc.MultiMap(F5, 1, 1, 2, 4, inc))
+    D4 = hc.generate("D4", cr.make_ring(3))
+    coh._CACHE.clear()
+    d4 = [lf.lift(D4, 4, f"perturbed:{seed}") for seed in (1, 2)]
+    c2, c4 = lf.lift(C2, 3, "perturbed:1"), lf.lift(C4, 3, "perturbed:2")
+    assembled, built = [], []
+    real_dtotal, real_init = coh.dtotal_matrix, FieldSolver.__init__
+    monkeypatch.setattr(coh, "dtotal_matrix", lambda *args: assembled.append(args) or real_dtotal(*args))
+    monkeypatch.setattr(FieldSolver, "__init__", lambda self, *a, **k: built.append(a) or real_init(self, *a, **k))
+
+    def map_lifts():
+        return (
+            lf.reconcile(*d4),
+            lf.lift_morphism(hc.identity_morphism(D4), *d4).map,
+            lf.lift_morphism(phi, c2, c4).map,
+        )
+
+    cold = map_lifts()
+    assert assembled == []
+    del built[:]
+    warm = map_lifts()
+    assert assembled == [] and built == []
+    assert all(a == b for a, b in zip(cold, warm))
+    coh._CACHE.clear()
+
+
+def test_reconcile_refuses_a_base_that_is_not_semisimple():
+    # two hand-made states over C3/F3, which lift would not have made: before
+    # admission, reconcile of equal states had zero defects and solved nothing
+    C3 = hc.generate("C3", cr.make_ring(3))
+    state = lf.LiftState(C3, 2, hc.generate("C3", cr.make_ring(3, 2)), [])
+    with pytest.raises(NotSemisimpleOrCosemisimple, match="A is not semisimple"):
+        lf.reconcile(state, lf.LiftState(C3, 2, state.current, []))
 
 
 def test_admit_base_names_failing_axioms():
@@ -577,8 +631,8 @@ def test_zero_defect_levels_solve_nothing(monkeypatch):
     and two different lifts still solve at their nonzero levels."""
     st = lf.lift(C2, 4, "perturbed:3")
     calls = []
-    real = coh.solve_coboundary
-    monkeypatch.setattr(coh, "solve_coboundary", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = coh._contract_obstruction
+    monkeypatch.setattr(coh, "_contract_obstruction", lambda *a, **k: calls.append(1) or real(*a, **k))
     eta = lf.reconcile(st, st)
     assert calls == []
     assert np.array_equal(eta.coeffs, ra.eye(st.current.ring, 2))

@@ -96,6 +96,22 @@ def test_lifted_maps_match_golden(label):
     assert CASES[label]() == golden[label]
 
 
+def test_golden_defects_contract_to_the_dense_solution(monkeypatch):
+    # every defect the golden cases solve, of degree 1 (the map lifts) and 2
+    # (their lifts): the contraction's answer is solve_coboundary's, bit for bit
+    from hopflift import cohomology as coh
+
+    defects = []
+    real = coh._contract_obstruction
+    monkeypatch.setattr(coh, "_contract_obstruction", lambda z: defects.append(z) or real(z))
+    for fn in CASES.values():
+        fn()
+    assert sum(z.degree == 1 for z in defects) >= len(CASES) and {z.degree for z in defects} == {1, 2}
+    for z in defects:
+        got, want = coh.vec_cochain(real(z)), coh.vec_cochain(coh.solve_coboundary(z))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_map_golden.py --record")

@@ -25,9 +25,13 @@ src/.  Two parts, each of which alternates the side that runs first:
   and the solver layer of D(S3)/F7 and D(D4)/F3 with
   HOPFLIFT_COBOUNDARY_BUDGET=64: the FieldSolver builds of d_c ad_2 and ad_2
   (those of _dc_ad_solver(cc, 2) and _ad_solver(cc, 2), which cohomology_dim
-  reads in degree 1 and a lift does not) and of the contraction's d0_free,
-  each on its matrix built first and untimed, with the rise of the peak RSS
-  over the peak before the build; the certified
+  reads in degree 1 and a lift does not), each on its matrix built first and
+  untimed, and the contraction's factorization of d_0 (_contraction, after d_0
+  and both idempotents, untimed), with the rise of the peak RSS over the peak
+  before the build; C4.double/F5 conjugated by a seed-5 random P invertible
+  mod 5 (made in the probe, untimed, and certified), with
+  HOPFLIFT_COBOUNDARY_BUDGET=16: its contraction set-up as above (setup_s),
+  then its cold perturbed lift to p^4 and that lift's SHA-256; the certified
   generation of D4.double/F3 (dimension 64), verify_hopf of D(D4) included;
   and lift_rmatrix of D(S3)/F7's canonical R through its perturbed lift to
   p^4 (made untimed, HOPFLIFT_COBOUNDARY_BUDGET=64), with the SHA-256 of the
@@ -109,28 +113,82 @@ print(json.dumps(out))
 
 LAYER_PROBE = r"""
 import json, resource, sys, time
-import numpy as np
 from hopflift import cohomology as coh
 from hopflift import hopfcore as hc
 from hopflift.coeffring import make_ring
 
 ctx = coh.make_context(hc.generate(sys.argv[1], make_ring(int(sys.argv[2]))))
 layer = sys.argv[3]
-if layer == "d0_free":
-    # the rows of d_0 that _contraction factors: its greedy row basis from the bottom
-    d0 = coh.dtotal_matrix(ctx, 0)
-    free = coh.bottom_row_basis(ctx.ring, d0)
-    keep = np.isin(d0.rows, free)
-    mat = coh.CooMatrix((free.size, d0.shape[1]), np.searchsorted(free, d0.rows[keep]), d0.cols[keep], d0.vals[keep])
+if layer == "d_0":
+    # what _contraction factors of d_0, whichever way the checkout does it;
+    # d_0 and both idempotents come first, untimed; the rank is that of d_1
+    coh._require_idempotents(coh._cache(ctx))
+    mat = coh.dtotal_matrix(ctx, 0)
+    build = lambda: coh._contraction(ctx)  # noqa: E731
 else:
     mat = {"d_c ad_2": coh._dc_ad_matrix, "ad_2": coh._ad_matrix}[layer](coh._cache(ctx), 2)
+    build = lambda: coh.FieldSolver(ctx.ring, mat)  # noqa: E731
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 t0 = time.perf_counter()
 try:
-    out = {"rank": coh.FieldSolver(ctx.ring, mat).rank, "correct": True}
+    out = {"rank": build().rank, "correct": True}
 except MemoryError as exc:
     out = {"error": f"MemoryError: {exc}"}
 out.update(seconds=time.perf_counter() - t0, rss_before_mb=before, shape=list(mat.shape), nnz=int(mat.rows.size))
+print(json.dumps(out))
+"""
+
+TRANSPORT_PROBE = r"""
+import hashlib, json, sys, time
+import numpy as np
+from hopflift import cohomology as coh
+from hopflift import coeffring as cr
+from hopflift import hopfcore as hc
+from hopflift import lifting as lf
+from hopflift import serialize as ser
+from hopflift.coeffring import make_ring
+from hopflift.tensorcalc import MultiMap
+
+# H conjugated by a seeded P invertible mod p: m' = P^-1 m (P x P),
+# Delta' = (P^-1 x P^-1) Delta P, u' = P^-1 u, eps' = eps P, S' = P^-1 S P,
+# which makes every structure tensor dense
+desc = make_ring(int(sys.argv[2]))
+H, rng = hc.generate(sys.argv[1], desc), np.random.default_rng(int(sys.argv[3]))
+N, p = H.dim, desc.q
+while True:
+    P = rng.integers(0, p, size=(N, N))
+    if coh.FieldSolver(desc, P[..., None]).rank == N:
+        break
+Pi = cr.matrix_inverse(desc, P[..., None])[..., 0]
+
+
+def conj(t, left, right):
+    return MultiMap(desc, t.arity_in, t.arity_out, N, N, ((left @ t.coeffs[..., 0] % p @ right % p)[..., None]))
+
+
+kron = lambda a, b: np.kron(a, b) % p  # noqa: E731
+one = np.ones((1, 1), dtype=np.int64)
+H = hc.make_presentation(
+    desc, conj(H.mul, Pi, kron(P, P)), conj(H.unit, Pi, one), conj(H.comul, kron(Pi, Pi), P), conj(H.counit, one, P),
+    conj(H.antipode, Pi, P),
+)
+ctx = coh.make_context(H)
+out = {}
+try:
+    coh._require_idempotents(coh._cache(ctx))
+    coh.dtotal_matrix(ctx, 0)
+    t0 = time.perf_counter()
+    out["rank"] = coh._contraction(ctx).rank
+    out["setup_s"] = time.perf_counter() - t0
+    coh._CACHE.clear()
+    t0 = time.perf_counter()
+    st = lf.lift(H, 4, "perturbed:1")
+    out.update(seconds=time.perf_counter() - t0, correct=not hc.verify_hopf(st.current).failing())
+    obj = ser.liftstate_to_json(st)
+    obj["transcript"] = [{k: v for k, v in rec.items() if k != "seconds"} for rec in obj["transcript"]]
+    out["sha256"] = hashlib.sha256(ser.dumps(obj).encode()).hexdigest()
+except MemoryError as exc:
+    out["error"] = f"MemoryError: {exc}"
 print(json.dumps(out))
 """
 
@@ -209,7 +267,10 @@ CASES = [
 ] + [
     (f"{layer} solver build, {label}, HOPFLIFT_COBOUNDARY_BUDGET=64", LAYER_PROBE, [name, p, layer], {"HOPFLIFT_COBOUNDARY_BUDGET": "64"})
     for label, name, p in (("D(S3)/F7", "S3.double", "7"), ("D(D4)/F3", "D4.double", "3"))
-    for layer in ("d_c ad_2", "ad_2", "d0_free")
+    for layer in ("d_c ad_2", "ad_2", "d_0")
+] + [
+    ("transported C4.double/F5 by a seed-5 P: contraction set-up and cold lift p^4, HOPFLIFT_COBOUNDARY_BUDGET=16", TRANSPORT_PROBE,
+     ["C4.double", "5", "5"], DIM_16),
 ] + [
     ("generate D4.double/F3", GEN_PROBE, ["D4.double", "3"], {}),
     ("lift_rmatrix S3.double/F7 perturbed:1 p^4, HOPFLIFT_COBOUNDARY_BUDGET=64", RMATRIX_PROBE, ["S3", "7", "perturbed:1"],
@@ -267,7 +328,7 @@ def cli_step(tree, cap_bytes):
 def summary(rows):
     """The paired summary of both sides, and the lift digests and solver ranks of each."""
     out = {}
-    for key in ("seconds", "wall_s", "peak_rss_mb", "rise_mb"):
+    for key in ("seconds", "setup_s", "wall_s", "peak_rss_mb", "rise_mb"):
         series = {side: [r.get(key) for r in runs] for side, runs in rows.items()}
         if None not in series["parent"] + series["change"]:
             out[key] = pipeline.paired(series, "lower")
@@ -320,7 +381,8 @@ def main():
     record = {
         "what": (
             f"cohomology_dim in degrees 0-2 (group algebras with p dividing |G| included), cold lifts at dimensions 16, 36 and 64, the CLI cohomology step and the "
-            f"solver builds of d_c ad_2, ad_2 and d0_free at dimensions 36 and 64, generate(D4.double/F3) and "
+            f"solver builds of d_c ad_2, ad_2 and d_0 at dimensions 36 and 64, the contraction set-up and cold lift of "
+            f"C4.double/F5 conjugated by a seed-5 P, generate(D4.double/F3) and "
             f"lift_rmatrix of D(S3)/F7 through its perturbed p^4 lift, reconcile of D(S3)/F7's canonical and perturbed p^4 lifts"
             f"{'' if args.cases is None else f' (only those labelled *{args.cases}*, no CLI step, no workloads)'}, "
             f"{args.repeats} fresh processes per side "

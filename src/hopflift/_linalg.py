@@ -22,7 +22,15 @@ component is a group of its own), and each group's rows are expanded to F_p
 and factored alone, its components in rounds: round s pivots the s-th column
 of each at once, an order that keeps each summand's column order and so the
 greedy basis.  A solve gathers its right-hand side at the groups' pivot rows
-and checks M.x = b exactly on the whole input.
+(pivot_solve) and checks M.x = b exactly on the whole input.
+
+The pivot rows are the greedy row basis too, the rows outside the span of
+the rows above them: the reduced rows are a linear image of the input rows,
+so a row in the span of earlier ones is reduced to a combination of rows
+that are zero at the column being pivoted, or already pivots, and never
+becomes the first unused row with a nonzero there.  So the pivot rows of a
+matrix with its rows reversed are its greedy row basis from the last row up,
+the rows cohomology's d_0 projection solves on.
 """
 
 from __future__ import annotations
@@ -38,8 +46,6 @@ _BLOCK = 64
 # the size of a sparse product's column blocks: each keeps entries x block x
 # m x m near it
 _BLOCK_CELLS = 1 << 22
-# nonzero rows that bottom_row_basis turns into Python lists at a time
-_ECHELON_ROWS = 256
 
 
 def _exact_dot(a, b, q):
@@ -112,58 +118,6 @@ class CooMatrix:
                     terms += vals[..., t] * g[:, :, None, t]
             out[rows, w0 : w0 + step] = ra.int64_mod(np.add.reduceat(terms, bounds[:-1], axis=0), desc.q)
         return out.reshape((self.shape[0],) + x.shape[1:])
-
-
-def bottom_row_basis(desc, mat: CooMatrix) -> np.ndarray:
-    """The greedy row basis of mat over F_{p^m} scanned from its last row up:
-    the ascending indices of the rows outside the span of the rows below them.
-
-    An exact sparse echelon over F_p that visits only the nonzero rows and
-    stops once the basis has one row per column.  Each basis row is kept with
-    its lowest column as pivot and reduces a new row at that column.  Over
-    F_{p^m}, m > 1, it scans the F_p regular representation, whose row (r, j)
-    holds the coefficients of x^j times row r; its greedy rows come in whole
-    blocks (r, 0..m-1), as FieldSolver's pivot columns do.
-    """
-    p, m = desc.q, desc.m
-    basis: dict[int, dict[int, int]] = {}  # pivot column -> row, 1 at the pivot
-
-    def insert(v):
-        """Reduce the row v (column -> value) by the basis; keep what is left."""
-        while v:
-            c = min(v)
-            row = basis.get(c)
-            if row is None:
-                inv = pow(v[c], p - 2, p)
-                basis[c] = {k: x * inv % p for k, x in v.items()}
-                return True
-            f = v[c]
-            for k, x in row.items():
-                y = (v.get(k, 0) - f * x) % p
-                if y:
-                    v[k] = y
-                else:
-                    del v[k]
-        return False
-
-    # first entry of each nonzero row; the rows are read in chunks of
-    # _ECHELON_ROWS from the bottom, each turned into Python lists when reached
-    starts = np.flatnonzero(np.diff(mat.rows, prepend=-1))
-    found, hi = [], mat.rows.size
-    for first in range((starts.size - 1) // _ECHELON_ROWS * _ECHELON_ROWS, -1, -_ECHELON_ROWS):
-        lo = int(starts[first])
-        cols = (mat.cols[lo:hi, None] * m + np.arange(m)).tolist()
-        # reg[k][j][i]: coefficient i of x^j times entry lo + k, at F_p column cols[k][i]
-        reg = ra.reg_rep(desc, mat.vals[lo:hi]).transpose(0, 2, 1).tolist()
-        bounds = (starts[first : first + _ECHELON_ROWS] - lo).tolist() + [hi - lo]
-        for a, b in zip(bounds[-2::-1], bounds[:0:-1]):
-            if len(basis) == mat.shape[1] * m:
-                return np.array(found[::-1], dtype=np.int64)
-            fresh = [insert({c: x for ck, rk in zip(cols[a:b], reg[a:b]) for c, x in zip(ck, rk[j]) if x}) for j in range(m)]
-            if fresh[0]:
-                found.append(int(mat.rows[lo + a]))
-        hi = lo
-    return np.array(found[::-1], dtype=np.int64)
 
 
 def _inv_lower(T, invs, p, cuts=None):
@@ -399,8 +353,9 @@ class FieldSolver:
         self.pivot_cols = pcols[order][::m] // m
         self.rank = len(self.pivot_cols)
 
-    def solve(self, rhs: np.ndarray):
-        """Canonical particular solution (free variables zero) or None.
+    def pivot_solve(self, rhs: np.ndarray):
+        """The x, free variables zero, that meets rhs on the pivot rows,
+        unchecked elsewhere: solve without its exact check.
 
         rhs has physical shape (R, m) or (R, w, m); the result matches with R
         replaced by the column count.
@@ -408,9 +363,8 @@ class FieldSolver:
         if self.rank_only:
             raise ValueError("factorization was rank_only")
         p, m = self.desc.q, self.desc.m
-        b = rhs % p
         w = math.prod(rhs.shape[1:-1])
-        bw = b.reshape(b.shape[0], w, m)
+        bw = (rhs % p).reshape(rhs.shape[0], w, m)
         xp = np.zeros((self.ncols * m, w), dtype=np.int64)
         for prows, pcols, _, ech in self._groups:
             if pcols.size:
@@ -419,10 +373,13 @@ class FieldSolver:
                 beta = _block_substitute(ech.Lpp, ech.tblocks, bw[prows // m, :, prows % m], p)
                 xp[pcols] = _block_substitute(ech.Upc, ech.ublocks, beta, p)
         x = np.ascontiguousarray(xp.reshape(self.ncols, m, w).swapaxes(1, 2))
-        x = x.reshape((self.ncols,) + rhs.shape[1:])
-        if np.any(self.M.dot(self.desc, x) != b):
-            return None
-        return x
+        return x.reshape((self.ncols,) + rhs.shape[1:])
+
+    def solve(self, rhs: np.ndarray):
+        """Canonical particular solution (free variables zero) or None: the
+        pivot_solve x, kept when M.x = rhs exactly on every row."""
+        x = self.pivot_solve(rhs)
+        return x if np.array_equal(self.M.dot(self.desc, x), rhs % self.desc.q) else None
 
     def kernel_basis(self):
         """Canonical kernel basis (one vector per free column, ascending)."""

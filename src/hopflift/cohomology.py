@@ -26,7 +26,8 @@ _contract_obstruction, which contracts the rows with A's separability
 idempotent and the columns with B*'s (the dual context's, through the
 self-duality): Thm 1.2 with both certified is H^0 = H^1 = 0.  It builds no
 d_1, and no d_0 in degree 1; in degree 2 the free columns of d_1 are the
-greedy row basis of d_0 from its last row up.  solve_coboundary is its
+greedy row basis of d_0 from its last row up, the pivot rows of its one
+factorization, of d_0 with its rows reversed.  solve_coboundary is its
 oracle.  For a semisimple A the row contraction alone reduces
 cohomology_dim and the invariants complex to the complex ad(B^{tensor q+1})
 under d_c, with one cached solver per ad_k and per d_c ad_k (cohomology_dim
@@ -49,7 +50,7 @@ import numpy as np
 from . import _arrays as ra
 from . import hopfcore as hc
 from . import tensorcalc as tc
-from ._linalg import CooMatrix, FieldSolver, bottom_row_basis
+from ._linalg import CooMatrix, FieldSolver
 from .coeffring import RingDescriptor
 from .errors import (
     ArityMismatch,
@@ -523,11 +524,10 @@ def _bicomplex_dim(ctx: ComplexContext, n: int) -> int:
 
 @dataclass
 class _Contraction:
-    """The degree-2 projection of _contract_obstruction (built once per context, held in _ContextCache)."""
+    """The degree-2 projection of _contract_obstruction along im d_0 (built once per context, held in _ContextCache)."""
 
+    d0_rev: FieldSolver  # d_0 with its rows reversed, factored once
     free: np.ndarray  # free columns of d_1: the greedy row basis of d_0 from its last row up
-    d0: CooMatrix
-    d0_free: FieldSolver  # rows `free` of d_0, from their entries
     rank: int  # rank of d_1, which is dim C^1 - rank d_0 since H^1 = 0
 
 
@@ -586,7 +586,9 @@ def _reduced_dim(cc: _ContextCache, n: int) -> int:
 
 
 def _contraction(ctx: ComplexContext) -> _Contraction:
-    """Build (once per context) the degree-2 projection of _contract_obstruction.
+    """Build (once per context) the degree-2 projection of _contract_obstruction:
+    one FieldSolver of d_0 with its rows reversed, whose pivot rows, read from
+    the bottom of d_0, are the free columns of d_1.
 
     The free columns of d_1 rest on H^1 = 0, which is Thm 1.2 with both
     idempotents certified (_require_idempotents).
@@ -594,16 +596,15 @@ def _contraction(ctx: ComplexContext) -> _Contraction:
     cc = _cache(ctx)
 
     def build():
-        desc = ctx.ring
         _require_idempotents(cc)
         # the free columns of d_1 are the last nonzero positions of an echelon
         # basis of ker d_1 = im d_0: the greedy row basis of d_0 from the bottom
         d0 = dtotal_matrix(ctx, 0)
-        free = bottom_row_basis(desc, d0)
-        keep = np.isin(d0.rows, free)
-        rows = np.searchsorted(free, d0.rows[keep])
-        d0_free = FieldSolver(desc, CooMatrix((free.size, d0.shape[1]), rows, d0.cols[keep], d0.vals[keep]))
-        return _Contraction(free, d0, d0_free, d0.shape[0] - free.size)
+        R = d0.shape[0]
+        order = np.lexsort((d0.cols, R - 1 - d0.rows))
+        d0_rev = FieldSolver(ctx.ring, CooMatrix(d0.shape, R - 1 - d0.rows[order], d0.cols[order], d0.vals[order]))
+        free = np.unique(R - 1 - d0_rev.pivot_rows // ctx.ring.m)
+        return _Contraction(d0_rev, free, R - free.size)
 
     return cc.memo("contraction", build)
 
@@ -639,9 +640,12 @@ def _contract_obstruction(z: TotalCochain) -> TotalCochain:
     x_{0,n-1} = x' + t(r) has d_c x = d_c x' + r - t d_c r = c_{0,n} and
     d_a x = d_a x'.  In degree 1, H^0 = 0 makes this x the only solution; in
     degree 2 it loses its component in im d_0 = ker d_1 along the free
-    columns of d_1.  For a z that is not a cocycle the result is meaningless:
-    lifting.lift certifies it by the axioms of its final presentation,
-    lifting._lift_map by the next level's divisibility and morphism_failures.
+    columns of d_1: x - d_0 w, where w meets x on those rows of d_0, the
+    pivot rows of its reversed factorization (pivot_solve; every column of
+    d_0 is a pivot, as H^0 = 0).  For a z that is not a cocycle the result
+    is meaningless: lifting.lift certifies it by the axioms of its final
+    presentation, lifting._lift_map by the next level's divisibility and
+    morphism_failures.
     """
     ctx, n = z.context, z.degree
     if n not in (1, 2):
@@ -661,11 +665,10 @@ def _contract_obstruction(z: TotalCochain) -> TotalCochain:
     x[(0, n - 1)] += MultiMap(desc, 1, n, na, nb, np.swapaxes(t_resid, 0, 1))
     if n == 1:
         return TotalCochain(ctx, 0, x)
-    con = _contraction(ctx)
-    vec = vec_cochain(TotalCochain(ctx, 1, x))
-    # d0_free's rows are independent, so every right-hand side has a solution
-    w = con.d0_free.solve(vec[con.free])
-    return unvec_cochain(ctx, 1, ra.sub(desc, vec, con.d0.dot(desc, w)))
+    d0_rev = _contraction(ctx).d0_rev
+    vec = vec_cochain(TotalCochain(ctx, 1, x))[::-1]  # in d0_rev's row order
+    w = d0_rev.pivot_solve(vec)
+    return unvec_cochain(ctx, 1, ra.sub(desc, vec, d0_rev.M.dot(desc, w))[::-1])
 
 
 # ---------------------------------------------------------------------------

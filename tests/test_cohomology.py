@@ -992,12 +992,12 @@ ROW_BASIS_BASES = CONTRACTION_BASES + [("D4.dual", 5, 1), ("S3.dual", 7, 1), ("S
 def test_d0_free_rows_match_dense_scan(name, p, m):
     ctx = coh.make_context(hc.generate(name, cr.make_ring(p, 1, m)))
     con = coh._contraction(ctx)
-    free = dense_bottom_scan(ctx.ring, con.d0)
-    assert np.array_equal(con.free, free) and con.rank == con.d0.shape[0] - free.size
-    want = FieldSolver(ctx.ring, con.d0.toarray()[free])
-    assert np.array_equal(con.d0_free.pivot_cols, want.pivot_cols)
-    assert np.array_equal(con.d0_free.pivot_rows, want.pivot_rows)
-    assert np.array_equal(con.d0_free.M.toarray(), want.M.toarray())
+    d0 = coh.dtotal_matrix(ctx, 0)
+    free = dense_bottom_scan(ctx.ring, d0)
+    assert np.array_equal(con.free, free) and con.rank == d0.shape[0] - free.size
+    # the one factorization is of d_0 itself, its rows reversed
+    assert np.array_equal(con.d0_rev.M.toarray(), d0.toarray()[::-1])
+    assert con.d0_rev.rank == free.size == d0.shape[1]
 
 
 def inclusion_context():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hopflift import _arrays as ra
 from hopflift import _linalg
 from hopflift import coeffring as cr
-from hopflift._linalg import CooMatrix, FieldSolver, bottom_row_basis
+from hopflift._linalg import CooMatrix, FieldSolver
 
 F2 = cr.make_ring(2)
 F7 = cr.make_ring(7)
@@ -408,35 +408,78 @@ def test_fixed_operands_are_expanded_once(monkeypatch):
     assert len(calls) == 1
 
 
-# --- the greedy row basis from the bottom, against the dense reversed-transpose scan ---
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F2, F7, cr.make_ring(P31), F4, F9]), st.integers(0, 2**32 - 1), st.sampled_from([(), (3,)]))
+def test_pivot_solve_meets_any_rhs_on_the_pivot_rows(desc, seed, batch):
+    # any right-hand side, (R, m) or batched (R, w, m), is met on the pivot
+    # rows with the free variables zero; a consistent one gets solve's
+    # answer, and solve refuses exactly the ones pivot_solve misses elsewhere
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+    mat = planted(desc, rows, cols, int(rng.integers(1, cols + 1)), seed)
+    solver = FieldSolver(desc, mat)
+    prows = np.unique(solver.pivot_rows // desc.m)
+    free = np.setdiff1d(np.arange(cols), solver.pivot_cols)
+    rhs = rng.integers(0, desc.q, size=(rows,) + batch + (desc.m,))
+    x = solver.pivot_solve(rhs)
+    assert x.shape == (cols,) + batch + (desc.m,) and not np.any(x[free])
+    assert np.array_equal(solver.M.dot(desc, x)[prows], rhs[prows])
+    assert (solver.solve(rhs) is None) != np.array_equal(solver.M.dot(desc, x), rhs)
+    consistent = solver.M.dot(desc, rng.integers(0, desc.q, size=x.shape))
+    assert np.array_equal(solver.pivot_solve(consistent), solver.solve(consistent))
+
+
+# --- the greedy row basis from the bottom: the pivot rows of the reversed rows ---
+
+
+def bottom_row_basis(desc, mat: CooMatrix) -> np.ndarray:
+    """The greedy row basis of mat over F_{p^m} scanned from its last row up:
+    the ascending indices of the rows outside the span of the rows below them.
+
+    A sparse echelon over F_p in Python ints that visits only the nonzero
+    rows and stops once the basis has one row per column: each basis row is
+    kept with its lowest column as pivot and reduces a new row at that
+    column.  Over F_{p^m}, m > 1, it scans the F_p regular representation,
+    whose row (r, j) holds the coefficients of x^j times row r; a row is
+    taken when its block (r, 0..m-1) adds to the span."""
+    p, m = desc.q, desc.m
+    basis = {}  # pivot column -> row, 1 at the pivot
+
+    def insert(v):
+        """Reduce the row v (column -> value) by the basis; keep what is left."""
+        while v:
+            c = min(v)
+            row = basis.get(c)
+            if row is None:
+                inv = pow(v[c], p - 2, p)
+                basis[c] = {k: x * inv % p for k, x in v.items()}
+                return True
+            f = v[c]
+            for k, x in row.items():
+                y = (v.get(k, 0) - f * x) % p
+                if y:
+                    v[k] = y
+                else:
+                    del v[k]
+        return False
+
+    starts = np.flatnonzero(np.diff(mat.rows, prepend=-1)).tolist()
+    cols = (mat.cols[:, None] * m + np.arange(m)).tolist()
+    # reg[k][j][i]: coefficient i of x^j times entry k, at F_p column cols[k][i]
+    reg = ra.reg_rep(desc, mat.vals).transpose(0, 2, 1).tolist()
+    found = []
+    for a, b in zip(starts[::-1], (starts[1:] + [mat.rows.size])[::-1]):
+        if len(basis) == mat.shape[1] * m:
+            break
+        fresh = [insert({c: x for ck, rk in zip(cols[a:b], reg[a:b]) for c, x in zip(ck, rk[j]) if x}) for j in range(m)]
+        if fresh[0]:
+            found.append(int(mat.rows[a]))
+    return np.array(found[::-1], dtype=np.int64)
 
 
 def dense_bottom_rows(desc, mat):
     rev = FieldSolver(desc, np.ascontiguousarray(ra.transpose(mat, (1, 0))[:, ::-1]), rank_only=True)
     return np.sort(mat.shape[0] - 1 - rev.pivot_cols)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([F2, F7, cr.make_ring(P31), F4, F9]), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, None]))
-def test_bottom_row_basis_matches_dense_scan(desc, seed, chunk):
-    # sparse rows of rank < cols, each a combination of one or two of `rank`
-    # sparse base rows or zero, so the scan meets dependent rows and never
-    # reaches a full basis; chunks of 1 or 3 rows put chunk ends inside it
-    rng = np.random.default_rng(seed)
-    cols = int(rng.integers(2, 16))
-    rank = int(rng.integers(1, cols))
-    rows = int(rng.integers(rank, 4 * rank + 8))
-    base = rng.integers(0, desc.q, size=(rank, cols, desc.m)) * (rng.random((rank, cols, 1)) < 0.3)
-    coef = np.zeros((rows, rank, desc.m), dtype=np.int64)
-    for r in range(rows):
-        picked = rng.choice(rank, size=int(rng.integers(0, min(rank, 2) + 1)), replace=False)
-        coef[r, picked] = rng.integers(0, desc.q, size=(picked.size, desc.m))
-    mat = ra.tensordot(desc, coef, base.astype(np.int64), ([1], [0]))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_linalg, "_ECHELON_ROWS", chunk or _linalg._ECHELON_ROWS)
-        got = bottom_row_basis(desc, CooMatrix.from_dense(mat))
-    want = dense_bottom_rows(desc, mat)
-    assert np.array_equal(got, want) and got.size < cols
 
 
 def reversed_pivot_rows(desc, mat):
@@ -445,6 +488,20 @@ def reversed_pivot_rows(desc, mat):
     rows are those of its first k rows alone, in any column order."""
     rev = FieldSolver(desc, np.ascontiguousarray(mat[::-1]), rank_only=True)
     return np.unique(mat.shape[0] - 1 - rev.pivot_rows // desc.m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F2, F7, cr.make_ring(P31), F4, F9]), st.integers(0, 2**32 - 1))
+def test_bottom_row_basis_matches_dense_scan(desc, seed):
+    # planted low rank with zero and repeated rows: the reversed pivot rows
+    # are the sparse echelon's rows and the dense reversed-transpose scan's
+    rng = np.random.default_rng(seed)
+    cols = int(rng.integers(2, 16))
+    rank = int(rng.integers(1, cols))
+    mat = planted(desc, int(rng.integers(rank, 4 * rank + 8)), cols, rank, seed)
+    got = reversed_pivot_rows(desc, mat)
+    assert np.array_equal(got, bottom_row_basis(desc, CooMatrix.from_dense(mat)))
+    assert np.array_equal(got, dense_bottom_rows(desc, mat)) and got.size < cols
 
 
 @settings(max_examples=60, deadline=None)

@@ -26,9 +26,9 @@ src/.  Two parts, each of which alternates the side that runs first:
   HOPFLIFT_COBOUNDARY_BUDGET=64: the FieldSolver builds of d_c ad_2 and ad_2
   (those of _dc_ad_solver(cc, 2) and _ad_solver(cc, 2), which cohomology_dim
   reads in degree 1 and a lift does not), each on its matrix built first and
-  untimed, and the contraction's factorization of d_0 (_contraction, after d_0
-  and both idempotents, untimed), with the rise of the peak RSS over the peak
-  before the build; C4.double/F5 conjugated by a seed-5 random P invertible
+  untimed, and the contraction's build of d_0 (_contraction, its assembly of
+  d_0 included, after both idempotents, untimed), with the rise of the peak
+  RSS over the peak before the build; C4.double/F5 conjugated by a seed-5 random P invertible
   mod 5 (made in the probe, untimed, and certified), with
   HOPFLIFT_COBOUNDARY_BUDGET=16: its contraction set-up as above (setup_s),
   then its cold perturbed lift to p^4 and that lift's SHA-256; the certified
@@ -120,10 +120,9 @@ from hopflift.coeffring import make_ring
 ctx = coh.make_context(hc.generate(sys.argv[1], make_ring(int(sys.argv[2]))))
 layer = sys.argv[3]
 if layer == "d_0":
-    # what _contraction factors of d_0, whichever way the checkout does it;
-    # d_0 and both idempotents come first, untimed; the rank is that of d_1
+    # what _contraction builds of d_0, its assembly included, whichever way the
+    # checkout does it; both idempotents come first, untimed; the rank is that of d_1
     coh._require_idempotents(coh._cache(ctx))
-    mat = coh.dtotal_matrix(ctx, 0)
     build = lambda: coh._contraction(ctx)  # noqa: E731
 else:
     mat = {"d_c ad_2": coh._dc_ad_matrix, "ad_2": coh._ad_matrix}[layer](coh._cache(ctx), 2)
@@ -134,7 +133,10 @@ try:
     out = {"rank": build().rank, "correct": True}
 except MemoryError as exc:
     out = {"error": f"MemoryError: {exc}"}
-out.update(seconds=time.perf_counter() - t0, rss_before_mb=before, shape=list(mat.shape), nnz=int(mat.rows.size))
+out.update(seconds=time.perf_counter() - t0, rss_before_mb=before)
+if "error" not in out:
+    mat = coh._contraction(ctx).d0_rev.M if layer == "d_0" else mat  # d_0 with its rows reversed
+    out.update(shape=list(mat.shape), nnz=int(mat.rows.size))
 print(json.dumps(out))
 """
 
@@ -176,7 +178,6 @@ ctx = coh.make_context(H)
 out = {}
 try:
     coh._require_idempotents(coh._cache(ctx))
-    coh.dtotal_matrix(ctx, 0)
     t0 = time.perf_counter()
     out["rank"] = coh._contraction(ctx).rank
     out["setup_s"] = time.perf_counter() - t0

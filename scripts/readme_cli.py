@@ -11,7 +11,8 @@ run.  The degree-2 cohomology of C4.double/F5 and the perturbed lift of
 S3.double/F7 (dimension 36) run under a 1.5 GB address-space cap (RLIMIT_AS)
 with one BLAS thread, so an allocation of gigabytes fails the check; the
 lift's JSON, without the transcript's wall-clock seconds, must have the
-SHA-256 LIFT_S3D_SHA256.  Prints one line per checked command, with its
+SHA-256 LIFT_S3D_SHA256, and the perturbed lift of C3/F4 to GR(2^4, 2) the
+SHA-256 LIFT_C3F4_SHA256.  Prints one line per checked command, with its
 peak RSS (the child's ru_maxrss, from os.wait4), and exits 1 if any check
 fails.
 """
@@ -30,6 +31,7 @@ SRC = os.path.join(os.path.dirname(HERE), "src")
 sys.path.insert(0, SRC)
 CAP_BYTES = 3 << 29  # 1.5 GB
 LIFT_S3D_SHA256 = "a1a00442d486003394e57641b3630ab67d73264d68143c3f1e62ac3f1ed04516"
+LIFT_C3F4_SHA256 = "67ba26585653e3ecea3ea64cf255022d418c01e3844b1e4c7a61898ec4282b3a"
 
 
 def hopflift(workdir, *argv, stdin=None, extra_env=None, cap_bytes=None):
@@ -126,6 +128,10 @@ def main():
         p = hopflift(wd, "analyze", stdin=hopflift(wd, "gen", "C3.dual", "--p", "3").stdout)
         glikes = "grouplikes       1 (1 central)" in p.stdout.splitlines()
         check("gen C3.dual --p 3 | analyze", p, 1, "not cosemisimple" in p.stderr and glikes)
+        p = hopflift(wd, "analyze", stdin=hopflift(wd, "gen", "S3", "--p", "5", "--m", "2").stdout)
+        lines = p.stdout.splitlines()
+        f25_ok = "grouplikes       6 (1 central)" in lines and any(line.startswith("trace(S^2)       [1, 0] ") for line in lines)
+        check("gen S3 --p 5 --m 2 | analyze (trace(S^2) [1, 0], grouplikes 6)", p, 0, f25_ok)
         check("gen C2.double --p 5 -o d2.json", hopflift(wd, "gen", "C2.double", "--p", "5", "-o", "d2.json"), 0)
         p = hopflift(wd, "cohomology", "d2.json", "--degree", "0,1", "--invariants")
         check("cohomology d2.json --degree 0,1 --invariants", p, 0, p.stdout.startswith("H^0 = "))
@@ -158,6 +164,10 @@ def main():
             0,
             digest_ok,
         )
+        check("gen C3 --p 2 --m 2 -o c3f4.json", hopflift(wd, "gen", "C3", "--p", "2", "--m", "2", "-o", "c3f4.json"), 0)
+        p = hopflift(wd, "lift", "c3f4.json", "--precision", "4", "--strategy", "perturbed:1", "-o", "c3f4lift.json")
+        digest_ok = p.returncode == 0 and in_child("lift_digest", os.path.join(wd, "c3f4lift.json")) == LIFT_C3F4_SHA256
+        check("lift c3f4.json --precision 4 --strategy perturbed:1 (SHA-256 67ba2658...)", p, 0, digest_ok)
         check("gen C2 --p 5 -o c2.json", hopflift(wd, "gen", "C2", "--p", "5", "-o", "c2.json"), 0)
         p = hopflift(wd, "lift", "c2.json", "--precision", "4", "--strategy", "perturbed:7", "-o", "lift.json")
         check("lift c2.json --precision 4 --strategy perturbed:7", p, 0)

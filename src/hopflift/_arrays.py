@@ -1,7 +1,11 @@
 """Integer ndarray kernels for tensors valued in F_{p^m} or GR(p^n, m).
 
 A tensor is an int64 ndarray whose trailing axis has length m (the polynomial
-coordinates of one ring element); every entry lies in [0, p^n).  All kernels
+coordinates of one ring element); every entry lies in [0, p^n).  Every
+product in the ring is a sum of x-shifts by mul_x, whose one input is x^m
+reduced by the modulus (RingDescriptor.xm_red; coeffring builds the modulus
+with list polynomials): elem_mul sums b_t (a x^t), and tensordot contracts
+with the regular representation reg_rep, whose column t is a x^t.  All kernels
 are exact: contractions run through float64 BLAS only when the worst case
 integer bound fits the mantissa (below 2^52), otherwise through int64 or
 object paths, and large contractions of sparse operands through their
@@ -54,10 +58,6 @@ def zeros(desc, shape):
     return np.zeros(tuple(shape) + (desc.m,), dtype=np.int64)
 
 
-def reduce_(desc, arr):
-    return np.asarray(arr, dtype=np.int64) % desc.q
-
-
 def add(desc, a, b):
     return (a + b) % desc.q
 
@@ -75,11 +75,11 @@ def scale_int(desc, a, c):
 
 
 def mul_x(desc, coeffs):
-    """Multiply by the generator x along the trailing axis."""
-    out = np.zeros_like(coeffs)
-    out[..., 1:] = coeffs[..., :-1]
-    top = coeffs[..., -1]
-    return (out + mul_mod(top[..., None], desc.xm_red, desc.q)) % desc.q
+    """Multiply by the generator x along the trailing axis: the top
+    coefficient times x^m reduced (xm_red), plus the rest shifted up."""
+    out = mul_mod(coeffs[..., -1:], desc.xm_red, desc.q)
+    out[..., 1:] += coeffs[..., :-1]
+    return out % desc.q
 
 
 def reg_rep(desc, arr):
@@ -95,19 +95,16 @@ def reg_rep(desc, arr):
 
 
 def elem_mul(desc, a, b):
-    """Elementwise ring product with numpy broadcasting."""
+    """Elementwise ring product with numpy broadcasting: sum_t b_t (a x^t),
+    a advanced by mul_x and the sum reduced after each add, which keeps it
+    below 2 q <= 2^63."""
     m, q = desc.m, desc.q
-    if m == 1:
-        return mul_mod(a, b, q)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    conv = np.zeros(shape[:-1] + (2 * m - 1,), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            conv[..., i + j] += mul_mod(a[..., i], b[..., j], q)
-    conv %= q
-    dt = _dtype((2 * m - 1) * (q - 1) * (q - 1))
-    r = np.dot(conv.reshape(-1, 2 * m - 1).astype(dt, copy=False), desc.red_table.astype(dt, copy=False))
-    return _mod(r, q).reshape(shape[:-1] + (m,))
+    out = mul_mod(a, b[..., :1], q)
+    for t in range(1, m):
+        a = mul_x(desc, a)
+        out += mul_mod(a, b[..., t : t + 1], q)
+        out %= q
+    return out
 
 
 def _dtype(bound):
@@ -149,13 +146,6 @@ def _mod(r, q):
     return f64_mod(r, q) if r.dtype == np.float64 else int64_mod(r, q)
 
 
-def expand(desc, a):
-    """The operand form of a fixed first operand of tensordot, to pass as its
-    a_reg: reg_rep(desc, a) over F_{p^m} and GR(p^n, m), m > 1; None for m = 1,
-    where tensordot expands nothing."""
-    return reg_rep(desc, a) if desc.m > 1 else None
-
-
 @functools.lru_cache(maxsize=1024)
 def _plan(ashape, bshape, axes_a, axes_b, m):
     """How tensordot lays out a contraction of operands of these shapes as one
@@ -184,12 +174,10 @@ def _plan(ashape, bshape, axes_a, axes_b, m):
     return axa, axb, k, (free_a + (na,) + axa + (na + 1,), (rows * m, k * m)), b_op, (rows, m, cols), out
 
 
-def tensordot(desc, a, b, axes, a_reg=None):
+def tensordot(desc, a, b, axes):
     """Contract logical axes ``axes=(axA, axB)``; trailing m axes handled.
 
     Result logical axes are the free axes of ``a`` followed by those of ``b``.
-    a_reg, when given, is expand(desc, a), kept by a caller that contracts
-    the same a many times.
 
     A dense contraction is one 2-D product laid out by _plan, which is kept
     per (shapes, axes, m): a transpose and reshape of each operand, fused with
@@ -223,7 +211,7 @@ def tensordot(desc, a, b, axes, a_reg=None):
         # coefficient s of a * b is sum_t (a x^t)_s b_t: only a needs its
         # regular representation, whose column axis t contracts with b's
         # coefficient axis
-        a = reg_rep(desc, a) if a_reg is None else a_reg
+        a = reg_rep(desc, a)
     r = np.dot(
         a.transpose(perm_a).astype(dt, order="C", copy=False).reshape(shape_a),
         b.transpose(perm_b).astype(dt, order="C", copy=False).reshape(shape_b),

@@ -5,9 +5,11 @@ GR(p, m) = F_{p^m} and GR(p^n, 1) = Z/p^n.  Elements are length-m integer
 coefficient vectors of polynomial residues, stored reduced mod (p^n, modulus).
 
 This module is the one home of the exact primitives: the polynomial product
-and division over Z and F_p (which arithcheck uses over Z), and newton_lift,
-the one p-adic refinement, which inverts scalars and matrices (hensel_solve)
-and serves the lift's unit, counit and antipode.
+and division over Z and F_p, and newton_lift, the one p-adic refinement,
+which inverts scalars and matrices (hensel_solve) and serves the lift's unit,
+counit and antipode.  List polynomials only build the modulus (the Rabin
+test) and serve arithcheck over Z; arrays compute in the ring by
+_arrays.mul_x, and a field inverse is the power a^(p^m - 2).
 """
 
 from __future__ import annotations
@@ -104,19 +106,6 @@ def _poly_gcd(a, b, p):
     return a
 
 
-def _poly_xgcd(a, b, p):
-    """Extended gcd over F_p: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = _poly_trim([x % p for x in a]), _poly_trim([x % p for x in b])
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        qpoly, rem = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(qpoly, s1, p), p)
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(qpoly, t1, p), p)
-    return r0, s0, t0
-
-
 def _poly_sub(a, b, p):
     res = [0] * max(len(a), len(b))
     for i, x in enumerate(a):
@@ -182,19 +171,6 @@ class RingDescriptor:
         if self.m == 1:
             return np.zeros(1, dtype=np.int64)
         return (-np.array(self.modulus[: self.m], dtype=np.int64)) % self.q
-
-    @cached_property
-    def red_table(self) -> np.ndarray:
-        """Rows t = 0..2m-2: coefficient vector of x^t mod (modulus, p^n)."""
-        m = self.m
-        table = np.zeros((max(2 * m - 1, 1), m), dtype=np.int64)
-        row = np.zeros(m, dtype=np.int64)
-        row[0] = 1
-        table[0] = row
-        for t in range(1, 2 * m - 1):
-            row = ra.mul_x(self, row)
-            table[t] = row
-        return table
 
     def residue(self) -> "RingDescriptor":
         return self.at_precision(1)
@@ -332,17 +308,11 @@ def arith(op: str, a: RingElement, b: RingElement) -> RingElement:
 
 
 def _inv_coeffs_field(desc: RingDescriptor, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of a nonzero element of F_{p^m}."""
+    """Inverse of a nonzero element a of F_{p^m}: a^(p^m - 2)."""
     p = desc.p
     if desc.m == 1:
         return np.array([pow(int(coeffs[0]) % p, p - 2, p)], dtype=np.int64)
-    g, s, _ = _poly_xgcd([int(c) % p for c in coeffs], list(desc.modulus), p)
-    # g is a nonzero constant; divide s by it
-    ginv = pow(g[0], p - 2, p)
-    out = np.zeros(desc.m, dtype=np.int64)
-    for i, c in enumerate(s):
-        out[i] = c * ginv % p
-    return out
+    return (desc.element(list(coeffs)) ** (p**desc.m - 2)).as_array()
 
 
 def newton_lift(desc: RingDescriptor, x: np.ndarray, prec: int, xax) -> np.ndarray:

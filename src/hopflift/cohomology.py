@@ -598,8 +598,9 @@ def _contraction(ctx: ComplexContext) -> _Contraction:
     def build():
         _require_idempotents(cc)
         # the free columns of d_1 are the last nonzero positions of an echelon
-        # basis of ker d_1 = im d_0: the greedy row basis of d_0 from the bottom
-        d0 = dtotal_matrix(ctx, 0)
+        # basis of ker d_1 = im d_0: the greedy row basis of d_0 from the bottom.
+        # d_0 is assembled, not memoized: only its reversed copy is kept
+        d0 = _assemble(ctx, cc, 0)
         R = d0.shape[0]
         order = np.lexsort((d0.cols, R - 1 - d0.rows))
         d0_rev = FieldSolver(ctx.ring, CooMatrix(d0.shape, R - 1 - d0.rows[order], d0.cols[order], d0.vals[order]))

@@ -606,9 +606,6 @@ def trace_s2(H: HopfPresentation) -> RingElement:
     desc = H.ring
     s2 = ra.tensordot(desc, H.antipode.coeffs, H.antipode.coeffs, ([1], [0]))
     tr = s2[np.arange(H.dim), np.arange(H.dim)].sum(axis=0) % desc.q
-    if desc.m > 1:
-        # diagonal sums may leave the reduced range only via the modulus; re-reduce
-        tr = ra.reduce_(desc, tr)
     return desc.element(list(tr))
 
 
@@ -639,19 +636,18 @@ def _characters(desc, T, unit_vec):
     the minimal polynomial of b_t, until every piece is a line."""
     n = T.shape[0]
     elements = _field_elements(desc)
-    T_reg = ra.expand(desc, T)
     pieces = [ra.eye(desc, n)]  # the columns of each piece span it
     for t in range(n):
         if all(B.shape[1] == 1 for B in pieces):
             break
-        Lt, Lt_reg = T[t], None if T_reg is None else T_reg[t]  # [k, i]: coefficient i of b_t b_k
+        Lt = T[t]  # [k, i]: coefficient i of b_t b_k
         # the Krylov columns 1, b_t, ..., b_t^n are dependent.  They are factored
         # once: the pivots are the first d columns, d the degree of the minimal
         # polynomial, and the canonical kernel vector of free column d holds its
         # monic coefficients, evaluated at all of F_q in one Horner pass
         powers = [unit_vec]
         for _ in range(n):
-            powers.append(ra.tensordot(desc, Lt, powers[-1], ([0], [0]), a_reg=Lt_reg))
+            powers.append(ra.tensordot(desc, powers[-1], Lt, ([0], [0])))
         krylov = FieldSolver(desc, np.stack(powers, axis=1))
         values = np.zeros_like(elements)
         for c in krylov.kernel_basis()[0][krylov.rank :: -1]:
@@ -662,7 +658,7 @@ def _characters(desc, T, unit_vec):
             if B.shape[1] == 1:
                 split.append(B)
                 continue
-            LB = ra.tensordot(desc, Lt, B, ([1], [0]), a_reg=Lt_reg)  # [k, s]: f_s(b_t b_k)
+            LB = ra.transpose(ra.tensordot(desc, B, Lt, ([0], [1])), (1, 0))  # [k, s]: f_s(b_t b_k)
             found = 0
             for lam in roots:
                 if found == B.shape[1]:  # the eigenspaces found fill the piece

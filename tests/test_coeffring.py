@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,17 +110,16 @@ def test_invert_all_units_z25(a):
 
 
 def test_invert_exhaustive_f4_gr():
-    for desc in (F4, F9, GR25_2):
+    # F_{p^m}, m > 1, inverts by a^(p^m - 2); GR(p^n, m) Newton-refines that
+    for desc in (F4, F9, GR25_2, cr.make_ring(2, 1, 3), cr.make_ring(2, 1, 4), cr.make_ring(5, 1, 2), cr.make_ring(3, 1, 3)):
         count = 0
-        for c0 in range(desc.q):
-            for c1 in range(desc.q):
-                e = desc.element([c0, c1])
-                if any(c % desc.p for c in e.coeffs):  # a unit: nonzero mod p
-                    assert e * cr.invert(e) == desc.one
-                    count += 1
-        expected_units = (desc.p ** (2 * desc.n)) - (desc.p ** (2 * desc.n - 2)) * 1
-        # units of GR(p^n, 2): q^2 - (q/p)^2 * ... simply count nonzero-mod-p vectors
-        assert count == desc.p ** (2 * desc.n) - desc.p ** (2 * (desc.n - 1))
+        for coeffs in itertools.product(range(desc.q), repeat=desc.m):
+            e = desc.element(list(coeffs))
+            if any(c % desc.p for c in e.coeffs):  # a unit: nonzero mod p
+                assert e * cr.invert(e) == desc.one
+                count += 1
+        # the units of GR(p^n, m) are the vectors that are nonzero mod p
+        assert count == desc.p ** (desc.m * desc.n) - desc.p ** (desc.m * (desc.n - 1))
 
 
 def test_digit_lift_examples():

@@ -134,6 +134,8 @@ class TestAntipodeAndTrace:
     def test_trace_s2_equals_dim(self):
         S3 = hc.generate("S3", F7)
         assert hc.trace_s2(S3) == F7.element(6)
+        F25 = cr.make_ring(5, 1, 2)
+        assert hc.trace_s2(hc.generate("S3", F25)) == F25.element([1, 0])
 
 
 class TestIntegralsAndSemisimplicity:

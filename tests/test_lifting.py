@@ -323,17 +323,17 @@ class TestDoubleCommutesWithLifting:
 def test_lift_never_assembles_degree1_differential(monkeypatch):
     base = hc.generate("S3", F7)
     degrees = []
-    real = coh.dtotal_matrix
+    real = coh._assemble
 
-    def spy(ctx, n):
+    def spy(ctx, cc, n):
         degrees.append(n)
-        return real(ctx, n)
+        return real(ctx, cc, n)
 
     coh._CACHE.clear()
-    monkeypatch.setattr(coh, "dtotal_matrix", spy)
+    monkeypatch.setattr(coh, "_assemble", spy)
     st = lf.lift(base, 3, "perturbed:4")
     assert degrees == [0]
-    monkeypatch.setattr(coh, "dtotal_matrix", real)
+    monkeypatch.setattr(coh, "_assemble", real)
     dense_rank = coh._solver_for(coh.make_context(base), 1).rank
     assert [r["solver_rank"] for r in st.transcript] == [dense_rank, dense_rank]
     coh._CACHE.clear()
@@ -542,8 +542,8 @@ def test_warm_map_lifts_assemble_and_factor_nothing(monkeypatch):
     d4 = [lf.lift(D4, 4, f"perturbed:{seed}") for seed in (1, 2)]
     c2, c4 = lf.lift(C2, 3, "perturbed:1"), lf.lift(C4, 3, "perturbed:2")
     assembled, built = [], []
-    real_dtotal, real_init = coh.dtotal_matrix, FieldSolver.__init__
-    monkeypatch.setattr(coh, "dtotal_matrix", lambda *args: assembled.append(args) or real_dtotal(*args))
+    real_assemble, real_init = coh._assemble, FieldSolver.__init__
+    monkeypatch.setattr(coh, "_assemble", lambda *args: assembled.append(args) or real_assemble(*args))
     monkeypatch.setattr(FieldSolver, "__init__", lambda self, *a, **k: built.append(a) or real_init(self, *a, **k))
 
     def map_lifts():

@@ -608,6 +608,7 @@ LARGE_RINGS = [
     cr.make_ring(7, 12),
     cr.make_ring(7, 12, 2),
     cr.make_ring(2, 40, 3),
+    cr.make_ring(2, 62, 2),
 ]
 
 
@@ -654,8 +655,6 @@ def test_tensordot_extension_matches_oracle(desc, seed):
         for j in range(3):
             want = [(w + c) % q for w, c in zip(want, poly_mul_oracle(desc, a[i, j, k], b[j, l]))]
         assert list(map(int, got[i, k, l])) == want
-    # a first operand expanded once by the caller gives the same bits
-    assert np.array_equal(ra.tensordot(desc, a, b, ([1], [0]), ra.expand(desc, a)), got)
 
 
 # tensordot's dtype path for each ring, at every contraction of test_tensordot_matches_oracle
@@ -728,7 +727,6 @@ def test_tensordot_matches_oracle(name, data):
         want = tensordot_oracle(desc, a, b, axa, axb)
         got = ra.tensordot(desc, a, b, (axa, axb))
         assert got.dtype == np.int64 and got.shape == want.shape and np.array_equal(got, want)
-        assert np.array_equal(ra.tensordot(desc, a, b, (axa, axb), ra.expand(desc, a)), want)
 
 
 @settings(max_examples=60, deadline=None)

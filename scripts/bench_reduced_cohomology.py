@@ -24,7 +24,7 @@ src/.  Two parts, each of which alternates the side that runs first:
   `hopflift cohomology d2.json --degree 0,1,2 --invariants` of C2.double/F5;
   and the solver layer of D(S3)/F7 and D(D4)/F3 with
   HOPFLIFT_COBOUNDARY_BUDGET=64: the FieldSolver builds of d_c ad_2 and ad_2
-  (those of _dc_ad_solver(cc, 2) and _ad_solver(cc, 2), which cohomology_dim
+  (those of _dc_ad_solver(ctx, 2) and _ad_solver(ctx, 2), which cohomology_dim
   reads in degree 1 and a lift does not), each on its matrix built first and
   untimed, and the contraction's build of d_0 (_contraction, its assembly of
   d_0 included, after both idempotents, untimed), with the rise of the peak
@@ -122,10 +122,10 @@ layer = sys.argv[3]
 if layer == "d_0":
     # what _contraction builds of d_0, its assembly included, whichever way the
     # checkout does it; both idempotents come first, untimed; the rank is that of d_1
-    coh._require_idempotents(coh._cache(ctx))
+    coh._require_idempotents(ctx)
     build = lambda: coh._contraction(ctx)  # noqa: E731
 else:
-    mat = {"d_c ad_2": coh._dc_ad_matrix, "ad_2": coh._ad_matrix}[layer](coh._cache(ctx), 2)
+    mat = {"d_c ad_2": coh._dc_ad_matrix, "ad_2": coh._ad_matrix}[layer](ctx, 2)
     build = lambda: coh.FieldSolver(ctx.ring, mat)  # noqa: E731
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 t0 = time.perf_counter()
@@ -177,7 +177,7 @@ H = hc.make_presentation(
 ctx = coh.make_context(H)
 out = {}
 try:
-    coh._require_idempotents(coh._cache(ctx))
+    coh._require_idempotents(ctx)
     t0 = time.perf_counter()
     out["rank"] = coh._contraction(ctx).rank
     out["setup_s"] = time.perf_counter() - t0

@@ -230,25 +230,14 @@ def cmd_dual(args):
 
 
 def cmd_lemma41(args):
+    import dataclasses
+
     from . import arithcheck as ac
 
     coeffs = [int(c) for c in args.poly.split(",")]
     rep = ac.lemma41(coeffs, args.r, args.p)
-    payload = {
-        "r": rep.r,
-        "D": rep.D,
-        "phi_r": rep.phi_r,
-        "bound": rep.bound,
-        "N": rep.N,
-        "p": rep.p,
-        "p_exceeds_bound": rep.p_exceeds_bound,
-        "p_coprime_to_r": rep.p_coprime_to_r,
-        "p_divides_N": rep.p_divides_N,
-        "gcd_with_cyclotomic_trivial": rep.gcd_with_cyclotomic_trivial,
-        "conclusion": rep.conclusion,
-    }
     if args.json:
-        _write(payload, None)
+        _write(dataclasses.asdict(rep), None)
     else:
         print(f"r = {rep.r}, D = {rep.D}, phi(r) = {rep.phi_r}, bound D^(phi/2) = {rep.bound}, N = {rep.N}")
         print(

@@ -8,8 +8,8 @@ d_a d_c = d_c d_a, d_total^2 = 0) are enforced by the test suite on random
 cochains, which is what makes the obstruction calculus of the lifting module
 sound.  The bicomplex is self-dual: transposing a cochain identifies
 C^{p,q}(A,B,phi) with C^{q,p}(B*,A*,phi*) and swaps the two differentials, so
-d_c is computed as the transposed d_a of the dual context, whose cache lives
-inside the context's own.  d_a is three sparse products: the left and right
+d_c is computed as the transposed d_a of the dual context, which lives in
+the context's own memo.  d_a is three sparse products: the left and right
 multiplication operators on the out axis of a cochain, and the slot operator
 sum_i (-1)^i I (x) m_A^T (x) I on its input axis.  Every context operator (the
 multiplication and slot operators, the homotopies of the contraction, ad_k and
@@ -19,7 +19,7 @@ after its first product; no per-(p, q) matrix of d_a or d_c is held.
 Flattened matrices of the total differential are assembled once per
 (context, degree) as sparse CooMatrix, joined from the nonzeros of the
 structure operators (each term one of d_a's factors tensored with identities),
-and cached with their FieldSolver; components of degree n are ordered (n,0),
+and memoized with their FieldSolver; components of degree n are ordered (n,0),
 (n-1,1), ..., (0,n) and vectorized row-major (out index major).  The
 lifting's coboundaries, of degree 1 (maps) and 2 (structures), come from
 _contract_obstruction, which contracts the rows with A's separability
@@ -36,6 +36,10 @@ Both matrices are built from nonzeros and never as dense images: the
 multiplication operators of B^{tensor k} are joins of e_tensor(k) with m_B, and
 d_c ad_k = ad_{k+1} o d^_k, with d^ the differential of the augmented
 coalgebra complex of B.
+
+A context is one object: ComplexContext keeps every operator, matrix and
+solver above in its memo, and make_context returns the one context of a
+digest among the _CACHE_LIMIT most recent.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,9 +84,13 @@ def coboundary_budget() -> int:
 
 @dataclass(frozen=True, eq=False)
 class ComplexContext:
+    """The context (A, B, phi) of C^{p,q}(A,B,phi), with its memo.  make_context
+    gives one object per digest, so every caller shares the memo."""
+
     A: HopfPresentation
     B: HopfPresentation
     phi: HopfMorphism
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.A.ring != self.B.ring or not self.A.ring.is_field:
@@ -101,15 +109,94 @@ class ComplexContext:
         h.update(np.ascontiguousarray(self.phi.map.coeffs).tobytes())
         return h.digest()
 
+    def memo(self, key, build):
+        """build(), computed once per context: the structure operators below,
+        the matrices and solvers of d_n, ad_k and d_c ad_k, the separability
+        idempotent and its homotopy, the contraction data and the dual
+        context."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def dual(self) -> ComplexContext:
+        """The dual context (B*, A*, phi*), to which a cochain of C^{p,q}
+        transposes as one of C^{q,p}; held in this context's memo, not in _CACHE."""
+
+        def build():
+            A, B = hc.dual(self.B), hc.dual(self.A)
+            fmap = MultiMap(self.ring, 1, 1, A.dim, B.dim, np.ascontiguousarray(np.swapaxes(self.phi.map.coeffs, 0, 1)))
+            # the dual of a Hopf map is a Hopf map
+            return ComplexContext(A, B, HopfMorphism(A, B, fmap, verified=True))
+
+        return self.memo("dual", build)
+
+    def e_tensor(self, k: int):
+        """phi^{tensor k} o Delta_k: (nb^k, na) coefficient block."""
+
+        def build():
+            dk = tc.iterate(self.A, k, "coproduct")
+            cur = dk.coeffs  # (na^k, na, m)
+            desc = self.ring
+            na, nb = self.A.dim, self.B.dim
+            legs = cur.reshape((na,) * k + (na, desc.m))
+            for t in range(k):
+                # replace leg t by phi: contract axis t with phi's in-axis
+                legs = ra.tensordot(desc, self.phi.map.coeffs, legs, ([1], [t]))
+                # new phi-leg lands in front; rotate it to position t
+                legs = ra.moveaxis(legs, 0, t)
+            return legs.reshape(nb**k, na, desc.m)
+
+        return self.memo(("e", k), build)
+
+    def mult_operator(self, k: int, side: str) -> CooMatrix:
+        """Left/right multiplication by phi^{k}(Delta_k(e_a)) on B^{tensor k}, built
+        from nonzeros: the (nb^k * na, nb^k) matrix of [(out, a), in]."""
+
+        def build():
+            desc = self.ring
+            na, nb = self.A.dim, self.B.dim
+            # the leg of E is the left (left action) or right factor of m_B
+            m_b = self.B.mul.coeffs.reshape(nb, nb, nb, desc.m)
+            mb = ra.nonzeros(m_b, [1 if side == "left" else 2])  # key x, free (o, i)
+            _, cells, vals = ra.nonzeros(self.e_tensor(k), [])  # [x1, ..., xk, a]
+            size = nb**k * na
+            for _ in range(k):
+                # join the leading leg x_t with m_B, which appends (o_t, i_t)
+                rest = size // nb
+                cells, vals = ra.join(desc, (cells // rest, cells % rest, vals), mb, nb, nb * nb)
+                size = rest * nb * nb
+            # axes [a, o1, i1, ..., ok, ik]
+            idx = np.unravel_index(cells, (na,) + (nb,) * (2 * k))
+            rows = np.ravel_multi_index(idx[1::2] + idx[:1], (nb,) * k + (na,))
+            cols = np.ravel_multi_index(idx[2::2], (nb,) * k)
+            order = np.lexsort((cols, rows))
+            return CooMatrix((nb**k * na, nb**k), rows[order], cols[order], vals[order])
+
+        return self.memo(("mult", k, side), build)
+
+
+_CACHE: OrderedDict[bytes, ComplexContext] = OrderedDict()
+_CACHE_LIMIT = 8
+
 
 def make_context(A: HopfPresentation, B: HopfPresentation | None = None, phi: HopfMorphism | None = None) -> ComplexContext:
+    """The context (A, B, phi), phi the identity by default: the one object of
+    its digest among the _CACHE_LIMIT most recent, whose memo it keeps."""
     if B is None:
         B = A
     if phi is None:
         if B is not A and B != A:
             raise DescriptorMismatch("phi may only default to the identity when B == A")
         phi = hc.identity_morphism(A)
-    return ComplexContext(A, B, phi)
+    ctx = ComplexContext(A, B, phi)
+    key = ctx.digest()
+    if key in _CACHE:
+        _CACHE.move_to_end(key)
+        return _CACHE[key]
+    _CACHE[key] = ctx
+    while len(_CACHE) > _CACHE_LIMIT:
+        _CACHE.popitem(last=False)
+    return ctx
 
 
 @dataclass
@@ -177,121 +264,26 @@ def random_cochain(ctx: ComplexContext, n: int, seed: int) -> TotalCochain:
 
 
 # ---------------------------------------------------------------------------
-# cached per-context structure tensors
-
-
-class _ContextCache:
-    def __init__(self, ctx: ComplexContext):
-        self.ctx = ctx
-        desc = ctx.ring
-        na, nb = ctx.A.dim, ctx.B.dim
-        self.MA = ctx.A.mul.coeffs.reshape(na, na, na, desc.m)
-        self.MB = ctx.B.mul.coeffs.reshape(nb, nb, nb, desc.m)
-        self.F = ctx.phi.map.coeffs  # (nb, na, m)
-        self._memo = {}
-
-    def memo(self, key, build):
-        """build(), computed once per context: the structure operators below,
-        the matrices and solvers of d_n, ad_k and d_c ad_k, the separability
-        idempotent and its homotopy, the contraction data and the dual
-        context's cache."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
-
-    def dual(self) -> _ContextCache:
-        """The cache of the dual context (B*, A*, phi*), to which a cochain of
-        C^{p,q} transposes as one of C^{q,p}; held here, not in _CACHE."""
-
-        def build():
-            ctx = self.ctx
-            A, B = hc.dual(ctx.B), hc.dual(ctx.A)
-            fmap = MultiMap(ctx.ring, 1, 1, A.dim, B.dim, np.ascontiguousarray(np.swapaxes(self.F, 0, 1)))
-            # the dual of a Hopf map is a Hopf map
-            return _ContextCache(ComplexContext(A, B, HopfMorphism(A, B, fmap, verified=True)))
-
-        return self.memo("dual", build)
-
-    def e_tensor(self, k: int):
-        """phi^{tensor k} o Delta_k: (nb^k, na) coefficient block."""
-
-        def build():
-            dk = tc.iterate(self.ctx.A, k, "coproduct")
-            cur = dk.coeffs  # (na^k, na, m)
-            desc = self.ctx.ring
-            na, nb = self.ctx.A.dim, self.ctx.B.dim
-            legs = cur.reshape((na,) * k + (na, desc.m))
-            for t in range(k):
-                # replace leg t by phi: contract axis t with F's in-axis
-                legs = ra.tensordot(desc, self.F, legs, ([1], [t]))
-                # new phi-leg lands in front; rotate it to position t
-                legs = ra.moveaxis(legs, 0, t)
-            return legs.reshape(nb**k, na, desc.m)
-
-        return self.memo(("e", k), build)
-
-    def mult_operator(self, k: int, side: str) -> CooMatrix:
-        """Left/right multiplication by phi^{k}(Delta_k(e_a)) on B^{tensor k}, built
-        from nonzeros: the (nb^k * na, nb^k) matrix of [(out, a), in]."""
-
-        def build():
-            desc = self.ctx.ring
-            na, nb = self.ctx.A.dim, self.ctx.B.dim
-            # the leg of E is the left (left action) or right factor of m_B
-            mb = ra.nonzeros(self.MB, [1 if side == "left" else 2])  # key x, free (o, i)
-            _, cells, vals = ra.nonzeros(self.e_tensor(k), [])  # [x1, ..., xk, a]
-            size = nb**k * na
-            for _ in range(k):
-                # join the leading leg x_t with m_B, which appends (o_t, i_t)
-                rest = size // nb
-                cells, vals = ra.join(desc, (cells // rest, cells % rest, vals), mb, nb, nb * nb)
-                size = rest * nb * nb
-            # axes [a, o1, i1, ..., ok, ik]
-            idx = np.unravel_index(cells, (na,) + (nb,) * (2 * k))
-            rows = np.ravel_multi_index(idx[1::2] + idx[:1], (nb,) * k + (na,))
-            cols = np.ravel_multi_index(idx[2::2], (nb,) * k)
-            order = np.lexsort((cols, rows))
-            return CooMatrix((nb**k * na, nb**k), rows[order], cols[order], vals[order])
-
-        return self.memo(("mult", k, side), build)
-
-
-_CACHE: OrderedDict[bytes, _ContextCache] = OrderedDict()
-_CACHE_LIMIT = 8
-
-
-def _cache(ctx: ComplexContext) -> _ContextCache:
-    key = ctx.digest()
-    if key in _CACHE:
-        _CACHE.move_to_end(key)
-        return _CACHE[key]
-    entry = _ContextCache(ctx)
-    _CACHE[key] = entry
-    while len(_CACHE) > _CACHE_LIMIT:
-        _CACHE.popitem(last=False)
-    return entry
-
-
-# ---------------------------------------------------------------------------
 # the two differentials
 
 
-def _slot_operator(cc: _ContextCache, p: int) -> CooMatrix:
+def _slot_operator(ctx: ComplexContext, p: int) -> CooMatrix:
     """sum_i (-1)^i I (x) m_A^T (x) I, i = 1..p+1, with m_A^T feeding input
     slot i: the (na^{p+2}, na^{p+1}) matrix of the m_i terms of d_a on the
     input legs, built from nonzeros once per context and p."""
 
     def build():
-        desc, na = cc.ctx.ring, cc.ctx.A.dim
-        m_t = CooMatrix.from_entries(desc, (na * na, na), *ra.nonzeros(cc.MA, [1, 2]))  # m_A^T: [(x, y), t]
+        desc, na = ctx.ring, ctx.A.dim
+        m_a = ctx.A.mul.coeffs.reshape(na, na, na, desc.m)
+        m_t = CooMatrix.from_entries(desc, (na * na, na), *ra.nonzeros(m_a, [1, 2]))  # m_A^T: [(x, y), t]
         terms = [_kron_entries(desc, (-1) ** i, na ** (i - 1), m_t, na ** (p + 1 - i)) for i in range(1, p + 2)]
         rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
         return CooMatrix.from_entries(desc, (na ** (p + 2), na ** (p + 1)), rows, cols, vals)
 
-    return cc.memo(("slots", p), build)
+    return ctx.memo(("slots", p), build)
 
 
-def _d_alg_block(cc: _ContextCache, f, p: int, q: int, sign: int = 1):
+def _d_alg_block(ctx: ComplexContext, f, p: int, q: int, sign: int = 1):
     """sign * the algebra differential of a coefficient block f: (nb^{q+1}, na^{p+1}, batch, m).
 
     d_a = (-1)^{p+1} (left action + m_i terms) - right action: the two
@@ -300,17 +292,17 @@ def _d_alg_block(cc: _ContextCache, f, p: int, q: int, sign: int = 1):
     action at (o, (rest, x)); the residues are summed in one buffer, reduced
     in between when 3q would leave int64.
     """
-    desc = cc.ctx.ring
-    na = cc.ctx.A.dim
+    desc = ctx.ring
+    na = ctx.A.dim
     rows, cols, m = f.shape[0], f.shape[1], desc.m
     on_out = f.reshape(rows, -1, m)
-    out = cc.mult_operator(q + 1, "left").dot(desc, on_out).reshape(rows, na * cols, -1, m)
-    slots = _slot_operator(cc, p).dot(desc, np.swapaxes(f, 0, 1).reshape(cols, -1, m))
+    out = ctx.mult_operator(q + 1, "left").dot(desc, on_out).reshape(rows, na * cols, -1, m)
+    slots = _slot_operator(ctx, p).dot(desc, np.swapaxes(f, 0, 1).reshape(cols, -1, m))
     out += np.swapaxes(slots.reshape(na * cols, rows, -1, m), 0, 1)
     del slots
     if desc.q > ra._I64_SAFE >> 2:
         out %= desc.q
-    right = cc.mult_operator(q + 1, "right").dot(desc, on_out).reshape(rows, na, cols, -1, m)
+    right = ctx.mult_operator(q + 1, "right").dot(desc, on_out).reshape(rows, na, cols, -1, m)
     legs = out.reshape(rows, cols, na, -1, m)
     # p even: -sign (left + slots + right); p odd: sign (left + slots - right)
     (np.add if p % 2 == 0 else np.subtract)(legs, np.swapaxes(right, 1, 2), out=legs)
@@ -330,11 +322,11 @@ def _arities(f: MultiMap):
 def d_alg(ctx: ComplexContext, f: MultiMap) -> MultiMap:
     """Algebra differential C^{p,q} -> C^{p+1,q} (printed sign convention)."""
     p, q = _arities(f)
-    out = _d_alg_block(_cache(ctx), f.coeffs[:, :, None], p, q)[:, :, 0]
+    out = _d_alg_block(ctx, f.coeffs[:, :, None], p, q)[:, :, 0]
     return MultiMap(ctx.ring, p + 2, q + 1, ctx.A.dim, ctx.B.dim, out)
 
 
-def _d_coalg_block(cc: _ContextCache, f, p: int, q: int):
+def _d_coalg_block(ctx: ComplexContext, f, p: int, q: int):
     """Coalgebra differential of a coefficient block f: (nb^{q+1}, na^{p+1}, batch, m).
 
     The transposed algebra differential of the dual context, with sign
@@ -342,14 +334,14 @@ def _d_coalg_block(cc: _ContextCache, f, p: int, q: int):
     (phi o m_{A,k})^T = phi*^{tensor k} o Delta_{B*,k}, and each Delta_i term
     is the m_i term of f^T.
     """
-    out = _d_alg_block(cc.dual(), np.swapaxes(f, 0, 1), q, p, (-1) ** (q + 1))
+    out = _d_alg_block(ctx.dual(), np.swapaxes(f, 0, 1), q, p, (-1) ** (q + 1))
     return np.ascontiguousarray(np.swapaxes(out, 0, 1))
 
 
 def d_coalg(ctx: ComplexContext, f: MultiMap) -> MultiMap:
     """Coalgebra differential C^{p,q} -> C^{p,q+1} (printed sign convention)."""
     p, q = _arities(f)
-    out = _d_coalg_block(_cache(ctx), f.coeffs[:, :, None], p, q)[:, :, 0]
+    out = _d_coalg_block(ctx, f.coeffs[:, :, None], p, q)[:, :, 0]
     return MultiMap(ctx.ring, p + 1, q + 2, ctx.A.dim, ctx.B.dim, out)
 
 
@@ -402,8 +394,7 @@ def dtotal_matrix(ctx: ComplexContext, n: int) -> CooMatrix:
     d_a + (-1)^p d_c, with d_a from _d_alg_entries and d_c the transposed d_a
     of the dual context on C^{q,p}, with sign (-1)^{q+1}.
     """
-    cc = _cache(ctx)
-    return cc.memo(("dmat", n), lambda: _assemble(ctx, cc, n))
+    return ctx.memo(("dmat", n), lambda: _assemble(ctx, n))
 
 
 def _kron_entries(desc, sign, left: int, mat: CooMatrix, right: int):
@@ -416,24 +407,24 @@ def _kron_entries(desc, sign, left: int, mat: CooMatrix, right: int):
     return rows, cols, vals
 
 
-def _d_alg_entries(cc: _ContextCache, p: int, q: int):
+def _d_alg_entries(ctx: ComplexContext, p: int, q: int):
     """The entries of d_a: C^{p,q} -> C^{p+1,q}, unsummed, as flat (out, in)
     indices of the two components, those of _d_alg_block's three products:
     the left action is mult_operator (x) I, the m_i terms I (x) the slot
     operator, and the right action puts its row (o, rest, x) where the left
     one has (o, x, rest)."""
-    desc = cc.ctx.ring
-    na, nb = cc.ctx.A.dim, cc.ctx.B.dim
+    desc = ctx.ring
+    na, nb = ctx.A.dim, ctx.B.dim
     rest, sign = na ** (p + 1), (-1) ** (p + 1)
-    terms = [_kron_entries(desc, sign, 1, cc.mult_operator(q + 1, "left"), rest)]
-    terms.append(_kron_entries(desc, sign, nb ** (q + 1), _slot_operator(cc, p), 1))
-    rows, cols, vals = _kron_entries(desc, -1, 1, cc.mult_operator(q + 1, "right"), rest)
+    terms = [_kron_entries(desc, sign, 1, ctx.mult_operator(q + 1, "left"), rest)]
+    terms.append(_kron_entries(desc, sign, nb ** (q + 1), _slot_operator(ctx, p), 1))
+    rows, cols, vals = _kron_entries(desc, -1, 1, ctx.mult_operator(q + 1, "right"), rest)
     ox, r = np.divmod(rows, rest)
     terms.append((((ox // na) * rest + r) * na + ox % na, cols, vals))
     return [np.concatenate(part) for part in zip(*terms)]
 
 
-def _assemble(ctx: ComplexContext, cc: _ContextCache, n: int) -> CooMatrix:
+def _assemble(ctx: ComplexContext, n: int) -> CooMatrix:
     desc = ctx.ring
     na, nb = ctx.A.dim, ctx.B.dim
     row_offset, rows_total = {}, 0
@@ -443,12 +434,12 @@ def _assemble(ctx: ComplexContext, cc: _ContextCache, n: int) -> CooMatrix:
     rows, cols, vals = [], [], []
     col0 = 0
     for p, q, size in space_dims(ctx, n):
-        r, c, v = _d_alg_entries(cc, p, q)
+        r, c, v = _d_alg_entries(ctx, p, q)
         rows.append(row_offset[(p + 1, q)] + r)
         cols.append(col0 + c)
         vals.append(v)
         # the dual context's flat index (a, y) of C^{q,p} is (y, a) here
-        r, c, v = _d_alg_entries(cc.dual(), q, p)
+        r, c, v = _d_alg_entries(ctx.dual(), q, p)
         a, y = np.divmod(r, nb ** (q + 2))
         rows.append(row_offset[(p, q + 1)] + y * na ** (p + 1) + a)
         a, x = np.divmod(c, nb ** (q + 1))
@@ -460,7 +451,7 @@ def _assemble(ctx: ComplexContext, cc: _ContextCache, n: int) -> CooMatrix:
 
 
 def _solver_for(ctx: ComplexContext, n: int) -> FieldSolver:
-    return _cache(ctx).memo(("d", n), lambda: FieldSolver(ctx.ring, dtotal_matrix(ctx, n)))
+    return ctx.memo(("d", n), lambda: FieldSolver(ctx.ring, dtotal_matrix(ctx, n)))
 
 
 def solve_coboundary(z: TotalCochain) -> TotalCochain | None:
@@ -492,11 +483,11 @@ def cohomology_dim(ctx: ComplexContext, n: int) -> int:
     limit = h2_budget() if n == 2 else coboundary_budget()
     if max(ctx.A.dim, ctx.B.dim) > limit:
         raise BudgetExceeded(f"dims exceed budget {limit} for degree {n}")
-    cc = _cache(ctx)
-    if _separability_idempotent(cc) is None:
-        cc = cc.dual()  # B is cosemisimple when B* has the idempotent
-    if _separability_idempotent(cc) is not None:
-        return _reduced_dim(cc, n)
+    reduced = ctx
+    if _separability_idempotent(reduced) is None:
+        reduced = ctx.dual()  # B is cosemisimple when B* has the idempotent
+    if _separability_idempotent(reduced) is not None:
+        return _reduced_dim(reduced, n)
     return _bicomplex_dim(ctx, n)
 
 
@@ -524,65 +515,65 @@ def _bicomplex_dim(ctx: ComplexContext, n: int) -> int:
 
 @dataclass
 class _Contraction:
-    """The degree-2 projection of _contract_obstruction along im d_0 (built once per context, held in _ContextCache)."""
+    """The degree-2 projection of _contract_obstruction along im d_0 (built once per context, held in its memo)."""
 
     d0_rev: FieldSolver  # d_0 with its rows reversed, factored once
     free: np.ndarray  # free columns of d_1: the greedy row basis of d_0 from its last row up
     rank: int  # rank of d_1, which is dim C^1 - rank d_0 since H^1 = 0
 
 
-def _separability_idempotent(cc: _ContextCache):
+def _separability_idempotent(ctx: ComplexContext):
     """hc.separability_idempotent of the context's A, once per context."""
-    return cc.memo("idempotent", lambda: hc.separability_idempotent(cc.ctx.A))
+    return ctx.memo("idempotent", lambda: hc.separability_idempotent(ctx.A))
 
 
-def _require_idempotents(cc: _ContextCache) -> None:
+def _require_idempotents(ctx: ComplexContext) -> None:
     """Refuse, naming the side, a context that lacks A's idempotent or B*'s:
     the two contractions of Thm 1.2."""
-    if _separability_idempotent(cc) is None:
+    if _separability_idempotent(ctx) is None:
         raise NotSemisimpleOrCosemisimple("A is not semisimple: eps vanishes on the left integrals of A")
-    if _separability_idempotent(cc.dual()) is None:
+    if _separability_idempotent(ctx.dual()) is None:
         raise NotSemisimpleOrCosemisimple("B is not cosemisimple: eps vanishes on the left integrals of B*")
 
 
-def _ad_matrix(cc: _ContextCache, k: int) -> CooMatrix:
+def _ad_matrix(ctx: ComplexContext, k: int) -> CooMatrix:
     """m |-> ad(m) = a.m - m.a from B^{tensor k} to C^{0,k-1}: the (nb^k * na, nb^k)
     matrix of the two multiplication operators, once per context."""
 
     def build():
-        desc = cc.ctx.ring
-        left, right = cc.mult_operator(k, "left"), cc.mult_operator(k, "right")
+        desc = ctx.ring
+        left, right = ctx.mult_operator(k, "left"), ctx.mult_operator(k, "right")
         rows, cols = np.concatenate([left.rows, right.rows]), np.concatenate([left.cols, right.cols])
         vals = np.concatenate([left.vals, ra.neg(desc, right.vals)])
         return CooMatrix.from_entries(desc, left.shape, rows, cols, vals)
 
-    return cc.memo(("ad_matrix", k), build)
+    return ctx.memo(("ad_matrix", k), build)
 
 
-def _dc_ad_matrix(cc: _ContextCache, k: int) -> CooMatrix:
+def _dc_ad_matrix(ctx: ComplexContext, k: int) -> CooMatrix:
     """m |-> d_c(ad(m)) from B^{tensor k} to C^{0,k}, as ad_{k+1} o d^_k.
 
     The coaction terms of d_c(ad m) are ad(1 (x) m) and ad(m (x) 1), and each
     interior term is ad(Delta_i m), since Delta_B is an algebra map and phi a
     coalgebra map; the signs are those of d^ (_hat_differential_matrix)."""
-    return _ad_matrix(cc, k + 1).matmul(cc.ctx.ring, _hat_differential_matrix(cc.ctx, k - 1))
+    return _ad_matrix(ctx, k + 1).matmul(ctx.ring, _hat_differential_matrix(ctx, k - 1))
 
 
-def _ad_solver(cc: _ContextCache, k: int) -> FieldSolver:
+def _ad_solver(ctx: ComplexContext, k: int) -> FieldSolver:
     """FieldSolver of ad_k, once per context; its kernel is (B^{tensor k})^A."""
-    return cc.memo(("ad", k), lambda: FieldSolver(cc.ctx.ring, _ad_matrix(cc, k)))
+    return ctx.memo(("ad", k), lambda: FieldSolver(ctx.ring, _ad_matrix(ctx, k)))
 
 
-def _dc_ad_solver(cc: _ContextCache, k: int) -> FieldSolver:
+def _dc_ad_solver(ctx: ComplexContext, k: int) -> FieldSolver:
     """FieldSolver of m |-> d_c(ad(m)) on B^{tensor k}, once per context."""
-    return cc.memo(("dc_ad", k), lambda: FieldSolver(cc.ctx.ring, _dc_ad_matrix(cc, k)))
+    return ctx.memo(("dc_ad", k), lambda: FieldSolver(ctx.ring, _dc_ad_matrix(ctx, k)))
 
 
-def _reduced_dim(cc: _ContextCache, n: int) -> int:
+def _reduced_dim(ctx: ComplexContext, n: int) -> int:
     """dim H^n of X_q = ad(B^{tensor q+1}) under d_c, that of the bicomplex for a semisimple A:
     rank(ad_{n+1}) - rank(d_c ad_{n+1}) - rank(d_c ad_n), the last term absent for n = 0."""
-    closed = _ad_solver(cc, n + 1).rank - _dc_ad_solver(cc, n + 1).rank
-    return closed - _dc_ad_solver(cc, n).rank if n else closed
+    closed = _ad_solver(ctx, n + 1).rank - _dc_ad_solver(ctx, n + 1).rank
+    return closed - _dc_ad_solver(ctx, n).rank if n else closed
 
 
 def _contraction(ctx: ComplexContext) -> _Contraction:
@@ -593,38 +584,37 @@ def _contraction(ctx: ComplexContext) -> _Contraction:
     The free columns of d_1 rest on H^1 = 0, which is Thm 1.2 with both
     idempotents certified (_require_idempotents).
     """
-    cc = _cache(ctx)
 
     def build():
-        _require_idempotents(cc)
+        _require_idempotents(ctx)
         # the free columns of d_1 are the last nonzero positions of an echelon
         # basis of ker d_1 = im d_0: the greedy row basis of d_0 from the bottom.
         # d_0 is assembled, not memoized: only its reversed copy is kept
-        d0 = _assemble(ctx, cc, 0)
+        d0 = _assemble(ctx, 0)
         R = d0.shape[0]
         order = np.lexsort((d0.cols, R - 1 - d0.rows))
         d0_rev = FieldSolver(ctx.ring, CooMatrix(d0.shape, R - 1 - d0.rows[order], d0.cols[order], d0.vals[order]))
         free = np.unique(R - 1 - d0_rev.pivot_rows // ctx.ring.m)
         return _Contraction(d0_rev, free, R - free.size)
 
-    return cc.memo("contraction", build)
+    return ctx.memo("contraction", build)
 
 
-def _homotopy(cc: _ContextCache, q: int, block):
-    """s: C^{p+1,q} -> C^{p,q} of cc's context, (s f)(a_1, ...) = sum e1 . f(e2, a_1, ...), on a
+def _homotopy(ctx: ComplexContext, q: int, block):
+    """s: C^{p+1,q} -> C^{p,q} of ctx, (s f)(a_1, ...) = sum e1 . f(e2, a_1, ...), on a
     block (nb^{q+1}, na^{p+2}, m), by the [out, (in, b)] matrix of sum_u e[u, b] * (left action of
-    e_u on B^{tensor q+1}), joined from nonzeros once per context (A's cache or the dual's)."""
-    desc, na = cc.ctx.ring, cc.ctx.A.dim
+    e_u on B^{tensor q+1}), joined from nonzeros once per context (A's or the dual's)."""
+    desc, na = ctx.ring, ctx.A.dim
 
     def build():
-        nz_e = ra.nonzeros(_separability_idempotent(cc), [0])  # key u, free b
-        left = cc.mult_operator(q + 1, "left")  # [(out, u), in]
+        nz_e = ra.nonzeros(_separability_idempotent(ctx), [0])  # key u, free b
+        left = ctx.mult_operator(q + 1, "left")  # [(out, u), in]
         width = left.shape[1] * na
         nz_left = (left.rows % na, left.rows // na * left.shape[1] + left.cols, left.vals)
         cells, vals = ra.join(desc, nz_left, nz_e, na, na)  # (out, in, b), ascending
         return CooMatrix((left.shape[1], width), cells // width, cells % width, vals)
 
-    return cc.memo(("homotopy", q), build).dot(desc, block.reshape(block.shape[0] * na, -1, desc.m))
+    return ctx.memo(("homotopy", q), build).dot(desc, block.reshape(block.shape[0] * na, -1, desc.m))
 
 
 def _contract_obstruction(z: TotalCochain) -> TotalCochain:
@@ -654,15 +644,14 @@ def _contract_obstruction(z: TotalCochain) -> TotalCochain:
     if max(ctx.A.dim, ctx.B.dim) > coboundary_budget():
         raise BudgetExceeded(f"dims exceed coboundary budget {coboundary_budget()}")
     desc, na, nb = ctx.ring, ctx.A.dim, ctx.B.dim
-    cc = _cache(ctx)
-    _require_idempotents(cc)
+    _require_idempotents(ctx)
     c, x, y = z.components, {}, None
     for p in range(n, 0, -1):  # y holds c_{p,q} + d_c y_{p,q-1}, freed once s has read it
         y = c[(p, n - p)] if y is None else c[(p, n - p)] + d_coalg(ctx, y)
-        y = MultiMap(desc, p, n - p + 1, na, nb, _homotopy(cc, n - p, y.coeffs))
+        y = MultiMap(desc, p, n - p + 1, na, nb, _homotopy(ctx, n - p, y.coeffs))
         x[(p - 1, n - p)] = -y if p % 2 else y
     resid = c[(0, n)] + d_coalg(ctx, y)  # r = c_{0,n} - d_c x', x' = -y
-    t_resid = _homotopy(cc.dual(), 0, np.swapaxes(resid.coeffs, 0, 1))  # t(r)^T: (na, nb^n, m)
+    t_resid = _homotopy(ctx.dual(), 0, np.swapaxes(resid.coeffs, 0, 1))  # t(r)^T: (na, nb^n, m)
     x[(0, n - 1)] += MultiMap(desc, 1, n, na, nb, np.swapaxes(t_resid, 0, 1))
     if n == 1:
         return TotalCochain(ctx, 0, x)
@@ -697,15 +686,14 @@ def invariants_complex_dim(ctx: ComplexContext, n: int) -> int:
     if max(ctx.A.dim, ctx.B.dim) > 4 or n > 2 or n < 0:
         raise BudgetExceeded("invariants complex limited to dims <= 4 and n <= 2")
     desc = ctx.ring
-    cc = _cache(ctx)
 
     def restricted(qd):
         """dim (B^{tensor qd+1})^A and the rank of d on it."""
-        vin = _ad_solver(cc, qd + 1).kernel_basis()
+        vin = _ad_solver(ctx, qd + 1).kernel_basis()
         if not vin:
             return 0, 0
         images = _hat_differential_matrix(ctx, qd).dot(desc, np.stack(vin, axis=1))
-        if np.any(_ad_matrix(cc, qd + 2).dot(desc, images)):
+        if np.any(_ad_matrix(ctx, qd + 2).dot(desc, images)):
             raise InternalAxiomFailure("differential does not preserve invariants")
         return len(vin), FieldSolver(desc, images, rank_only=True).rank
 

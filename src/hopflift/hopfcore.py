@@ -10,6 +10,7 @@ the Drinfeld element, theta maps and Wedderburn block dimensions.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -580,26 +581,17 @@ def is_cocommutative(H: HopfPresentation) -> bool:
 
 
 def antipode_orders(H: HopfPresentation):
-    """(order of S, order of S^2) as multiplicative orders of the tensor."""
+    """(order of S, order of S^2) as multiplicative orders of the tensor; S^2
+    has order ord(S) / gcd(ord(S), 2)."""
     desc, N = H.ring, H.dim
     eye = ra.eye(desc, N)
     bound = 4 * N
-    order = None
     power = H.antipode.coeffs
     for t in range(1, bound + 1):
         if np.array_equal(power, eye):
-            order = t
-            break
+            return t, t // math.gcd(t, 2)
         power = ra.tensordot(desc, H.antipode.coeffs, power, ([1], [0]))
-    if order is None:
-        raise OrderNotFound(f"S has no order <= {bound}")
-    s2 = ra.tensordot(desc, H.antipode.coeffs, H.antipode.coeffs, ([1], [0]))
-    power = s2
-    for t in range(1, bound + 1):
-        if np.array_equal(power, eye):
-            return order, t
-        power = ra.tensordot(desc, s2, power, ([1], [0]))
-    raise OrderNotFound(f"S^2 has no order <= {bound}")
+    raise OrderNotFound(f"S has no order <= {bound}")
 
 
 def trace_s2(H: HopfPresentation) -> RingElement:

@@ -56,28 +56,6 @@ class LiftState:
         return hc.reduce_presentation(self.current, self.base.ring.at_precision(k))
 
 
-@dataclass
-class ObstructionReport:
-    c: coh.TotalCochain
-    _cocycle_ok: bool | None = None
-
-    @property
-    def cocycle_ok(self) -> bool:
-        """d_total(c) = 0; evaluated lazily, only to diagnose a failed
-        certificate (lift certifies by verify_hopf of its result instead)."""
-        if self._cocycle_ok is None:
-            self._cocycle_ok = coh.is_cocycle(self.c)
-        return self._cocycle_ok
-
-    @property
-    def is_zero(self) -> bool:
-        return self.c.is_zero
-
-    @property
-    def support(self) -> int:
-        return sum(f.coeffs.any(axis=-1).sum() for f in self.c.components.values())
-
-
 def parse_strategy(strategy):
     """'canonical' or 'perturbed:SEED' / ('perturbed', seed)."""
     if strategy == "canonical":
@@ -98,7 +76,7 @@ def _admit_base(base: HopfPresentation) -> HopfPresentation:
         raise AxiomsViolated(f"base fails the Hopf axioms {', '.join(exc.failing)}") from exc
     if not base.ring.is_field:
         raise NotSemisimpleOrCosemisimple("base must be a presentation over F_q")
-    coh._require_idempotents(coh._cache(coh.make_context(base)))  # the contraction reads both from this cache
+    coh._require_idempotents(coh.make_context(base))  # the contraction reads both from this context
     return base
 
 
@@ -125,8 +103,9 @@ def initial_lift(base: HopfPresentation, strategy="canonical"):
     return _raw_extension(base, strategy, 1)
 
 
-def obstruction(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> ObstructionReport:
-    """The degree-2 cochain c = a(m', Delta')/p^n mod p, with its cocycle check.
+def obstruction(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> coh.TotalCochain:
+    """The degree-2 cochain c = a(m', Delta')/p^n mod p, unchecked: lift
+    tests its closedness only to diagnose a failed certificate.
 
     Components: the (2,0) associativity, (1,1) compatibility and (0,2)
     coassociativity defects of hc._structure_residuals, each written into one
@@ -152,7 +131,7 @@ def obstruction(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> Obstr
             block //= pn
             block %= base.ring.p
         comps[(p, q)] = MultiMap(base.ring, ai, ao, N, N, c)
-    return ObstructionReport(coh.TotalCochain(coh.make_context(base), 2, comps))
+    return coh.TotalCochain(coh.make_context(base), 2, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +155,11 @@ def _counit_square(desc, d_legs, e):
 def correct(
     mul: MultiMap,
     comul: MultiMap,
-    report: ObstructionReport,
+    c: coh.TotalCochain,
     base: HopfPresentation,
     previous: HopfPresentation | None = None,
 ):
-    """Kill the obstruction with a coboundary, then recover unit and counit.
+    """Kill the obstruction c with a coboundary, then recover unit and counit.
 
     Returns (mul'', comul'', unit'', counit'').  This stage is uncertified:
     lift certifies its final output, with the antipode, by one verify_hopf.
@@ -191,10 +170,10 @@ def correct(
     desc = mul.ring
     n = desc.n - 1
     N = mul.dim_out
-    if report.is_zero:
+    if c.is_zero:
         mul2, comul2 = mul, comul
     else:
-        x = coh._contract_obstruction(report.c)
+        x = coh._contract_obstruction(c)
         mu = x.components[(1, 0)]
         delta = x.components[(0, 1)]
         pn = desc.p**n
@@ -238,12 +217,13 @@ _STRUCTURE_AXIOMS = {"associativity", "coassociativity", "delta_multiplicative"}
 _UNIT_COUNIT_AXIOMS = {"unit", "counit", "counit_multiplicative", "delta_unit", "counit_unit"}
 
 
-def _certificate_error(failing: list[str], report: ObstructionReport) -> Exception:
+def _certificate_error(failing: list[str], c: coh.TotalCochain) -> Exception:
     """The exception of the stage whose output fails the certificate:
     the coboundary solve (axioms of m and Delta alone), the unit and counit
-    solves, then the antipode solve, in pipeline order."""
+    solves, then the antipode solve, in pipeline order.  Only here is the
+    obstruction c tested for closedness."""
     if _STRUCTURE_AXIOMS.intersection(failing):
-        if not report.cocycle_ok:
+        if not coh.is_cocycle(c):
             return NotACocycle("obstruction cochain is not closed")
         return CoboundaryUnsolvable(
             f"obstruction is not a coboundary; H^2(A) = 0 is violated (corrected pair fails {failing})"
@@ -255,13 +235,13 @@ def _certificate_error(failing: list[str], report: ObstructionReport) -> Excepti
     return InternalAxiomFailure(f"presentation fails axioms: {failing}")
 
 
-def _certify(pres: HopfPresentation, report: ObstructionReport | None, base: HopfPresentation) -> HopfPresentation:
+def _certify(pres: HopfPresentation, c: coh.TotalCochain | None, base: HopfPresentation) -> HopfPresentation:
     """pres marked verified, once verify_hopf passes (all ten axioms, residual
     exactly zero) and it reduces to base mod p; else the exception of the stage
-    that made the failing tensor (_certificate_error, with pres's report)."""
+    that made the failing tensor (_certificate_error, with pres's obstruction c)."""
     failing = hc.verify_hopf(pres).failing()
     if failing:
-        raise _certificate_error(failing, report)
+        raise _certificate_error(failing, c)
     if hc.reduce_presentation(pres, base.ring) != base:
         raise InternalAxiomFailure("lift does not reduce to its base mod p")
     return HopfPresentation(pres.ring, pres.dim, *pres.tensors(), verified=True)
@@ -276,40 +256,40 @@ def lift(base: HopfPresentation, n: int, strategy="canonical") -> LiftState:
     intermediate one is either healed by the next Newton step or shows in the
     final tensors.  A wrong pair at level k is not a bialgebra mod p^(k+1),
     so level k+1's obstruction raises NotDivisible; level k's presentation is
-    then certified with its own report, to raise its stage's exception.
+    then certified with its own obstruction, to raise its stage's exception.
     """
     check_modulus(base.ring.p, n)
     base = _admit_base(base)
     if n < 1:
         raise ValueError("precision must be >= 1")
-    current, report = base, None
+    current, c = base, None
     transcript = []
     for level in range(1, n):
         t0 = time.perf_counter()
         mul, comul = _raw_extension(current, strategy, level)
         try:
-            level_report = obstruction(mul, comul, base)
+            level_c = obstruction(mul, comul, base)
         except NotDivisible:
-            _certify(current, report, base)
+            _certify(current, c, base)
             raise
-        report = level_report
-        mul2, comul2, unit2, counit2 = correct(mul, comul, report, base, current)
+        c = level_c
+        mul2, comul2, unit2, counit2 = correct(mul, comul, c, base, current)
         s_map = solve_antipode(mul2, comul2, base, current)
         current = HopfPresentation(mul2.ring, base.dim, mul2, unit2, comul2, counit2, s_map)
         solver_rank = None
-        if not report.is_zero:
-            solver_rank = coh._contraction(coh.make_context(base)).rank
+        if not c.is_zero:
+            solver_rank = coh._contraction(c.context).rank
         transcript.append(
             {
                 "level": level,
                 "precision": level + 1,
-                "obstruction_support": int(report.support),
-                "correction_applied": not report.is_zero,
+                "obstruction_support": int(sum(f.coeffs.any(axis=-1).sum() for f in c.components.values())),
+                "correction_applied": not c.is_zero,
                 "solver_rank": solver_rank,
                 "seconds": round(time.perf_counter() - t0, 6),
             }
         )
-    return LiftState(base, n, _certify(current, report, base) if n > 1 else current, transcript)
+    return LiftState(base, n, _certify(current, c, base) if n > 1 else current, transcript)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
+from hopflift import arithcheck as ac
 from hopflift.cli import main
 
 
@@ -57,9 +59,13 @@ def test_lemma41_exit_codes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["conclusion"] == "nonvanishing-guaranteed" and payload["bound"] == 4
+    # the payload is the report's fields, in their order
+    assert list(payload.items()) == list(asdict(ac.lemma41([2, 1, 1], 3, 7)).items())
     code, out, _ = run(capsys, "lemma41", "--poly", "2,1,1", "--r", "3", "--p", "3", "--json")
     assert code == 1
-    assert json.loads(out)["conclusion"] == "inapplicable"
+    payload = json.loads(out)
+    assert payload["conclusion"] == "inapplicable"
+    assert list(payload.items()) == list(asdict(ac.lemma41([2, 1, 1], 3, 3)).items())
 
 
 def test_cohomology_command(tmp_path, capsys):

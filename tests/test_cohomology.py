@@ -261,7 +261,7 @@ def dense_assemble(ctx, n, cells=1 << 22):
     """Matrix of d: C^n -> C^{n+1} from dense images of basis cochains, pushed
     through _d_alg_block and _d_coalg_block in batches whose image block has
     about `cells` cells."""
-    cc, desc = coh._cache(ctx), ctx.ring
+    desc = ctx.ring
     na, nb = ctx.A.dim, ctx.B.dim
     row_offset, rows_total = {}, 0
     for p, q, size in coh.space_dims(ctx, n + 1):
@@ -280,7 +280,7 @@ def dense_assemble(ctx, n, cells=1 << 22):
             # d restricted to C^{p,q} is d_a + (-1)^p d_c
             images = (((p + 1, q), 1, coh._d_alg_block), ((p, q + 1), (-1) ** p, coh._d_coalg_block))
             for comp, sign, block in images:
-                img = block(cc, f, p, q).reshape(-1, width, desc.m)
+                img = block(ctx, f, p, q).reshape(-1, width, desc.m)
                 r, c = np.nonzero(np.any(img != 0, axis=-1))
                 rows.append(row_offset[comp] + r)
                 cols.append(col0 + j0 + c)
@@ -413,11 +413,10 @@ REDUCED_CASES = [
 @pytest.mark.parametrize("make_ctx,top", [c[1:] for c in REDUCED_CASES], ids=[c[0] for c in REDUCED_CASES])
 def test_reduced_complex_matches_dense_ranks(make_ctx, top):
     ctx = make_ctx()
-    cc = coh._cache(ctx)
     ranks = {k: dense_reduced_ranks(ctx, k) for k in range(1, top + 1)}
     for k, (rank_ad, rank_dc_ad) in ranks.items():
         assert 0 < rank_ad < ctx.B.dim**k and rank_dc_ad > 0
-        assert (coh._ad_solver(cc, k).rank, coh._dc_ad_solver(cc, k).rank) == (rank_ad, rank_dc_ad)
+        assert (coh._ad_solver(ctx, k).rank, coh._dc_ad_solver(ctx, k).rank) == (rank_ad, rank_dc_ad)
     for n in range(top):
         want = ranks[n + 1][0] - ranks[n + 1][1] - (ranks[n][1] if n else 0)
         assert coh.cohomology_dim(ctx, n) == want
@@ -446,17 +445,16 @@ def assert_nonzeros_in_row_major_order(mat):
 @pytest.mark.parametrize("make_ctx", [c[1] for c in SPARSE_AD_CASES], ids=[c[0] for c in SPARSE_AD_CASES])
 def test_sparse_ad_matches_dense_oracle(make_ctx):
     ctx = make_ctx()
-    cc = coh._cache(ctx)
     for k in (1, 2, 3):
         want = dense_ad_matrix(ctx, k)
-        ad = coh._ad_matrix(cc, k)
+        ad = coh._ad_matrix(ctx, k)
         assert_nonzeros_in_row_major_order(ad)
         got = ad.toarray()
         assert got.dtype == want.dtype and np.array_equal(got, want)
         hat = coh._hat_differential_matrix(ctx, k - 1)
         assert_nonzeros_in_row_major_order(hat)
         assert np.array_equal(hat.toarray(), dense_hat_differential_matrix(ctx, k - 1))
-        dc_ad = coh._dc_ad_matrix(cc, k)
+        dc_ad = coh._dc_ad_matrix(ctx, k)
         assert_nonzeros_in_row_major_order(dc_ad)
         assert dc_ad.shape == (ctx.B.dim ** (k + 1) * ctx.A.dim, ctx.B.dim**k)
         # column blocks of the dense d_c ad_k, which is 134 MB at D4, k = 3
@@ -470,7 +468,7 @@ def test_sparse_ad_matches_dense_oracle(make_ctx):
     for k in (1, 2):
         for side in ("left", "right"):
             dense = np.ascontiguousarray(ra.transpose(dense_mult_operator(ctx, k, side), (1, 0, 2)))
-            got = cc.mult_operator(k, side).toarray().reshape(dense.shape)
+            got = ctx.mult_operator(k, side).toarray().reshape(dense.shape)
             assert got.dtype == dense.dtype and np.array_equal(got, dense)
 
 
@@ -481,7 +479,7 @@ IDENTITY_CASES = [c for c in SPARSE_AD_CASES if c[0] in ("S3/F7", "S3/F25", "C2-
 def test_dc_ad_identity_on_random_elements(make_ctx):
     # d_c(ad m) through the public d_coalg equals ad_{k+1}(d^_k m)
     ctx = make_ctx()
-    cc, desc = coh._cache(ctx), ctx.ring
+    desc = ctx.ring
     na, nb = ctx.A.dim, ctx.B.dim
     rng = np.random.default_rng([7, nb, desc.q])
     for k in (1, 2, 3):
@@ -489,7 +487,7 @@ def test_dc_ad_identity_on_random_elements(make_ctx):
             m = rng.integers(0, desc.q, size=(nb**k, desc.m)).astype(np.int64)
             ad_m = ra.tensordot(desc, dense_ad_matrix(ctx, k), m, ([1], [0])).reshape(nb**k, na, desc.m)
             lhs = coh.d_coalg(ctx, tc.MultiMap(desc, 1, k, na, nb, ad_m)).coeffs
-            rhs = coh._ad_matrix(cc, k + 1).dot(desc, coh._hat_differential_matrix(ctx, k - 1).dot(desc, m))
+            rhs = coh._ad_matrix(ctx, k + 1).dot(desc, coh._hat_differential_matrix(ctx, k - 1).dot(desc, m))
             assert lhs.any() and np.array_equal(lhs, rhs.reshape(lhs.shape))
 
 
@@ -513,14 +511,14 @@ D_COALG_CASES = [c for c in SPARSE_AD_CASES if c[0] in ("S3/F7", "D4/F3", "dual(
 @pytest.mark.parametrize("make_ctx", [c[1] for c in D_COALG_CASES], ids=[c[0] for c in D_COALG_CASES])
 def test_d_coalg_matches_dense_oracle(make_ctx):
     ctx = make_ctx()
-    cc, desc = coh._cache(ctx), ctx.ring
+    desc = ctx.ring
     na, nb = ctx.A.dim, ctx.B.dim
     checked = 0
     for p, q in itertools.product(range(3), repeat=2):
         if nb ** (q + 2) * na ** (p + 1) > 1 << 16:
             continue
         f = np.random.default_rng([p, q, na, nb, desc.q]).integers(0, desc.q, size=(nb ** (q + 1), na ** (p + 1), 3, desc.m))
-        got, want = coh._d_coalg_block(cc, f, p, q), dense_d_coalg_block(ctx, f, p, q)
+        got, want = coh._d_coalg_block(ctx, f, p, q), dense_d_coalg_block(ctx, f, p, q)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         checked += 1
     assert checked >= 5
@@ -561,9 +559,9 @@ def test_dual_context_lives_in_its_parents_cache():
         ctx = inclusion_context()
         coh.d_coalg(ctx, coh.random_cochain(ctx, 1, 0).components[(1, 0)])
         assert list(coh._CACHE) == [ctx.digest()]
-        dual = coh._cache(ctx).dual()
-        assert dual is coh._cache(ctx).dual() and dual.ctx.phi.verified
-        assert (dual.ctx.A.dim, dual.ctx.B.dim) == (ctx.B.dim, ctx.A.dim)
+        dual = ctx.dual()
+        assert dual is ctx.dual() and dual.phi.verified
+        assert (dual.A.dim, dual.B.dim) == (ctx.B.dim, ctx.A.dim)
     finally:
         coh._CACHE.clear()
 
@@ -644,9 +642,8 @@ DUAL_ROUTE_CASES = [("S3", 2, 2), ("S3", 3, 2), ("C4", 2, 2), ("C6", 3, 2), ("C2
 )
 def test_dual_route_matches_bicomplex(make_ctx, top):
     ctx = make_ctx()
-    cc = coh._cache(ctx)
-    assert coh._separability_idempotent(cc) is None
-    assert coh._separability_idempotent(cc.dual()) is not None
+    assert coh._separability_idempotent(ctx) is None
+    assert coh._separability_idempotent(ctx.dual()) is not None
     for n in range(top + 1):
         assert coh.cohomology_dim(ctx, n) == coh._bicomplex_dim(ctx, n)
 
@@ -713,12 +710,11 @@ def test_invariants_ground_field_direction():
 
 def dense_mult_operator(ctx, k, side):
     """Left/right multiplication by phi^{k}(Delta_k(e_a)) on B^{(x) k}: [a, out, in]."""
-    cc = coh._cache(ctx)
     desc = ctx.ring
     na, nb = ctx.A.dim, ctx.B.dim
-    cur = cc.e_tensor(k).reshape((nb,) * k + (na, desc.m))
+    cur = ctx.e_tensor(k).reshape((nb,) * k + (na, desc.m))
     for _ in range(k):
-        cur = ra.tensordot(desc, cur, cc.MB, ([0], [1 if side == "left" else 2]))  # appends (o_t, i_t)
+        cur = ra.tensordot(desc, cur, ctx.B.mul.coeffs.reshape(nb, nb, nb, desc.m), ([0], [1 if side == "left" else 2]))  # appends (o_t, i_t)
     perm = [0] + [1 + 2 * t for t in range(k)] + [2 + 2 * t for t in range(k)]
     return ra.transpose(cur, perm).reshape(na, nb**k, nb**k, desc.m)
 
@@ -858,9 +854,8 @@ SMALL_CONTEXTS = small_contexts()
 @pytest.mark.parametrize("label,H", SMALL_CONTEXTS, ids=[label for label, _ in SMALL_CONTEXTS])
 def test_invariants_complex_matches_old_oracle(label, H):
     ctx = coh.make_context(H)
-    cc = coh._cache(ctx)
     for k in (1, 2, 3, 4):
-        old, new = old_invariant_basis(ctx, k), coh._ad_solver(cc, k).kernel_basis()
+        old, new = old_invariant_basis(ctx, k), coh._ad_solver(ctx, k).kernel_basis()
         assert len(old) == len(new)
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(old, new))
     assert [coh.invariants_complex_dim(ctx, n) for n in (0, 1, 2)] == [
@@ -872,7 +867,7 @@ def test_invariants_complex_checks_that_images_are_invariant(monkeypatch):
     # with ad_2 replaced by the identity, no nonzero image of d on B^A = B is invariant
     real = coh._ad_matrix
     eye = lambda k: CooMatrix.from_dense(ra.eye(F5, C2.dim**k))  # noqa: E731
-    monkeypatch.setattr(coh, "_ad_matrix", lambda cc, k: real(cc, k) if k == 1 else eye(k))
+    monkeypatch.setattr(coh, "_ad_matrix", lambda ctx, k: real(ctx, k) if k == 1 else eye(k))
     coh._CACHE.clear()
     try:
         with pytest.raises(InternalAxiomFailure, match="does not preserve invariants"):
@@ -923,7 +918,7 @@ def test_solve_obstruction_matches_dense(name, p, m):
     targets = []
     for seed in (1, 2, 3):
         mul, comul = lf.initial_lift(base, f"perturbed:{seed}")
-        targets.append(lf.obstruction(mul, comul, base).c)
+        targets.append(lf.obstruction(mul, comul, base))
     targets += [coh.d_total(coh.random_cochain(ctx, 1, seed)) for seed in (4, 5)]
     for z in targets:
         assert_contracts_to_dense(z)
@@ -931,12 +926,12 @@ def test_solve_obstruction_matches_dense(name, p, m):
     assert con.rank == coh._solver_for(ctx, 1).rank
     # the H^1 = 0 of Thm 1.2, which the contraction no longer certifies itself:
     # rank(ad_2) - rank(d_c ad_2) - rank(d_c ad_1) on the reduced complex
-    assert coh._reduced_dim(coh._cache(ctx), 1) == 0
+    assert coh._reduced_dim(ctx, 1) == 0
 
 
 def column_homotopy(ctx, f):
     """t f = s_{B*}(f^T)^T: C^{p,q+1} -> C^{p,q}, the dual context's row homotopy on the transposed cochain."""
-    dual = coh._cache(ctx).dual()
+    dual = ctx.dual()
     out = coh._homotopy(dual, f.arity_in - 1, np.swapaxes(f.coeffs, 0, 1))
     return tc.MultiMap(ctx.ring, f.arity_in, f.arity_out - 1, ctx.A.dim, ctx.B.dim, np.swapaxes(out, 0, 1))
 
@@ -962,8 +957,7 @@ def test_one_sided_context_is_refused():
     # H^0..2 = 0; the dense solve reaches every coboundary, the contraction
     # (which lifting's admission keeps from such a context) refuses them
     ctx = counit_unit_map_context("C2", "C3.dual", 3)
-    cc = coh._cache(ctx)
-    assert coh._separability_idempotent(cc) is not None and coh._separability_idempotent(cc.dual()) is None
+    assert coh._separability_idempotent(ctx) is not None and coh._separability_idempotent(ctx.dual()) is None
     assert [coh.cohomology_dim(ctx, n) for n in (0, 1, 2)] == [0, 0, 0]
     for n in (1, 2):
         x = coh.random_cochain(ctx, n - 1, n)
@@ -1088,7 +1082,7 @@ def test_separability_idempotent_is_built_once_per_context(monkeypatch):
         coh._contraction(s3)
         assert calls == [S3, hc.dual(S3)]
         c3 = coh.make_context(hc.generate("C3", cr.make_ring(3)))
-        assert coh._separability_idempotent(coh._cache(c3)) is None
+        assert coh._separability_idempotent(c3) is None
         with pytest.raises(NotSemisimpleOrCosemisimple, match="A is not semisimple"):
             coh._contraction(c3)
     finally:

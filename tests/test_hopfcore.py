@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,16 @@ class TestAntipodeAndTrace:
         assert hc.antipode_orders(hc.generate("C2", F5)) == (1, 1)
         D, _ = hc.drinfeld_double(hc.generate("S3", F7))
         assert hc.antipode_orders(D) == (2, 1)
+
+    @pytest.mark.parametrize("cycle, want", [((1, 2, 0, 3), (3, 3)), ((1, 2, 3, 0), (4, 2))], ids=["order3", "order4"])
+    def test_orders_of_permutation_antipodes(self, cycle, want):
+        # an unverified presentation whose antipode permutes the basis: S^2 has
+        # order ord(S) / gcd(ord(S), 2), which S^2 = I on the corpus never shows
+        H = hc.generate("C4", F5)
+        perm = np.zeros((4, 4, 1), dtype=np.int64)
+        perm[list(cycle), range(4), 0] = 1
+        P = replace(H, antipode=tc.MultiMap(F5, 1, 1, 4, 4, perm), verified=False)
+        assert hc.verify_hopf(P).failing() and hc.antipode_orders(P) == want
 
     def test_trace_s2_equals_dim(self):
         S3 = hc.generate("S3", F7)

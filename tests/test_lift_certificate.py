@@ -59,15 +59,14 @@ def test_wrong_contraction_solution_raises_coboundary_unsolvable(monkeypatch):
         _lift_with(monkeypatch, coh, "_contract_obstruction", lambda real: lambda z: real(z).scale(2))
 
 
-def _unclosed(report, components):
-    """report's cochain plus noise in the given components: no longer closed."""
-    c = report.c
+def _unclosed(c, components):
+    """the cochain c plus noise in the given components: no longer closed."""
     noise = coh.random_cochain(c.context, 2, 3)
     comps = dict(c.components)
     for key in components:
         comps[key] = comps[key] + noise.components[key]
-    out = lf.ObstructionReport(coh.TotalCochain(c.context, 2, comps))
-    assert not coh.is_cocycle(out.c)
+    out = coh.TotalCochain(c.context, 2, comps)
+    assert not coh.is_cocycle(out)
     return out
 
 

@@ -85,13 +85,13 @@ class TestObstruction:
     def test_canonical_obstruction_zero(self):
         mul, comul = lf.initial_lift(C2, "canonical")
         rep = lf.obstruction(mul, comul, C2)
-        assert rep.is_zero and rep.cocycle_ok
+        assert rep.is_zero and coh.is_cocycle(rep)
 
     def test_perturbed_obstruction_is_cocycle(self):
         mul, comul = lf.initial_lift(C2, "perturbed:1")
         rep = lf.obstruction(mul, comul, C2)
         assert not rep.is_zero
-        assert rep.cocycle_ok
+        assert coh.is_cocycle(rep)
 
     def test_canonical_s3_zero(self):
         S3 = hc.generate("S3", F7)
@@ -108,8 +108,8 @@ class TestObstruction:
         v = np.asarray(rng.integers(0, 5, size=comul.coeffs.shape), dtype=np.int64)
         mul_b = tc.MultiMap(desc, 2, 1, 2, 2, (mul.coeffs + 5 * u) % 25)
         comul_b = tc.MultiMap(desc, 1, 2, 2, 2, (comul.coeffs + 5 * v) % 25)
-        c1 = lf.obstruction(mul, comul, C2).c
-        c2 = lf.obstruction(mul_b, comul_b, C2).c
+        c1 = lf.obstruction(mul, comul, C2)
+        c2 = lf.obstruction(mul_b, comul_b, C2)
         ctx = coh.make_context(C2)
         y = coh.TotalCochain(
             ctx,
@@ -325,9 +325,9 @@ def test_lift_never_assembles_degree1_differential(monkeypatch):
     degrees = []
     real = coh._assemble
 
-    def spy(ctx, cc, n):
+    def spy(ctx, n):
         degrees.append(n)
-        return real(ctx, cc, n)
+        return real(ctx, n)
 
     coh._CACHE.clear()
     monkeypatch.setattr(coh, "_assemble", spy)
@@ -480,6 +480,32 @@ def test_admission_verdict_cached_per_context(monkeypatch):
     coh._CACHE.clear()
     lf.lift(base, 2)
     assert len(calls) == 4
+    coh._CACHE.clear()
+
+
+def test_one_context_object_per_digest(monkeypatch):
+    """make_context returns one object per digest, which keeps the memo, and
+    is the only caller of ComplexContext.digest: a warm reconcile digests once
+    per make_context call.  Emptying _CACHE makes the next lift cold."""
+    base = hc.generate("S3", F7)
+    coh._CACHE.clear()
+    s1, s2 = lf.lift(base, 3, "perturbed:1"), lf.lift(base, 3, "perturbed:2")
+    assert coh.make_context(base) is coh.make_context(base)
+    lf.reconcile(s1, s2)
+    made, digests = [], []
+    real_make, real_digest = coh.make_context, coh.ComplexContext.digest
+    monkeypatch.setattr(coh, "make_context", lambda *a, **k: made.append(a) or real_make(*a, **k))
+    monkeypatch.setattr(coh.ComplexContext, "digest", lambda self: digests.append(self) or real_digest(self))
+    lf.reconcile(s1, s2)
+    assert made and len(digests) == len(made)
+    calls = []
+    real_idempotent = hc.separability_idempotent
+    monkeypatch.setattr(hc, "separability_idempotent", lambda H: calls.append(H) or real_idempotent(H))
+    lf.lift(base, 3, "perturbed:3")
+    assert calls == []
+    coh._CACHE.clear()
+    lf.lift(base, 3, "perturbed:3")
+    assert calls == [base, hc.dual(base)]
     coh._CACHE.clear()
 
 

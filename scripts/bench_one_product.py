@@ -24,6 +24,10 @@ output.
 - kernels: _arrays.elem_mul and _arrays.reg_rep on 8, 1,000 and 200,000
   random elements of F25, F27, F16 and F_((2^31-1)^2): the median over 5
   batches of the seconds per call, each batch at least 0.05 s.
+- int64_mod: _arrays.int64_mod against numpy's in-place % on 64 to 2^20
+  random int64 cells in [-2^62, 2^62), mod q = 2, 81, 7^10, 2^31 - 1 and
+  2^61 - 1: the median over 5 batches of the seconds per call, less those
+  of the copy that gives each call its fresh input.
 
 A lift's digest is that of its JSON without the transcript's wall-clock
 seconds; the others hash the dimensions, the failing axioms, the grouplikes
@@ -101,6 +105,39 @@ for label, (p, m) in RINGS.items():
 print(json.dumps({"kernels": out, "sha256": h.hexdigest(), "correct": True}))
 """
 
+INT64_MOD = r"""
+import hashlib, json, statistics, time
+import numpy as np
+from hopflift import _arrays as ra
+
+RINGS = {"2": 2, "81": 81, "7^10": 7**10, "2^31-1": (1 << 31) - 1, "2^61-1": (1 << 61) - 1}
+out, h = {}, hashlib.sha256()
+rng = np.random.default_rng(0)
+
+
+def per_call(fn, src, buf):
+    times = []
+    for _ in range(5):
+        calls, t0 = 0, time.perf_counter()
+        while calls == 0 or time.perf_counter() - t0 < 0.05:
+            np.copyto(buf, src)
+            fn(buf)
+            calls += 1
+        times.append((time.perf_counter() - t0) / calls)
+    return statistics.median(times)
+
+
+for label, q in RINGS.items():
+    for size in (64, 256, 512, 1024, 2048, 4096, 1 << 16, 1 << 20):
+        src = rng.integers(-(1 << 62), 1 << 62, size=size, dtype=np.int64)
+        buf = src.copy()
+        h.update(ra.int64_mod(buf, q).tobytes())
+        copy = per_call(lambda r: None, src, buf)
+        for kind, fn in (("int64_mod", lambda r: ra.int64_mod(r, q)), ("%", lambda r: np.remainder(r, q, out=r))):
+            out[f"{kind} q={label} x{size}"] = max(0.0, per_call(fn, src, buf) - copy)
+print(json.dumps({"kernels": out, "sha256": h.hexdigest(), "correct": True}))
+"""
+
 # label, probe argv
 CASES = [
     ("cohomology_dim 0-2 S3/F25", ["cohomology", "S3", "5", "2"]),
@@ -118,6 +155,7 @@ CASES = [
     ("grouplikes C4.double/F16", ["grouplikes", "C4.double", "2", "4"]),
 ]
 KERNEL_LABEL = "kernels elem_mul, reg_rep"
+INT64_MOD_LABEL = "kernels int64_mod, %"
 
 
 def main():
@@ -134,7 +172,7 @@ def main():
         pipeline.check_no_bytecode(tree)
     cap = int(args.cap_gb * (1 << 30))
 
-    cases = [(label, PROBE, argv) for label, argv in CASES] + [(KERNEL_LABEL, KERNELS, [])]
+    cases = [(label, PROBE, argv) for label, argv in CASES] + [(KERNEL_LABEL, KERNELS, []), (INT64_MOD_LABEL, INT64_MOD, [])]
     cases = [case for case in cases if args.cases is None or any(t in case[0] for t in args.cases.split("|"))]
     runs = {label: {"parent": [], "change": []} for label, *_ in cases}
     for i in range(args.repeats):
@@ -145,8 +183,8 @@ def main():
 
     record = {
         "what": (
-            "m = 2, 3 and 4 probes (cohomology_dim 0-2, perturbed:1 lifts to p^4, verify_hopf, grouplikes) and the "
-            f"elem_mul and reg_rep kernels{'' if args.cases is None else f' (only those labelled *{args.cases}*)'}, "
+            "m = 2, 3 and 4 probes (cohomology_dim 0-2, perturbed:1 lifts to p^4, verify_hopf, grouplikes), the "
+            f"elem_mul and reg_rep kernels and int64_mod against %{'' if args.cases is None else f' (only those labelled *{args.cases}*)'}, "
             f"{args.repeats} fresh processes per side under a {args.cap_gb:g} GB address-space cap. Parent and "
             "change run from separate checkouts, the side that runs first alternating, every process pinned to one "
             "CPU. Produced by scripts/bench_one_product.py"
@@ -157,7 +195,7 @@ def main():
     for label, rows in runs.items():
         entry = {"runs": rows, "summary": reduced.summary(rows),
                  "all_correct": {side: all(r["correct"] for r in side_rows) for side, side_rows in rows.items()}}
-        if label == KERNEL_LABEL and all("kernels" in r for side_rows in rows.values() for r in side_rows):
+        if all("kernels" in r for side_rows in rows.values() for r in side_rows):
             keys = rows["parent"][0]["kernels"]
             entry["kernels"] = {
                 key: pipeline.paired({side: [r["kernels"][key] for r in side_rows] for side, side_rows in rows.items()}, "lower")

@@ -15,9 +15,9 @@ A dense contraction is one np.dot of two 2-D operands.  How the operands are
 transposed and reshaped, and how the product is laid out again, depends only
 on the shapes, the axes and m, so it is planned once per such key (_plan,
 kept in a bounded cache) and each call only transposes, converts, multiplies
-and reshapes.  A float64 product is reduced mod q on the float side before it
-becomes int64 (f64_mod): exact for integers below 2^52 and q <= 2^52, which
-the float64 bound implies.
+and reshapes.  A float64 product becomes int64 before it is reduced mod q
+(f64_mod): the cast is exact for integers below 2^52, which the float64 bound
+implies.  Every int64 array is reduced by int64_mod.
 """
 
 import functools
@@ -30,17 +30,40 @@ _I64_SAFE = 1 << 62
 # when tensordot joins sparse operands; its docstring gives the measurement
 _JOIN_MIN_MADDS = 1 << 22
 _JOIN_PAIR_COST = 500
+# when int64_mod divides instead of taking %, and the cells it divides at once;
+# its docstring gives the measurement
+_DIV_MIN_CELLS = 1024
+_DIV_CHUNK = 1 << 16
 
 
 def int64_mod(r, q):
     """r mod q as an int64 array; r may be an object array or a Python int.
 
-    An int64 array r is reduced in place and returned.
+    An int64 array r is reduced in place and returned.  From _DIV_MIN_CELLS
+    cells on, a C-contiguous one is reduced as r - (r // q) q, _DIV_CHUNK
+    cells at a time, so no temporary outgrows one chunk: numpy divides int64
+    by a scalar through libdivide (Granlund and Montgomery, PLDI 1994), a
+    multiply and a shift per cell, where its % divides in hardware.  Exact
+    while (r // q) q fits int64: for every r >= 0, for r >= -2q at q <= 2^62
+    and r >= -3q at q <= 2^61, which bound every caller's sums, products and
+    differences of residues.  Measured by scripts/bench_one_product.py's int64_mod probe
+    on one core of a 2-core x86-64 host: % and the division break even near
+    1,024 cells, the division takes 0.5-0.6 of %'s time at 4,096 cells and
+    0.15-0.2 from 2^16 cells on.  Chunks of 2^16 cells (a 512 KB temporary)
+    reduce 2^22 cells in about half the time of one undivided pass.
     """
-    if isinstance(r, np.ndarray) and r.dtype == np.int64:
+    if not (isinstance(r, np.ndarray) and r.dtype == np.int64):
+        return np.asarray(r % q, dtype=np.int64)
+    if r.size < _DIV_MIN_CELLS or not r.flags.c_contiguous:
         r %= q
         return r
-    return np.asarray(r % q, dtype=np.int64)
+    flat = r.reshape(-1)
+    for start in range(0, flat.size, _DIV_CHUNK):
+        chunk = flat[start : start + _DIV_CHUNK]
+        t = chunk // q
+        t *= q
+        chunk -= t
+    return r
 
 
 def mul_mod(a, b, q):
@@ -50,7 +73,7 @@ def mul_mod(a, b, q):
     the int64 product would wrap.
     """
     if (q - 1) * (q - 1) < _I64_SAFE:
-        return a * b % q
+        return int64_mod(a * b, q)
     return int64_mod(np.asarray(a).astype(object) * np.asarray(b).astype(object), q)
 
 
@@ -59,15 +82,15 @@ def zeros(desc, shape):
 
 
 def add(desc, a, b):
-    return (a + b) % desc.q
+    return int64_mod(a + b, desc.q)
 
 
 def sub(desc, a, b):
-    return (a - b) % desc.q
+    return int64_mod(a - b, desc.q)
 
 
 def neg(desc, a):
-    return (-a) % desc.q
+    return int64_mod(-a, desc.q)
 
 
 def scale_int(desc, a, c):
@@ -79,7 +102,7 @@ def mul_x(desc, coeffs):
     coefficient times x^m reduced (xm_red), plus the rest shifted up."""
     out = mul_mod(coeffs[..., -1:], desc.xm_red, desc.q)
     out[..., 1:] += coeffs[..., :-1]
-    return out % desc.q
+    return int64_mod(out, desc.q)
 
 
 def reg_rep(desc, arr):
@@ -103,7 +126,7 @@ def elem_mul(desc, a, b):
     for t in range(1, m):
         a = mul_x(desc, a)
         out += mul_mod(a, b[..., t : t + 1], q)
-        out %= q
+        int64_mod(out, q)
     return out
 
 
@@ -137,8 +160,9 @@ def f64_reduce(r, q):
 
 
 def f64_mod(r, q):
-    """f64_reduce(r, q) as int64."""
-    return f64_reduce(r, q).astype(np.int64)
+    """r mod q as int64, for a float64 array r of integers with |r| < 2^52:
+    the cast to int64 is exact there."""
+    return int64_mod(r.astype(np.int64), q)
 
 
 def _mod(r, q):
@@ -183,8 +207,8 @@ def tensordot(desc, a, b, axes):
     per (shapes, axes, m): a transpose and reshape of each operand, fused with
     its conversion to the product's dtype, np.dot, and the reduction mod q.
     The dtype is the first of float64, int64 and object whose sums of k m
-    products of residues, below k m (q-1)^2, are exact; on float64 the
-    product is reduced by f64_mod before it becomes int64.
+    products of residues, below k m (q-1)^2, are exact; a float64 product
+    becomes int64 before it is reduced (f64_mod).
 
     A contraction of at least _JOIN_MIN_MADDS = 2^22 dense multiply-adds
     (k x output cells x m) counts the nonzeros of both operands; when their

@@ -280,7 +280,7 @@ class _Echelon:
                     continue
                 k, rs, lam = found.size, hit.argmax(axis=0)[found], cols[:, found]
                 inv = [pow(int(v), p - 2, p) for v in cols[rs, found].tolist()]
-                urows = ra.mul_mod(np.array(inv, dtype=np.int64)[:, None], reduce_copy(Wp[rs], p), p)
+                urows = reduce_copy(np.array(inv, dtype=dt)[:, None] * reduce_copy(Wp[rs], p), p)
                 # every row loses its multiple of the round's pivot rows, which become zero mod p
                 Wp -= np.dot(lam, urows)
                 U[t : t + k, c0:c1] = urows

@@ -369,6 +369,10 @@ CRITERIA = [
 
 
 def run(numbers=None, report=print) -> list[CriterionResult]:
+    known = [number for number, _, _ in CRITERIA]
+    unknown = [number for number in numbers or () if number not in known]
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}: the criteria are numbered {known[0]}-{known[-1]}")
     results = []
     for number, name, fn in CRITERIA:
         if numbers and number not in numbers:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._ntheory import totient
+from ._ntheory import is_prime, totient
 from .coeffring import _poly_divmod, _poly_gcd, _poly_mul, _poly_trim
-from .errors import DimensionTooSmall, HopfliftError, NonConstantProduct, NotRealAtRoot
+from .errors import DimensionTooSmall, HopfliftError, NonConstantProduct, NotPrime, NotRealAtRoot
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,13 @@ def _gcd_route(coeffs, r, p) -> bool:
 
 def lemma41(P, r: int, p: int) -> LemmaReport:
     """Full nonvanishing report: the integer-product route plus the
-    independent gcd route; both must agree whenever the hypotheses hold."""
+    independent gcd route; both must agree whenever the hypotheses hold.
+    Needs r > 2, as conjugate_product does, and a prime p (NotPrime), over
+    whose field the gcd route works."""
+    if r <= 2:
+        raise ValueError("conjugate products need r > 2 (empty index set otherwise)")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     coeffs = P.coeffs if isinstance(P, IntPolynomial) else [int(c) for c in P]
     folded = _fold_mod_xr1(coeffs, r)
     n_val = conjugate_product(coeffs, r)

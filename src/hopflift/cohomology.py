@@ -301,14 +301,14 @@ def _d_alg_block(ctx: ComplexContext, f, p: int, q: int, sign: int = 1):
     out += np.swapaxes(slots.reshape(na * cols, rows, -1, m), 0, 1)
     del slots
     if desc.q > ra._I64_SAFE >> 2:
-        out %= desc.q
+        ra.int64_mod(out, desc.q)
     right = ctx.mult_operator(q + 1, "right").dot(desc, on_out).reshape(rows, na, cols, -1, m)
     legs = out.reshape(rows, cols, na, -1, m)
     # p even: -sign (left + slots + right); p odd: sign (left + slots - right)
     (np.add if p % 2 == 0 else np.subtract)(legs, np.swapaxes(right, 1, 2), out=legs)
     if (p % 2 == 0) == (sign > 0):
         np.negative(out, out=out)
-    out %= desc.q
+    ra.int64_mod(out, desc.q)
     return out.reshape((rows, na * cols) + f.shape[2:])
 
 

@@ -1,12 +1,13 @@
 """Deformation lifting from F_q to GR(p^n, m), one p-digit at a time.
 
-Each level digit-lifts the current structure, measures the failure of the
-bialgebra axioms (an exact degree-2 cochain after division by p^k), kills it
-with a coboundary over the residue field (contracted with the separability
-idempotents of the base and of its dual, no factorization of d_1), then
-recovers unit, counit and antipode, which the corrected pair determines, by
-one Newton step each from those of the level below (no linear solve).  A level changes only digit
-k of the pair, which fixes the other three tensors, so one verify_hopf of the
+Each level digit-lifts the pair (m, Delta), measures the failure of the
+bialgebra axioms (an exact degree-2 cochain after division by p^k), and kills
+it with a coboundary over the residue field (contracted with the separability
+idempotents of the base and of its dual, no factorization of d_1).  Levels
+carry the pair alone: the unit, counit and antipode, which the final pair
+determines, are recovered once by Newton's iteration from those of the base,
+ceil(log2 n) steps each and no linear solve.  A level changes only digit k of
+the pair, which fixes the other three tensors, so one verify_hopf of the
 final presentation, with its reduction mod p, certifies the whole lift.
 Morphisms lift digit by digit by the same contraction in degree 1, with one
 certificate per lifted map; reconciling two lifts of one base is the lift of
@@ -80,27 +81,43 @@ def _admit_base(base: HopfPresentation) -> HopfPresentation:
     return base
 
 
-def _raw_extension(current: HopfPresentation, strategy, level: int):
+def _raw_extension(mul: MultiMap, comul: MultiMap, strategy, level: int):
     """Digit-lift (m, Delta) to precision level+1; perturbed adds p^level noise at level 1."""
-    target = current.ring.at_precision(level + 1)
-    mul = tc.map_digit_lift(current.mul, target)
-    comul = tc.map_digit_lift(current.comul, target)
+    target = mul.ring.at_precision(level + 1)
+    mul = tc.map_digit_lift(mul, target)
+    comul = tc.map_digit_lift(comul, target)
     kind, seed = parse_strategy(strategy)
     if kind == "perturbed" and level == 1:
-        n = current.dim
+        n = mul.dim_out
         rng = np.random.default_rng([seed, level, 0xC0C])
         p = target.p
         noise_m = np.asarray(rng.integers(0, p, size=mul.coeffs.shape), dtype=np.int64)
         noise_d = np.asarray(rng.integers(0, p, size=comul.coeffs.shape), dtype=np.int64)
-        mul = MultiMap(target, 2, 1, n, n, (mul.coeffs + p**level * noise_m) % target.q)
-        comul = MultiMap(target, 1, 2, n, n, (comul.coeffs + p**level * noise_d) % target.q)
+        mul = MultiMap(target, 2, 1, n, n, ra.int64_mod(mul.coeffs + p**level * noise_m, target.q))
+        comul = MultiMap(target, 1, 2, n, n, ra.int64_mod(comul.coeffs + p**level * noise_d, target.q))
     return mul, comul
 
 
 def initial_lift(base: HopfPresentation, strategy="canonical"):
     """Raw (m', Delta') over GR(p^2, m) extending the base structure."""
     base = _admit_base(base)
-    return _raw_extension(base, strategy, 1)
+    return _raw_extension(base.mul, base.comul, strategy, 1)
+
+
+def _digit(d: np.ndarray, k: int, p: int) -> np.ndarray:
+    """Digit k of a defect d, a difference of two residues mod p^(k+1):
+    (d / p^k) mod p, or NotDivisible unless p^k divides d.
+
+    One floor division: quot = d // p^k lies in (-p, p), since |d| <
+    p^(k+1), so quot mod p is quot plus p where quot is negative (where
+    quot >> 63 is -1, not 0).
+    """
+    pk = p**k
+    quot = d // pk
+    if not np.array_equal(quot * pk, d):
+        raise NotDivisible(f"tensor not divisible by p^{k}")
+    quot += (quot >> 63) & p
+    return quot
 
 
 def obstruction(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> coh.TotalCochain:
@@ -109,13 +126,12 @@ def obstruction(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> coh.T
 
     Components: the (2,0) associativity, (1,1) compatibility and (0,2)
     coassociativity defects of hc._structure_residuals, each written into one
-    buffer a block at a time: subtracted into its slices, tested for
-    divisibility (NotDivisible), divided, reduced.
+    buffer a block at a time: subtracted into its slices and replaced by its
+    digit n (_digit, NotDivisible unless p^n divides it).
     """
     desc = mul.ring
     n = desc.n - 1
     N = mul.dim_out
-    pn = desc.p**n
     m_legs = mul.coeffs.reshape(N, N, N, desc.m)
     d_legs = comul.coeffs.reshape(N, N, N, desc.m)
     comps = {}
@@ -126,20 +142,36 @@ def obstruction(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> coh.T
         for lead, lhs, rhs in blocks:
             block = np.subtract(lhs, rhs, out=c.reshape(N, N, N, N, desc.m)[lead])
             del lhs, rhs
-            if n and np.any(block % pn):
-                raise NotDivisible(f"tensor not divisible by p^{n}")
-            block //= pn
-            block %= base.ring.p
+            block[...] = _digit(block, n, desc.p)
         comps[(p, q)] = MultiMap(base.ring, ai, ao, N, N, c)
     return coh.TotalCochain(coh.make_context(base), 2, comps)
+
+
+def correct(mul: MultiMap, comul: MultiMap, c: coh.TotalCochain):
+    """The pair (mul'', comul'') over GR(p^(k+1), m): mul and comul less p^k
+    times the contraction of their obstruction c, a coboundary over the
+    residue field.
+
+    Uncertified here: lift certifies the final pair, with the unit, counit
+    and antipode that _complete recovers from it, by one verify_hopf.
+    """
+    if c.is_zero:
+        return mul, comul
+    desc = mul.ring
+    N = mul.dim_out
+    x = coh._contract_obstruction(c)
+    pn = desc.p ** (desc.n - 1)
+    mul2 = MultiMap(desc, 2, 1, N, N, ra.int64_mod(mul.coeffs - pn * x.components[(1, 0)].coeffs, desc.q))
+    comul2 = MultiMap(desc, 1, 2, N, N, ra.int64_mod(comul.coeffs - pn * x.components[(0, 1)].coeffs, desc.q))
+    return mul2, comul2
 
 
 # ---------------------------------------------------------------------------
 # unit, counit and antipode by Newton's iteration
 #
-# Once (m'', Delta'') is a bialgebra mod p^(k+1), its unit, counit and antipode
-# are unique and agree mod p^k with those of the level below; one step of
-# newton_lift takes those, right mod p^k, to p^2k >= p^(k+1).
+# Once (m, Delta) is a bialgebra mod p^n, its unit, counit and antipode are
+# unique and agree mod p with those of the base; each step of newton_lift
+# doubles the number of right p-digits, so ceil(log2 n) steps reach p^n.
 
 
 def _unit_square(desc, m_legs, u):
@@ -152,65 +184,40 @@ def _counit_square(desc, d_legs, e):
     return ra.tensordot(desc, e, ra.tensordot(desc, e, d_legs, ([0], [0])), ([0], [0]))
 
 
-def correct(
-    mul: MultiMap,
-    comul: MultiMap,
-    c: coh.TotalCochain,
-    base: HopfPresentation,
-    previous: HopfPresentation | None = None,
-):
-    """Kill the obstruction c with a coboundary, then recover unit and counit.
-
-    Returns (mul'', comul'', unit'', counit'').  This stage is uncertified:
-    lift certifies its final output, with the antipode, by one verify_hopf.
-    previous is the presentation that mul and comul digit-lift (the base by
-    default): its unit and counit seed the Newton steps u <- 2u - m''(u (x) u)
-    and e <- 2e - (e (x) e)Delta''.
-    """
-    desc = mul.ring
-    n = desc.n - 1
-    N = mul.dim_out
-    if c.is_zero:
-        mul2, comul2 = mul, comul
-    else:
-        x = coh._contract_obstruction(c)
-        mu = x.components[(1, 0)]
-        delta = x.components[(0, 1)]
-        pn = desc.p**n
-        mul2 = MultiMap(desc, 2, 1, N, N, (mul.coeffs - pn * mu.coeffs) % desc.q)
-        comul2 = MultiMap(desc, 1, 2, N, N, (comul.coeffs - pn * delta.coeffs) % desc.q)
-
-    previous = base if previous is None else previous
-    m_legs = mul2.coeffs.reshape(N, N, N, desc.m)
-    d_legs = comul2.coeffs.reshape(N, N, N, desc.m)
-    u0, e0 = (t.coeffs.reshape(N, desc.m) for t in (previous.unit, previous.counit))
-    unit2 = newton_lift(desc, u0, previous.ring.n, lambda u: _unit_square(desc, m_legs, u))
-    counit2 = newton_lift(desc, e0, previous.ring.n, lambda e: _counit_square(desc, d_legs, e))
-    unit_map = MultiMap(desc, 0, 1, N, N, unit2.reshape(N, 1, desc.m))
-    counit_map = MultiMap(desc, 1, 0, N, N, counit2.reshape(1, N, desc.m))
-    return mul2, comul2, unit_map, counit_map
-
-
-def solve_antipode(
-    mul: MultiMap, comul: MultiMap, base: HopfPresentation, previous: HopfPresentation | None = None
-) -> MultiMap:
+def solve_antipode(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> MultiMap:
     """The antipode: the convolution inverse S of the identity, by Newton
     steps S <- 2S - S * I * S with f * g = m(f (x) g)Delta, seeded with the
-    antipode of previous (the base by default), which mul and comul digit-lift.
+    antipode of base, which mul and comul lift.
 
     The convolution unit, unit o counit, stays implicit in the step.  The
-    output is unchecked here: lift certifies its final one by verify_hopf.
+    output is unchecked here: lift certifies it by verify_hopf.
     """
     desc = mul.ring
     N = mul.dim_out
     m_legs = mul.coeffs.reshape(N, N, N, desc.m)
     d_legs = comul.coeffs.reshape(N, N, N, desc.m)
-    previous = base if previous is None else previous
 
     def sis(s):
         return hc._convolution(desc, m_legs, d_legs, hc._convolution(desc, m_legs, d_legs, s, None), s)
 
-    return MultiMap(desc, 1, 1, N, N, newton_lift(desc, previous.antipode.coeffs, previous.ring.n, sis))
+    return MultiMap(desc, 1, 1, N, N, newton_lift(desc, base.antipode.coeffs, base.ring.n, sis))
+
+
+def _complete(mul: MultiMap, comul: MultiMap, base: HopfPresentation) -> HopfPresentation:
+    """The presentation of the pair (mul, comul), which lifts base's: its unit
+    and counit by the Newton steps u <- 2u - m(u (x) u) and
+    e <- 2e - (e (x) e)Delta from base's, and its antipode by solve_antipode.
+    Unchecked: _certify tests it."""
+    desc = mul.ring
+    N = mul.dim_out
+    m_legs = mul.coeffs.reshape(N, N, N, desc.m)
+    d_legs = comul.coeffs.reshape(N, N, N, desc.m)
+    u0, e0 = (t.coeffs.reshape(N, desc.m) for t in (base.unit, base.counit))
+    unit = newton_lift(desc, u0, base.ring.n, lambda u: _unit_square(desc, m_legs, u))
+    counit = newton_lift(desc, e0, base.ring.n, lambda e: _counit_square(desc, d_legs, e))
+    unit_map = MultiMap(desc, 0, 1, N, N, unit.reshape(N, 1, desc.m))
+    counit_map = MultiMap(desc, 1, 0, N, N, counit.reshape(1, N, desc.m))
+    return HopfPresentation(desc, N, mul, unit_map, comul, counit_map, solve_antipode(mul, comul, base))
 
 
 _STRUCTURE_AXIOMS = {"associativity", "coassociativity", "delta_multiplicative"}
@@ -248,34 +255,32 @@ def _certify(pres: HopfPresentation, c: coh.TotalCochain | None, base: HopfPrese
 
 
 def lift(base: HopfPresentation, n: int, strategy="canonical") -> LiftState:
-    """Iterate raw-extension / obstruction / correct / solve_antipode up to p^n.
+    """Iterate raw-extension / obstruction / correct on (m, Delta) up to p^n,
+    then recover unit, counit and antipode once (_complete).
 
     The lift has one exact certificate, _certify of the final presentation.
     It certifies every level: a level changes only digit k of (m, Delta), and
-    the unit, counit and antipode are unique given the pair, so a wrong
-    intermediate one is either healed by the next Newton step or shows in the
-    final tensors.  A wrong pair at level k is not a bialgebra mod p^(k+1),
-    so level k+1's obstruction raises NotDivisible; level k's presentation is
-    then certified with its own obstruction, to raise its stage's exception.
+    the unit, counit and antipode are unique given the final pair.  A wrong
+    pair at level k is not a bialgebra mod p^(k+1), so level k+1's
+    obstruction raises NotDivisible; level k's pair is then completed and
+    certified with its own obstruction, to raise its stage's exception.
     """
     check_modulus(base.ring.p, n)
     base = _admit_base(base)
     if n < 1:
         raise ValueError("precision must be >= 1")
-    current, c = base, None
+    mul, comul, c = base.mul, base.comul, None
     transcript = []
     for level in range(1, n):
         t0 = time.perf_counter()
-        mul, comul = _raw_extension(current, strategy, level)
+        raw_mul, raw_comul = _raw_extension(mul, comul, strategy, level)
         try:
-            level_c = obstruction(mul, comul, base)
+            level_c = obstruction(raw_mul, raw_comul, base)
         except NotDivisible:
-            _certify(current, c, base)
+            _certify(_complete(mul, comul, base), c, base)
             raise
         c = level_c
-        mul2, comul2, unit2, counit2 = correct(mul, comul, c, base, current)
-        s_map = solve_antipode(mul2, comul2, base, current)
-        current = HopfPresentation(mul2.ring, base.dim, mul2, unit2, comul2, counit2, s_map)
+        mul, comul = correct(raw_mul, raw_comul, c)
         solver_rank = None
         if not c.is_zero:
             solver_rank = coh._contraction(c.context).rank
@@ -289,7 +294,7 @@ def lift(base: HopfPresentation, n: int, strategy="canonical") -> LiftState:
                 "seconds": round(time.perf_counter() - t0, 6),
             }
         )
-    return LiftState(base, n, _certify(current, c, base) if n > 1 else current, transcript)
+    return LiftState(base, n, _certify(_complete(mul, comul, base), c, base) if n > 1 else base, transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +312,8 @@ def _lift_map(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState):
     """The map lift_a.current -> lift_b.current reducing to phi, one digit per
     level, with its certificate.
 
-    Level k digit-lifts the map, divides its multiplicative and
-    comultiplicative defects by p^k (NotDivisible if they are not), and
+    Level k digit-lifts the map, takes digit k of its multiplicative and
+    comultiplicative defects (_digit: NotDivisible unless p^k divides them), and
     subtracts p^k times their unchecked contraction chi, so it changes digit
     k only; a zero defect pair has chi = 0 and solves nothing.  An exact chi
     is what makes the next level's defects divisible and the final map
@@ -328,24 +333,24 @@ def _lift_map(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState):
     solved = None  # the last solved level's defect: a zero defect pair leaves the map exact
     for k in range(1, n):
         desc = fring.at_precision(k + 1)
-        f = fmap % desc.q  # digit lift
-        sides = hc._morphism_residuals(desc, f, *(leg % desc.q for leg in legs))
-        defect_m, defect_d = (ra.sub(desc, lhs, rhs) for lhs, rhs in sides)
-        pk = desc.p**k
-        if np.any(defect_m % pk) or np.any(defect_d % pk):
+        f = ra.int64_mod(fmap.copy(), desc.q)  # digit lift
+        sides = hc._morphism_residuals(desc, f, *(ra.int64_mod(leg.copy(), desc.q) for leg in legs))
+        try:
+            digit_m, digit_d = (_digit(lhs - rhs, k, desc.p) for lhs, rhs in sides)
+        except NotDivisible:
             if solved is not None:
-                raise _defect_error(solved)
-            raise NotDivisible(f"morphism defect not divisible by p^{k}")
-        if not (defect_m.any() or defect_d.any()):
+                raise _defect_error(solved) from None
+            raise NotDivisible(f"morphism defect not divisible by p^{k}") from None
+        if not (digit_m.any() or digit_d.any()):
             fmap = f
             continue
         comps = {
-            (1, 0): MultiMap(fring, 2, 1, na, nb, ((defect_m // pk) % desc.p).reshape(nb, na * na, fring.m)),
-            (0, 1): MultiMap(fring, 1, 2, na, nb, ((defect_d // pk) % desc.p).reshape(nb * nb, na, fring.m)),
+            (1, 0): MultiMap(fring, 2, 1, na, nb, digit_m.reshape(nb, na * na, fring.m)),
+            (0, 1): MultiMap(fring, 1, 2, na, nb, digit_d.reshape(nb * nb, na, fring.m)),
         }
         solved = coh.TotalCochain(ctx, 1, comps)
         chi = coh._contract_obstruction(solved)
-        fmap = (f - pk * chi.components[(0, 0)].coeffs) % desc.q
+        fmap = ra.int64_mod(f - desc.p**k * chi.components[(0, 0)].coeffs, desc.q)
     desc = fring.at_precision(n)
     out = MultiMap(desc, 1, 1, na, nb, fmap % desc.q)
     fails = hc.morphism_failures(HopfMorphism(lift_a.current, lift_b.current, out))
@@ -419,6 +424,8 @@ def lift_rmatrix(H: HopfPresentation, rmat, lift_a: LiftState) -> hc.RMatrix:
     R = rmat.R if isinstance(rmat, hc.RMatrix) else rmat
     if H != lift_a.base:
         raise DifferentBaseOrPrecision("R-matrix host must be the lift base")
+    if R.dim_out != H.dim:
+        raise DifferentBaseOrPrecision(f"R-matrix of dimension {R.dim_out} does not match its host of dimension {H.dim}")
     checked = rmat if isinstance(rmat, hc.RMatrix) and rmat.quasitriangular else hc.verify_qt(H, R)
     if not checked.quasitriangular:
         raise InternalAxiomFailure("input R-matrix is not quasitriangular")

@@ -68,6 +68,28 @@ def test_lemma41_exit_codes(capsys):
     assert list(payload.items()) == list(asdict(ac.lemma41([2, 1, 1], 3, 3)).items())
 
 
+@pytest.mark.parametrize(
+    "r, p, code, message",
+    [
+        ("0", "7", 2, "need r > 2"),
+        ("-2", "7", 2, "need r > 2"),
+        ("3", "0", 1, "NotPrime: 0 is not prime"),
+        ("3", "4", 1, "NotPrime: 4 is not prime"),
+        ("3", "-7", 1, "NotPrime: -7 is not prime"),
+    ],
+)
+def test_lemma41_refuses_bad_r_or_p(capsys, r, p, code, message):
+    # --r 1 exits 2 by the same ValueError; a p that is not prime as gen --p 4 does
+    got, out, err = run(capsys, "lemma41", "--poly", "2,1,1", "--r", r, "--p", p)
+    assert got == code and out == "" and message in err
+
+
+@pytest.mark.parametrize("criteria", ["99", "0,-1", "2,12"])
+def test_accept_refuses_unknown_criteria(capsys, criteria):
+    code, out, err = run(capsys, "accept", "--criteria", criteria)
+    assert code == 2 and out == "" and "numbered 1-11" in err
+
+
 def test_cohomology_command(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, "C2", 5, "c2.json")
     code, out, _ = run(capsys, "cohomology", str(path), "--degree", "0,1,2", "--invariants", "--json")
@@ -161,6 +183,26 @@ def test_lift_rmatrix_flow(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert [v[0] for v in payload["R"]["coeffs"]] == [13, 13, 13, 12]
+
+
+def test_lift_rmatrix_refuses_an_r_of_another_dimension(tmp_path, capsys):
+    # an R-matrix of C2 against a lift of C4, refused before verify_qt reshapes it
+    import numpy as np
+
+    from hopflift import hopfcore as hc
+    from hopflift import serialize as ser
+    from hopflift import tensorcalc as tc
+    from hopflift.coeffring import make_ring
+
+    F5 = make_ring(5)
+    C2 = hc.generate("C2", F5)
+    R1 = tc.MultiMap(F5, 0, 2, 2, 2, np.array([3, 3, 3, 2], dtype=np.int64).reshape(4, 1)[:, :, None])
+    (tmp_path / "r.json").write_text(ser.dumps(ser.rmatrix_to_json(C2, R1)))
+    c4 = gen_file(tmp_path, capsys, "C4", 5, "c4.json")
+    run(capsys, "lift", str(c4), "--precision", "2", "-o", str(tmp_path / "st.json"))
+    code, out, err = run(capsys, "lift-rmatrix", "--r", str(tmp_path / "r.json"), "--lift", str(tmp_path / "st.json"))
+    assert code == 1 and out == ""
+    assert "DifferentBaseOrPrecision" in err and "dimension 2" in err and "dimension 4" in err
 
 
 def test_double_and_dual_commands(tmp_path, capsys):

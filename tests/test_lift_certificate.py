@@ -2,8 +2,9 @@
 and its reduction mod p.  A stage whose output is wrong is caught there and
 reported with the exception type of that stage.  A wrong (m, Delta) at an
 inner level makes the next level's obstruction indivisible; that level's
-presentation is then certified, to name its stage.  A wrong unit, counit or
-antipode at an inner level is healed by the next Newton step."""
+pair is then completed and certified, to name its stage.  A unit, counit or
+antipode wrong past the digits a Newton step fixes is healed by the next
+step."""
 
 import pytest
 
@@ -100,8 +101,8 @@ def test_unit_off_by_p_k_raises_post_axiom_failure(monkeypatch):
 
 def test_wrong_antipode_raises_right_antipode_failure(monkeypatch):
     def wrap(real):
-        def solve_antipode(mul, comul, base=None, previous=None):
-            s = real(mul, comul, base, previous)
+        def solve_antipode(*args):
+            s = real(*args)
             desc = s.ring
             return tc.MultiMap(desc, 1, 1, s.dim_in, s.dim_out, (s.coeffs + desc.p ** (desc.n - 1)) % desc.q)
 
@@ -127,12 +128,6 @@ def _at_call(number, fault):
     return wrap
 
 
-def _moved(t):
-    """t plus p^(n-1): wrong in the level's new digit only."""
-    desc = t.ring
-    return tc.MultiMap(desc, t.arity_in, t.arity_out, t.dim_in, t.dim_out, (t.coeffs + desc.p ** (desc.n - 1)) % desc.q)
-
-
 @pytest.mark.parametrize(
     "module, name, fault, expected",
     [
@@ -151,21 +146,58 @@ def test_inner_level_pair_fault_is_certified_at_its_level(monkeypatch, module, n
     assert verified == [3]
 
 
-@pytest.mark.parametrize(
-    "name, fault",
-    [
-        ("correct", lambda out: (*out[:2], _moved(out[2]), out[3])),
-        ("correct", lambda out: (*out[:3], _moved(out[3]))),
-        ("solve_antipode", _moved),
-    ],
-    ids=["unit", "counit", "antipode"],
-)
-def test_inner_level_unit_or_antipode_fault_is_healed(monkeypatch, name, fault):
+def _first_step_moved(number, fired):
+    """A newton_lift whose number-th call (unit, counit, antipode, in the
+    order _complete recovers them) has its first step's x a x moved by
+    p^(n-1): that step's output is then right mod p^2 but wrong in the last
+    digit, which only a further step can mend.  Appends the steps of that
+    call to fired."""
+
+    def wrap(real):
+        calls = []
+
+        def newton_lift(desc, x, prec, xax):
+            calls.append(None)
+            if len(calls) != number:
+                return real(desc, x, prec, xax)
+
+            def moved(y):
+                fired.append(None)
+                out = xax(y)
+                return (out + desc.p ** (desc.n - 1)) % desc.q if len(fired) == 1 else out
+
+            return real(desc, x, prec, moved)
+
+        return newton_lift
+
+    return wrap
+
+
+@pytest.mark.parametrize("number", [1, 2, 3], ids=["unit", "counit", "antipode"])
+def test_inner_level_unit_or_antipode_fault_is_healed(monkeypatch, number):
+    # the fault sits in the first of the recovery's two Newton steps
     clean = lf.lift(D4, PRECISION, "perturbed:2").current
-    state = _lift_with(monkeypatch, lf, name, _at_call(2, fault))
+    fired = []
+    state = _lift_with(monkeypatch, lf, "newton_lift", _first_step_moved(number, fired))
+    # the moved step ran, and one more step followed it
+    assert len(fired) == 2
     assert state.current.verified and state.current == clean
     for got, want in zip(state.current.tensors(), clean.tensors()):
         assert got.coeffs.dtype == want.coeffs.dtype and got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+@pytest.mark.parametrize(
+    "number, expected",
+    [(1, PostAxiomFailure), (2, PostAxiomFailure), (3, RightAntipodeFailure)],
+    ids=["unit", "counit", "antipode"],
+)
+def test_last_newton_step_fault_is_not_healed(monkeypatch, number, expected):
+    # the same fault in a lift to p^2, whose one step is also its last
+    fired = []
+    with pytest.raises(expected):
+        monkeypatch.setattr(lf, "newton_lift", _first_step_moved(number, fired)(lf.newton_lift))
+        lf.lift(D4, 2, "perturbed:2")
+    assert len(fired) == 1
 
 
 def test_lift_that_does_not_reduce_to_its_base_raises(monkeypatch):
@@ -177,10 +209,10 @@ def test_lift_that_does_not_reduce_to_its_base_raises(monkeypatch):
     other = lf.lift(hc.group_algebra(F5, [[1, 0], [0, 1]]), 3, "perturbed:5")
     def correct(mul, *_):
         H = other.at_precision(mul.ring.n)
-        return H.mul, H.comul, H.unit, H.counit
+        return H.mul, H.comul
 
     monkeypatch.setattr(lf, "correct", correct)
-    monkeypatch.setattr(lf, "solve_antipode", lambda mul, *_: other.at_precision(mul.ring.n).antipode)
+    monkeypatch.setattr(lf, "_complete", lambda mul, *_: other.at_precision(mul.ring.n))
     with pytest.raises(InternalAxiomFailure):
         lf.lift(C2, 3)
 

@@ -10,7 +10,14 @@ from hopflift import hopfcore as hc
 from hopflift import lifting as lf
 from hopflift import tensorcalc as tc
 from hopflift._linalg import FieldSolver
-from hopflift.errors import CocycleUnsolvable, DifferentBaseOrPrecision, NotACocycle, NotSemisimpleOrCosemisimple
+from hopflift.errors import (
+    CocycleUnsolvable,
+    DifferentBaseOrPrecision,
+    InternalAxiomFailure,
+    NotACocycle,
+    NotDivisible,
+    NotSemisimpleOrCosemisimple,
+)
 
 F5 = cr.make_ring(5)
 F7 = cr.make_ring(7)
@@ -126,29 +133,30 @@ class TestCorrectAndAntipode:
     def test_zero_obstruction_passthrough(self):
         mul, comul = lf.initial_lift(C2, "canonical")
         rep = lf.obstruction(mul, comul, C2)
-        m2, d2, u2, e2 = lf.correct(mul, comul, rep, C2)
+        m2, d2 = lf.correct(mul, comul, rep)
         assert m2 == mul and d2 == comul
-        assert u2.coeffs[:, 0, 0].tolist() == [1, 0]
-        assert e2.coeffs[0, :, 0].tolist() == [1, 1]
+        H = lf._complete(m2, d2, C2)
+        assert H.unit.coeffs[:, 0, 0].tolist() == [1, 0]
+        assert H.counit.coeffs[0, :, 0].tolist() == [1, 1]
 
     def test_perturbed_correction_exact(self):
         for base, seed in [(C2, 1), (C3_7, 3)]:
             mul, comul = lf.initial_lift(base, f"perturbed:{seed}")
             rep = lf.obstruction(mul, comul, base)
-            m2, d2, u2, e2 = lf.correct(mul, comul, rep, base)
+            m2, d2 = lf.correct(mul, comul, rep)
             assert lf.obstruction(m2, d2, base).is_zero
 
     def test_antipode_canonical(self):
         mul, comul = lf.initial_lift(C2, "canonical")
         rep = lf.obstruction(mul, comul, C2)
-        m2, d2, u2, e2 = lf.correct(mul, comul, rep, C2)
+        m2, d2 = lf.correct(mul, comul, rep)
         s = lf.solve_antipode(m2, d2, C2)
         assert s.coeffs[:, :, 0].tolist() == [[1, 0], [0, 1]]  # S(g) = g
 
     def test_antipode_reduces_to_base(self):
         mul, comul = lf.initial_lift(C2, "perturbed:5")
         rep = lf.obstruction(mul, comul, C2)
-        m2, d2, u2, e2 = lf.correct(mul, comul, rep, C2)
+        m2, d2 = lf.correct(mul, comul, rep)
         s = lf.solve_antipode(m2, d2, C2)
         assert np.array_equal(s.coeffs % 5, C2.antipode.coeffs)
 
@@ -399,7 +407,7 @@ def test_hensel_systems_factored_once_per_base(monkeypatch):
 
 
 # the Hensel systems of unit, counit and antipode: the linear oracle of the
-# Newton steps of lifting.correct and lifting.solve_antipode
+# Newton steps of lifting._complete and lifting.solve_antipode
 
 
 def _unit_system(desc, m_legs, u0):
@@ -447,17 +455,136 @@ def test_seeded_levels_match_full_solves():
 
 @pytest.mark.parametrize("name, p, m", [("S3", 7, 1), ("C3", 2, 2)], ids=["S3/F7", "C3/F4"])
 def test_standalone_stages_refine_from_the_base(name, p, m):
-    """correct and solve_antipode on an exact p^4 lift (zero obstruction),
-    seeded with the base: two Newton steps give the lift's tensors."""
+    """correct, _complete and solve_antipode on an exact p^4 lift (zero
+    obstruction), seeded with the base: two Newton steps give the lift's tensors."""
     base = hc.generate(name, cr.make_ring(p, 1, m))
     cur = lf.lift(base, 4, "perturbed:5").current
     report = lf.obstruction(cur.mul, cur.comul, base)
     assert report.is_zero
-    mul, comul, unit, counit = lf.correct(cur.mul, cur.comul, report, base)
-    assert (mul, comul, unit, counit) == (cur.mul, cur.comul, cur.unit, cur.counit)
+    mul, comul = lf.correct(cur.mul, cur.comul, report)
+    H = lf._complete(mul, comul, base)
+    assert (mul, comul, H.unit, H.counit) == (cur.mul, cur.comul, cur.unit, cur.counit)
     assert lf.solve_antipode(mul, comul, base) == cur.antipode
     # each tensor has a nonzero digit past p^2, which one step from the base cannot reach
     assert all(np.any(t.coeffs // p**2) for t in (cur.unit, cur.counit, cur.antipode))
+
+
+def _per_level_chain(state):
+    """Unit, counit and antipode recovered level by level: one Newton step
+    each at every precision k, over that level's pair (the final pair mod
+    p^k), from those of precision k - 1."""
+    base = state.base
+    u, e, s = hc._legs(base)[2:]
+    for k in range(2, state.precision + 1):
+        desc = base.ring.at_precision(k)
+        M, D = hc._legs(state.at_precision(k))[:2]
+
+        def sis(x):
+            return hc._convolution(desc, M, D, hc._convolution(desc, M, D, x, None), x)
+
+        u = cr.newton_lift(desc, u, k - 1, lambda x: lf._unit_square(desc, M, x))
+        e = cr.newton_lift(desc, e, k - 1, lambda x: lf._counit_square(desc, D, x))
+        s = cr.newton_lift(desc, s, k - 1, sis)
+    return u, e, s
+
+
+@pytest.mark.parametrize("strategy", ["canonical", "perturbed:1"])
+@pytest.mark.parametrize(
+    "name, p, m, n",
+    [("D4", 3, 1, 4), ("S3", 7, 1, 10), ("C3", 2, 2, 4), ("Q8", 7, 1, 4)],
+    ids=["D4/F3^4", "S3/F7^10", "C3/F4^4", "Q8/F7^4"],
+)
+def test_recovery_from_the_base_matches_the_per_level_chain(name, p, m, n, strategy):
+    """Unit, counit and antipode recovered once from the base's are those of
+    the per-level Newton chain, bit for bit."""
+    base = hc.generate(name, cr.make_ring(p, 1, m))
+    state = lf.lift(base, n, strategy)
+    for got, want in zip(hc._legs(state.current)[2:], _per_level_chain(state)):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, p, n, steps", [("D4", 3, 4, 2), ("S3", 7, 10, 4)], ids=["D4/F3^4", "S3/F7^10"])
+def test_recovery_runs_once_per_lift(monkeypatch, name, p, n, steps):
+    """ceil(log2 n) unit steps and one antipode recovery per lift, whatever its levels."""
+    base = hc.generate(name, cr.make_ring(p))
+    squares, antipodes = [], []
+    for fn, calls in ((lf._unit_square, squares), (lf.solve_antipode, antipodes)):
+        monkeypatch.setattr(lf, fn.__name__, lambda *a, fn=fn, calls=calls: calls.append(None) or fn(*a))
+    state = lf.lift(base, n, "perturbed:1")
+    assert state.current.verified
+    assert len(squares) == steps and len(antipodes) == 1
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 3), (7, 9), (2, 61)])
+def test_digit_is_the_floor_quotient_mod_p(p, k):
+    """_digit of a difference of residues mod p^(k+1) that p^k divides is
+    (d // p^k) mod p on both signs; one cell off by p^(k-1) raises NotDivisible."""
+    pk = p**k
+    rng = np.random.default_rng(k)
+    quot = [-(p - 1), -1, 0, 1, p - 1] + rng.integers(-(p - 1), p, size=59).tolist()
+    d = np.array([pk * t for t in quot], dtype=np.int64).reshape(8, 8, 1)
+    got = lf._digit(d, k, p)
+    assert got.dtype == np.int64 and got.ravel().tolist() == [(pk * t // pk) % p for t in quot]
+    for cell in (0, 1, 63):
+        off = d.copy()
+        off.flat[cell] += p ** (k - 1)
+        with pytest.raises(NotDivisible):
+            lf._digit(off, k, p)
+
+
+D4_F3 = hc.generate("D4", cr.make_ring(3))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_planted_pair_defect_is_not_divisible_at_its_level(monkeypatch, level):
+    """A raw extension moved by p^(level-1) in one cell makes that level's
+    obstruction indivisible by p^level: the pair below it is certified, and
+    NotDivisible names the level."""
+    calls, obstructions, verified = [], [], []
+    real = lf._raw_extension
+
+    def raw_extension(*args):
+        mul, comul = real(*args)
+        calls.append(None)
+        if len(calls) == level:
+            desc = mul.ring
+            coeffs = mul.coeffs.copy()
+            coeffs.flat[0] = (coeffs.flat[0] + desc.p ** (level - 1)) % desc.q
+            mul = tc.MultiMap(desc, mul.arity_in, mul.arity_out, mul.dim_in, mul.dim_out, coeffs)
+        return mul, comul
+
+    real_obstruction, real_verify = lf.obstruction, hc.verify_hopf
+    monkeypatch.setattr(lf, "_raw_extension", raw_extension)
+    monkeypatch.setattr(lf, "obstruction", lambda mul, *a: obstructions.append(mul.ring.n) or real_obstruction(mul, *a))
+    monkeypatch.setattr(hc, "verify_hopf", lambda H: verified.append(H.ring.n) or real_verify(H))
+    with pytest.raises(NotDivisible, match=rf"p\^{level}$"):
+        lf.lift(D4_F3, 4, "perturbed:2")
+    assert obstructions == list(range(2, level + 2))
+    assert verified == [level]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_planted_map_defect_is_not_divisible_at_its_level(monkeypatch, level):
+    """reconcile of a lift with itself, its multiplicative defect moved by
+    p^(level-1) in one cell at that level: NotDivisible at that level, as
+    reconcile's InternalAxiomFailure."""
+    st = lf.lift(D4_F3, 4, "perturbed:2")
+    calls = []
+    real = hc._morphism_residuals
+
+    def residuals(desc, *args):
+        (lhs, rhs), comult = real(desc, *args)
+        calls.append(desc.n)
+        if len(calls) == level:
+            lhs = lhs.copy()
+            lhs.flat[0] = (lhs.flat[0] + desc.p ** (level - 1)) % desc.q
+        return (lhs, rhs), comult
+
+    monkeypatch.setattr(hc, "_morphism_residuals", residuals)
+    with pytest.raises(InternalAxiomFailure, match=rf"not divisible by p\^{level}$") as info:
+        lf.reconcile(st, st)
+    assert isinstance(info.value.__cause__, NotDivisible)
+    assert calls == list(range(2, level + 2))
 
 
 def test_admission_verdict_cached_per_context(monkeypatch):

@@ -740,6 +740,59 @@ def test_f64_mod_is_exact_below_2_52(q, data):
     assert got.dtype == np.int64 and got.tolist() == [v % q for v in vals]
 
 
+INT64_MOD_RINGS = [2, 81, 7**10, (1 << 31) - 1, (1 << 61) - 1]
+
+
+def _int64_mod_input(size, q, seed):
+    """size int64 entries in [-2^62, 2^62): the bounds, multiples of q and
+    their neighbours, then random ones."""
+    rng = np.random.default_rng(seed)
+    edges = [-(1 << 62), -(1 << 62) + 1, (1 << 62) - 1, -1, 0, 1, q - 1, q, q + 1, -q, -q - 1, -q + 1]
+    top = ((1 << 62) - 1) // q * q
+    edges += [top, top - 1, -top, -top + 1, -top - 1]
+    vals = rng.integers(-(1 << 62), 1 << 62, size=size, dtype=np.int64)
+    vals[: min(size, len(edges))] = edges[:size]
+    return vals
+
+
+@pytest.mark.parametrize("q", INT64_MOD_RINGS)
+@pytest.mark.parametrize("size", [1, 511, 512, 513, 1023, 1024, 1025, (1 << 16) - 1, (1 << 16) + 1, 3 << 16])
+def test_int64_mod_matches_python_mod(size, q):
+    r = _int64_mod_input(size, q, size)
+    want = [v % q for v in r.tolist()]
+    got = ra.int64_mod(r, q)
+    assert got is r and got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("q", INT64_MOD_RINGS)
+@pytest.mark.parametrize("shape", [(40, 60), (300, 400)], ids=["below", "above"])
+def test_int64_mod_of_views_matches_python_mod(shape, q):
+    # views that are not C-contiguous, on either side of the division's threshold
+    base = _int64_mod_input(shape[0] * shape[1], q, 5).reshape(shape)
+    for view in (base[:, ::2], base.T, base[::3, 1:-1]):
+        want = [v % q for v in view.ravel().tolist()]
+        got = ra.int64_mod(view, q)
+        assert got.dtype == np.int64 and got.ravel().tolist() == want
+
+
+def test_int64_mod_of_object_arrays_and_ints():
+    q = (1 << 61) - 1
+    vals = [-(1 << 80), -1, 0, q, 1 << 70]
+    got = ra.int64_mod(np.array(vals, dtype=object), q)
+    assert got.dtype == np.int64 and got.tolist() == [v % q for v in vals]
+    assert ra.int64_mod(-(1 << 70), q).tolist() == -(1 << 70) % q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 7**9, 67108859, (1 << 52) - 1]), st.data())
+def test_f64_mod_matches_python_mod_on_both_signs(q, data):
+    top = (1 << 52) - 1
+    vals = [0, 1, q - 1, q, q + 1, top, top - top % q] + data.draw(st.lists(st.integers(0, top), max_size=50))
+    vals += [-v for v in vals]
+    got = ra.f64_mod(np.array(vals * 40, dtype=np.float64), q)
+    assert got.dtype == np.int64 and got.tolist() == [v % q for v in vals * 40]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 7, 3**20, 7**9, 67108859, (1 << 52) - 1]), st.data())
 def test_f64_reduce_matches_python_mod_at_the_bound(q, data):

@@ -24,10 +24,11 @@ output.
 - kernels: _arrays.elem_mul and _arrays.reg_rep on 8, 1,000 and 200,000
   random elements of F25, F27, F16 and F_((2^31-1)^2): the median over 5
   batches of the seconds per call, each batch at least 0.05 s.
-- int64_mod: _arrays.int64_mod against numpy's in-place % on 64 to 2^20
-  random int64 cells in [-2^62, 2^62), mod q = 2, 81, 7^10, 2^31 - 1 and
-  2^61 - 1: the median over 5 batches of the seconds per call, less those
-  of the copy that gives each call its fresh input.
+- int64_mod: _arrays.int64_mod, numpy's in-place % and the division
+  r - (r // q) q in one unchunked pass on 64 to 2^22 random int64 cells in
+  [-2^62, 2^62), mod q = 2, 81, 7^10, 2^31 - 1 and 2^61 - 1: the median over
+  5 batches of the seconds per call, less those of the copy that gives each
+  call its fresh input.
 
 A lift's digest is that of its JSON without the transcript's wall-clock
 seconds; the others hash the dimensions, the failing axioms, the grouplikes
@@ -115,6 +116,12 @@ out, h = {}, hashlib.sha256()
 rng = np.random.default_rng(0)
 
 
+def divide(r, q):
+    t = r // q
+    t *= q
+    r -= t
+
+
 def per_call(fn, src, buf):
     times = []
     for _ in range(5):
@@ -128,12 +135,17 @@ def per_call(fn, src, buf):
 
 
 for label, q in RINGS.items():
-    for size in (64, 256, 512, 1024, 2048, 4096, 1 << 16, 1 << 20):
+    for size in (64, 256, 512, 1024, 2048, 4096, 1 << 16, 1 << 20, 1 << 22):
         src = rng.integers(-(1 << 62), 1 << 62, size=size, dtype=np.int64)
         buf = src.copy()
         h.update(ra.int64_mod(buf, q).tobytes())
         copy = per_call(lambda r: None, src, buf)
-        for kind, fn in (("int64_mod", lambda r: ra.int64_mod(r, q)), ("%", lambda r: np.remainder(r, q, out=r))):
+        kinds = (
+            ("int64_mod", lambda r: ra.int64_mod(r, q)),
+            ("%", lambda r: np.remainder(r, q, out=r)),
+            ("r - (r // q) q", lambda r: divide(r, q)),
+        )
+        for kind, fn in kinds:
             out[f"{kind} q={label} x{size}"] = max(0.0, per_call(fn, src, buf) - copy)
 print(json.dumps({"kernels": out, "sha256": h.hexdigest(), "correct": True}))
 """
@@ -155,7 +167,7 @@ CASES = [
     ("grouplikes C4.double/F16", ["grouplikes", "C4.double", "2", "4"]),
 ]
 KERNEL_LABEL = "kernels elem_mul, reg_rep"
-INT64_MOD_LABEL = "kernels int64_mod, %"
+INT64_MOD_LABEL = "kernels int64_mod, %, r - (r // q) q"
 
 
 def main():
@@ -184,7 +196,7 @@ def main():
     record = {
         "what": (
             "m = 2, 3 and 4 probes (cohomology_dim 0-2, perturbed:1 lifts to p^4, verify_hopf, grouplikes), the "
-            f"elem_mul and reg_rep kernels and int64_mod against %{'' if args.cases is None else f' (only those labelled *{args.cases}*)'}, "
+            f"elem_mul and reg_rep kernels and int64_mod against % and r - (r // q) q{'' if args.cases is None else f' (only those labelled *{args.cases}*)'}, "
             f"{args.repeats} fresh processes per side under a {args.cap_gb:g} GB address-space cap. Parent and "
             "change run from separate checkouts, the side that runs first alternating, every process pinned to one "
             "CPU. Produced by scripts/bench_one_product.py"

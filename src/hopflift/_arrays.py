@@ -41,16 +41,19 @@ def int64_mod(r, q):
 
     An int64 array r is reduced in place and returned.  From _DIV_MIN_CELLS
     cells on, a C-contiguous one is reduced as r - (r // q) q, _DIV_CHUNK
-    cells at a time, so no temporary outgrows one chunk: numpy divides int64
-    by a scalar through libdivide (Granlund and Montgomery, PLDI 1994), a
-    multiply and a shift per cell, where its % divides in hardware.  Exact
-    while (r // q) q fits int64: for every r >= 0, for r >= -2q at q <= 2^62
-    and r >= -3q at q <= 2^61, which bound every caller's sums, products and
-    differences of residues.  Measured by scripts/bench_one_product.py's int64_mod probe
-    on one core of a 2-core x86-64 host: % and the division break even near
-    1,024 cells, the division takes 0.5-0.6 of %'s time at 4,096 cells and
-    0.15-0.2 from 2^16 cells on.  Chunks of 2^16 cells (a 512 KB temporary)
-    reduce 2^22 cells in about half the time of one undivided pass.
+    cells at a time, so no temporary outgrows one chunk (512 KB): numpy
+    divides int64 by a scalar through libdivide (Granlund and Montgomery,
+    PLDI 1994), a multiply and a shift per cell, where its % divides in
+    hardware.  Exact while (r // q) q fits int64: for every r >= 0, for
+    r >= -2q at q <= 2^62 and r >= -3q at q <= 2^61, which bound every
+    caller's sums, products and differences of residues.
+
+    Measured by scripts/bench_one_product.py's int64_mod probe
+    (BENCH_lean_level.json) on one core of a 2-core x86-64 host, in shares
+    of an in-place %'s time on five moduli from 2 to 2^61 - 1: this
+    division, chunk loop included, takes 0.95-1.12 at 1,024 cells, 0.53-0.62
+    at 4,096 and 0.14-0.22 from 2^16 to 2^22 cells; one unchunked pass of
+    r - (r // q) q takes 0.93-1.12 at 512 cells and 0.46-0.50 at 2^22 cells.
     """
     if not (isinstance(r, np.ndarray) and r.dtype == np.int64):
         return np.asarray(r % q, dtype=np.int64)

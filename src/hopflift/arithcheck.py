@@ -146,15 +146,13 @@ def _gcd_route(coeffs, r, p) -> bool:
 def lemma41(P, r: int, p: int) -> LemmaReport:
     """Full nonvanishing report: the integer-product route plus the
     independent gcd route; both must agree whenever the hypotheses hold.
-    Needs r > 2, as conjugate_product does, and a prime p (NotPrime), over
-    whose field the gcd route works."""
-    if r <= 2:
-        raise ValueError("conjugate products need r > 2 (empty index set otherwise)")
+    Needs r > 2 (conjugate_product's ValueError) and a prime p (NotPrime),
+    over whose field the gcd route works."""
+    coeffs = P.coeffs if isinstance(P, IntPolynomial) else [int(c) for c in P]
+    n_val = conjugate_product(coeffs, r)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    coeffs = P.coeffs if isinstance(P, IntPolynomial) else [int(c) for c in P]
     folded = _fold_mod_xr1(coeffs, r)
-    n_val = conjugate_product(coeffs, r)
     d_sum = sum(abs(c) for c in folded)
     phi_r = totient(r)
     bound = _integer_half_power(d_sum, phi_r)

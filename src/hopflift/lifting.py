@@ -333,8 +333,8 @@ def _lift_map(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState):
     solved = None  # the last solved level's defect: a zero defect pair leaves the map exact
     for k in range(1, n):
         desc = fring.at_precision(k + 1)
-        f = ra.int64_mod(fmap.copy(), desc.q)  # digit lift
-        sides = hc._morphism_residuals(desc, f, *(ra.int64_mod(leg.copy(), desc.q) for leg in legs))
+        # fmap, reduced mod p^k < desc.q, is read as its own digit lift
+        sides = hc._morphism_residuals(desc, fmap, *(ra.int64_mod(leg.copy(), desc.q) for leg in legs))
         try:
             digit_m, digit_d = (_digit(lhs - rhs, k, desc.p) for lhs, rhs in sides)
         except NotDivisible:
@@ -342,7 +342,6 @@ def _lift_map(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState):
                 raise _defect_error(solved) from None
             raise NotDivisible(f"morphism defect not divisible by p^{k}") from None
         if not (digit_m.any() or digit_d.any()):
-            fmap = f
             continue
         comps = {
             (1, 0): MultiMap(fring, 2, 1, na, nb, digit_m.reshape(nb, na * na, fring.m)),
@@ -350,7 +349,7 @@ def _lift_map(phi: HopfMorphism, lift_a: LiftState, lift_b: LiftState):
         }
         solved = coh.TotalCochain(ctx, 1, comps)
         chi = coh._contract_obstruction(solved)
-        fmap = ra.int64_mod(f - desc.p**k * chi.components[(0, 0)].coeffs, desc.q)
+        fmap = ra.int64_mod(fmap - desc.p**k * chi.components[(0, 0)].coeffs, desc.q)
     desc = fring.at_precision(n)
     out = MultiMap(desc, 1, 1, na, nb, fmap % desc.q)
     fails = hc.morphism_failures(HopfMorphism(lift_a.current, lift_b.current, out))
